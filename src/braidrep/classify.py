@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd as _gcd
+from operator import mul
 from random import Random
 
 from .braid import (
@@ -40,13 +40,12 @@ from .linalg import (
     EchelonSpan,
     Matrix,
     Subspace,
-    flatten_matrix,
+    clear_denominators,
     inverse,
     kernel_basis,
     rank,
     rational,
     rational_eigenvalues,
-    unflatten_matrix,
 )
 from .zoo import corank, tym_standard
 
@@ -90,16 +89,18 @@ def spin(rep, v) -> Subspace:
     """Smallest subspace containing v that is closed under all generator
     images and their inverses, grown by iterated closure."""
     span = EchelonSpan(rep.r)
-    first = span.add(v)
+    first = span.add(clear_denominators(v)[0])
     if first is None:
         return Subspace.zero(rep.r)
-    mats = [rep.gen(i) for i in range(1, rep.n)]
-    mats += [rep.gen_inverse(i) for i in range(1, rep.n)]
+    # Integer numerators act in place of the images: scaling an image by its
+    # denominator does not change the span.
+    mats = [rep.gen(i).num for i in range(1, rep.n)]
+    mats += [rep.gen_inverse(i).num for i in range(1, rep.n)]
     work = [first]
     while work and span.dim < rep.r:
         w = work.pop()
         for m in mats:
-            added = span.add(m * w)
+            added = span.add([sum(map(mul, row, w)) for row in m])
             if added is not None:
                 work.append(added)
     return span.to_subspace()
@@ -112,17 +113,12 @@ def _modp_generator(m: Matrix, p):
     """Integer matrix congruent to a nonzero scalar multiple of m, or None.
 
     Scaling a generator by a nonzero constant does not change the algebra it
-    generates, so clearing denominators is harmless; a denominator divisible
-    by p makes the reduction unusable and aborts the certificate.
+    generates, so m's numerator serves; a denominator divisible by p makes
+    the reduction unusable and aborts the certificate.
     """
-    den = 1
-    for row in m.rows:
-        for e in row:
-            d = e.denominator
-            den = den * d // _gcd(den, d)
-    if den % p == 0:
+    if m.den % p == 0:
         return None
-    return [[int(e * den) % p for e in row] for row in m.rows]
+    return [[e % p for e in row] for row in m.num]
 
 
 def _modp_algebra_is_full(rep, p=_CLOSURE_PRIME) -> bool:
@@ -195,14 +191,17 @@ def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
             Verdict.ABSOLUTELY_IRREDUCIBLE, None, cap, detail="matrix algebra is full"
         )
         return cap, verdict
+    # Algebra elements are flattened row by row into integer vectors of
+    # length r^2; generators act through their integer numerators, since
+    # scaling a generator does not change the algebra it generates.
     span = EchelonSpan(cap)
-    work = [span.add(flatten_matrix(Matrix.identity(r)))]
-    gens = [rep.gen(i) for i in range(1, rep.n)]
+    work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
+    gens = [rep.gen(i).num for i in range(1, rep.n)]
     while work and span.dim < cap:
         w = work.pop()
-        wm = unflatten_matrix(w, r, r)
+        wcols = [w[j::r] for j in range(r)]
         for g in gens:
-            added = span.add(flatten_matrix(g * wm))
+            added = span.add([sum(map(mul, grow, col)) for grow in g for col in wcols])
             if added is not None:
                 work.append(added)
     dim = span.dim
@@ -560,7 +559,8 @@ def invariant_subspace_search(rep, seed=DEFAULT_SEED, trials=DEFAULT_SPIN_TRIALS
     """
     n, r = rep.n, rep.r
     notes = []
-    stacked = Matrix(tuple(row for i in range(1, n) for row in rep.deformation(i).rows))
+    # Stacked numerators: scaling a deformation does not change its kernel.
+    stacked = Matrix(tuple(row for i in range(1, n) for row in rep.deformation(i).num))
     verdict = _verified_reducible(rep, kernel_basis(stacked), "common fixed vectors", algebra_dim)
     if verdict is not None:
         return verdict

@@ -1,9 +1,14 @@
 """Exact rational dense linear algebra.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``), so every
-operation here is exact: zero tests are decidable and all equality checks are
-bit-exact on reduced fractions.  Matrices are immutable and safe to share.
+Scalars are arbitrary-precision rationals, so every operation here is exact:
+zero tests are decidable and all equality checks are bit-exact.  A Matrix is
+stored as integer rows over one positive common denominator, in lowest terms
+(the layout of FLINT's ``fmpq_mat``): products, sums and comparisons run on
+Python ints with a single normalising gcd per result, and the
+``fractions.Fraction`` entries are built only when a caller asks for them.
+Matrices are immutable and safe to share.
 
+Elimination is fraction-free (``EchelonSpan`` keeps primitive integer rows).
 Subspaces are stored in a canonical form (reduced column echelon basis with
 pivot entries normalized to 1), which makes subspace equality a syntactic
 check on the stored entries.
@@ -15,6 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
 
@@ -38,34 +44,77 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
-class Matrix:
-    """Immutable dense matrix over the rationals.
+def clear_denominators(vec):
+    """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
+    ``ints`` holds integers and d is the lcm of the entries' denominators.
+    Entries are ints, Fractions or 'p/q' strings; floats are refused."""
+    pairs = [(e, 1) if type(e) is int else rational(e).as_integer_ratio() for e in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs], den
 
-    ``*`` multiplies by a Matrix, by a vector (any sequence, giving a tuple)
-    or by a scalar.  Multiplication skips zero entries of the left factor,
-    so products with the sparse generator images stay cheap.
+
+def _lowest_terms(num, den) -> "Matrix":
+    """The matrix num / den (integer rows, den > 0) with common factors divided out."""
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = [[e // g for e in row] for row in num]
+    return Matrix._new(tuple(map(tuple, num)), den)
+
+
+class Matrix:
+    """Immutable dense matrix over the rationals, stored as ``num / den``.
+
+    ``num`` is a tuple of integer rows and ``den`` a positive integer with
+    gcd(den, every entry of num) = 1, so each rational matrix has exactly
+    one stored form: equality and hashing compare ``(den, num)``
+    syntactically.  ``rows`` builds the ``Fraction`` entries on
+    each access and belongs on no hot path.
+
+    ``*`` multiplies by a Matrix, by a vector (any sequence, giving a tuple of
+    Fractions) or by a scalar.  A matrix product skips the zero entries of
+    mostly-zero rows of the left factor, so products with the sparse
+    generator images stay cheap.  Entries given to the constructor are ints,
+    Fractions or 'p/q' strings; floats are refused.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "__dict__")
+    __slots__ = ("num", "den", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(
-            tuple(e if isinstance(e, Fraction) else Fraction(e) for e in row)
-            for row in rows
-        )
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        if any(len(r) != self.ncols for r in rows):
+        rows = [tuple(row) for row in rows]
+        self.nrows = n = len(rows)
+        self.ncols = k = len(rows[0]) if rows else 0
+        if any(len(r) != k for r in rows):
             raise ShapeError("ragged rows")
-        self.rows = rows
+        # The lcm of reduced denominators leaves every prime of it with an
+        # entry it does not divide, so num / den is already in lowest terms.
+        flat, self.den = clear_denominators(itertools.chain.from_iterable(rows))
+        self.num = tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(n))
+
+    @classmethod
+    def _new(cls, num, den):
+        """Trusted constructor: a tuple of int tuples and den > 0, in lowest terms."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        self.nrows = len(num)
+        self.ncols = len(num[0]) if num else 0
+        return self
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(_F1 if i == j else _F0 for j in range(n)) for i in range(n)))
+        return cls._new(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(tuple((_F0,) * ncols for _ in range(nrows)))
+        return cls._new(tuple((0,) * ncols for _ in range(nrows)), 1)
+
+    @property
+    def rows(self):
+        """The entries as a tuple of ``Fraction`` rows."""
+        den = self.den
+        return tuple(tuple(Fraction(e, den) for e in row) for row in self.num)
 
     @property
     def shape(self):
@@ -77,73 +126,79 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def column(self, j):
-        return tuple(row[j] for row in self.rows)
+        return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def columns(self):
         return tuple(zip(*self.rows)) if self.nrows else ()
 
     def transpose(self):
-        return Matrix(tuple(zip(*self.rows))) if self.nrows else Matrix(((),))
+        if not self.nrows:
+            return Matrix(((),))
+        return Matrix._new(tuple(zip(*self.num)), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.num))
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        if self.shape != other.shape:
+            word = "add" if sign > 0 else "subtract"
+            raise ShapeError(f"cannot {word} {self.shape} and {other.shape}")
+        g = math.gcd(self.den, other.den)
+        fa, fb = other.den // g, sign * (self.den // g)
+        num = [
+            [a * fa + b * fb for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)
+        ]
+        return _lowest_terms(num, self.den * fa)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot subtract {self.shape} and {other.shape}")
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-e for e in row) for row in self.rows))
+        return Matrix._new(tuple(tuple(-e for e in row) for row in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-            out = [[_F0] * other.ncols for _ in range(self.nrows)]
-            brows = other.rows
-            for i, arow in enumerate(self.rows):
-                orow = out[i]
-                for k, a in enumerate(arow):
-                    if a:
-                        for j, b in enumerate(brows[k]):
-                            if b:
-                                orow[j] += a * b
-            return Matrix(out)
+            brows, cols, num = other.num, None, []
+            for row in self.num:
+                if row.count(0) * 4 >= 3 * len(row):
+                    # Mostly zero: combine the rows of other that row selects.
+                    acc = [0] * other.ncols
+                    for k, a in enumerate(row):
+                        if a:
+                            acc = [s + a * b for s, b in zip(acc, brows[k])]
+                    num.append(acc)
+                else:
+                    if cols is None:
+                        cols = tuple(zip(*brows))
+                    num.append([sum(map(mul, row, col)) for col in cols])
+            return _lowest_terms(num, self.den * other.den)
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(other)}")
-            out = [_F0] * self.nrows
-            for i, arow in enumerate(self.rows):
-                acc = _F0
-                for k, a in enumerate(arow):
-                    if a:
-                        acc += a * other[k]
-                out[i] = acc
-            return tuple(out)
+            vec, vden = clear_denominators(other)
+            den = self.den * vden
+            return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.num)
         if isinstance(other, (int, Fraction)):
-            return Matrix(tuple(tuple(e * other for e in row) for row in self.rows))
+            c, d = other.numerator, other.denominator
+            return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -151,14 +206,14 @@ class Matrix:
             return self * other
         return NotImplemented
 
-    @cached_property
+    @property
     def trace(self):
         if not self.is_square:
             raise ShapeError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), _F0)
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     def is_zero(self):
-        return all(not e for row in self.rows for e in row)
+        return not any(map(any, self.num))
 
     def to_strings(self):
         """Rows of 'p/q' strings; the JSON wire format for matrices."""
@@ -166,7 +221,7 @@ class Matrix:
 
     @classmethod
     def from_strings(cls, rows):
-        return cls(tuple(tuple(rational(e) for e in row) for row in rows))
+        return cls(rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.rows)
@@ -176,7 +231,7 @@ class Matrix:
 def rank(m: Matrix) -> int:
     """Dimension of the column space, by exact fraction-free elimination."""
     span = EchelonSpan(m.ncols)
-    for row in m.rows:
+    for row in m.num:
         span.add(row)
     return span.dim
 
@@ -197,7 +252,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ShapeError("spanning vector has wrong length")
-            span.add(v)
+            span.add(clear_denominators(v)[0])
         self.ambient_dim = ambient_dim
         self._vectors, self._pivots = span.canonical_rows()
 
@@ -275,12 +330,13 @@ class Subspace:
         d = self.ambient_dim
         if self.is_zero() or other.is_zero():
             return Subspace.zero(d)
-        zeros = [_F0] * d
+        zeros = [0] * d
         span = EchelonSpan(2 * d)
         for v in self._vectors:
-            span.add(list(v) + list(v))
+            iv = clear_denominators(v)[0]
+            span.add(iv + iv)
         for v in other._vectors:
-            span.add(list(v) + zeros)
+            span.add(clear_denominators(v)[0] + zeros)
         inter = [row[d:] for row, p in zip(span.rows, span.pivots) if p >= d]
         return Subspace(d, inter)
 
@@ -305,13 +361,13 @@ class Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column space of m."""
-    return Subspace(m.nrows, m.columns())
+    return Subspace(m.nrows, tuple(zip(*m.num)))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of the null space of m."""
     span = EchelonSpan(m.ncols)
-    for row in m.rows:
+    for row in m.num:
         span.add(row)
     rows, pivots = span.canonical_rows()
     pivot_set = set(pivots)
@@ -364,12 +420,17 @@ def inverse(m: Matrix) -> Matrix:
         raise ShapeError("only square matrices can be inverted")
     n = m.nrows
     span = EchelonSpan(2 * n)
-    for i, row in enumerate(m.rows):
-        span.add(list(row) + [_F1 if j == i else _F0 for j in range(n)])
+    unit = (0,) * n
+    for i, row in enumerate(m.num):
+        # den times the row [m_i | e_i] of the augmented matrix [m | I].
+        span.add(row + unit[:i] + (m.den,) + unit[i + 1 :])
     if span.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    rows, _ = span.canonical_rows()
-    return Matrix(tuple(tuple(row[n:]) for row in rows))
+    # Row i of the reduced rows is lead_i * [e_i | row i of m^-1].
+    rows = span.reduced_rows()
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    num = [[e * (den // row[i]) for e in row[n:]] for i, row in enumerate(rows)]
+    return _lowest_terms(num, den)
 
 
 def conjugate(m: Matrix, c: Matrix) -> Matrix:
@@ -410,20 +471,20 @@ def _divisors(n):
 def rational_eigenvalues(m: Matrix):
     """All rational roots of the characteristic polynomial, sorted, distinct.
 
-    The matrix is scaled to integer entries, so any rational eigenvalue
-    becomes an integer root of a monic integer polynomial; candidates are
-    the divisors of the constant term and each one is verified exactly.
-    Non-rational eigenvalues are silently omitted.
+    The eigenvalues of m are those of its integer numerator matrix divided
+    by its denominator.  The numerator's characteristic polynomial is monic
+    with integer coefficients, so its rational roots are integers dividing
+    the constant term; each candidate is verified exactly.  Non-rational
+    eigenvalues are silently omitted.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues of a non-square matrix")
     if m.nrows == 0:
         return []
-    den = math.lcm(*(e.denominator for row in m.rows for e in row))
-    coeffs = charpoly(m * den)
     ints = []
-    for c in coeffs:
-        assert c.denominator == 1
+    for c in charpoly(Matrix._new(m.num, 1)):
+        if c.denominator != 1:
+            raise RuntimeError("integer matrix has a non-integer characteristic polynomial")
         ints.append(c.numerator)
     roots = set()
     while len(ints) > 1 and ints[-1] == 0:
@@ -436,7 +497,7 @@ def rational_eigenvalues(m: Matrix):
                 for c in ints:
                     acc = acc * cand + c
                 if acc == 0:
-                    roots.add(Fraction(cand, den))
+                    roots.add(Fraction(cand, m.den))
     return sorted(roots)
 
 
@@ -444,15 +505,17 @@ def block_diagonal(blocks) -> Matrix:
     """Assemble square blocks along the diagonal."""
     blocks = list(blocks)
     size = sum(b.nrows for b in blocks)
-    rows = [[_F0] * size for _ in range(size)]
+    den = math.lcm(*(b.den for b in blocks))
+    rows = [[0] * size for _ in range(size)]
     at = 0
     for b in blocks:
         if not b.is_square:
             raise ShapeError("diagonal blocks must be square")
-        for i, row in enumerate(b.rows):
-            rows[at + i][at : at + b.ncols] = list(row)
+        scale = den // b.den
+        for i, row in enumerate(b.num):
+            rows[at + i][at : at + b.ncols] = [e * scale for e in row]
         at += b.nrows
-    return Matrix(rows)
+    return _lowest_terms(rows, den)
 
 
 def _primitive(v):
@@ -470,13 +533,15 @@ def _primitive(v):
 class EchelonSpan:
     """Incrementally grown echelon basis of a subspace of Q^length.
 
-    Rows are primitive integer vectors kept in forward echelon form only:
-    each row's first nonzero entry sits at its pivot and rows are ordered by
-    pivot, but entries above later pivots are not cleared.  Incoming vectors
-    are reduced fraction-free (cross-multiplication with gcd stripping), and
-    stored rows never change, which keeps the integers small even on dense
-    input.  The back-substitution that produces the unique reduced basis
-    happens once, in ``canonical_rows``.
+    Vectors are added as integer sequences (clear a rational vector's
+    denominators first, e.g. with ``clear_denominators``).  Rows are
+    primitive integer vectors kept in forward echelon form only: each row's
+    first nonzero entry sits at its pivot and is positive, and rows are
+    ordered by pivot, but entries above later pivots are not cleared.
+    Incoming vectors are reduced fraction-free (cross-multiplication with gcd
+    stripping), and stored rows never change, which keeps the integers small
+    even on dense input.  The back-substitution that produces the unique
+    reduced basis happens once, in ``reduced_rows``.
     """
 
     __slots__ = ("length", "rows", "pivots")
@@ -490,20 +555,9 @@ class EchelonSpan:
     def dim(self):
         return len(self.rows)
 
-    @staticmethod
-    def _to_int_vec(vec):
-        den = 1
-        for e in vec:
-            if isinstance(e, Fraction):
-                d = e.denominator
-                den = den * d // math.gcd(den, d)
-        if den == 1:
-            return [int(e) for e in vec]
-        return [int(e * den) for e in vec]
-
     def add(self, vec):
-        """Insert a vector; returns its primitive reduced form if new, else None."""
-        v = self._to_int_vec(vec)
+        """Insert an integer vector; returns its primitive reduced form if new, else None."""
+        v = _primitive(vec)
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
@@ -519,9 +573,9 @@ class EchelonSpan:
         self.rows.insert(at, v)
         return tuple(v)
 
-    def canonical_rows(self):
-        """Pivot-normalized, fully reduced rational rows and their pivots
-        (the unique reduced echelon basis of the current span)."""
+    def reduced_rows(self):
+        """Integer rows of the fully reduced echelon basis, in pivot order:
+        row i is zero at every other pivot and positive at its own."""
         rows = [list(row) for row in self.rows]
         for i in range(len(rows) - 1, -1, -1):
             p = self.pivots[i]
@@ -530,8 +584,13 @@ class EchelonSpan:
                 c = rows[j][p]
                 if c:
                     rows[j] = _primitive([a * lead - c * b for a, b in zip(rows[j], rows[i])])
+        return rows
+
+    def canonical_rows(self):
+        """Pivot-normalized, fully reduced rational rows and their pivots
+        (the unique reduced echelon basis of the current span)."""
         canonical = []
-        for p, row in zip(self.pivots, rows):
+        for p, row in zip(self.pivots, self.reduced_rows()):
             lead = row[p]
             canonical.append(tuple(Fraction(e, lead) for e in row))
         return tuple(canonical), tuple(self.pivots)
@@ -539,11 +598,3 @@ class EchelonSpan:
     def to_subspace(self):
         rows, pivots = self.canonical_rows()
         return Subspace._from_canonical(self.length, rows, pivots)
-
-
-def flatten_matrix(m: Matrix):
-    return tuple(itertools.chain.from_iterable(m.rows))
-
-
-def unflatten_matrix(vec, nrows, ncols) -> Matrix:
-    return Matrix(tuple(tuple(vec[i * ncols : (i + 1) * ncols]) for i in range(nrows)))

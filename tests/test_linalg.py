@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrep import linalg
 from braidrep.errors import ShapeError, SingularMatrixError
 from braidrep.linalg import (
     Matrix,
@@ -41,6 +43,14 @@ def test_rational_parsing_and_formatting():
     assert format_rational(F(-7, 4)) == "-7/4"
     with pytest.raises(ValueError):
         rational(0.5)
+
+
+def test_matrix_refuses_floats():
+    with pytest.raises(ValueError):
+        Matrix([[0.1, 1]])
+    with pytest.raises(ValueError):
+        Matrix.identity(2) * (0.5, 1)
+    assert Matrix([["1/10", 1]]) == Matrix([[F(1, 10), F(1)]])
 
 
 def test_rational_round_trip_is_exact():
@@ -183,6 +193,12 @@ def test_eigenvalue_kernel_cross_check():
         assert kernel_basis(shifted).dim >= 1
 
 
+def test_rational_eigenvalues_rejects_a_non_integer_charpoly(monkeypatch):
+    monkeypatch.setattr(linalg, "charpoly", lambda m: [F(1), F(1, 2)])
+    with pytest.raises(RuntimeError):
+        rational_eigenvalues(Matrix([[3]]))
+
+
 def test_charpoly_of_companion_like_block():
     coeffs = charpoly(Matrix([[-1, 1], [1, -1]]))
     assert coeffs == [F(1), F(2), F(0)]
@@ -283,3 +299,79 @@ def test_intersection_is_contained_in_both(arows, brows):
     w = u.intersect(v)
     for vec in w.basis_vectors():
         assert u.contains(vec) and v.contains(vec)
+
+
+# Reference kernel: plain per-entry Fraction arithmetic on lists of rows.
+
+def _ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def _ref_inverse(a):
+    """Gauss-Jordan over Fractions; None when a is singular."""
+    n = len(a)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        lead = aug[c][c]
+        aug[c] = [x / lead for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _check_kernel_form(m, ref):
+    """m holds exactly the entries of ref, in lowest terms, and rows are Fractions."""
+    assert m.den > 0
+    assert math.gcd(m.den, *(e for row in m.num for e in row)) == 1
+    assert all(type(e) is Fraction for row in m.rows for e in row)
+    assert [list(row) for row in m.rows] == [list(row) for row in ref]
+    twin = Matrix(ref)
+    assert twin == m and hash(twin) == hash(m)
+
+
+# Zeros are drawn often, so that the sparse-row path of the product runs too.
+rationals = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+def _block(draw, rows, cols):
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@st.composite
+def _operands(draw):
+    n, k, p = (draw(st.integers(1, 4)) for _ in range(3))
+    return (_block(draw, n, k), _block(draw, n, k), _block(draw, k, p), _block(draw, k, k),
+            draw(rationals), _block(draw, 1, k)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operands())
+def test_integer_kernel_matches_fraction_reference(operands):
+    a, a2, b, sq, c, v = operands
+    ma, ma2, mb, msq = Matrix(a), Matrix(a2), Matrix(b), Matrix(sq)
+    _check_kernel_form(ma, a)
+    _check_kernel_form(ma * mb, _ref_mul(a, b))
+    _check_kernel_form(ma + ma2, [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)])
+    _check_kernel_form(ma - ma2, [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)])
+    _check_kernel_form(-ma, [[-x for x in r] for r in a])
+    _check_kernel_form(ma * c, [[x * c for x in r] for r in a])
+    _check_kernel_form(c * ma, [[c * x for x in r] for r in a])
+    _check_kernel_form(ma.transpose(), [list(col) for col in zip(*a)])
+    product = ma * v
+    assert all(type(e) is Fraction for e in product)
+    assert list(product) == [sum((x * y for x, y in zip(r, v)), F(0)) for r in a]
+    assert msq.trace == sum((sq[i][i] for i in range(len(sq))), F(0))
+    assert msq.is_zero() == (not any(x for r in sq for x in r))
+    ref_inv = _ref_inverse(sq)
+    if ref_inv is None:
+        with pytest.raises(SingularMatrixError):
+            inverse(msq)
+    else:
+        _check_kernel_form(inverse(msq), ref_inv)
