@@ -1,17 +1,23 @@
 """Invariant subspaces, irreducibility certificates and standard-form recovery.
 
 Irreducibility over the algebraic closure is certified by the dimension of
-the generated matrix algebra being r^2 (the Burnside criterion); reducibility
-is certified by an explicit invariant subspace witness, which is always
-verified before being reported.  When neither is available the honest answer
-is Inconclusive.
+the generated matrix algebra being r^2 (the Burnside criterion), or, for a
+corank-2 chain, by its standard form and the coordinate projector
+certificate; reducibility is certified by an explicit invariant subspace
+witness, which is always verified before being reported.  When neither is
+available the honest answer is Inconclusive.
+
+``decide_irreducibility`` is the one decision procedure, used by ``analyze``
+and the command line; it tries the certificates cheapest first.  Orbit spans
+and both algebra closures share one closure loop.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from random import Random
 
@@ -85,62 +91,28 @@ def _is_zero_vec(v):
     return not any(v)
 
 
-def spin(rep, v) -> Subspace:
-    """Smallest subspace containing v that is closed under all generator
-    images and their inverses, grown by iterated closure."""
-    span = EchelonSpan(rep.r)
-    first = span.add(clear_denominators(v)[0])
-    if first is None:
-        return Subspace.zero(rep.r)
-    # Integer numerators act in place of the images: scaling an image by its
-    # denominator does not change the span.
-    mats = [rep.gen(i).num for i in range(1, rep.n)]
-    mats += [rep.gen_inverse(i).num for i in range(1, rep.n)]
-    work = [first]
-    while work and span.dim < rep.r:
-        w = work.pop()
-        for m in mats:
-            added = span.add([sum(map(mul, row, w)) for row in m])
-            if added is not None:
-                work.append(added)
-    return span.to_subspace()
-
-
 _CLOSURE_PRIME = (1 << 61) - 1
 
 
-def _modp_generator(m: Matrix, p):
-    """Integer matrix congruent to a nonzero scalar multiple of m, or None.
+class _ModpSpan:
+    """Span of integer vectors reduced mod p, grown one vector at a time:
+    the F_p counterpart of ``EchelonSpan``.  Rows are monic and kept in
+    insertion order, which is a valid elimination order because each new
+    row is reduced against all earlier ones."""
 
-    Scaling a generator by a nonzero constant does not change the algebra it
-    generates, so m's numerator serves; a denominator divisible by p makes
-    the reduction unusable and aborts the certificate.
-    """
-    if m.den % p == 0:
-        return None
-    return [[e % p for e in row] for row in m.num]
+    def __init__(self, p):
+        self.p = p
+        self.rows = []
 
+    @property
+    def dim(self):
+        return len(self.rows)
 
-def _modp_algebra_is_full(rep, p=_CLOSURE_PRIME) -> bool:
-    """Sound fullness certificate for the generated matrix algebra.
-
-    The closure dimension modulo p never exceeds the rational one, so a full
-    modular closure proves that the rational algebra is all of r x r.  A thin
-    modular closure proves nothing and returns False.
-    """
-    r = rep.r
-    cap = r * r
-    gens = []
-    for i in range(1, rep.n):
-        g = _modp_generator(rep.gen(i), p)
-        if g is None:
-            return False
-        gens.append(g)
-    pivots = []
-    rows = []
-
-    def reduce_add(v):
-        for piv, row in zip(pivots, rows):
+    def add(self, vec):
+        """Insert an integer vector; returns its reduced form if new, else None."""
+        p = self.p
+        v = [e % p for e in vec]
+        for piv, row in self.rows:
             c = v[piv]
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
@@ -149,72 +121,94 @@ def _modp_algebra_is_full(rep, p=_CLOSURE_PRIME) -> bool:
             return None
         inv = pow(v[piv], p - 2, p)
         v = [(e * inv) % p for e in v]
-        at = next((k for k, q in enumerate(pivots) if q > piv), len(pivots))
-        pivots.insert(at, piv)
-        rows.insert(at, v)
+        self.rows.append((piv, v))
         return v
 
-    ident = [int(i == j) for i in range(r) for j in range(r)]
-    work = [reduce_add(ident)]
-    while work and len(rows) < cap:
+
+def _closure(span, start, actions, cap):
+    """Grow ``span`` (an empty ``EchelonSpan`` or ``_ModpSpan``) to the
+    smallest subspace containing ``start`` and closed under every linear map
+    in ``actions``, stopping early at dimension ``cap``; returns ``span``."""
+    first = span.add(start)
+    work = [] if first is None else [first]
+    while work and span.dim < cap:
         w = work.pop()
-        wm = [w[i * r : (i + 1) * r] for i in range(r)]
-        for g in gens:
-            prod = []
-            for grow in g:
-                prod.extend(
-                    sum(a * wm[k][j] for k, a in enumerate(grow) if a) % p
-                    for j in range(r)
-                )
-            added = reduce_add(prod)
+        for act in actions:
+            added = span.add(act(w))
             if added is not None:
                 work.append(added)
-    return len(rows) == cap
+    return span
+
+
+def _left_mul(g, ncols, w):
+    """g times the matrix with ``ncols`` columns flattened row by row into w,
+    flattened the same way; with one column this is g times the vector w."""
+    cols = [w[j::ncols] for j in range(ncols)]
+    return [sum(map(mul, grow, col)) for grow in g for col in cols]
+
+
+def spin(rep, v) -> Subspace:
+    """Smallest subspace containing v that is closed under all generator
+    images and their inverses, grown by iterated closure."""
+    # Integer numerators act in place of the images: scaling an image by its
+    # denominator does not change the span.
+    mats = [rep.gen(i).num for i in range(1, rep.n)]
+    mats += [rep.gen_inverse(i).num for i in range(1, rep.n)]
+    actions = [partial(_left_mul, m, 1) for m in mats]
+    return _closure(EchelonSpan(rep.r), clear_denominators(v)[0], actions, rep.r).to_subspace()
+
+
+def _algebra_dim(gens, r, span) -> int:
+    """Dimension of the unital algebra generated by the r x r integer
+    matrices ``gens`` over the field of ``span``: the closure of the
+    identity under left multiplication by the generators."""
+    ident = [int(i == j) for i in range(r) for j in range(r)]
+    return _closure(span, ident, [partial(_left_mul, g, r) for g in gens], r * r).dim
+
+
+def _modp_algebra_is_full(rep, p=_CLOSURE_PRIME) -> bool:
+    """Sound fullness certificate for the generated matrix algebra.
+
+    The closure dimension modulo p never exceeds the rational one, so a full
+    modular closure proves that the rational algebra is all of r x r.  A thin
+    modular closure proves nothing and returns False.  Generators act through
+    their integer numerators, since scaling a generator does not change the
+    algebra it generates; a denominator divisible by p aborts the certificate.
+    """
+    gens = [rep.gen(i) for i in range(1, rep.n)]
+    if any(m.den % p == 0 for m in gens):
+        return False
+    gens = [[[e % p for e in row] for row in m.num] for m in gens]
+    return _algebra_dim(gens, rep.r, _ModpSpan(p)) == rep.r ** 2
+
+
+def _rational_algebra_dim(rep) -> int:
+    """Exact dimension of the generated algebra over Q."""
+    gens = [rep.gen(i).num for i in range(1, rep.n)]
+    return _algebra_dim(gens, rep.r, EchelonSpan(rep.r ** 2))
 
 
 def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
     """Dimension of the unital matrix algebra generated by the images.
 
-    Computed by closing the span of the identity under left multiplication
-    by the generators.  Full dimension r^2 certifies absolute irreducibility;
-    anything less is Inconclusive on its own, because a thin algebra does not
-    by itself produce an invariant subspace over the rationals.
+    Full dimension r^2 certifies absolute irreducibility; anything less is
+    Inconclusive on its own, because a thin algebra does not by itself
+    produce an invariant subspace over the rationals.
 
     Fullness is first certified modulo a large prime, which is exact in that
     direction and avoids the coefficient growth of the rational closure; the
     exact closure runs only when the modular one comes up thin.
     """
-    r = rep.r
-    cap = r * r
-    if _modp_algebra_is_full(rep):
-        verdict = IrreducibilityVerdict(
-            Verdict.ABSOLUTELY_IRREDUCIBLE, None, cap, detail="matrix algebra is full"
-        )
-        return cap, verdict
-    # Algebra elements are flattened row by row into integer vectors of
-    # length r^2; generators act through their integer numerators, since
-    # scaling a generator does not change the algebra it generates.
-    span = EchelonSpan(cap)
-    work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
-    gens = [rep.gen(i).num for i in range(1, rep.n)]
-    while work and span.dim < cap:
-        w = work.pop()
-        wcols = [w[j::r] for j in range(r)]
-        for g in gens:
-            added = span.add([sum(map(mul, grow, col)) for grow in g for col in wcols])
-            if added is not None:
-                work.append(added)
-    dim = span.dim
-    if dim == cap:
-        verdict = IrreducibilityVerdict(
-            Verdict.ABSOLUTELY_IRREDUCIBLE, None, dim, detail="matrix algebra is full"
-        )
-    else:
-        verdict = IrreducibilityVerdict(
-            Verdict.INCONCLUSIVE, None, dim,
-            detail=f"matrix algebra spans {dim} of {cap} dimensions",
-        )
-    return dim, verdict
+    cap = rep.r ** 2
+    dim = cap if _modp_algebra_is_full(rep) else _rational_algebra_dim(rep)
+    return dim, _closure_verdict(rep, dim, f"matrix algebra spans {dim} of {cap} dimensions")
+
+
+def _closure_verdict(rep, dim, thin_detail) -> IrreducibilityVerdict:
+    """Verdict of an algebra of dimension ``dim``: full certifies, thin is Inconclusive."""
+    if dim == rep.r ** 2:
+        return IrreducibilityVerdict(Verdict.ABSOLUTELY_IRREDUCIBLE, None, dim, "matrix algebra is full")
+    return IrreducibilityVerdict(Verdict.INCONCLUSIVE, None, dim, thin_detail)
 
 
 def _is_invariant(rep, w: Subspace) -> bool:
@@ -227,13 +221,13 @@ def _is_invariant(rep, w: Subspace) -> bool:
     return True
 
 
-def _verified_reducible(rep, w: Subspace, detail, algebra_dim=None):
-    """Promote a candidate subspace to a Reducible verdict, or return None."""
-    if w.dim == 0 or w.dim >= rep.r:
+def _verified_reducible(rep, w: Subspace | None, detail):
+    """Promote a candidate subspace, if any, to a Reducible verdict, or return None."""
+    if w is None or w.dim == 0 or w.dim >= rep.r:
         return None
     if not _is_invariant(rep, w):
         return None
-    return IrreducibilityVerdict(Verdict.REDUCIBLE, w, algebra_dim, detail=detail)
+    return IrreducibilityVerdict(Verdict.REDUCIBLE, w, None, detail=detail)
 
 
 def _restriction_matrix(m: Matrix, sub: Subspace) -> Matrix:
@@ -461,55 +455,21 @@ def extract_standard_form(rep) -> StandardFormResult:
     return StandardFormResult(u=u, basis=basis, witness_checks=checks)
 
 
-def tym_irreducibility(n, u, samples=4, seed=DEFAULT_SEED) -> IrreducibilityVerdict:
+def tym_irreducibility(n, u) -> IrreducibilityVerdict:
     """Decide irreducibility of the standard family at parameter u.
 
-    At u = 1 the all-ones vector is fixed and spans a verified witness.
-    Otherwise a constructive certificate is run: for sampled vectors x the
-    neighbor cubic at a nonzero coordinate projects x onto that coordinate
-    line scaled by u - 1, and spinning the coordinate vector fills the whole
-    space; the algebra closure is cross-checked to be full.
+    At u = 1 the generators are permutation matrices, whose common fixed
+    vectors are the multiples of the all-ones vector: a verified witness.
+    Otherwise the coordinate projector certificate proves the generated
+    algebra full.
     """
     u = rational(u)
-    if u == 0:
-        raise ValueError("block parameter must be nonzero")
-    rep = tym_standard(n, u)
     if u == 1:
-        ones = (_F1,) * n
-        fixed = Subspace(n, (ones,))
-        for i in range(1, n):
-            if rep.gen(i) * ones != ones:
-                raise RuntimeError("all-ones vector is unexpectedly not fixed")
-        verdict = _verified_reducible(rep, fixed, "all-ones fixed vector")
-        if verdict is None:
-            raise RuntimeError("fixed line failed invariance verification")
-        return verdict
-    rng = Random(seed)
-    spun = set()
-    for _ in range(samples):
-        x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
-        if _is_zero_vec(x):
-            continue
-        c = next(k for k, e in enumerate(x) if e)
-        h = neighbor_form(rep.deformation(c), rep.deformation((c + 1) % n))
-        expected = tuple((u - 1) * x[c] if k == c else _F0 for k in range(n))
-        if h * x != expected:
-            raise RuntimeError("coordinate projector identity failed on a sample")
-        if c not in spun:
-            spun.add(c)
-            e_c = tuple(_F1 if k == c else _F0 for k in range(n))
-            if not spin(rep, e_c).is_full():
-                raise RuntimeError("coordinate vector does not generate the full space")
-    dim, verdict = burnside_dimension(rep)
-    if dim != n * n:
-        raise RuntimeError("algebra closure disagrees with the constructive certificate")
-    return IrreducibilityVerdict(
-        Verdict.ABSOLUTELY_IRREDUCIBLE, None, dim,
-        detail="constructive certificate with full algebra closure",
-    )
+        return _common_fixed_vectors(tym_standard(n, u))
+    return _standard_fullness_certificate(n, u)
 
 
-def _standard_fullness_certificate(n, u) -> int:
+def _standard_fullness_certificate(n, u) -> IrreducibilityVerdict:
     """Certify that the standard family at u != 1 spans the full algebra.
 
     The neighbor cubic at each coordinate is (u - 1) times a diagonal matrix
@@ -534,7 +494,10 @@ def _standard_fullness_certificate(n, u) -> int:
         e_c = tuple(_F1 if k == c else _F0 for k in range(n))
         if not spin(rep, e_c).is_full():
             raise RuntimeError(f"coordinate orbit at {c} is not the full space")
-    return n * n
+    return IrreducibilityVerdict(
+        Verdict.ABSOLUTELY_IRREDUCIBLE, None, n * n,
+        detail="coordinate projectors certify the full matrix algebra",
+    )
 
 
 def dimension_bound_check(rep) -> bool:
@@ -548,30 +511,67 @@ def dimension_bound_check(rep) -> bool:
     return rep.r <= (rep.n - 1) * (k - 1) + 1
 
 
-def invariant_subspace_search(rep, seed=DEFAULT_SEED, trials=DEFAULT_SPIN_TRIALS,
-                              algebra_dim=None) -> IrreducibilityVerdict:
+def _common_fixed_vectors(rep):
+    """Reducible verdict witnessed by the vectors every generator fixes, or None."""
+    # Stacked numerators: scaling a deformation does not change its kernel.
+    stacked = Matrix(tuple(row for i in range(1, rep.n) for row in rep.deformation(i).num))
+    return _verified_reducible(rep, kernel_basis(stacked), "common fixed vectors")
+
+
+def _common_eigenvectors(rep):
+    """Reducible verdict witnessed by the vectors that every generator
+    scales by one eigenvalue other than 1, or None.
+
+    The braid relation s_i s_j s_i = s_j s_i s_j forces a vector scaled by
+    every generator to be scaled by the same lambda under all of them, so
+    the common lambda-eigenspace is invariant.  Such a vector lies in the
+    common kernel K of the differences of consecutive generators, and its
+    lambda is an eigenvalue of the first generator read on the pivot
+    coordinates of K's canonical basis.  Unlike an orbit, this does not
+    depend on the basis the input is written in.
+    """
+    diffs = tuple(row for i in range(1, rep.n - 1) for row in (rep.gen(i) - rep.gen(i + 1)).num)
+    common = kernel_basis(Matrix(diffs)) if diffs else Subspace.full(rep.r)
+    if common.is_zero():
+        return None
+    basis = common.basis_vectors()
+    pivots = [next(k for k, e in enumerate(v) if e) for v in basis]
+    cols = [rep.gen(1) * v for v in basis]
+    ident = Matrix.identity(rep.r)
+    for lam in rational_eigenvalues(Matrix(tuple(tuple(c[k] for c in cols) for k in pivots))):
+        if lam == 1:
+            continue
+        stacked = tuple(row for i in range(1, rep.n) for row in (rep.gen(i) - ident * lam).num)
+        verdict = _verified_reducible(
+            rep, kernel_basis(Matrix(stacked)), f"common eigenvectors at eigenvalue {lam}"
+        )
+        if verdict is not None:
+            return verdict
+    return None
+
+
+def invariant_subspace_search(rep, seed=DEFAULT_SEED, trials=DEFAULT_SPIN_TRIALS) -> IrreducibilityVerdict:
     """Ordered witness search used when the algebra closure is not full.
 
     Tries, in order: common fixed vectors, the all-ones orbit, the
     disconnected-graph eigenvector chain, orbits of neighbor-intersection
-    vectors, and finally seeded random orbits.  Inconclusive is an allowed
+    vectors, common eigenvectors for an eigenvalue other than 1, and
+    finally seeded random orbits.  Inconclusive is an allowed
     outcome and is reported honestly.
     """
     n, r = rep.n, rep.r
     notes = []
-    # Stacked numerators: scaling a deformation does not change its kernel.
-    stacked = Matrix(tuple(row for i in range(1, n) for row in rep.deformation(i).num))
-    verdict = _verified_reducible(rep, kernel_basis(stacked), "common fixed vectors", algebra_dim)
+    verdict = _common_fixed_vectors(rep)
     if verdict is not None:
         return verdict
     ones = (_F1,) * r
-    verdict = _verified_reducible(rep, spin(rep, ones), "orbit of the all-ones vector", algebra_dim)
+    verdict = _verified_reducible(rep, spin(rep, ones), "orbit of the all-ones vector")
     if verdict is not None:
         return verdict
     try:
         chain = disconnected_invariant_subspace(rep)
         if chain.tag is Verdict.REDUCIBLE:
-            return IrreducibilityVerdict(Verdict.REDUCIBLE, chain.witness, algebra_dim, chain.detail)
+            return chain
     except PreconditionError:
         pass
     except (NeedsFieldExtensionError, NotARepresentationError) as exc:
@@ -581,23 +581,95 @@ def invariant_subspace_search(rep, seed=DEFAULT_SEED, trials=DEFAULT_SPIN_TRIALS
         w = images[i].intersect(images[(i + 1) % n])
         for vec in w.basis_vectors():
             verdict = _verified_reducible(
-                rep, spin(rep, vec), f"orbit of a neighbor-intersection vector at ({i},{(i + 1) % n})",
-                algebra_dim,
+                rep, spin(rep, vec), f"orbit of a neighbor-intersection vector at ({i},{(i + 1) % n})"
             )
             if verdict is not None:
                 return verdict
+    verdict = _common_eigenvectors(rep)
+    if verdict is not None:
+        return verdict
     rng = Random(seed)
     for _ in range(trials):
         v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(r))
         if _is_zero_vec(v):
             continue
-        verdict = _verified_reducible(rep, spin(rep, v), "orbit of a seeded random vector", algebra_dim)
+        verdict = _verified_reducible(rep, spin(rep, v), "orbit of a seeded random vector")
         if verdict is not None:
             return verdict
     detail = "no invariant subspace found by the ordered search"
     if notes:
         detail += "; " + "; ".join(notes)
-    return IrreducibilityVerdict(Verdict.INCONCLUSIVE, None, algebra_dim, detail=detail)
+    return IrreducibilityVerdict(Verdict.INCONCLUSIVE, None, None, detail=detail)
+
+
+def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
+    """The irreducibility decision procedure, cheapest certificate first.
+
+    ``corank_val`` and ``graph_class`` are None where they could not be
+    computed.  Returns ``(verdict, standard_form, standard_form_error)``, the
+    last two from the chain step when it ran.  Stops at the first step that
+    decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
+    n = r >= 6 strands, by its standard form and the projector certificate,
+    or by the verified witness of a reducible chain; (3) common fixed
+    vectors; (4) algebra fullness modulo a large prime; (5) the ordered
+    witness search; (6) the exact rational closure, where thin is Inconclusive.
+    """
+    if corank_val == 0:
+        return _trivial_action_verdict(rep), None, None
+    standard_form_err = None
+    chain_candidate = (
+        corank_val == 2
+        and rep.r == rep.n
+        and rep.n >= 6
+        and graph_class is not None
+        and graph_class.tag is GraphClassTag.CONTAINS_CHAIN
+        and graph_class.distance_set == frozenset({1})
+    )
+    if chain_candidate:
+        try:
+            standard_form = extract_standard_form(rep)
+            verdict = _standard_fullness_certificate(rep.n, standard_form.u)
+            detail = f"equivalent to the standard family at u={standard_form.u}; {verdict.detail}"
+            return replace(verdict, detail=detail), standard_form, None
+        except ReducibleSignal as exc:
+            standard_form_err = str(exc)
+            verdict = _verified_reducible(rep, exc.witness, standard_form_err)
+            if verdict is not None:
+                return verdict, None, standard_form_err
+        except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
+            standard_form_err = str(exc)
+    verdict = _common_fixed_vectors(rep)
+    if verdict is None and _modp_algebra_is_full(rep):
+        verdict = _closure_verdict(rep, rep.r ** 2, None)
+    if verdict is None:
+        verdict = invariant_subspace_search(rep, seed=seed)
+    if verdict.tag is Verdict.INCONCLUSIVE:
+        verdict = _closure_verdict(rep, _rational_algebra_dim(rep), verdict.detail)
+    return verdict, None, standard_form_err
+
+
+def verdict_to_json_dict(verdict: IrreducibilityVerdict) -> dict:
+    """The verdict as the JSON object that ``analyze`` and ``irreducible`` print."""
+    data = {"tag": verdict.tag.value, "algebra_dim": verdict.algebra_dim}
+    if verdict.witness is not None:
+        data["witness"] = verdict.witness.basis.to_strings()
+    data["detail"] = verdict.detail
+    return data
+
+
+def corank_and_graph(rep):
+    """``(corank, corank_error, graph_class, graph_error)``: each value is
+    None when computing it raised, and its error message is recorded instead."""
+    corank_val = corank_err = graph_class = graph_err = None
+    try:
+        corank_val = corank(rep)
+    except NotARepresentationError as exc:
+        corank_err = str(exc)
+    try:
+        graph_class = classify_graph(full_friendship_graph(rep))
+    except Exception as exc:  # recorded, not raised: the report must come back
+        graph_err = str(exc)
+    return corank_val, corank_err, graph_class, graph_err
 
 
 @dataclass
@@ -629,11 +701,7 @@ class AnalysisReport:
                 "class": self.graph_class.tag.value,
                 "detail": self.graph_class.detail,
             }
-        irr = {"tag": self.verdict.tag.value, "algebra_dim": self.verdict.algebra_dim}
-        if self.verdict.witness is not None:
-            irr["witness"] = self.verdict.witness.basis.to_strings()
-        irr["detail"] = self.verdict.detail
-        out["irreducibility"] = irr
+        out["irreducibility"] = verdict_to_json_dict(self.verdict)
         if self.standard_form is not None:
             out["standard_form"] = {
                 "u": str(self.standard_form.u),
@@ -694,75 +762,30 @@ def analyze(rep, seed=None) -> AnalysisReport:
         "deformed_relations_ok": verify_deformed_relations(rep),
         "failures": [[desc, list(pair)] for desc, pair in report.failures],
     }
-    corank_val = None
-    corank_err = None
-    try:
-        corank_val = corank(rep)
-    except NotARepresentationError as exc:
-        corank_err = str(exc)
-    graph_class = None
-    graph_err = None
-    try:
-        graph_class = classify_graph(full_friendship_graph(rep))
-    except Exception as exc:  # recorded, not raised: the report must come back
-        graph_err = str(exc)
+    corank_val, corank_err, graph_class, graph_err = corank_and_graph(rep)
     notes = []
-    verdict = None
-    standard_form = None
-    standard_form_err = None
-    chain_candidate = (
-        corank_val == 2
-        and rep.r == rep.n
-        and rep.n >= 6
-        and graph_class is not None
-        and graph_class.tag is GraphClassTag.CONTAINS_CHAIN
-        and graph_class.distance_set == frozenset({1})
+    verdict, standard_form, standard_form_err = decide_irreducibility(
+        rep, corank_val, graph_class, seed
     )
-    if chain_candidate:
-        # Chain reps are settled through the standard form: extraction plus
-        # the projector certificate is exact and far cheaper than running
-        # the algebra closure on a dense conjugate.
-        try:
-            standard_form = extract_standard_form(rep)
-            dim = _standard_fullness_certificate(rep.n, standard_form.u)
-            verdict = IrreducibilityVerdict(
-                Verdict.ABSOLUTELY_IRREDUCIBLE, None, dim,
-                detail=f"equivalent to the standard family at u={standard_form.u}; "
-                       "coordinate projectors certify the full matrix algebra",
+    if (
+        standard_form is None
+        and standard_form_err is None
+        and corank_val == 2
+        and rep.r >= rep.n
+        and rep.n >= 6
+        and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+    ):
+        if rep.r != rep.n:
+            standard_form_err = (
+                "certified irreducible with corank 2 and r > n: "
+                "violates the dimension bound, so the certification is suspect"
             )
-        except ReducibleSignal as exc:
-            standard_form_err = str(exc)
-            if exc.witness is not None:
-                verdict = _verified_reducible(rep, exc.witness, str(exc))
-        except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
-            standard_form_err = str(exc)
-    if verdict is None:
-        if corank_val == 0:
-            verdict = _trivial_action_verdict(rep)
         else:
-            algebra_dim, verdict = burnside_dimension(rep)
-            if verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:
-                verdict = invariant_subspace_search(rep, seed=seed, algebra_dim=algebra_dim)
-        if (
-            standard_form is None
-            and standard_form_err is None
-            and corank_val == 2
-            and rep.r >= rep.n
-            and rep.n >= 6
-            and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
-        ):
-            if rep.r != rep.n:
-                standard_form_err = (
-                    "certified irreducible with corank 2 and r > n: "
-                    "violates the dimension bound, so the certification is suspect"
-                )
-            else:
-                try:
-                    standard_form = extract_standard_form(rep)
-                except ReducibleSignal as exc:
-                    standard_form_err = str(exc)
-                except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
-                    standard_form_err = str(exc)
+            try:
+                standard_form = extract_standard_form(rep)
+            except (ReducibleSignal, PreconditionError, NotARepresentationError,
+                    NeedsFieldExtensionError) as exc:
+                standard_form_err = str(exc)
     if rep.n in (4, 5) and corank_val == 2 and rep.r >= rep.n:
         notes.append(
             f"n={rep.n} sits outside the chain classification; "

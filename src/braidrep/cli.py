@@ -12,16 +12,10 @@ import argparse
 import json
 import os
 import sys
-from random import Random
 
 from .braid import verify_braid_relations
-from .classify import (
-    Verdict,
-    analyze,
-    burnside_dimension,
-    invariant_subspace_search,
-    tym_irreducibility,
-)
+from .classify import analyze, corank_and_graph, decide_irreducibility
+from .classify import verdict_to_json_dict as _verdict_dict
 from .errors import BraidRepError, SpecParseError
 from .friendship import (
     classify_graph,
@@ -33,12 +27,11 @@ from .friendship import (
 from .linalg import rational
 from .zoo import (
     character_rep,
-    conjugate_rep,
     direct_sum,
     load_representation,
-    random_invertible_matrix,
     reduced_burau,
     rep_to_dict,
+    scrambled,
     tensor_character,
     tym_standard,
 )
@@ -140,9 +133,7 @@ def parse_rep_spec(text, default_seed=0):
                 seed = default_seed
                 inner = ",".join(parts)
             rep, _ = parse_rep_spec(inner, default_seed)
-            p = random_invertible_matrix(rep.r, Random(seed))
-            rep = conjugate_rep(rep, p, label=f"{rep.label} conjugated by P#seed={seed}")
-            return rep, {"family": "conj", "seed": seed}
+            return scrambled(rep, seed), {"family": "conj", "seed": seed}
     if ":" in text:
         return _parse_atom(text)
     raise SpecParseError(f"cannot parse spec {text!r}")
@@ -151,8 +142,9 @@ def parse_rep_spec(text, default_seed=0):
 def _load_source(source, default_seed):
     """A source is a JSON file path or a builtin spec string."""
     if os.path.exists(source) or source.endswith(".json"):
-        return load_representation(source), {"family": "file"}
-    return parse_rep_spec(source, default_seed)
+        return load_representation(source)
+    rep, _ = parse_rep_spec(source, default_seed)
+    return rep
 
 
 def _emit(text, out_path):
@@ -181,7 +173,7 @@ def _cmd_make(args):
 
 
 def _cmd_verify(args):
-    rep, _ = _load_source(args.source, _resolve_seed(args))
+    rep = _load_source(args.source, _resolve_seed(args))
     report = verify_braid_relations(rep)
     if args.format == "text":
         lines = [
@@ -200,7 +192,7 @@ def _cmd_verify(args):
 
 
 def _cmd_graph(args):
-    rep, _ = _load_source(args.source, _resolve_seed(args))
+    rep = _load_source(args.source, _resolve_seed(args))
     full = full_friendship_graph(rep)
     try:
         tag = classify_graph(full).tag.value
@@ -221,7 +213,7 @@ def _cmd_graph(args):
 
 def _cmd_analyze(args):
     seed = _resolve_seed(args)
-    rep, _ = _load_source(args.source, seed)
+    rep = _load_source(args.source, seed)
     report = analyze(rep, seed=seed)
     if args.format == "text":
         _emit(report.to_text(), args.out)
@@ -230,23 +222,11 @@ def _cmd_analyze(args):
     return 0
 
 
-def _verdict_dict(verdict):
-    data = {"tag": verdict.tag.value, "algebra_dim": verdict.algebra_dim}
-    if verdict.witness is not None:
-        data["witness"] = verdict.witness.basis.to_strings()
-    data["detail"] = verdict.detail
-    return data
-
-
 def _cmd_irreducible(args):
     seed = _resolve_seed(args)
-    rep, meta = _load_source(args.source, seed)
-    if meta.get("family") == "tym":
-        verdict = tym_irreducibility(meta["n"], meta["u"], seed=seed)
-    else:
-        dim, verdict = burnside_dimension(rep)
-        if verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:
-            verdict = invariant_subspace_search(rep, seed=seed, algebra_dim=dim)
+    rep = _load_source(args.source, seed)
+    corank_val, _, graph_class, _ = corank_and_graph(rep)
+    verdict, _, _ = decide_irreducibility(rep, corank_val, graph_class, seed)
     if args.format == "text":
         lines = [f"verdict: {verdict.tag.value}"]
         if verdict.algebra_dim is not None:
@@ -267,6 +247,8 @@ def _parse_int_list(text):
         chunk = chunk.strip()
         if ".." in chunk:
             lo, hi = chunk.split("..", 1)
+            if int(lo) > int(hi):
+                raise SpecParseError(f"empty strand range {chunk!r}")
             values.extend(range(int(lo), int(hi) + 1))
         else:
             values.append(int(chunk))

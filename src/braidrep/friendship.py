@@ -9,7 +9,6 @@ set of circular distances; the reduced graph drops the vertex s0.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 from .braid import circular_distance
@@ -254,7 +253,3 @@ def graph_to_json_dict(graph: FriendshipGraph) -> dict:
     if graph.full and check_zn_equivariance(graph):
         data["distance_set"] = sorted(distance_set(graph))
     return data
-
-
-def graph_to_json(graph: FriendshipGraph, **kwargs) -> str:
-    return json.dumps(graph_to_json_dict(graph), **kwargs)

@@ -456,16 +456,78 @@ def charpoly(m: Matrix):
     return coeffs
 
 
-def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+def _poly_eval(coeffs, x):
+    """Horner evaluation; coefficients run from the leading one down."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(coeffs):
+    deg = len(coeffs) - 1
+    return [c * (deg - k) for k, c in enumerate(coeffs[:-1])]
+
+
+def _poly_rem(a, b):
+    """Remainder of a divided by b over Q, leading coefficient first, with
+    the leading zeros stripped; the quotient is returned as well."""
+    a, quo = [Fraction(c) for c in a], []
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        quo.append(q)
+        a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quo, a
+
+
+def _squarefree_part(ints):
+    """The monic integer polynomial with the roots of the monic ``ints``,
+    each once: ints / gcd(ints, ints')."""
+    a, b = ints, _derivative(ints)
+    while b:
+        a, b = b, _poly_rem(a, b)[1]
+    if len(a) == 1:
+        return ints
+    # A monic factor of a monic integer polynomial has integer coefficients.
+    quo, _ = _poly_rem(ints, [c / a[0] for c in a])
+    return [int(c) for c in quo]
+
+
+def _integer_roots(ints):
+    """Integer roots of the monic integer polynomial ``ints`` whose constant
+    term is nonzero, by p-adic lifting (Loos, SIAM J. Comput. 12, 1983).
+
+    Each root modulo a prime q at which the squarefree part g stays
+    squarefree lifts by Newton steps to a unique root modulo q^(2^k); once
+    the modulus exceeds twice |g(0)|, which bounds any integer root, the
+    symmetric residue is the only integer candidate and is checked exactly.
+    The cost grows with the bit length of the coefficients, not with their
+    size as trial division of the constant term does."""
+    g = _squarefree_part(ints)
+    dg = _derivative(g)
+    bound = 2 * abs(g[-1])
+    q = 2
+    while True:
+        q += 1
+        if any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+            continue
+        residues = [a for a in range(q) if _poly_eval(g, a) % q == 0]
+        # Primes that divide the discriminant of g make some root repeated
+        # mod q; there are finitely many, and a simple root lifts uniquely.
+        if all(_poly_eval(dg, a) % q for a in residues):
+            break
+    roots = []
+    for a in residues:
+        mod = q
+        while mod <= bound:
+            mod *= mod
+            a = (a - _poly_eval(g, a) * pow(_poly_eval(dg, a), -1, mod)) % mod
+        cand = a - mod if 2 * a > mod else a
+        if _poly_eval(g, cand) == 0:
+            roots.append(cand)
+    return roots
 
 
 def rational_eigenvalues(m: Matrix):
@@ -491,13 +553,7 @@ def rational_eigenvalues(m: Matrix):
         ints.pop()
         roots.add(_F0)
     if len(ints) > 1:
-        for d in _divisors(abs(ints[-1])):
-            for cand in (d, -d):
-                acc = 0
-                for c in ints:
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(Fraction(cand, m.den))
+        roots.update(Fraction(x, m.den) for x in _integer_roots(ints))
     return sorted(roots)
 
 

@@ -148,6 +148,24 @@ def test_sweep_emits_grid_rows(capsys):
     assert by_key[(6, "1")]["irreducibility"] == "Reducible"
 
 
+def test_sweep_rejects_reversed_range(capsys):
+    code, out, err = capture(capsys, ["sweep", "--n", "10..6", "--u", "2"])
+    assert code == 2
+    assert out == ""
+    assert "empty strand range" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "tym:n=6,u=1", "tym:n=7,u=2", "tym:n=5,u=3", "burau:n=5,t=2", "burau:n=6,t=-1",
+    "dsum(char:n=5,y=1,char:n=5,y=1)", "char:n=5,y=1", "dsum(tym:n=6,u=2,char:n=6,y=3)",
+])
+def test_irreducible_verb_agrees_with_analyze(capsys, spec):
+    code, out, _ = capture(capsys, ["irreducible", spec, "--seed", "4"])
+    assert code == 0
+    _, report, _ = capture(capsys, ["analyze", spec, "--seed", "4"])
+    assert json.loads(out) == json.loads(report)["irreducibility"]
+
+
 def test_sweep_text_table(capsys):
     code, out, _ = capture(capsys, ["sweep", "--n", "6", "--u", "2", "--format", "text"])
     assert code == 0

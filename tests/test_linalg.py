@@ -193,6 +193,20 @@ def test_eigenvalue_kernel_cross_check():
         assert kernel_basis(shifted).dim >= 1
 
 
+def test_rational_eigenvalues_with_a_repeated_root():
+    m = Matrix([[5, 1, 0], [0, 5, 0], [0, 0, -2]])
+    assert rational_eigenvalues(m) == [F(-2), F(5)]
+
+
+def test_rational_eigenvalues_with_a_huge_constant_term():
+    # Trial division of the 80-bit determinant would take 2^40 steps.
+    big = 2**41 + 15
+    m = Matrix([[big, 1, 0], [0, -(2**39) - 3, 0], [0, 0, 0]])
+    assert rational_eigenvalues(m) == [F(-(2**39) - 3), F(0), F(big)]
+    rotation = Matrix([[0, big], [-big, 0]])
+    assert rational_eigenvalues(rotation) == []
+
+
 def test_rational_eigenvalues_rejects_a_non_integer_charpoly(monkeypatch):
     monkeypatch.setattr(linalg, "charpoly", lambda m: [F(1), F(1, 2)])
     with pytest.raises(RuntimeError):
