@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .braid import circular_distance
 from .errors import PreconditionError, TrichotomyViolationError
-from .linalg import Matrix, image_basis
+from .linalg import Matrix
 
 
 class GraphClassTag(str, enum.Enum):
@@ -79,16 +79,11 @@ class FriendshipGraph:
         return cls(n, full, adj)
 
 
-def _deformation_images(rep, indices):
-    return {i: image_basis(rep.deformation(i)) for i in indices}
-
-
 def are_friends(rep, i, j) -> bool:
     """True iff the deformation images at i and j intersect nontrivially."""
     if i == j:
         raise ValueError("friendship is between distinct generators")
-    images = _deformation_images(rep, (i, j))
-    return not images[i].intersect(images[j]).is_zero()
+    return not rep.meet(i, j).is_zero()
 
 
 def neighbor_form(a: Matrix, b: Matrix) -> Matrix:
@@ -113,27 +108,18 @@ def are_true_friends(rep, i, j) -> bool:
     return prod == b * a and not prod.is_zero()
 
 
+def _graph(rep, labels, full) -> FriendshipGraph:
+    adj = tuple(tuple(i != j and are_friends(rep, i, j) for j in labels) for i in labels)
+    return FriendshipGraph(len(labels), full, adj)
+
+
 def full_friendship_graph(rep) -> FriendshipGraph:
-    n = rep.n
-    images = _deformation_images(rep, range(n))
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not images[i].intersect(images[j]).is_zero():
-                adj[i][j] = adj[j][i] = True
-    return FriendshipGraph(n, True, tuple(tuple(row) for row in adj))
+    return _graph(rep, range(rep.n), True)
 
 
 def friendship_graph(rep) -> FriendshipGraph:
     """The induced subgraph on the ordinary generators s1..s(n-1)."""
-    n = rep.n
-    images = _deformation_images(rep, range(1, n))
-    adj = [[False] * (n - 1) for _ in range(n - 1)]
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if not images[i].intersect(images[j]).is_zero():
-                adj[i - 1][j - 1] = adj[j - 1][i - 1] = True
-    return FriendshipGraph(n - 1, False, tuple(tuple(row) for row in adj))
+    return _graph(rep, range(1, rep.n), False)
 
 
 def check_zn_equivariance(graph: FriendshipGraph) -> bool:

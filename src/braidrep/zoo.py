@@ -1,8 +1,9 @@
 """Constructors and combinators for braid group matrix representations.
 
 Each Representation stores the n-1 generator images; the derived image of
-s0 and the deformations A_i = image - 1 are computed on demand and cached.
-All values are immutable after construction.
+s0, the deformations A_i = image - 1, their images and the pairwise
+intersections of those images are computed on demand and cached.  All values
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from random import Random
 
 from . import braid
 from .errors import NotARepresentationError, ShapeError, SingularMatrixError
-from .linalg import Matrix, block_diagonal, inverse, rank, rational
+from .linalg import Matrix, Subspace, block_diagonal, image_basis, inverse, rank, rational
 
 
 class Representation:
@@ -42,6 +43,7 @@ class Representation:
         self.generators = generators
         self.label = label
         self._inverses = {}
+        self._meets = {}
 
     def gen(self, i) -> Matrix:
         """Image of generator i, with i = 0 giving the derived s0 image."""
@@ -81,6 +83,20 @@ class Representation:
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
         return self._deformations[i]
+
+    @cached_property
+    def images(self) -> tuple[Subspace, ...]:
+        """Column spaces of the deformations A_0..A_{n-1}."""
+        return tuple(image_basis(a) for a in self._deformations)
+
+    def meet(self, i, j) -> Subspace:
+        """Intersection of the images of A_i and A_j, cached per unordered pair."""
+        lo, hi = min(i, j), max(i, j)
+        if (lo, hi) not in self._meets:
+            if lo < 0 or hi > self.n - 1:
+                raise IndexError(f"deformation index pair {(i, j)} out of range")
+            self._meets[lo, hi] = self.images[lo].intersect(self.images[hi])
+        return self._meets[lo, hi]
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
@@ -195,7 +211,7 @@ def scrambled(rep, seed) -> Representation:
 
 def corank(rep) -> int:
     """Rank of any deformation; all generators must agree for this to exist."""
-    ranks = [rank(rep.deformation(i)) for i in range(1, rep.n)]
+    ranks = [rep.images[i].dim for i in range(1, rep.n)]
     if len(set(ranks)) != 1:
         raise NotARepresentationError(f"deformation ranks disagree: {ranks}")
     return ranks[0]

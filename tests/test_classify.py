@@ -5,8 +5,14 @@ from random import Random
 
 import pytest
 
+from braidrep.braid import (
+    verify_braid_relations,
+    verify_cyclic_conjugation,
+    verify_deformed_relations,
+)
 from braidrep.classify import (
     Verdict,
+    _is_invariant,
     analyze,
     burnside_dimension,
     chain_basis,
@@ -22,12 +28,14 @@ from braidrep.classify import (
 )
 from braidrep.errors import PreconditionError, ReducibleSignal
 from braidrep.friendship import neighbor_form
-from braidrep.linalg import Matrix
+from braidrep.linalg import Matrix, Subspace
 from braidrep.zoo import (
+    Representation,
     character_rep,
     conjugate_rep,
     corank,
     direct_sum,
+    random_invertible_matrix,
     reduced_burau,
     scrambled,
     tensor_character,
@@ -331,14 +339,15 @@ def test_analyze_reports_trivial_action():
     assert "trivial" in report.verdict.detail
 
 
-def test_analyze_records_errors_for_broken_families():
-    from braidrep.zoo import Representation
-
-    rep = Representation(
+def broken_family():
+    return Representation(
         4, 2,
         [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]]), Matrix([[0, 1], [1, 0]])],
     )
-    report = analyze(rep)
+
+
+def test_analyze_records_errors_for_broken_families():
+    report = analyze(broken_family())
     assert not report.relations["far_commutation_ok"]
     assert report.corank_error is not None
     data = report.to_json_dict()
@@ -476,3 +485,42 @@ def test_ladder_agrees_with_algebra_dimension(zoo):
         dim, _ = burnside_dimension(rep)
         assert (verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE) == (dim == rep.r ** 2), rep.label
 
+
+
+def _relation_families():
+    yield from build_zoo()
+    yield broken_family()
+    for seed in range(6):
+        rng = Random(seed)
+        yield Representation(4, 3, [random_invertible_matrix(3, rng) for _ in range(3)],
+                             label=f"random(seed={seed})")
+
+
+@pytest.mark.parametrize("rep", list(_relation_families()), ids=lambda rep: rep.label or "broken")
+def test_analyze_relation_booleans_match_the_checks(rep):
+    relations = analyze(rep).relations
+    report = verify_braid_relations(rep)
+    assert relations["braid_relations_ok"] == report.braid_relations_ok
+    assert relations["far_commutation_ok"] == report.far_commutation_ok
+    assert relations["cyclic_conjugation_ok"] == verify_cyclic_conjugation(rep)
+    assert relations["deformed_relations_ok"] == verify_deformed_relations(rep)
+
+
+def test_spin_is_closed_under_inverses_across_zoo(zoo):
+    for rep in zoo:
+        for k in range(rep.r):
+            orbit = spin(rep, unit(k, rep.r))
+            assert _is_invariant(rep, orbit), (rep.label, k)
+
+
+def test_analyze_intersects_each_pair_of_images_once(monkeypatch):
+    calls = []
+    original = Subspace.intersect
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    analyze(scrambled(tym_standard(8, 2), 1))
+    assert len(calls) <= 28

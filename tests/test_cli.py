@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +183,27 @@ def test_seed_env_fallback(capsys, monkeypatch):
     _, with_flag, _ = capture(capsys, ["analyze", "tym:n=6,u=2", "--seed", "77"])
     assert with_env == with_flag
     assert json.loads(with_env)["seed"] == 77
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.strip().splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "braidrep", line
+        yield argv[1:], comment.strip()
+
+
+def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for argv, comment in _readme_commands():
+        code, out, err = capture(capsys, argv)
+        assert code == 0, (argv, err)
+        outputs[comment] = out
+    report = json.loads(outputs["full JSON report, recovers u=4"])
+    assert report["standard_form"]["u"] == "4"
+    verdict = json.loads(outputs["Reducible, all-ones witness"])
+    assert verdict["tag"] == "Reducible"
+    assert verdict["witness"] == [["1"]] * 6

@@ -46,6 +46,16 @@ def test_friendship_of_trivial_family_is_empty():
     assert not are_friends(rep, 0, 3)
 
 
+def test_friendship_rejects_out_of_range_indices():
+    rep = tym_standard(5, 2)
+    with pytest.raises(IndexError):
+        are_friends(rep, -1, 2)
+    with pytest.raises(IndexError):
+        rep.meet(-1, 2)
+    with pytest.raises(IndexError):
+        rep.meet(2, 5)
+
+
 def test_friendship_rejects_equal_indices():
     with pytest.raises(ValueError):
         are_friends(tym_standard(5, 2), 2, 2)
