@@ -1,15 +1,18 @@
 """Invariant subspaces, irreducibility certificates and standard-form recovery.
 
-Irreducibility over the algebraic closure is certified by the dimension of
-the generated matrix algebra being r^2 (the Burnside criterion), or, for a
-corank-2 chain, by its standard form and the coordinate projector
-certificate; reducibility is certified by an explicit invariant subspace
-witness, which is always verified before being reported.  When neither is
-available the honest answer is Inconclusive.
+Irreducibility over the algebraic closure is certified by the generated
+matrix algebra being all of r x r (the Burnside criterion).  Where the
+algebra has a known rank-one element x y^T (A_1 at corank 1, the neighbor
+cubic of the standard family, or the spectral projector of a simple
+eigenvalue of A_1) that is decided exactly from two orbits of dimension r,
+as in Norton's test; otherwise fullness is certified by an algebra closure
+modulo a large prime.  Reducibility is certified by an explicit invariant
+subspace witness, which is always verified before being reported.  When
+neither is available the honest answer is Inconclusive.
 
 ``decide_irreducibility`` is the one decision procedure, used by ``analyze``
-and the command line; it tries the certificates cheapest first.  Orbit spans
-and both algebra closures share one closure loop.
+and the command line; it tries the certificates cheapest first.  Orbits and
+both algebra closures share one closure loop.
 """
 
 from __future__ import annotations
@@ -145,6 +148,13 @@ def _left_mul(g, ncols, w):
     return [sum(map(mul, grow, col)) for grow in g for col in cols]
 
 
+def _orbit(mats, vec, r) -> EchelonSpan:
+    """Span of the orbit of the integer vector ``vec`` under the r x r
+    integer matrices ``mats``: the smallest subspace containing vec that
+    every one of them maps into itself."""
+    return _closure(EchelonSpan(r), vec, [partial(_left_mul, m, 1) for m in mats], r)
+
+
 def spin(rep, v) -> Subspace:
     """Smallest subspace containing v that is closed under all generator
     images and their inverses.  It is grown under the images alone: in finite
@@ -152,8 +162,8 @@ def spin(rep, v) -> Subspace:
     the inverse map too."""
     # Integer numerators act in place of the images: scaling an image by its
     # denominator does not change the span.
-    actions = [partial(_left_mul, rep.gen(i).num, 1) for i in range(1, rep.n)]
-    return _closure(EchelonSpan(rep.r), clear_denominators(v)[0], actions, rep.r).to_subspace()
+    gens = [rep.gen(i).num for i in range(1, rep.n)]
+    return _orbit(gens, clear_denominators(v)[0], rep.r).to_subspace()
 
 
 def _algebra_dim(gens, r, span) -> int:
@@ -184,6 +194,77 @@ def _rational_algebra_dim(rep) -> int:
     """Exact dimension of the generated algebra over Q."""
     gens = [rep.gen(i).num for i in range(1, rep.n)]
     return _algebra_dim(gens, rep.r, EchelonSpan(rep.r ** 2))
+
+
+def _rank_one_factors(m):
+    """Integer vectors ``(x, y)`` with m a nonzero multiple of x y^T, or
+    None when the rank of m is not one."""
+    y = next((row for row in m.num if any(row)), None)
+    if y is None:
+        return None
+    j = next(k for k, e in enumerate(y) if e)
+    x = [row[j] for row in m.num]
+    # Every row of a rank-one matrix is a multiple of y, namely x_i / y_j times it.
+    if any(a * y[j] != xi * b for row, xi in zip(m.num, x) for a, b in zip(row, y)):
+        return None
+    return x, list(y)
+
+
+def _simple_eigenvector_pair(rep):
+    """Integer right and left eigenvectors ``(x, y)`` of A_1 for its first
+    simple nonzero rational eigenvalue, or None.
+
+    A nonzero eigenvalue is simple exactly when its right and left
+    eigenspaces are lines and y^T x != 0 (in a Jordan block of size two or
+    more the left eigenvector is orthogonal to the right one).  Then the
+    spectral projector x y^T / y^T x is a polynomial in A_1."""
+    a = rep.deformation(1)
+    ident = Matrix.identity(rep.r)
+    for lam, right in _image_eigenspaces(rep, 1):
+        if lam == 0 or right.dim != 1:
+            continue
+        # (A_1 - lam)^T has the same rank, so the left eigenspace is a line too.
+        left = kernel_basis((a - ident * lam).transpose())
+        x, y = right.vector(0), left.vector(0)
+        if sum(map(mul, x, y)):
+            return clear_denominators(x)[0], clear_denominators(y)[0]
+    return None
+
+
+def _rank_one_element(rep):
+    """``(source, x, y)`` with x y^T a nonzero multiple of an element of the
+    generated algebra, from the cheapest source that has one, or None.
+    Sources: A_1 itself, the neighbor cubic of A_1 and A_2, and the spectral
+    projector of a simple nonzero eigenvalue of A_1."""
+    a = rep.deformation(1)
+    found = _rank_one_factors(a)
+    if found is not None:
+        return ("deformation", *found)
+    if rep.n > 2:
+        found = _rank_one_factors(neighbor_form(a, rep.deformation(2)))
+        if found is not None:
+            return ("neighbor cubic", *found)
+    found = _simple_eigenvector_pair(rep)
+    return None if found is None else ("simple eigenvalue", *found)
+
+
+def _rank_one_fullness(rep):
+    """Whether the generated algebra A is all of r x r, decided exactly over Q
+    from one rank-one element x y^T of A; None when no source has one.
+
+    A contains (a x)(y^T b) for all a, b in A, so it is full exactly when the
+    orbit A x of x under the generators and the orbit y^T A of y under their
+    transposes both reach dimension r: the rank-one case of Norton's
+    irreducibility test (Holt and Rees, J. Austral. Math. Soc. A 57, 1994).
+    A proper orbit means A is thin.
+    """
+    found = _rank_one_element(rep)
+    if found is None:
+        return None
+    _, x, y = found
+    gens = [rep.gen(i).num for i in range(1, rep.n)]
+    return (_orbit(gens, x, rep.r).dim == rep.r
+            and _orbit([tuple(zip(*g)) for g in gens], y, rep.r).dim == rep.r)
 
 
 def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
@@ -451,40 +532,33 @@ def tym_irreducibility(n, u) -> IrreducibilityVerdict:
 
     At u = 1 the generators are permutation matrices, whose common fixed
     vectors are the multiples of the all-ones vector: a verified witness.
-    Otherwise the coordinate projector certificate proves the generated
-    algebra full.
+    Otherwise, from 3 strands on, the rank-one certificate proves the
+    generated algebra full.  On 2 strands there is no neighbor cubic and a
+    single generator generates a commutative algebra, so the verdict is the
+    one ``decide_irreducibility`` reaches, as on the command line.
     """
     u = rational(u)
     if u == 1:
         return _common_fixed_vectors(tym_standard(n, u))
-    return _standard_fullness_certificate(n, u)
+    if n > 2:
+        return _standard_fullness_certificate(n, u)
+    rep = tym_standard(n, u)
+    corank_val, _, graph_class, _ = corank_and_graph(rep)
+    return decide_irreducibility(rep, corank_val, graph_class)[0]
 
 
 def _standard_fullness_certificate(n, u) -> IrreducibilityVerdict:
     """Certify that the standard family at u != 1 spans the full algebra.
 
-    The neighbor cubic at each coordinate is (u - 1) times a diagonal matrix
-    unit, so every diagonal unit lies in the generated algebra; each
-    coordinate orbit spans the whole space, which upgrades the diagonal
-    units to all matrix units.  Much cheaper than the closure computation
-    and exactly as conclusive; any failed identity raises.
+    The neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 is (u - 1) times a diagonal
+    matrix unit, a rank-one element of the generated algebra, so the
+    rank-one certificate decides fullness from two orbits of length n.
+    Exactly as conclusive as the closure computation; raises unless the
+    certificate proves the algebra full.
     """
-    u = rational(u)
-    rep = tym_standard(n, u)
-    scale = u - 1
-    for c in range(n):
-        h = neighbor_form(rep.deformation(c), rep.deformation((c + 1) % n))
-        expected = Matrix(
-            tuple(
-                tuple(scale if i == c and j == c else _F0 for j in range(n))
-                for i in range(n)
-            )
-        )
-        if h != expected:
-            raise RuntimeError(f"coordinate projector identity failed at {c}")
-        e_c = tuple(_F1 if k == c else _F0 for k in range(n))
-        if not spin(rep, e_c).is_full():
-            raise RuntimeError(f"coordinate orbit at {c} is not the full space")
+    rep = tym_standard(n, rational(u))
+    if not _rank_one_fullness(rep):
+        raise RuntimeError(f"rank-one certificate does not prove tym(n={n},u={u}) full")
     return IrreducibilityVerdict(
         Verdict.ABSOLUTELY_IRREDUCIBLE, None, n * n,
         detail="coordinate projectors certify the full matrix algebra",
@@ -600,10 +674,13 @@ def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
     computed.  Returns ``(verdict, standard_form, standard_form_error)``, the
     last two from the chain step when it ran.  Stops at the first step that
     decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
-    n = r >= 6 strands, by its standard form and the projector certificate,
-    or by the verified witness of a reducible chain; (3) common fixed
-    vectors; (4) algebra fullness modulo a large prime; (5) the ordered
-    witness search; (6) the exact rational closure, where thin is Inconclusive.
+    n = r >= 6 strands, by its standard form and the rank-one certificate
+    of the standard family, or by the verified witness of a reducible chain;
+    (3) common fixed vectors; (4) algebra fullness, decided exactly by the
+    rank-one certificate where a source of a rank-one element applies, and
+    otherwise proved by the closure modulo a large prime (a thin algebra
+    goes on to step 5); (5) the ordered witness search; (6) the exact
+    rational closure, where thin is Inconclusive.
     """
     if corank_val == 0:
         return _trivial_action_verdict(rep), None, None
@@ -630,8 +707,12 @@ def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
         except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
             standard_form_err = str(exc)
     verdict = _common_fixed_vectors(rep)
-    if verdict is None and _modp_algebra_is_full(rep):
-        verdict = _closure_verdict(rep, rep.r ** 2, None)
+    if verdict is None:
+        full = _rank_one_fullness(rep)
+        if full is None:
+            full = _modp_algebra_is_full(rep)
+        if full:
+            verdict = _closure_verdict(rep, rep.r ** 2, None)
     if verdict is None:
         verdict = _search_past_fixed_vectors(rep, seed, DEFAULT_SPIN_TRIALS)
     if verdict.tag is Verdict.INCONCLUSIVE:

@@ -1,3 +1,4 @@
+import json
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,6 +14,11 @@ from braidrep.braid import (
 from braidrep.classify import (
     Verdict,
     _is_invariant,
+    _modp_algebra_is_full,
+    _rank_one_element,
+    _rank_one_fullness,
+    _rational_algebra_dim,
+    _simple_eigenvector_pair,
     analyze,
     burnside_dimension,
     chain_basis,
@@ -25,10 +31,12 @@ from braidrep.classify import (
     lemma_bb_check,
     spin,
     tym_irreducibility,
+    verdict_to_json_dict,
 )
+from braidrep.cli import run
 from braidrep.errors import PreconditionError, ReducibleSignal
 from braidrep.friendship import neighbor_form
-from braidrep.linalg import Matrix, Subspace
+from braidrep.linalg import Matrix, Subspace, rank
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -524,3 +532,149 @@ def test_analyze_intersects_each_pair_of_images_once(monkeypatch):
     monkeypatch.setattr(Subspace, "intersect", counted)
     analyze(scrambled(tym_standard(8, 2), 1))
     assert len(calls) <= 28
+
+
+def test_rank_one_certificate_matches_algebra_dimension(zoo):
+    # burnside_dimension is the exact rational dimension: it trusts its
+    # modular closure only when that is full.  The rational closure alone
+    # takes minutes on the conjugated tym member.
+    answered = 0
+    for rep in zoo:
+        full = _rank_one_fullness(rep)
+        if full is not None:
+            answered += 1
+            assert full == (burnside_dimension(rep)[0] == rep.r ** 2), rep.label
+    # Only the corank-0 character and tensor(tym(n=5,u=2),y=3) have no source.
+    assert answered == len(zoo) - 2
+
+
+@pytest.mark.parametrize("idx, seed", _change_of_basis_cases())
+def test_rank_one_certificate_keeps_its_answer_in_every_basis(idx, seed):
+    rep = ZOO[idx]
+    moved = scrambled(rep, seed)
+    full = _rank_one_fullness(rep)
+    assert _rank_one_fullness(moved) == full
+    if full is not None:
+        assert _modp_algebra_is_full(moved) == full
+
+
+def _outer(x, y):
+    return Matrix(tuple(tuple(a * b for b in y) for a in x))
+
+
+def _is_multiple(m, of):
+    i, j = next((i, j) for i, row in enumerate(of.rows) for j, e in enumerate(row) if e)
+    return m[i, j] != 0 and of * (m[i, j] / of[i, j]) == m
+
+
+@pytest.mark.parametrize("rep, source", [
+    (reduced_burau(6, 2), "deformation"),
+    (reduced_burau(6, -1), "deformation"),
+    (tym_standard(8, 2), "neighbor cubic"),
+    (direct_sum(reduced_burau(6, 2), reduced_burau(6, 3)), "simple eigenvalue"),
+    (tensor_character(reduced_burau(6, 2), -1), "simple eigenvalue"),
+], ids=lambda v: v.label if isinstance(v, Representation) else v)
+def test_rank_one_element_comes_from_the_cheapest_source(rep, source):
+    found, x, y = _rank_one_element(rep)
+    assert found == source
+    a = rep.deformation(1)
+    if source == "deformation":
+        assert _is_multiple(_outer(x, y), a)
+    elif source == "neighbor cubic":
+        assert _is_multiple(_outer(x, y), neighbor_form(a, rep.deformation(2)))
+    else:
+        # x and y are right and left eigenvectors of A_1 for one nonzero
+        # eigenvalue, and y^T x != 0 makes x y^T / y^T x its spectral projector.
+        k = next(k for k, e in enumerate(x) if e)
+        lam = (a * x)[k] / x[k]
+        assert lam != 0
+        assert a * x == tuple(lam * e for e in x)
+        assert a.transpose() * y == tuple(lam * e for e in y)
+        assert sum(p * q for p, q in zip(x, y)) != 0
+
+
+def test_transposed_orbit_is_needed_for_fullness():
+    # Not a braid representation, but a valid family: A_1 = diag(1, 0) is
+    # e1 e1^T.  The orbit of e1 fills Q^2, while its orbit under the
+    # transposes is a line: the algebra is the 3-dimensional lower-triangular
+    # one, and e2 spans an invariant line.
+    rep = Representation(3, 2, [Matrix(((2, 0), (0, 1))), Matrix(((1, 0), (1, 2)))])
+    assert _rational_algebra_dim(rep) == 3
+    assert _rank_one_fullness(rep) is False
+    verdict = analyze(rep).verdict
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert_invariant(rep, verdict.witness)
+
+
+def test_jordan_block_yields_no_eigenvector_pair():
+    # Eigenvalue 1 of A_1 sits in a 2 x 2 Jordan block: its left and right
+    # eigenvectors are orthogonal, and no rank-one projector belongs to it.
+    jordan = Matrix(((2, 1), (0, 2)))
+    assert _simple_eigenvector_pair(Representation(3, 2, [jordan, jordan])) is None
+    # Next to a simple eigenvalue 2, the pair comes from that one.
+    g = Matrix(((2, 1, 0), (0, 2, 0), (0, 0, 3)))
+    rep = Representation(3, 3, [g, g])
+    x, y = _simple_eigenvector_pair(rep)
+    a = rep.deformation(1)
+    assert a * x == tuple(F(2 * e) for e in x)
+    assert a.transpose() * y == tuple(F(2 * e) for e in y)
+
+
+@pytest.mark.parametrize("u, tag", [(4, Verdict.REDUCIBLE), (2, Verdict.INCONCLUSIVE)])
+def test_two_strand_standard_family_gets_the_command_line_verdict(capsys, u, tag):
+    # One generator generates a commutative algebra of dimension 2: at u = 4
+    # its eigenvectors are rational invariant lines, at u = 2 they are not.
+    verdict = tym_irreducibility(2, u)
+    assert run(["irreducible", f"tym:n=2,u={u}"]) == 0
+    assert verdict_to_json_dict(verdict) == json.loads(capsys.readouterr().out)
+    assert verdict.tag is tag
+    if tag is Verdict.REDUCIBLE:
+        assert_invariant(tym_standard(2, u), verdict.witness)
+    else:
+        assert verdict.algebra_dim == 2
+
+
+def test_witness_search_ends_inconclusive_on_irreducible_input(monkeypatch):
+    # Reduced Burau at t = 2 is irreducible: every step of the search,
+    # the seeded random orbits included, must run and find nothing.
+    import braidrep.classify as classify
+
+    spins = []
+    original = classify.spin
+
+    def counted(rep, v):
+        spins.append(v)
+        return original(rep, v)
+
+    monkeypatch.setattr(classify, "spin", counted)
+    rep = reduced_burau(6, 2)
+    verdict = invariant_subspace_search(rep)
+    assert verdict.tag is Verdict.INCONCLUSIVE
+    assert verdict.witness is None
+    assert verdict.detail.startswith("no invariant subspace found by the ordered search")
+    with_random = len(spins)
+    spins.clear()
+    invariant_subspace_search(rep, trials=0)
+    assert with_random > len(spins)
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
+    # Random rank-2 deformations on 6 strands: not a braid representation,
+    # corank 2 and no chain, certified irreducible without the chain step.
+    # analyze then tries the standard form and records why it does not apply.
+    rng = Random(r)
+    gens = []
+    while len(gens) < 5:
+        left = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(r)])
+        a = left * Matrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(2)])
+        if rank(a) == 2 and rank(Matrix.identity(r) + a) == r:
+            gens.append(Matrix.identity(r) + a)
+    report = analyze(Representation(6, r, gens))
+    assert report.corank == 2
+    assert report.verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+    assert report.standard_form is None
+    if r == 6:
+        assert report.standard_form_error.startswith("friendship graph is not a chain")
+    else:
+        assert "violates the dimension bound" in report.standard_form_error

@@ -6,7 +6,8 @@ import pytest
 
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import SpecParseError
-from braidrep.zoo import character_rep, direct_sum, tym_standard
+from braidrep.linalg import Matrix
+from braidrep.zoo import Representation, character_rep, direct_sum, save_representation, tym_standard
 
 
 def capture(capsys, argv):
@@ -207,3 +208,75 @@ def test_readme_commands_run_as_documented(tmp_path, monkeypatch, capsys):
     verdict = json.loads(outputs["Reducible, all-ones witness"])
     assert verdict["tag"] == "Reducible"
     assert verdict["witness"] == [["1"]] * 6
+
+
+def _expected_analysis_text(data):
+    """The lines ``analyze --format text`` must print for the JSON report ``data``."""
+    rel = data["relations"]
+    ok = all(rel[k] for k in ("braid_relations_ok", "far_commutation_ok",
+                              "cyclic_conjugation_ok", "deformed_relations_ok"))
+    lines = [f"  relations: {'all hold' if ok else 'BROKEN'}"]
+    lines += [f"    failure: {desc} at {tuple(pair)}" for desc, pair in rel["failures"]]
+    corank = data["corank"]
+    lines.append(f"  corank: error ({corank['error']})" if isinstance(corank, dict) else f"  corank: {corank}")
+    graph = data["graph"]
+    if "error" in graph:
+        lines.append(f"  graph: error ({graph['error']})")
+    else:
+        lines.append(f"  graph: {graph['class']}, distance set {graph['distance_set']}")
+        if graph["detail"]:
+            lines.append(f"    {graph['detail']}")
+    irr = data["irreducibility"]
+    extra = f", algebra dim {irr['algebra_dim']}" if irr["algebra_dim"] is not None else ""
+    lines.append(f"  irreducibility: {irr['tag']}{extra}")
+    if "witness" in irr:
+        lines.append(f"    witness: invariant subspace of dimension {len(irr['witness'][0])}")
+    lines.append(f"    {irr['detail']}")
+    form = data.get("standard_form")
+    if form is not None and "u" in form:
+        lines.append(f"  standard form: u = {form['u']}")
+        lines.append("    certified for 6 or more strands at dimension >= n; "
+                     "corank alone suffices from 7 strands")
+    elif form is not None:
+        lines.append(f"  standard form: error ({form['error']})")
+    return lines + [f"  seed: {data['seed']}"]
+
+
+@pytest.mark.parametrize("source", [
+    "conj(tym:n=7,u=4,seed=9)",
+    "tym:n=6,u=1",
+    "dsum(tym:n=6,u=2,char:n=6,y=3)",
+    "broken.json",
+])
+def test_analyze_text_states_the_json_report(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.chdir(tmp_path)
+    # Unequal deformation ranks and broken relations: the error lines.
+    save_representation(Representation(4, 2, [
+        Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]]), Matrix([[0, 1], [1, 0]]),
+    ], label="broken"), "broken.json")
+    code, text, _ = capture(capsys, ["analyze", source, "--format", "text"])
+    assert code == 0
+    _, out, _ = capture(capsys, ["analyze", source])
+    lines = text.splitlines()
+    assert lines[0].startswith("analysis of ")
+    assert lines[1:] == _expected_analysis_text(json.loads(out))
+
+
+@pytest.mark.parametrize("spec", [
+    "tym:n=6,u=1",
+    "tym:n=7,u=5/3",
+    "burau:n=6,t=2",
+    "tym:n=2,u=2",
+])
+def test_irreducible_text_states_the_json_verdict(capsys, spec):
+    code, text, _ = capture(capsys, ["irreducible", spec, "--format", "text"])
+    assert code == 0
+    _, out, _ = capture(capsys, ["irreducible", spec])
+    verdict = json.loads(out)
+    expected = [f"verdict: {verdict['tag']}"]
+    if verdict["algebra_dim"] is not None:
+        expected.append(f"algebra dimension: {verdict['algebra_dim']}")
+    if "witness" in verdict:
+        expected.append(f"witness dimension: {len(verdict['witness'][0])}")
+    expected.append(verdict["detail"])
+    assert text.splitlines() == expected
