@@ -48,13 +48,13 @@ from .linalg import (
     Matrix,
     Subspace,
     clear_denominators,
-    inverse,
+    inverse,  # noqa: F401  bench/test_bench.py expects this binding
     kernel_basis,
     rank,
     rational,
     rational_eigenvalues,
 )
-from .zoo import corank, tym_standard
+from .zoo import Representation, corank, tym_standard
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -82,6 +82,8 @@ class StandardFormResult:
     u: Fraction
     basis: Matrix
     witness_checks: dict
+    # The standard family at u that the conjugated images were matched against.
+    standard: Representation = field(compare=False, repr=False)
 
 
 def _scale_vec(c, v):
@@ -225,9 +227,9 @@ def _simple_eigenvector_pair(rep):
             continue
         # (A_1 - lam)^T has the same rank, so the left eigenspace is a line too.
         left = kernel_basis((a - ident * lam).transpose())
-        x, y = right.vector(0), left.vector(0)
+        x, y = right.rows[0], left.rows[0]
         if sum(map(mul, x, y)):
-            return clear_denominators(x)[0], clear_denominators(y)[0]
+            return list(x), list(y)
     return None
 
 
@@ -291,11 +293,14 @@ def _closure_verdict(rep, dim, thin_detail) -> IrreducibilityVerdict:
 
 
 def _is_invariant(rep, w: Subspace) -> bool:
-    for v in w.basis_vectors():
+    """Whether every generator image and every inverse maps w into itself.
+    Each acts on the integer rows of w through its integer numerator: scaling
+    an image does not move a vector out of w."""
+    for v in w.rows:
         for i in range(1, rep.n):
-            if not w.contains(rep.gen(i) * v):
+            if not w.contains_ints(_left_mul(rep.gen(i).num, 1, v)):
                 return False
-            if not w.contains(rep.gen_inverse(i) * v):
+            if not w.contains_ints(_left_mul(rep.gen_inverse(i).num, 1, v)):
                 return False
     return True
 
@@ -311,12 +316,15 @@ def _verified_reducible(rep, w: Subspace | None, detail):
 
 def _restriction_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of m acting on an m-invariant subspace, in its canonical basis."""
+    # The canonical basis vector b_j is row j over its pivot entry, and the
+    # coordinates of a vector of sub are its entries at the pivots.
     cols = []
-    for v in sub.basis_vectors():
-        coords = sub.coordinates(m * v)
-        if coords is None:
+    for p, row in zip(sub.pivots, sub.rows):
+        image = _left_mul(m.num, 1, row)
+        if not sub.contains_ints(image):
             raise PreconditionError("subspace is not invariant under the operator")
-        cols.append(coords)
+        den = m.den * row[p]
+        cols.append([Fraction(image[q], den) for q in sub.pivots])
     return Matrix(tuple(zip(*cols)))
 
 
@@ -335,12 +343,15 @@ def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
 
 
 def _image_eigenspaces(rep, i):
-    """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its image."""
+    """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its image.
+
+    An eigenvector at lambda != 0 is A_i of itself over lambda, so it lies in
+    the image already; only the kernel of A_i needs cutting down to it."""
     a, img = rep.deformation(i), rep.images[i]
     if img.is_zero():
         return []
     ident = Matrix.identity(rep.r)
-    return [(lam, img.intersect(kernel_basis(a - ident * lam)))
+    return [(lam, kernel_basis(a - ident * lam) if lam else img.intersect(kernel_basis(a)))
             for lam in rational_eigenvalues(_restriction_matrix(a, img))]
 
 
@@ -495,9 +506,9 @@ def chain_basis(rep) -> Matrix:
 def extract_standard_form(rep) -> StandardFormResult:
     """Conjugate a corank-2 chain representation into the standard family.
 
-    Returns the single twist parameter u and the change of basis; the
-    conjugated generator images are compared entry-exactly against the
-    standard family before returning.
+    Returns the single twist parameter u, the change of basis and the
+    standard family at u; the conjugated generator images are compared
+    entry-exactly against that family before returning.
     """
     basis, twists = _chain_data(rep)
     if len(set(twists)) != 1:
@@ -510,9 +521,12 @@ def extract_standard_form(rep) -> StandardFormResult:
             witness=Subspace(rep.r, (basis * ones,)),
         )
     target = tym_standard(rep.n, u)
-    binv = inverse(basis)
+    # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
+    # = T_i.  basis T_i is formed as (T_i^T basis^T)^T, whose left factor
+    # is sparse.
+    basis_t = basis.transpose()
     for i in range(1, rep.n):
-        if binv * rep.gen(i) * basis != target.gen(i):
+        if rep.gen(i) * basis != (target.gen(i).transpose() * basis_t).transpose():
             raise NotARepresentationError(
                 f"conjugated image of generator {i} does not match the standard family"
             )
@@ -524,7 +538,7 @@ def extract_standard_form(rep) -> StandardFormResult:
         "twist_factors_all_equal": True,
         "conjugated_images_match_standard_family": True,
     }
-    return StandardFormResult(u=u, basis=basis, witness_checks=checks)
+    return StandardFormResult(u=u, basis=basis, witness_checks=checks, standard=target)
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
@@ -538,17 +552,18 @@ def tym_irreducibility(n, u) -> IrreducibilityVerdict:
     one ``decide_irreducibility`` reaches, as on the command line.
     """
     u = rational(u)
-    if u == 1:
-        return _common_fixed_vectors(tym_standard(n, u))
-    if n > 2:
-        return _standard_fullness_certificate(n, u)
     rep = tym_standard(n, u)
+    if u == 1:
+        return _common_fixed_vectors(rep)
+    if n > 2:
+        return _standard_fullness_certificate(rep)
     corank_val, _, graph_class, _ = corank_and_graph(rep)
     return decide_irreducibility(rep, corank_val, graph_class)[0]
 
 
-def _standard_fullness_certificate(n, u) -> IrreducibilityVerdict:
-    """Certify that the standard family at u != 1 spans the full algebra.
+def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
+    """Certify that ``rep``, the standard family at some u != 1 on n > 2
+    strands, spans the full algebra.
 
     The neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 is (u - 1) times a diagonal
     matrix unit, a rank-one element of the generated algebra, so the
@@ -556,11 +571,10 @@ def _standard_fullness_certificate(n, u) -> IrreducibilityVerdict:
     Exactly as conclusive as the closure computation; raises unless the
     certificate proves the algebra full.
     """
-    rep = tym_standard(n, rational(u))
     if not _rank_one_fullness(rep):
-        raise RuntimeError(f"rank-one certificate does not prove tym(n={n},u={u}) full")
+        raise RuntimeError(f"rank-one certificate does not prove {rep.label} full")
     return IrreducibilityVerdict(
-        Verdict.ABSOLUTELY_IRREDUCIBLE, None, n * n,
+        Verdict.ABSOLUTELY_IRREDUCIBLE, None, rep.r ** 2,
         detail="coordinate projectors certify the full matrix algebra",
     )
 
@@ -644,7 +658,7 @@ def _search_past_fixed_vectors(rep, seed, trials) -> IrreducibilityVerdict:
     except (NeedsFieldExtensionError, NotARepresentationError) as exc:
         notes.append(str(exc))
     for i in range(n):
-        for vec in rep.meet(i, (i + 1) % n).basis_vectors():
+        for vec in rep.meet(i, (i + 1) % n).rows:
             verdict = _verified_reducible(
                 rep, spin(rep, vec), f"orbit of a neighbor-intersection vector at ({i},{(i + 1) % n})"
             )
@@ -696,7 +710,7 @@ def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
     if chain_candidate:
         try:
             standard_form = extract_standard_form(rep)
-            verdict = _standard_fullness_certificate(rep.n, standard_form.u)
+            verdict = _standard_fullness_certificate(standard_form.standard)
             detail = f"equivalent to the standard family at u={standard_form.u}; {verdict.detail}"
             return replace(verdict, detail=detail), standard_form, None
         except ReducibleSignal as exc:

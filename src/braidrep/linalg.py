@@ -9,9 +9,11 @@ Python ints with a single normalising gcd per result, and the
 Matrices are immutable and safe to share.
 
 Elimination is fraction-free (``EchelonSpan`` keeps primitive integer rows).
-Subspaces are stored in a canonical form (reduced column echelon basis with
-pivot entries normalized to 1), which makes subspace equality a syntactic
-check on the stored entries.
+A Subspace is stored in the same integer layout, in a canonical form: the
+rows of its reduced echelon basis, each scaled to a primitive integer
+vector with a positive pivot entry.  Subspace equality is then a syntactic
+check on the stored integers, and membership, sums and intersections run
+on ints; the pivot-normalized ``Fraction`` basis is built only on request.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def rational(value) -> Fraction:
         return value
     if isinstance(value, float):
         raise ValueError("refusing to coerce a float; pass 'p/q' or an int")
+    if isinstance(value, bool):
+        raise ValueError("refusing to coerce a boolean; pass 'p/q' or an int")
     return Fraction(value)
 
 
@@ -47,7 +51,7 @@ def format_rational(value) -> str:
 def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
-    Entries are ints, Fractions or 'p/q' strings; floats are refused."""
+    Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
     pairs = [(e, 1) if type(e) is int else rational(e).as_integer_ratio() for e in vec]
     den = math.lcm(*(d for _, d in pairs))
     return [p * (den // d) for p, d in pairs], den
@@ -76,7 +80,7 @@ class Matrix:
     Fractions) or by a scalar.  A matrix product skips the zero entries of
     mostly-zero rows of the left factor, so products with the sparse
     generator images stay cheap.  Entries given to the constructor are ints,
-    Fractions or 'p/q' strings; floats are refused.
+    Fractions or 'p/q' strings; floats and booleans are refused.
     """
 
     __slots__ = ("num", "den", "nrows", "ncols")
@@ -239,12 +243,17 @@ def rank(m: Matrix) -> int:
 class Subspace:
     """A linear subspace of Q^n held in canonical form.
 
-    Internally the basis vectors are the rows of a reduced row echelon
-    matrix, ordered by pivot.  Two Subspace values describe the same set of
-    vectors exactly when their stored bases are entry-wise equal.
+    The basis is stored as ``rows``: the integer rows of the reduced row
+    echelon form, each scaled to a primitive vector with a positive entry at
+    its pivot, ordered by pivot, with ``pivots`` their pivot columns.  That
+    scaling is unique, so two Subspace values describe the same set of
+    vectors exactly when their stored rows are equal, and membership,
+    intersection and sums run on Python ints.  The pivot-normalized
+    ``Fraction`` views (``basis_vectors``, ``vector``, ``basis``) are built
+    only on request.
     """
 
-    __slots__ = ("ambient_dim", "_vectors", "_pivots", "__dict__")
+    __slots__ = ("ambient_dim", "rows", "pivots", "__dict__")
 
     def __init__(self, ambient_dim, vectors):
         """Canonicalize an arbitrary spanning set (vectors of length ambient_dim)."""
@@ -254,74 +263,98 @@ class Subspace:
                 raise ShapeError("spanning vector has wrong length")
             span.add(clear_denominators(v)[0])
         self.ambient_dim = ambient_dim
-        self._vectors, self._pivots = span.canonical_rows()
+        self.rows, self.pivots = span.canonical_rows()
 
     @classmethod
-    def _from_canonical(cls, ambient_dim, vectors, pivots):
-        """Trusted constructor for vectors already in canonical form."""
+    def _from_canonical(cls, ambient_dim, rows, pivots):
+        """Trusted constructor for integer rows already in canonical form."""
         self = cls.__new__(cls)
         self.ambient_dim = ambient_dim
-        self._vectors = tuple(tuple(v) for v in vectors)
-        self._pivots = tuple(pivots)
+        self.rows = rows
+        self.pivots = pivots
         return self
 
     @classmethod
+    def _span(cls, ambient_dim, int_vectors) -> "Subspace":
+        """The span of integer vectors of length ambient_dim, unchecked."""
+        span = EchelonSpan(ambient_dim)
+        for v in int_vectors:
+            span.add(v)
+        return span.to_subspace()
+
+    @classmethod
     def zero(cls, ambient_dim):
-        return cls(ambient_dim, ())
+        return cls._from_canonical(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim):
         return cls._from_canonical(
             ambient_dim,
-            tuple(tuple(_F1 if i == j else _F0 for j in range(ambient_dim)) for i in range(ambient_dim)),
+            tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
             tuple(range(ambient_dim)),
         )
 
     @property
     def dim(self):
-        return len(self._vectors)
+        return len(self.rows)
 
     def is_zero(self):
-        return not self._vectors
+        return not self.rows
 
     def is_full(self):
         return self.dim == self.ambient_dim
 
     @cached_property
+    def _leads(self):
+        """The pivot entries of the rows, and their lcm."""
+        leads = tuple(row[p] for p, row in zip(self.pivots, self.rows))
+        return leads, math.lcm(*leads)
+
+    @cached_property
+    def _fraction_vectors(self):
+        return tuple(tuple(Fraction(e, lead) for e in row) for lead, row in zip(self._leads[0], self.rows))
+
+    @cached_property
     def basis(self) -> Matrix:
         """Basis as a matrix whose columns are the canonical basis vectors."""
-        if not self._vectors:
+        if not self.rows:
             return Matrix(((),) * self.ambient_dim) if self.ambient_dim else Matrix(((),))
-        return Matrix(tuple(zip(*self._vectors)))
+        leads, den = self._leads
+        cols = [[e * (den // lead) for e in row] for lead, row in zip(leads, self.rows)]
+        return _lowest_terms(list(zip(*cols)), den)
 
     def basis_vectors(self):
-        return self._vectors
+        """The canonical basis vectors, as ``Fraction`` tuples with pivot entries 1."""
+        return self._fraction_vectors
 
     def vector(self, j):
         """The j-th canonical basis vector."""
-        return self._vectors[j]
+        return self._fraction_vectors[j]
 
-    def _residual(self, v):
-        w = [e if isinstance(e, Fraction) else Fraction(e) for e in v]
-        for p, row in zip(self._pivots, self._vectors):
-            c = w[p]
+    def contains_ints(self, vec) -> bool:
+        """Membership of an integer vector, without a length check."""
+        # The rows vanish at each other's pivots, so vec lies in the span
+        # exactly when m * vec is the combination of the rows with
+        # coefficients vec[p] * m / row[p], m the lcm of the pivot entries.
+        leads, m = self._leads
+        acc = [e * m for e in vec]
+        for p, lead, row in zip(self.pivots, leads, self.rows):
+            c = vec[p]
             if c:
-                w = [a - c * b for a, b in zip(w, row)]
-        return w
+                c *= m // lead
+                acc = [a - c * b for a, b in zip(acc, row)]
+        return not any(acc)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length does not match ambient dimension")
-        return not any(self._residual(v))
+        return self.contains_ints(clear_denominators(v)[0])
 
     def coordinates(self, v):
         """Coefficients of v in the canonical basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        coords = [v[p] if isinstance(v[p], Fraction) else Fraction(v[p]) for p in self._pivots]
-        if any(self._residual(v)):
+        if not self.contains(v):
             return None
-        return tuple(coords)
+        return tuple(rational(v[p]) for p in self.pivots)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, computed by the block echelon (Zassenhaus) construction."""
@@ -330,30 +363,28 @@ class Subspace:
         d = self.ambient_dim
         if self.is_zero() or other.is_zero():
             return Subspace.zero(d)
-        zeros = [0] * d
+        zeros = (0,) * d
         span = EchelonSpan(2 * d)
-        for v in self._vectors:
-            iv = clear_denominators(v)[0]
-            span.add(iv + iv)
-        for v in other._vectors:
-            span.add(clear_denominators(v)[0] + zeros)
-        inter = [row[d:] for row, p in zip(span.rows, span.pivots) if p >= d]
-        return Subspace(d, inter)
+        for row in self.rows:
+            span.add(row + row)
+        for row in other.rows:
+            span.add(row + zeros)
+        return Subspace._span(d, [row[d:] for row, p in zip(span.rows, span.pivots) if p >= d])
 
     def __add__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
-        return Subspace(self.ambient_dim, self._vectors + other._vectors)
+        return Subspace._span(self.ambient_dim, self.rows + other.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self._vectors == other._vectors
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._vectors))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -361,7 +392,7 @@ class Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column space of m."""
-    return Subspace(m.nrows, tuple(zip(*m.num)))
+    return Subspace._span(m.nrows, zip(*m.num))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -375,13 +406,15 @@ def kernel_basis(m: Matrix) -> Subspace:
     for f in range(m.ncols):
         if f in pivot_set:
             continue
-        v = [_F0] * m.ncols
-        v[f] = _F1
+        # Free column f: lead * e_f minus row[f] * lead / row[p] at each pivot p.
+        lead = math.lcm(1, *(row[p] for p, row in zip(pivots, rows) if row[f]))
+        v = [0] * m.ncols
+        v[f] = lead
         for row, p in zip(rows, pivots):
             if row[f]:
-                v[p] = -row[f]
+                v[p] = -row[f] * (lead // row[p])
         vectors.append(v)
-    return Subspace(m.ncols, vectors)
+    return Subspace._span(m.ncols, vectors)
 
 
 def intersect_stacked_kernel(u: Subspace, v: Subspace) -> Subspace:
@@ -394,24 +427,20 @@ def intersect_stacked_kernel(u: Subspace, v: Subspace) -> Subspace:
         raise ShapeError("subspaces live in different ambient spaces")
     if u.is_zero() or v.is_zero():
         return Subspace.zero(u.ambient_dim)
-    ucols = u.basis_vectors()
-    vcols = v.basis_vectors()
     stacked = Matrix(
         tuple(
-            tuple(c[i] for c in ucols) + tuple(-c[i] for c in vcols)
+            tuple(c[i] for c in u.rows) + tuple(-c[i] for c in v.rows)
             for i in range(u.ambient_dim)
         )
     )
-    ker = kernel_basis(stacked)
     vectors = []
-    for coeffs in ker.basis_vectors():
-        a = coeffs[: u.dim]
-        vec = [_F0] * u.ambient_dim
-        for c, col in zip(a, ucols):
+    for coeffs in kernel_basis(stacked).rows:
+        vec = [0] * u.ambient_dim
+        for c, col in zip(coeffs[: u.dim], u.rows):
             if c:
                 vec = [x + c * y for x, y in zip(vec, col)]
         vectors.append(vec)
-    return Subspace(u.ambient_dim, vectors)
+    return Subspace._span(u.ambient_dim, vectors)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -576,11 +605,7 @@ def block_diagonal(blocks) -> Matrix:
 
 def _primitive(v):
     """Divide out the gcd of an integer vector, in place semantics."""
-    g = 0
-    for e in v:
-        g = math.gcd(g, e)
-        if g == 1:
-            return v
+    g = math.gcd(*v)
     if g > 1:
         return [e // g for e in v]
     return v
@@ -643,14 +668,10 @@ class EchelonSpan:
         return rows
 
     def canonical_rows(self):
-        """Pivot-normalized, fully reduced rational rows and their pivots
-        (the unique reduced echelon basis of the current span)."""
-        canonical = []
-        for p, row in zip(self.pivots, self.reduced_rows()):
-            lead = row[p]
-            canonical.append(tuple(Fraction(e, lead) for e in row))
-        return tuple(canonical), tuple(self.pivots)
+        """The canonical integer rows of the current span (the reduced
+        echelon basis, each row primitive with a positive pivot entry) and
+        their pivots, as tuples."""
+        return tuple(map(tuple, self.reduced_rows())), tuple(self.pivots)
 
     def to_subspace(self):
-        rows, pivots = self.canonical_rows()
-        return Subspace._from_canonical(self.length, rows, pivots)
+        return Subspace._from_canonical(self.length, *self.canonical_rows())

@@ -15,7 +15,16 @@ from random import Random
 
 from . import braid
 from .errors import NotARepresentationError, ShapeError, SingularMatrixError
-from .linalg import Matrix, Subspace, block_diagonal, image_basis, inverse, rank, rational
+from .linalg import (
+    Matrix,
+    Subspace,
+    block_diagonal,
+    clear_denominators,
+    image_basis,
+    inverse,
+    rank,
+    rational,
+)
 
 
 class Representation:
@@ -120,11 +129,14 @@ def character_rep(n, y) -> Representation:
 
 
 def _embed(size, at, block):
-    rows = [[Fraction(i == j) for j in range(size)] for i in range(size)]
-    for i, brow in enumerate(block):
-        for j, e in enumerate(brow):
-            rows[at + i][at + j] = rational(e)
-    return Matrix(rows)
+    """The size x size identity with the square block of rationals placed at
+    (at, at), built from integer rows over the block's common denominator."""
+    k = len(block)
+    flat, den = clear_denominators([e for brow in block for e in brow])
+    rows = [[den * (i == j) for j in range(size)] for i in range(size)]
+    for i in range(k):
+        rows[at + i][at : at + k] = flat[i * k : (i + 1) * k]
+    return Matrix(rows) * Fraction(1, den)
 
 
 def tym_standard(n, u) -> Representation:
@@ -230,10 +242,18 @@ def rep_to_dict(rep) -> dict:
     }
 
 
+def _whole_number(value, key):
+    """An integer field of representation data; a float or a boolean is
+    refused rather than truncated or read as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return int(value)
+
+
 def rep_from_dict(data) -> Representation:
     try:
-        n = int(data["n"])
-        r = int(data["r"])
+        n = _whole_number(data["n"], "n")
+        r = _whole_number(data["r"], "r")
         gens = [Matrix.from_strings(g) for g in data["generators"]]
         label = str(data.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -10,6 +11,8 @@ from braidrep import (
     tensor_character,
     tym_standard,
 )
+from braidrep.linalg import Matrix
+from braidrep.zoo import Representation, random_invertible_matrix
 
 
 def build_zoo():
@@ -32,6 +35,23 @@ def build_zoo():
         scrambled(tym_standard(6, 3), 7),
         scrambled(reduced_burau(5, 2), 11),
     ]
+
+
+def broken_family():
+    """Diagonal images plus a swap: the braid relations fail at (1, 2) and
+    (2, 3), far commutation at (1, 3), and the deformation ranks disagree."""
+    return Representation(
+        4, 2,
+        [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]]), Matrix([[0, 1], [1, 0]])],
+    )
+
+
+def random_families():
+    """Seeded random invertible 3 x 3 images on 4 strands: not representations."""
+    for seed in range(6):
+        rng = Random(seed)
+        yield Representation(4, 3, [random_invertible_matrix(3, rng) for _ in range(3)],
+                             label=f"random(seed={seed})")
 
 
 @pytest.fixture(scope="session")

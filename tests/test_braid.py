@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from braidrep.braid import (
     BraidWord,
+    RelationReport,
     circular_distance,
     evaluate_word,
     sigma0_image,
@@ -24,6 +25,7 @@ from braidrep.zoo import (
     reduced_burau,
     tym_standard,
 )
+from conftest import broken_family, build_zoo, random_families
 
 F = Fraction
 
@@ -191,3 +193,68 @@ def test_free_reduction_does_not_change_the_product(body, idx, cut):
     word = BraidWord(4, tuple(body))
     padded = BraidWord(4, tuple(body[:cut]) + ((idx, 1), (idx, -1)) + tuple(body[cut:]))
     assert evaluate_word(rep, word) == evaluate_word(rep, padded)
+
+
+def _pairwise_report(rep):
+    """Reference: every defining relation tested on its own pair, braid
+    relations first, then far commutation row by row."""
+    g = rep.generators
+    braid = [("braid relation", (i, i + 1)) for i in range(1, rep.n - 1)
+             if g[i - 1] * g[i] * g[i - 1] != g[i] * g[i - 1] * g[i]]
+    far = [("far commutation", (i, j)) for i in range(1, rep.n) for j in range(i + 2, rep.n)
+           if g[i - 1] * g[j - 1] != g[j - 1] * g[i - 1]]
+    return RelationReport(not braid, not far, braid + far)
+
+
+def _permutation(images):
+    """The matrix sending e_x to e_images[x]."""
+    size = len(images)
+    return Matrix([[int(images[j] == i) for j in range(size)] for i in range(size)])
+
+
+def only_far_pairs_broken():
+    """5 strands on permutation matrices of size 6: g_1 = a is a 3-cycle and
+    g_i = d^(i-1) a d^(1-i) for the 5-cycle d, with d^5 = (a d)^4.  Then
+    g_1 g_2 g_3 g_4 = d, so d g_i = g_(i+1) d, and the braid relations hold,
+    but g_1 commutes with neither g_3 nor g_4: only the far-commutation
+    check of the shortcut sees the failure."""
+    a = _permutation((1, 2, 0, 3, 4, 5))
+    d = _permutation((0, 2, 3, 4, 5, 1))
+    dinv = d.transpose()
+    gens = [a]
+    for _ in range(3):
+        gens.append(d * gens[-1] * dinv)
+    return Representation(5, 6, gens, label="far pairs broken")
+
+
+def only_a_braid_pair_broken():
+    """Burau on 3 strands, then the scalar 2: every far pair commutes, and
+    the braid relation fails at (2, 3) only."""
+    burau = reduced_burau(3, 2)
+    return Representation(4, 2, [*burau.generators, Matrix([[2, 0], [0, 2]])], label="braid pair broken")
+
+
+def _shortcut_cases():
+    yield from build_zoo()
+    yield broken_family()
+    yield from random_families()
+    yield only_far_pairs_broken()
+    yield only_a_braid_pair_broken()
+    yield tym_standard(2, 4)
+    yield Representation(2, 1, [Matrix([[3]])], label="n=2 character")
+    yield reduced_burau(3, 2)
+    yield Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]])], label="n=3 diagonal")
+
+
+@pytest.mark.parametrize("rep", list(_shortcut_cases()), ids=lambda rep: rep.label or "broken")
+def test_relation_shortcut_matches_the_pairwise_scan(rep):
+    assert verify_braid_relations(rep) == _pairwise_report(rep)
+
+
+def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():
+    rep = only_far_pairs_broken()
+    d, g = rep.tau, rep.generators
+    assert all(d * g[i] == g[i + 1] * d for i in range(3))
+    report = verify_braid_relations(rep)
+    assert report.braid_relations_ok and not report.far_commutation_ok
+    assert [pair for _, pair in report.failures] == [(1, 3), (1, 4), (2, 4)]

@@ -43,13 +43,12 @@ from braidrep.zoo import (
     conjugate_rep,
     corank,
     direct_sum,
-    random_invertible_matrix,
     reduced_burau,
     scrambled,
     tensor_character,
     tym_standard,
 )
-from conftest import build_zoo
+from conftest import broken_family, build_zoo, random_families
 
 F = Fraction
 
@@ -347,13 +346,6 @@ def test_analyze_reports_trivial_action():
     assert "trivial" in report.verdict.detail
 
 
-def broken_family():
-    return Representation(
-        4, 2,
-        [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]]), Matrix([[0, 1], [1, 0]])],
-    )
-
-
 def test_analyze_records_errors_for_broken_families():
     report = analyze(broken_family())
     assert not report.relations["far_commutation_ok"]
@@ -498,10 +490,7 @@ def test_ladder_agrees_with_algebra_dimension(zoo):
 def _relation_families():
     yield from build_zoo()
     yield broken_family()
-    for seed in range(6):
-        rng = Random(seed)
-        yield Representation(4, 3, [random_invertible_matrix(3, rng) for _ in range(3)],
-                             label=f"random(seed={seed})")
+    yield from random_families()
 
 
 @pytest.mark.parametrize("rep", list(_relation_families()), ids=lambda rep: rep.label or "broken")
@@ -521,17 +510,28 @@ def test_spin_is_closed_under_inverses_across_zoo(zoo):
             assert _is_invariant(rep, orbit), (rep.label, k)
 
 
-def test_analyze_intersects_each_pair_of_images_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("rep, eigenvector_pair", [
+    (scrambled(tym_standard(8, 2), 1), False),
+    # A_1 has only nonzero eigenvalues on its image, so neither the spectral
+    # projector nor the eigenvector chain intersects an eigenspace with it.
+    (scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1), True),
+], ids=["chain", "direct sum"])
+def test_analyze_intersects_each_pair_of_images_once(monkeypatch, rep, eigenvector_pair):
+    import braidrep.classify as classify
+
+    calls, pairs = [], []
     original = Subspace.intersect
+    step = classify._simple_eigenvector_pair
 
     def counted(self, other):
         calls.append(1)
         return original(self, other)
 
     monkeypatch.setattr(Subspace, "intersect", counted)
-    analyze(scrambled(tym_standard(8, 2), 1))
-    assert len(calls) <= 28
+    monkeypatch.setattr(classify, "_simple_eigenvector_pair", lambda rep: pairs.append(1) or step(rep))
+    analyze(rep)
+    assert len(calls) <= rep.n * (rep.n - 1) // 2
+    assert bool(pairs) is eigenvector_pair
 
 
 def test_rank_one_certificate_matches_algebra_dimension(zoo):

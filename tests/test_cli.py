@@ -134,6 +134,25 @@ def test_bad_matrix_shape_in_file_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 3.9),  # read as 3 strands
+    ("r", 1.7),  # read as dimension 1
+    ("entry", True),  # read as the entry 1
+])
+def test_non_integral_or_boolean_data_in_file_exits_two(tmp_path, capsys, field, value):
+    data = {"n": 3, "r": 1, "generators": [[["2"]], [["2"]]], "label": ""}
+    if field == "entry":
+        data["generators"][0][0][0] = value
+    else:
+        data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "malformed representation data" in err
+
+
 def test_zero_parameter_exits_two(capsys):
     code, _, _ = capture(capsys, ["make", "char:n=4,y=0"])
     assert code == 2
