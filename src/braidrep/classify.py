@@ -316,15 +316,12 @@ def _verified_reducible(rep, w: Subspace | None, detail):
 
 def _restriction_matrix(m: Matrix, sub: Subspace) -> Matrix:
     """Matrix of m acting on an m-invariant subspace, in its canonical basis."""
-    # The canonical basis vector b_j is row j over its pivot entry, and the
-    # coordinates of a vector of sub are its entries at the pivots.
     cols = []
-    for p, row in zip(sub.pivots, sub.rows):
-        image = _left_mul(m.num, 1, row)
-        if not sub.contains_ints(image):
+    for v in sub.basis_vectors():
+        coords = sub.coordinates(m * v)
+        if coords is None:
             raise PreconditionError("subspace is not invariant under the operator")
-        den = m.den * row[p]
-        cols.append([Fraction(image[q], den) for q in sub.pivots])
+        cols.append(coords)
     return Matrix(tuple(zip(*cols)))
 
 
