@@ -437,7 +437,8 @@ def _chain_data(rep):
     intersections, no non-neighbor friendships; then builds the chain basis
     and checks that each step stays in the successive intersections, that
     each generator sends its own chain vector back into the previous span,
-    and that the columns are independent.
+    and that the columns are independent.  When D shifts the images, only
+    the pairs (0, d) are intersected; the first failure is the same.
     """
     n, r = rep.n, rep.r
     if n < 4:
@@ -447,8 +448,8 @@ def _chain_data(rep):
     k = corank(rep)
     if k != 2:
         raise PreconditionError(f"corank is {k}, not 2")
-    inter = []
-    for i in range(n):
+    starts, stop = (1, n // 2 + 1) if rep.shift_invariant else (n, n)
+    for i in range(starts):
         w = rep.meet(i, (i + 1) % n)
         if w.dim >= 2:
             raise ReducibleSignal(
@@ -459,18 +460,20 @@ def _chain_data(rep):
             raise PreconditionError(
                 f"friendship graph is not a chain: images {i} and {(i + 1) % n} meet trivially"
             )
-        inter.append(w)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(starts):
+        for j in range(i + 2, stop):
             if circular_distance(i, j, n) >= 2 and not rep.meet(i, j).is_zero():
                 raise PreconditionError(
                     f"friendship graph is not a chain: non-neighbor friendship at ({i},{j})"
                 )
-    cols = [inter[0].vector(0)]
+    # Each neighbor meet is a line, so a nonzero vector spans it exactly
+    # when it lies in both images.
+    cols = [rep.meet(0, 1).vector(0)]
     for i in range(1, n):
         cols.append(rep.gen(i) * cols[-1])
+    ims = rep.images
     for i in range(n):
-        if Subspace(r, (cols[i],)) != inter[i]:
+        if not (any(cols[i]) and ims[i].contains(cols[i]) and ims[(i + 1) % n].contains(cols[i])):
             raise NotARepresentationError(
                 f"chain vector {i} does not span the expected neighbor intersection"
             )
@@ -837,16 +840,6 @@ class AnalysisReport:
 def analyze(rep, seed=None) -> AnalysisReport:
     """Run the whole pipeline and collect findings instead of aborting."""
     seed = DEFAULT_SEED if seed is None else int(seed)
-    # The deformed relations restate the braid relations, and an image of B_n
-    # passes the cyclic check by theorem: only a broken family needs it run.
-    report = verify_braid_relations(rep)
-    relations = {
-        "braid_relations_ok": report.braid_relations_ok,
-        "far_commutation_ok": report.far_commutation_ok,
-        "cyclic_conjugation_ok": report.ok or verify_cyclic_conjugation(rep),
-        "deformed_relations_ok": report.ok,
-        "failures": [[desc, list(pair)] for desc, pair in report.failures],
-    }
     corank_val, corank_err, graph_class, graph_err = corank_and_graph(rep)
     notes = []
     verdict, standard_form, standard_form_err = decide_irreducibility(
@@ -871,6 +864,18 @@ def analyze(rep, seed=None) -> AnalysisReport:
             except (ReducibleSignal, PreconditionError, NotARepresentationError,
                     NeedsFieldExtensionError) as exc:
                 standard_form_err = str(exc)
+    # A standard form proves g_i = B T_i B^-1 with B invertible, so the sparse
+    # family T satisfies exactly the relations of the input, failures and all.
+    # The deformed relations restate the braid relations, and an image of B_n
+    # passes the cyclic check by theorem: only a broken family needs it run.
+    report = verify_braid_relations(rep if standard_form is None else standard_form.standard)
+    relations = {
+        "braid_relations_ok": report.braid_relations_ok,
+        "far_commutation_ok": report.far_commutation_ok,
+        "cyclic_conjugation_ok": report.ok or verify_cyclic_conjugation(rep),
+        "deformed_relations_ok": report.ok,
+        "failures": [[desc, list(pair)] for desc, pair in report.failures],
+    }
     if rep.n in (4, 5) and corank_val == 2 and rep.r >= rep.n:
         notes.append(
             f"n={rep.n} sits outside the chain classification; "

@@ -9,6 +9,8 @@ deterministic for a fixed argv and seed.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import sys
@@ -290,6 +292,13 @@ def _cmd_sweep(args):
 
 
 def _build_parser():
+    """A shallow copy of the parser built once per process, so an attribute
+    set on it (bench/tracer.py wraps parse_args) stays with one run."""
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="braidrep",
         description="Construct, verify and classify rational braid group representations.",

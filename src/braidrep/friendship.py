@@ -109,7 +109,13 @@ def are_true_friends(rep, i, j) -> bool:
 
 
 def _graph(rep, labels, full) -> FriendshipGraph:
-    adj = tuple(tuple(i != j and are_friends(rep, i, j) for j in labels) for i in labels)
+    # When D shifts the images, each pair is a D-translate of (0, d).
+    if rep.shift_invariant:
+        n = rep.n
+        dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
+        adj = tuple(tuple(circular_distance(i, j, n) in dset for j in labels) for i in labels)
+    else:
+        adj = tuple(tuple(i != j and are_friends(rep, i, j) for j in labels) for i in labels)
     return FriendshipGraph(len(labels), full, adj)
 
 

@@ -1,16 +1,17 @@
 """Constructors and combinators for braid group matrix representations.
 
-Each Representation stores the n-1 generator images; the derived image of
-s0, the deformations A_i = image - 1, their images and the pairwise
-intersections of those images are computed on demand and cached.  All values
-are immutable after construction.
+Each Representation stores the n-1 generator images, their product D and
+its inverse; the derived image of s0, the deformations A_i = image - 1, their
+images and the pairwise intersections of those images are computed on demand
+and cached.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 from random import Random
 
 from . import braid
@@ -39,20 +40,27 @@ class Representation:
     def __init__(self, n, r, generators, label=""):
         if n < 2:
             raise ValueError("need at least 2 strands")
+        if r < 1:
+            raise ShapeError(f"dimension must be at least 1, got {r}")
         generators = tuple(generators)
         if len(generators) != n - 1:
             raise ShapeError(f"expected {n - 1} generator images, got {len(generators)}")
-        for g in generators:
-            if g.shape != (r, r):
-                raise ShapeError("generator images must all be square of the stated size")
-            if rank(g) != r:
-                raise SingularMatrixError("generator image is singular")
+        if any(g.shape != (r, r) for g in generators):
+            raise ShapeError("generator images must all be square of the stated size")
         self.n = n
         self.r = r
         self.generators = generators
         self.label = label
         self._inverses = {}
+        self._deformations = {}
         self._meets = {}
+        # D = g_1 ... g_(n-1), the image of delta, is invertible exactly when
+        # every g_i is; sigma0 needs D^-1 anyway.
+        self.tau = reduce(mul, generators)
+        try:
+            self.tau_inverse = inverse(self.tau)
+        except SingularMatrixError:
+            raise SingularMatrixError("generator image is singular") from None
 
     def gen(self, i) -> Matrix:
         """Image of generator i, with i = 0 giving the derived s0 image."""
@@ -68,35 +76,33 @@ class Representation:
         return self._inverses[i]
 
     @cached_property
-    def tau(self) -> Matrix:
-        out = self.generators[0]
-        for g in self.generators[1:]:
-            out = out * g
-        return out
-
-    @cached_property
-    def tau_inverse(self) -> Matrix:
-        return inverse(self.tau)
-
-    @cached_property
     def sigma0(self) -> Matrix:
         return self.tau * self.generators[-1] * self.tau_inverse
-
-    @cached_property
-    def _deformations(self):
-        ident = Matrix.identity(self.r)
-        return tuple(self.gen(i) - ident for i in range(self.n))
 
     def deformation(self, i) -> Matrix:
         """A_i = image of generator i minus the identity, for i in 0..n-1."""
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
+        if i not in self._deformations:
+            self._deformations[i] = self.gen(i) - Matrix.identity(self.r)
         return self._deformations[i]
 
     @cached_property
     def images(self) -> tuple[Subspace, ...]:
         """Column spaces of the deformations A_0..A_{n-1}."""
-        return tuple(image_basis(a) for a in self._deformations)
+        return tuple(image_basis(self.deformation(i)) for i in range(self.n))
+
+    @cached_property
+    def shift_invariant(self) -> bool:
+        """Whether D maps Im A_i onto Im A_(i+1) for i <= n-2, as in every
+        representation (delta s_i delta^-1 = s_(i+1)); at i = n-1 it holds by
+        the definition of sigma0.  Then D shifts every meet of images too."""
+        d, ims = self.tau.num, self.images
+        return all(
+            ims[i].dim == ims[i + 1].dim
+            and all(ims[i + 1].contains_ints([sum(map(mul, row, v)) for row in d]) for v in ims[i].rows)
+            for i in range(self.n - 1)
+        )
 
     def meet(self, i, j) -> Subspace:
         """Intersection of the images of A_i and A_j, cached per unordered pair."""
@@ -256,7 +262,7 @@ def rep_from_dict(data) -> Representation:
         r = _whole_number(data["r"], "r")
         gens = [Matrix.from_strings(g) for g in data["generators"]]
         label = str(data.get("label", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed representation data: {exc}") from exc
     return Representation(n, r, gens, label=label)
 

@@ -34,7 +34,7 @@ from braidrep.classify import (
     verdict_to_json_dict,
 )
 from braidrep.cli import run
-from braidrep.errors import PreconditionError, ReducibleSignal
+from braidrep.errors import NotARepresentationError, PreconditionError, ReducibleSignal
 from braidrep.friendship import neighbor_form
 from braidrep.linalg import Matrix, Subspace, rank
 from braidrep.zoo import (
@@ -678,3 +678,69 @@ def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
         assert report.standard_form_error.startswith("friendship graph is not a chain")
     else:
         assert "violates the dimension bound" in report.standard_form_error
+
+
+def test_chain_analyze_checks_relations_on_the_standard_family_only(monkeypatch):
+    import braidrep.classify as classify
+
+    calls = []
+    original = classify.verify_braid_relations
+
+    def spy(rep):
+        calls.append(rep)
+        return original(rep)
+
+    monkeypatch.setattr(classify, "verify_braid_relations", spy)
+    report = analyze(scrambled(tym_standard(8, F(5, 3)), 3))
+    assert report.standard_form is not None
+    assert len(calls) == 1 and calls[0] is report.standard_form.standard
+
+
+_CHAIN_GRID = [
+    scrambled(tym_standard(n, u), seed)
+    for n, u, seed in [(6, 2, 1), (7, F(5, 3), 2), (8, -1, 3), (9, F(-2, 3), 4),
+                       (6, 1, 5), (8, 1, 6), (10, 3, 7)]
+] + [Representation(6, 6, [Matrix.identity(6)] * 5), tym_standard(7, 4)]
+
+
+@pytest.mark.parametrize("rep", _CHAIN_GRID, ids=repr)
+def test_analyze_relations_equal_the_dense_check_of_the_input(rep):
+    dense = verify_braid_relations(rep)
+    assert analyze(rep).relations == {
+        "braid_relations_ok": dense.braid_relations_ok,
+        "far_commutation_ok": dense.far_commutation_ok,
+        "cyclic_conjugation_ok": dense.ok or verify_cyclic_conjugation(rep),
+        "deformed_relations_ok": dense.ok,
+        "failures": [[desc, list(pair)] for desc, pair in dense.failures],
+    }
+
+
+def _chain_outcome(rep):
+    try:
+        result = extract_standard_form(rep)
+    except (PreconditionError, ReducibleSignal, NotARepresentationError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return result.u, result.basis
+
+
+def _through_b3(t):
+    """Burau of B_3 pulled back along s1, s2, s3 -> s1, s2, s1."""
+    g1, g2 = reduced_burau(3, t).generators
+    return Representation(4, 2, [g1, g2, g1])
+
+
+@pytest.mark.parametrize("rep", build_zoo() + _CHAIN_GRID + [
+    # neighbor images coincide; non-neighbor friends (n = 4, 6); neighbors meet trivially
+    direct_sum(direct_sum(character_rep(6, 2), character_rep(6, 3)),
+               direct_sum(direct_sum(character_rep(6, 1), character_rep(6, 1)),
+                          direct_sum(character_rep(6, 1), character_rep(6, 1)))),
+    scrambled(direct_sum(reduced_burau(4, 2), character_rep(4, 3)), 2),
+    scrambled(direct_sum(reduced_burau(6, 2), character_rep(6, -1)), 3),
+    scrambled(direct_sum(_through_b3(2), _through_b3(3)), 4),
+], ids=repr)
+def test_chain_recovery_matches_the_all_pairs_scan(rep):
+    assert rep.shift_invariant
+    shortcut = _chain_outcome(rep)
+    forced = Representation(rep.n, rep.r, rep.generators)
+    forced.shift_invariant = False  # overrides the cached check: scan every pair
+    assert _chain_outcome(forced) == shortcut

@@ -1,9 +1,13 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import braidrep
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import SpecParseError
 from braidrep.linalg import Matrix
@@ -299,3 +303,45 @@ def test_irreducible_text_states_the_json_verdict(capsys, spec):
         expected.append(f"witness dimension: {len(verdict['witness'][0])}")
     expected.append(verdict["detail"])
     assert text.splitlines() == expected
+
+
+def test_one_parser_serves_consecutive_runs_like_fresh_processes(capsys):
+    """The parser is built once per process; verbs, flags and an argparse
+    error in between must leave no trace on the next run."""
+    src = str(Path(braidrep.__file__).resolve().parent.parent)
+    argvs = [
+        ["verify", "tym:n=5,u=2", "--format", "text"],
+        ["graph", "tym:n=6,u=2", "--full", "--format", "text"],
+        ["frobnicate", "tym:n=5,u=2"],
+        ["graph", "tym:n=6,u=2", "--format", "text"],
+        ["analyze", "burau:n=5,t=2", "--seed", "3", "--format", "text"],
+        ["analyze", "--format", "json", "burau:n=5,t=2"],
+        ["verify", "tym:n=5,u=2"],
+    ]
+    for argv in argvs:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "braidrep.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert capture(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert capture(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize("verb", ["verify", "graph", "analyze"])
+def test_zero_denominator_in_file_exits_two(tmp_path, capsys, verb):
+    data = {"n": 3, "r": 1, "generators": [[["1/0"]], [["2"]]], "label": ""}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, [verb, str(path)])
+    assert (code, out) == (2, "")
+    assert "malformed representation data" in err
+
+
+@pytest.mark.parametrize("verb", ["verify", "graph", "analyze"])
+def test_zero_dimension_in_file_exits_two(tmp_path, capsys, verb):
+    data = {"n": 3, "r": 0, "generators": [[], []], "label": ""}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    code, out, err = capture(capsys, [verb, str(path)])
+    assert (code, out) == (2, "")
+    assert "dimension must be at least 1" in err

@@ -24,8 +24,10 @@ from braidrep.zoo import (
     direct_sum,
     reduced_burau,
     scrambled,
+    tensor_character,
     tym_standard,
 )
+from conftest import broken_family, build_zoo, random_families
 
 F = Fraction
 
@@ -263,3 +265,36 @@ def test_graph_validation_rejects_asymmetry():
         FriendshipGraph(2, True, ((False, True), (False, False)))
     with pytest.raises(ValueError):
         FriendshipGraph(2, True, ((True, True), (True, False)))
+
+
+def _graph_inputs():
+    yield from build_zoo()
+    yield broken_family()
+    yield from random_families()
+    yield scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1)
+    yield scrambled(direct_sum(tym_standard(5, 2), tym_standard(5, -1)), 3)
+    yield scrambled(direct_sum(tym_standard(4, 2), character_rep(4, 1)), 2)
+    yield scrambled(tensor_character(reduced_burau(6, 2), -1), 4)
+    yield scrambled(tensor_character(tym_standard(8, F(5, 3)), 2), 5)
+    yield scrambled(tym_standard(9, 1), 6)
+
+
+def _all_pairs_adjacency(rep, labels):
+    """Reference: intersect the deformation images of every pair."""
+    ims = rep.images
+    return tuple(
+        tuple(i != j and not ims[i].intersect(ims[j]).is_zero() for j in labels)
+        for i in labels
+    )
+
+
+@pytest.mark.parametrize("rep", list(_graph_inputs()), ids=repr)
+def test_graph_matches_all_pairs_reference(rep):
+    assert full_friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(rep.n))
+    assert friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(1, rep.n))
+
+
+def test_shift_invariance_holds_for_representations_only():
+    assert all(rep.shift_invariant for rep in build_zoo())
+    assert not broken_family().shift_invariant
+    assert [rep.shift_invariant for rep in random_families()] == [True] * 5 + [False]

@@ -21,6 +21,7 @@ GOLDEN = {
     # corank-2 chains: standard form and its change of basis
     "chain_u2": "conj(tym:n=6,u=2,seed=3)",
     "chain_u5_3": "conj(tym:n=7,u=5/3,seed=7)",
+    "chain_n10": "conj(tym:n=10,u=-2/3,seed=11)",
     # u = 1: the all-ones line, the common fixed vectors
     "chain_u1": "conj(tym:n=8,u=1,seed=4)",
     "burau": "conj(burau:n=6,t=3,seed=5)",
@@ -33,6 +34,8 @@ GOLDEN = {
     "trivial": "dsum(char:n=5,y=1,char:n=5,y=1)",
     # a family that breaks the relations, read from a file
     "broken": str(DATA / "broken_family.json"),
+    # random images whose friendship graph is not a D-translate of one row
+    "random_seed5": str(DATA / "random_seed5.json"),
 }
 
 

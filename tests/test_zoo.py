@@ -178,6 +178,32 @@ def test_generator_images_must_be_invertible():
         Representation(3, 2, [Matrix([[1, 1], [1, 1]]), Matrix.identity(2)])
 
 
+@pytest.mark.parametrize("n, at", [(2, 0), (5, 0), (5, 2), (5, 3)])
+def test_singular_generator_is_refused_at_any_position(n, at):
+    gens = list(tym_standard(n, 2).generators)
+    gens[at] = Matrix([[int(i == j and j != at) for j in range(n)] for i in range(n)])
+    with pytest.raises(SingularMatrixError, match="^generator image is singular$"):
+        Representation(n, n, gens)
+
+
+def test_shape_errors_come_before_singularity():
+    zero = Matrix.zero(2, 2)
+    with pytest.raises(ShapeError):
+        Representation(3, 2, [zero, Matrix.identity(3)])
+    with pytest.raises(ShapeError):
+        Representation(3, 2, [zero])
+    with pytest.raises(ShapeError, match="dimension must be at least 1"):
+        Representation(3, 0, [Matrix(()), Matrix(())])
+
+
+def test_deformations_are_built_per_index():
+    rep = tym_standard(6, 2)
+    assert rep.deformation(1) == rep.generators[0] - Matrix.identity(6)
+    assert rep.deformation(5) == rep.generators[4] - Matrix.identity(6)
+    assert "sigma0" not in vars(rep)
+    assert rep.deformation(0) == rep.sigma0 - Matrix.identity(6)
+
+
 def test_random_invertible_matrix_is_seeded_and_invertible():
     a = random_invertible_matrix(4, Random(5))
     b = random_invertible_matrix(4, Random(5))
