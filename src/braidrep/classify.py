@@ -1,14 +1,18 @@
 """Invariant subspaces, irreducibility certificates and standard-form recovery.
 
 Irreducibility over the algebraic closure is certified by the generated
-matrix algebra being all of r x r (the Burnside criterion).  Where the
-algebra has a known rank-one element x y^T (A_1 at corank 1, the neighbor
-cubic of the standard family, or the spectral projector of a simple
-eigenvalue of A_1) that is decided exactly from two orbits of dimension r,
-as in Norton's test; otherwise fullness is certified by an algebra closure
-modulo a large prime.  Reducibility is certified by an explicit invariant
-subspace witness, which is always verified before being reported.  When
-neither is available the honest answer is Inconclusive.
+matrix algebra being all of r x r (the Burnside criterion).  Reducibility is
+certified by an explicit invariant subspace witness, which is always
+verified before being reported.  Both come from one Norton step over Q
+(Holt and Rees, J. Austral. Math. Soc. A 57, 1994) on a few fixed words
+theta in the generators: it spins a right vector x under the generators
+and a left vector y under their transposes, the factors of theta = x y^T
+at rank one, else kernel vectors of theta - lambda and of its transpose.
+A proper orbit is a witness; two full orbits at rank one or at nullity one
+prove the algebra full.  The words do not depend on the basis, and neither
+does the step's answer.  Where no word decides, the algebra closure does,
+modulo a large prime and then exactly; a thin algebra without a witness is
+the honest answer Inconclusive.
 
 ``decide_irreducibility`` is the one decision procedure, used by ``analyze``
 and the command line; it tries the certificates cheapest first.  Orbits and
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from operator import mul
-from random import Random
 
 from .braid import (
     circular_distance,
@@ -60,7 +63,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 DEFAULT_SEED = 0
-DEFAULT_SPIN_TRIALS = 16
 
 
 class Verdict(str, enum.Enum):
@@ -88,10 +90,6 @@ class StandardFormResult:
 
 def _scale_vec(c, v):
     return tuple(c * e for e in v)
-
-
-def _is_zero_vec(v):
-    return not any(v)
 
 
 _CLOSURE_PRIME = (1 << 61) - 1
@@ -212,61 +210,76 @@ def _rank_one_factors(m):
     return x, list(y)
 
 
-def _simple_eigenvector_pair(rep):
-    """Integer right and left eigenvectors ``(x, y)`` of A_1 for its first
-    simple nonzero rational eigenvalue, or None.
-
-    A nonzero eigenvalue is simple exactly when its right and left
-    eigenspaces are lines and y^T x != 0 (in a Jordan block of size two or
-    more the left eigenvector is orthogonal to the right one).  Then the
-    spectral projector x y^T / y^T x is a polynomial in A_1."""
+def _norton_elements(rep):
+    """``(name, theta)`` for A_1, the neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1
+    and A_1 A_2, each formed when the caller asks for it.  They are words in
+    the generators, so they lie in the generated algebra in every basis."""
     a = rep.deformation(1)
-    ident = Matrix.identity(rep.r)
-    for lam, right in _image_eigenspaces(rep, 1):
-        if lam == 0 or right.dim != 1:
-            continue
-        # (A_1 - lam)^T has the same rank, so the left eigenspace is a line too.
-        left = kernel_basis((a - ident * lam).transpose())
-        x, y = right.rows[0], left.rows[0]
-        if sum(map(mul, x, y)):
-            return list(x), list(y)
-    return None
-
-
-def _rank_one_element(rep):
-    """``(source, x, y)`` with x y^T a nonzero multiple of an element of the
-    generated algebra, from the cheapest source that has one, or None.
-    Sources: A_1 itself, the neighbor cubic of A_1 and A_2, and the spectral
-    projector of a simple nonzero eigenvalue of A_1."""
-    a = rep.deformation(1)
-    found = _rank_one_factors(a)
-    if found is not None:
-        return ("deformation", *found)
+    yield "A_1", a
     if rep.n > 2:
-        found = _rank_one_factors(neighbor_form(a, rep.deformation(2)))
-        if found is not None:
-            return ("neighbor cubic", *found)
-    found = _simple_eigenvector_pair(rep)
-    return None if found is None else ("simple eigenvalue", *found)
+        b = rep.deformation(2)
+        yield "the neighbor cubic", neighbor_form(a, b)
+        yield "A_1 A_2", a * b
 
 
-def _rank_one_fullness(rep):
-    """Whether the generated algebra A is all of r x r, decided exactly over Q
-    from one rank-one element x y^T of A; None when no source has one.
+def _norton_vectors(rep):
+    """``(kind, where, x, y, decisive)`` for the Norton step, in the order it
+    tries them: first x y^T for every theta of rank one, then, for each other
+    theta and each rational eigenvalue lambda in ascending order, the first
+    canonical rows of ker(theta - lambda) and of ker(theta - lambda)^T.
+    ``decisive`` says that two full orbits of x and y prove the algebra full:
+    always for rank one, and for a kernel exactly when it is a line."""
+    others = []
+    for name, theta in _norton_elements(rep):
+        found = _rank_one_factors(theta)
+        if found is None:
+            others.append((name, theta))
+        else:
+            yield "factor", f"{name}, which has rank one", *found, True
+    ident = Matrix.identity(rep.r)
+    for name, theta in others:
+        for lam in rational_eigenvalues(theta):
+            shifted = theta - ident * lam
+            right = kernel_basis(shifted)
+            left = kernel_basis(shifted.transpose())
+            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], left.rows[0],
+                   right.dim == 1)
 
-    A contains (a x)(y^T b) for all a, b in A, so it is full exactly when the
-    orbit A x of x under the generators and the orbit y^T A of y under their
-    transposes both reach dimension r: the rank-one case of Norton's
-    irreducibility test (Holt and Rees, J. Austral. Math. Soc. A 57, 1994).
-    A proper orbit means A is thin.
+
+def _norton_step(rep) -> IrreducibilityVerdict | None:
+    """Norton's irreducibility test over Q on the elements of ``_norton_vectors``.
+
+    A proper orbit A x of x under the generators is an invariant subspace.
+    A proper orbit of y under their transposes is invariant under them, so
+    its annihilator is invariant under the generators.  If both orbits are
+    full and theta = x y^T has rank one, A contains (a x)(y^T b) for all a,
+    b in A and is all of r x r.  If both are full and ker(theta - lambda) is
+    a line, the input is absolutely irreducible: theta - lambda is singular
+    on any proper submodule over the algebraic closure or on the quotient by
+    it, so the submodule contains x or is annihilated by y, because the
+    nullity does not change under field extension.  Returns the first
+    verdict, or None when no element decides.
     """
-    found = _rank_one_element(rep)
-    if found is None:
-        return None
-    _, x, y = found
+    r = rep.r
     gens = [rep.gen(i).num for i in range(1, rep.n)]
-    return (_orbit(gens, x, rep.r).dim == rep.r
-            and _orbit([tuple(zip(*g)) for g in gens], y, rep.r).dim == rep.r)
+    transposes = [tuple(zip(*g)) for g in gens]
+    for kind, where, x, y, decisive in _norton_vectors(rep):
+        right = _orbit(gens, x, r)
+        if right.dim < r:
+            verdict = _verified_reducible(rep, right.to_subspace(), f"orbit of a right {kind} of {where}")
+        else:
+            left = _orbit(transposes, y, r)
+            if left.dim == r:
+                if decisive:
+                    return _closure_verdict(rep, r * r, None)
+                continue
+            verdict = _verified_reducible(
+                rep, kernel_basis(Matrix(left.rows)),
+                f"annihilator of the transposed orbit of a left {kind} of {where}",
+            )
+        if verdict is not None:
+            return verdict
+    return None
 
 
 def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
@@ -365,7 +378,7 @@ def _verify_chain_formulas(rep, xs, lam):
         if pos <= n - 2 and rep.deformation(pos + 1) * xi != xs[pos]:
             raise NotARepresentationError(f"A_{pos + 1} acts wrongly on chain vector {pos}")
         for j in range(1, n):
-            if abs(j - pos) > 1 and not _is_zero_vec(rep.deformation(j) * xi):
+            if abs(j - pos) > 1 and any(rep.deformation(j) * xi):
                 raise NotARepresentationError(f"A_{j} does not kill chain vector {pos}")
 
 
@@ -546,10 +559,11 @@ def tym_irreducibility(n, u) -> IrreducibilityVerdict:
 
     At u = 1 the generators are permutation matrices, whose common fixed
     vectors are the multiples of the all-ones vector: a verified witness.
-    Otherwise, from 3 strands on, the rank-one certificate proves the
-    generated algebra full.  On 2 strands there is no neighbor cubic and a
-    single generator generates a commutative algebra, so the verdict is the
-    one ``decide_irreducibility`` reaches, as on the command line.
+    Otherwise, from 3 strands on, the Norton step on the rank-one neighbor
+    cubic proves the generated algebra full.  On 2 strands there is no
+    neighbor cubic and a single generator generates a commutative algebra,
+    so the verdict is the one ``decide_irreducibility`` reaches, as on the
+    command line.
     """
     u = rational(u)
     rep = tym_standard(n, u)
@@ -565,18 +579,16 @@ def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
     """Certify that ``rep``, the standard family at some u != 1 on n > 2
     strands, spans the full algebra.
 
-    The neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 is (u - 1) times a diagonal
-    matrix unit, a rank-one element of the generated algebra, so the
-    rank-one certificate decides fullness from two orbits of length n.
-    Exactly as conclusive as the closure computation; raises unless the
-    certificate proves the algebra full.
+    This is the Norton step of ``decide_irreducibility``.  A_1 has rank two,
+    and the neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 is (u - 1) times a
+    diagonal matrix unit, so the step decides fullness from its factors: two
+    orbits of length n.  Exactly as conclusive as the closure computation;
+    raises unless the step proves the algebra full.
     """
-    if not _rank_one_fullness(rep):
-        raise RuntimeError(f"rank-one certificate does not prove {rep.label} full")
-    return IrreducibilityVerdict(
-        Verdict.ABSOLUTELY_IRREDUCIBLE, None, rep.r ** 2,
-        detail="coordinate projectors certify the full matrix algebra",
-    )
+    verdict = _norton_step(rep)
+    if verdict is None or verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:
+        raise RuntimeError(f"Norton step does not prove {rep.label} full")
+    return replace(verdict, detail="coordinate projectors certify the full matrix algebra")
 
 
 def dimension_bound_check(rep) -> bool:
@@ -597,104 +609,35 @@ def _common_fixed_vectors(rep):
     return _verified_reducible(rep, kernel_basis(stacked), "common fixed vectors")
 
 
-def _common_eigenvectors(rep):
-    """Reducible verdict witnessed by the vectors that every generator
-    scales by one eigenvalue other than 1, or None.
-
-    The braid relation s_i s_j s_i = s_j s_i s_j forces a vector scaled by
-    every generator to be scaled by the same lambda under all of them, so
-    the common lambda-eigenspace is invariant.  Such a vector lies in the
-    common kernel K of the differences of consecutive generators, and its
-    lambda is an eigenvalue of the first generator read on the pivot
-    coordinates of K's canonical basis.  Unlike an orbit, this does not
-    depend on the basis the input is written in.
+def invariant_subspace_search(rep) -> IrreducibilityVerdict:
+    """Witness search: common fixed vectors, then the witnesses of the Norton
+    step.  Returns a verified Reducible verdict, or Inconclusive when neither
+    finds an invariant subspace, also where the Norton step proves the
+    algebra full.
     """
-    diffs = tuple(row for i in range(1, rep.n - 1) for row in (rep.gen(i) - rep.gen(i + 1)).num)
-    common = kernel_basis(Matrix(diffs)) if diffs else Subspace.full(rep.r)
-    if common.is_zero():
-        return None
-    basis = common.basis_vectors()
-    pivots = [next(k for k, e in enumerate(v) if e) for v in basis]
-    cols = [rep.gen(1) * v for v in basis]
-    ident = Matrix.identity(rep.r)
-    for lam in rational_eigenvalues(Matrix(tuple(tuple(c[k] for c in cols) for k in pivots))):
-        if lam == 1:
-            continue
-        stacked = tuple(row for i in range(1, rep.n) for row in (rep.gen(i) - ident * lam).num)
-        verdict = _verified_reducible(
-            rep, kernel_basis(Matrix(stacked)), f"common eigenvectors at eigenvalue {lam}"
-        )
-        if verdict is not None:
-            return verdict
-    return None
-
-
-def invariant_subspace_search(rep, seed=DEFAULT_SEED, trials=DEFAULT_SPIN_TRIALS) -> IrreducibilityVerdict:
-    """Ordered witness search used when the algebra closure is not full.
-
-    Tries, in order: common fixed vectors, the all-ones orbit, the
-    disconnected-graph eigenvector chain, orbits of neighbor-intersection
-    vectors, common eigenvectors for an eigenvalue other than 1, and
-    finally seeded random orbits.  Inconclusive is an allowed
-    outcome and is reported honestly.
-    """
-    return _common_fixed_vectors(rep) or _search_past_fixed_vectors(rep, seed, trials)
-
-
-def _search_past_fixed_vectors(rep, seed, trials) -> IrreducibilityVerdict:
-    """``invariant_subspace_search`` after its common fixed vector step."""
-    n, r = rep.n, rep.r
-    notes = []
-    ones = (_F1,) * r
-    verdict = _verified_reducible(rep, spin(rep, ones), "orbit of the all-ones vector")
-    if verdict is not None:
+    verdict = _common_fixed_vectors(rep) or _norton_step(rep)
+    if verdict is not None and verdict.tag is Verdict.REDUCIBLE:
         return verdict
-    try:
-        chain = disconnected_invariant_subspace(rep)
-        if chain.tag is Verdict.REDUCIBLE:
-            return chain
-    except PreconditionError:
-        pass
-    except (NeedsFieldExtensionError, NotARepresentationError) as exc:
-        notes.append(str(exc))
-    for i in range(n):
-        for vec in rep.meet(i, (i + 1) % n).rows:
-            verdict = _verified_reducible(
-                rep, spin(rep, vec), f"orbit of a neighbor-intersection vector at ({i},{(i + 1) % n})"
-            )
-            if verdict is not None:
-                return verdict
-    verdict = _common_eigenvectors(rep)
-    if verdict is not None:
-        return verdict
-    rng = Random(seed)
-    for _ in range(trials):
-        v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(r))
-        if _is_zero_vec(v):
-            continue
-        verdict = _verified_reducible(rep, spin(rep, v), "orbit of a seeded random vector")
-        if verdict is not None:
-            return verdict
-    detail = "no invariant subspace found by the ordered search"
-    if notes:
-        detail += "; " + "; ".join(notes)
-    return IrreducibilityVerdict(Verdict.INCONCLUSIVE, None, None, detail=detail)
+    return IrreducibilityVerdict(
+        Verdict.INCONCLUSIVE, None, None, detail="no invariant subspace found by the ordered search"
+    )
 
 
-def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
+def decide_irreducibility(rep, corank_val, graph_class):
     """The irreducibility decision procedure, cheapest certificate first.
 
     ``corank_val`` and ``graph_class`` are None where they could not be
     computed.  Returns ``(verdict, standard_form, standard_form_error)``, the
     last two from the chain step when it ran.  Stops at the first step that
     decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
-    n = r >= 6 strands, by its standard form and the rank-one certificate
-    of the standard family, or by the verified witness of a reducible chain;
-    (3) common fixed vectors; (4) algebra fullness, decided exactly by the
-    rank-one certificate where a source of a rank-one element applies, and
-    otherwise proved by the closure modulo a large prime (a thin algebra
-    goes on to step 5); (5) the ordered witness search; (6) the exact
-    rational closure, where thin is Inconclusive.
+    n = r >= 6 strands, by its standard form and the Norton step on the
+    standard family, or by the verified witness of a reducible chain;
+    (3) common fixed vectors; (4) the Norton step, whose witnesses and
+    fullness proof do not depend on the basis; (5) where no element of the
+    Norton step decides, ``burnside_dimension``: the closure modulo a large
+    prime, then the exact rational closure.  An algebra of dimension below r
+    leaves every orbit proper, so the orbit of a coordinate vector is a
+    witness; otherwise thin is Inconclusive.
     """
     if corank_val == 0:
         return _trivial_action_verdict(rep), None, None
@@ -720,17 +663,14 @@ def decide_irreducibility(rep, corank_val, graph_class, seed=DEFAULT_SEED):
                 return verdict, None, standard_form_err
         except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
             standard_form_err = str(exc)
-    verdict = _common_fixed_vectors(rep)
+    verdict = _common_fixed_vectors(rep) or _norton_step(rep)
     if verdict is None:
-        full = _rank_one_fullness(rep)
-        if full is None:
-            full = _modp_algebra_is_full(rep)
-        if full:
-            verdict = _closure_verdict(rep, rep.r ** 2, None)
-    if verdict is None:
-        verdict = _search_past_fixed_vectors(rep, seed, DEFAULT_SPIN_TRIALS)
-    if verdict.tag is Verdict.INCONCLUSIVE:
-        verdict = _closure_verdict(rep, _rational_algebra_dim(rep), verdict.detail)
+        dim, verdict = burnside_dimension(rep)
+        if dim < rep.r:
+            # An orbit A v has dimension at most dim A, so every orbit is proper.
+            orbit = spin(rep, (_F1,) + (_F0,) * (rep.r - 1))
+            detail = f"orbit of a coordinate vector under an algebra of dimension {dim}"
+            verdict = _verified_reducible(rep, orbit, detail) or verdict
     return verdict, None, standard_form_err
 
 
@@ -842,9 +782,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val, corank_err, graph_class, graph_err = corank_and_graph(rep)
     notes = []
-    verdict, standard_form, standard_form_err = decide_irreducibility(
-        rep, corank_val, graph_class, seed
-    )
+    verdict, standard_form, standard_form_err = decide_irreducibility(rep, corank_val, graph_class)
     if (
         standard_form is None
         and standard_form_err is None

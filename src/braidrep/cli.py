@@ -228,7 +228,7 @@ def _cmd_irreducible(args):
     seed = _resolve_seed(args)
     rep = _load_source(args.source, seed)
     corank_val, _, graph_class, _ = corank_and_graph(rep)
-    verdict, _, _ = decide_irreducibility(rep, corank_val, graph_class, seed)
+    verdict, _, _ = decide_irreducibility(rep, corank_val, graph_class)
     if args.format == "text":
         lines = [f"verdict: {verdict.tag.value}"]
         if verdict.algebra_dim is not None:
@@ -311,7 +311,8 @@ def _parser():
         p.add_argument("--format", choices=("json", "dot", "text"), default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized steps (falls back to BRAIDREP_SEED)")
+                       help="default seed of a conj(SPEC) without seed=, recorded in the "
+                            "report (falls back to BRAIDREP_SEED)")
 
     p = sub.add_parser("make", help="construct a builtin representation and emit its JSON")
     common(p, "builtin spec, e.g. tym:n=6,u=2")

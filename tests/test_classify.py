@@ -15,10 +15,9 @@ from braidrep.classify import (
     Verdict,
     _is_invariant,
     _modp_algebra_is_full,
-    _rank_one_element,
-    _rank_one_fullness,
+    _norton_step,
+    _norton_vectors,
     _rational_algebra_dim,
-    _simple_eigenvector_pair,
     analyze,
     burnside_dimension,
     chain_basis,
@@ -33,10 +32,10 @@ from braidrep.classify import (
     tym_irreducibility,
     verdict_to_json_dict,
 )
-from braidrep.cli import run
+from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError, ReducibleSignal
 from braidrep.friendship import neighbor_form
-from braidrep.linalg import Matrix, Subspace, rank
+from braidrep.linalg import Matrix, Subspace, rank, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -393,15 +392,19 @@ def test_tensor_scaling_preserves_full_algebra():
     assert dim == 36
 
 
-def test_inconclusive_is_reported_honestly():
-    # Two copies of the same irreducible family: the commutant is 2x2, the
-    # algebra closure is thin, and proper invariant subspaces exist; the
-    # diagonal ones are found by spinning neighbor intersection vectors.
+@pytest.mark.parametrize("scramble", [False, True], ids=["plain", "scrambled"])
+def test_inconclusive_is_reported_honestly(scramble):
+    # Two copies of the same irreducible family: the commutant is 2x2 and
+    # the algebra closure is thin, so only a witness can decide.  The
+    # kernel vectors of the Norton step spin to one of the invariant copies,
+    # in any basis.
     rep = direct_sum(tym_standard(6, 2), tym_standard(6, 2))
-    report = analyze(rep)
-    assert report.verdict.tag in (Verdict.REDUCIBLE, Verdict.INCONCLUSIVE)
-    if report.verdict.tag is Verdict.REDUCIBLE:
-        assert_invariant(rep, report.verdict.witness)
+    if scramble:
+        rep = scrambled(rep, 3)
+    with time_limit(3):
+        verdict = analyze(rep).verdict
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert_invariant(rep, verdict.witness)
 
 
 class _StillRunning(BaseException):
@@ -442,13 +445,13 @@ def test_reducible_conjugates_are_decided_quickly(rep):
 
 @pytest.mark.parametrize("seed", [1, 909453, 583706])
 def test_scaled_permutation_family_is_reducible_in_every_basis(seed):
-    # Every generator scales the all-ones vector by 2.  In these bases no
-    # orbit of the search is proper, so the common eigenvector step must
-    # find the line; without it the verdict fell to Inconclusive.
+    # Every generator scales the all-ones vector by 2, so there are no
+    # common fixed vectors, and in these bases an orbit of a vector chosen
+    # in the input's basis fills the space.  The Norton step's kernel
+    # vectors do not depend on the basis.
     rep = scrambled(tensor_character(tym_standard(6, 1), 2), seed)
     verdict = analyze(rep).verdict
     assert verdict.tag is Verdict.REDUCIBLE
-    assert verdict.witness.dim == 1
     assert_invariant(rep, verdict.witness)
 
 
@@ -476,6 +479,35 @@ def test_change_of_basis_keeps_invariants(idx, seed):
     with time_limit(3):
         expected = _invariants(analyze(rep, seed=seed))
         assert _invariants(analyze(scrambled(rep, seed), seed=seed)) == expected
+
+
+_SUMS = [
+    spec
+    for n in (4, 5, 6)
+    for spec in (
+        f"dsum(tym:n={n},u=2,tym:n={n},u=-1)",
+        f"dsum(tym:n={n},u=2,tensor(burau:n={n},t=2,y=-1))",
+        f"dsum(tym:n={n},u=-1,tensor(burau:n={n},t=2,y=-1))",
+        f"dsum(tensor(burau:n={n},t=2,y=-1),tensor(burau:n={n},t=2,y=-1))",
+    )
+] + ["dsum(tym:n=8,u=2,tensor(burau:n=8,t=3,y=-1))"]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("spec", _SUMS)
+def test_change_of_basis_keeps_the_verdict_of_direct_sums(spec, seed):
+    # Sums of non-isomorphic and of isomorphic summands, up to r = 15.  In a
+    # scrambled basis the orbit of a vector chosen in that basis fills the
+    # space, so only a witness that does not depend on the basis decides.
+    plain, _ = parse_rep_spec(spec)
+    moved, _ = parse_rep_spec(f"conj({spec},seed={seed})")
+    with time_limit(3):
+        expected = analyze(plain).verdict
+        verdict = analyze(moved).verdict
+    assert verdict.tag is expected.tag
+    for rep, found in ((plain, expected), (moved, verdict)):
+        if found.witness is not None:
+            assert_invariant(rep, found.witness)
 
 
 def test_ladder_agrees_with_algebra_dimension(zoo):
@@ -510,50 +542,49 @@ def test_spin_is_closed_under_inverses_across_zoo(zoo):
             assert _is_invariant(rep, orbit), (rep.label, k)
 
 
-@pytest.mark.parametrize("rep, eigenvector_pair", [
-    (scrambled(tym_standard(8, 2), 1), False),
-    # A_1 has only nonzero eigenvalues on its image, so neither the spectral
-    # projector nor the eigenvector chain intersects an eigenspace with it.
-    (scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1), True),
+@pytest.mark.parametrize("rep", [
+    scrambled(tym_standard(8, 2), 1),
+    # reducible, decided by the Norton step
+    scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
 ], ids=["chain", "direct sum"])
-def test_analyze_intersects_each_pair_of_images_once(monkeypatch, rep, eigenvector_pair):
-    import braidrep.classify as classify
-
-    calls, pairs = [], []
+def test_analyze_intersects_each_pair_of_images_once(monkeypatch, rep):
+    calls = []
     original = Subspace.intersect
-    step = classify._simple_eigenvector_pair
 
     def counted(self, other):
         calls.append(1)
         return original(self, other)
 
     monkeypatch.setattr(Subspace, "intersect", counted)
-    monkeypatch.setattr(classify, "_simple_eigenvector_pair", lambda rep: pairs.append(1) or step(rep))
     analyze(rep)
     assert len(calls) <= rep.n * (rep.n - 1) // 2
-    assert bool(pairs) is eigenvector_pair
 
 
-def test_rank_one_certificate_matches_algebra_dimension(zoo):
+def _norton_fullness(rep):
+    """True, False or None: the Norton step proves the algebra full, finds a
+    witness, or decides nothing."""
+    verdict = _norton_step(rep)
+    return None if verdict is None else verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+
+
+def test_norton_fullness_matches_algebra_dimension(zoo):
     # burnside_dimension is the exact rational dimension: it trusts its
     # modular closure only when that is full.  The rational closure alone
     # takes minutes on the conjugated tym member.
-    answered = 0
     for rep in zoo:
-        full = _rank_one_fullness(rep)
-        if full is not None:
-            answered += 1
-            assert full == (burnside_dimension(rep)[0] == rep.r ** 2), rep.label
-    # Only the corank-0 character and tensor(tym(n=5,u=2),y=3) have no source.
-    assert answered == len(zoo) - 2
+        full = _norton_fullness(rep)
+        # Every member has an element the step decides on, the corank-0
+        # character and tensor(tym(n=5,u=2),y=3) included.
+        assert full is not None, rep.label
+        assert full == (burnside_dimension(rep)[0] == rep.r ** 2), rep.label
 
 
 @pytest.mark.parametrize("idx, seed", _change_of_basis_cases())
-def test_rank_one_certificate_keeps_its_answer_in_every_basis(idx, seed):
+def test_norton_fullness_keeps_its_answer_in_every_basis(idx, seed):
     rep = ZOO[idx]
     moved = scrambled(rep, seed)
-    full = _rank_one_fullness(rep)
-    assert _rank_one_fullness(moved) == full
+    full = _norton_fullness(rep)
+    assert _norton_fullness(moved) == full
     if full is not None:
         assert _modp_algebra_is_full(moved) == full
 
@@ -567,30 +598,34 @@ def _is_multiple(m, of):
     return m[i, j] != 0 and of * (m[i, j] / of[i, j]) == m
 
 
-@pytest.mark.parametrize("rep, source", [
-    (reduced_burau(6, 2), "deformation"),
-    (reduced_burau(6, -1), "deformation"),
-    (tym_standard(8, 2), "neighbor cubic"),
-    (direct_sum(reduced_burau(6, 2), reduced_burau(6, 3)), "simple eigenvalue"),
-    (tensor_character(reduced_burau(6, 2), -1), "simple eigenvalue"),
+@pytest.mark.parametrize("rep, first", [
+    (reduced_burau(6, 2), "A_1, which has rank one"),
+    (reduced_burau(6, -1), "A_1, which has rank one"),
+    (tym_standard(8, 2), "the neighbor cubic, which has rank one"),
+    (direct_sum(reduced_burau(6, 2), reduced_burau(6, 3)), "A_1 at eigenvalue -4"),
+    (tensor_character(reduced_burau(6, 2), -1), "A_1 at eigenvalue -2"),
 ], ids=lambda v: v.label if isinstance(v, Representation) else v)
-def test_rank_one_element_comes_from_the_cheapest_source(rep, source):
-    found, x, y = _rank_one_element(rep)
-    assert found == source
-    a = rep.deformation(1)
-    if source == "deformation":
-        assert _is_multiple(_outer(x, y), a)
-    elif source == "neighbor cubic":
-        assert _is_multiple(_outer(x, y), neighbor_form(a, rep.deformation(2)))
-    else:
-        # x and y are right and left eigenvectors of A_1 for one nonzero
-        # eigenvalue, and y^T x != 0 makes x y^T / y^T x its spectral projector.
-        k = next(k for k, e in enumerate(x) if e)
-        lam = (a * x)[k] / x[k]
-        assert lam != 0
-        assert a * x == tuple(lam * e for e in x)
-        assert a.transpose() * y == tuple(lam * e for e in y)
-        assert sum(p * q for p, q in zip(x, y)) != 0
+def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
+    a, b = rep.deformation(1), rep.deformation(2)
+    thetas = {"A_1": a, "the neighbor cubic": neighbor_form(a, b), "A_1 A_2": a * b}
+    found = list(_norton_vectors(rep))
+    assert found[0][1] == first
+    # Every rank-one element first, then each other element's rational
+    # eigenvalues in ascending order, the elements in the order of thetas.
+    factors = [f"{name}, which has rank one" for name, m in thetas.items() if rank(m) == 1]
+    eigen = [f"{name} at eigenvalue {lam}" for name, m in thetas.items() if rank(m) != 1
+             for lam in rational_eigenvalues(m)]
+    assert [where for _, where, *_ in found] == factors + eigen
+    for kind, where, x, y, decisive in found:
+        name, _, lam = where.partition(" at eigenvalue ")
+        if kind == "factor":
+            assert decisive
+            assert _is_multiple(_outer(x, y), thetas[where.removesuffix(", which has rank one")])
+        else:
+            # x and y span the first lines of the right and left kernels.
+            shifted = thetas[name] - Matrix.identity(rep.r) * F(lam)
+            assert not any(shifted * x) and not any(shifted.transpose() * y)
+            assert decisive is (rank(shifted) == rep.r - 1)
 
 
 def test_transposed_orbit_is_needed_for_fullness():
@@ -600,24 +635,32 @@ def test_transposed_orbit_is_needed_for_fullness():
     # one, and e2 spans an invariant line.
     rep = Representation(3, 2, [Matrix(((2, 0), (0, 1))), Matrix(((1, 0), (1, 2)))])
     assert _rational_algebra_dim(rep) == 3
-    assert _rank_one_fullness(rep) is False
     verdict = analyze(rep).verdict
+    assert verdict == _norton_step(rep)
     assert verdict.tag is Verdict.REDUCIBLE
+    assert verdict.detail.startswith("annihilator of the transposed orbit")
+    assert verdict.witness == Subspace(2, [(0, 1)])
     assert_invariant(rep, verdict.witness)
 
 
-def test_jordan_block_yields_no_eigenvector_pair():
-    # Eigenvalue 1 of A_1 sits in a 2 x 2 Jordan block: its left and right
-    # eigenvectors are orthogonal, and no rank-one projector belongs to it.
-    jordan = Matrix(((2, 1), (0, 2)))
-    assert _simple_eigenvector_pair(Representation(3, 2, [jordan, jordan])) is None
-    # Next to a simple eigenvalue 2, the pair comes from that one.
-    g = Matrix(((2, 1, 0), (0, 2, 0), (0, 0, 3)))
-    rep = Representation(3, 3, [g, g])
-    x, y = _simple_eigenvector_pair(rep)
-    a = rep.deformation(1)
-    assert a * x == tuple(F(2 * e) for e in x)
-    assert a.transpose() * y == tuple(F(2 * e) for e in y)
+_JORDAN = Matrix(((2, 1), (0, 2)))
+_JORDAN_NEXT_TO_3 = Matrix(((2, 1, 0), (0, 2, 0), (0, 0, 3)))
+
+
+@pytest.mark.parametrize("rep", [
+    Representation(3, 2, [_JORDAN, _JORDAN]),
+    Representation(3, 3, [_JORDAN_NEXT_TO_3, _JORDAN_NEXT_TO_3]),
+])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_jordan_block_family_is_never_absolutely_irreducible(rep, seed):
+    # Eigenvalue 1 of A_1 sits in a 2 x 2 Jordan block: its kernel is a line,
+    # but its left and right eigenvectors are orthogonal, and the line of
+    # the right one is invariant.
+    if seed is not None:
+        rep = scrambled(rep, seed)
+    verdict = analyze(rep).verdict
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert_invariant(rep, verdict.witness)
 
 
 @pytest.mark.parametrize("u, tag", [(4, Verdict.REDUCIBLE), (2, Verdict.INCONCLUSIVE)])
@@ -634,28 +677,27 @@ def test_two_strand_standard_family_gets_the_command_line_verdict(capsys, u, tag
         assert verdict.algebra_dim == 2
 
 
-def test_witness_search_ends_inconclusive_on_irreducible_input(monkeypatch):
-    # Reduced Burau at t = 2 is irreducible: every step of the search,
-    # the seeded random orbits included, must run and find nothing.
-    import braidrep.classify as classify
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_algebra_below_dimension_r_makes_every_orbit_a_witness(seed):
+    # Two copies of tym(n=2, u=2): A_1 has no rational eigenvalue, so the
+    # Norton step decides nothing, but the algebra has dimension 2 < r = 4.
+    rep = direct_sum(tym_standard(2, 2), tym_standard(2, 2))
+    if seed is not None:
+        rep = scrambled(rep, seed)
+    verdict = analyze(rep).verdict
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert verdict.detail == "orbit of a coordinate vector under an algebra of dimension 2"
+    assert_invariant(rep, verdict.witness)
 
-    spins = []
-    original = classify.spin
 
-    def counted(rep, v):
-        spins.append(v)
-        return original(rep, v)
-
-    monkeypatch.setattr(classify, "spin", counted)
+def test_witness_search_ends_inconclusive_on_irreducible_input():
+    # Reduced Burau at t = 2 is irreducible: the orbits of the Norton step
+    # are full, so the search finds no witness and says so.
     rep = reduced_burau(6, 2)
     verdict = invariant_subspace_search(rep)
     assert verdict.tag is Verdict.INCONCLUSIVE
     assert verdict.witness is None
     assert verdict.detail.startswith("no invariant subspace found by the ordered search")
-    with_random = len(spins)
-    spins.clear()
-    invariant_subspace_search(rep, trials=0)
-    assert with_random > len(spins)
 
 
 @pytest.mark.parametrize("r", [6, 7])
