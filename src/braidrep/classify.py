@@ -52,6 +52,7 @@ from .linalg import (
     Subspace,
     clear_denominators,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
+    is_mostly_zero,
     kernel_basis,
     rank,
     rational,
@@ -148,11 +149,23 @@ def _left_mul(g, ncols, w):
     return [sum(map(mul, grow, col)) for grow in g for col in cols]
 
 
+def _apply(m, cols, w):
+    """The integer matrix m, with columns ``cols``, times the integer vector
+    w: a mostly-zero w combines the columns it selects."""
+    if not is_mostly_zero(w):
+        return [sum(map(mul, row, w)) for row in m]
+    acc = [0] * len(m)
+    for a, col in zip(w, cols):
+        if a:
+            acc = [s + a * c for s, c in zip(acc, col)]
+    return acc
+
+
 def _orbit(mats, vec, r) -> EchelonSpan:
     """Span of the orbit of the integer vector ``vec`` under the r x r
     integer matrices ``mats``: the smallest subspace containing vec that
     every one of them maps into itself."""
-    return _closure(EchelonSpan(r), vec, [partial(_left_mul, m, 1) for m in mats], r)
+    return _closure(EchelonSpan(r), vec, [partial(_apply, m, tuple(zip(*m))) for m in mats], r)
 
 
 def spin(rep, v) -> Subspace:
@@ -222,32 +235,45 @@ def _norton_elements(rep):
         yield "A_1 A_2", a * b
 
 
-def _norton_vectors(rep):
-    """``(kind, where, x, y, decisive)`` for the Norton step, in the order it
-    tries them: first x y^T for every theta of rank one, then, for each other
-    theta and each rational eigenvalue lambda in ascending order, the first
-    canonical rows of ker(theta - lambda) and of ker(theta - lambda)^T.
-    ``decisive`` says that two full orbits of x and y prove the algebra full:
-    always for rank one, and for a kernel exactly when it is a line."""
+def _norton_candidates(rep):
+    """``(kind, where, x, make_y, decisive)`` for the Norton step, in the
+    order it tries them: first x y^T for every theta of rank one, then, for
+    each other theta and each rational eigenvalue lambda in ascending order,
+    the first canonical row x of ker(theta - lambda).  ``make_y()`` returns
+    y: the second factor, or the first canonical row of ker(theta - lambda)^T,
+    a left kernel that is formed only on that call.  ``decisive`` says that
+    two full orbits of x and y prove the algebra full: always for rank one,
+    and for a kernel exactly when it is a line."""
     others = []
     for name, theta in _norton_elements(rep):
         found = _rank_one_factors(theta)
         if found is None:
             others.append((name, theta))
         else:
-            yield "factor", f"{name}, which has rank one", *found, True
+            x, y = found
+            yield "factor", f"{name}, which has rank one", x, lambda y=y: y, True
     ident = Matrix.identity(rep.r)
     for name, theta in others:
         for lam in rational_eigenvalues(theta):
             shifted = theta - ident * lam
             right = kernel_basis(shifted)
-            left = kernel_basis(shifted.transpose())
-            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], left.rows[0],
-                   right.dim == 1)
+            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
+                   partial(_first_left_kernel_row, shifted), right.dim == 1)
+
+
+def _first_left_kernel_row(m):
+    """The first canonical row of the kernel of m^T."""
+    return kernel_basis(m.transpose()).rows[0]
+
+
+def _norton_vectors(rep):
+    """``(kind, where, x, y, decisive)``: ``_norton_candidates`` with each y formed."""
+    for kind, where, x, make_y, decisive in _norton_candidates(rep):
+        yield kind, where, x, make_y(), decisive
 
 
 def _norton_step(rep) -> IrreducibilityVerdict | None:
-    """Norton's irreducibility test over Q on the elements of ``_norton_vectors``.
+    """Norton's irreducibility test over Q on the elements of ``_norton_candidates``.
 
     A proper orbit A x of x under the generators is an invariant subspace.
     A proper orbit of y under their transposes is invariant under them, so
@@ -263,12 +289,12 @@ def _norton_step(rep) -> IrreducibilityVerdict | None:
     r = rep.r
     gens = [rep.gen(i).num for i in range(1, rep.n)]
     transposes = [tuple(zip(*g)) for g in gens]
-    for kind, where, x, y, decisive in _norton_vectors(rep):
+    for kind, where, x, make_y, decisive in _norton_candidates(rep):
         right = _orbit(gens, x, r)
         if right.dim < r:
             verdict = _verified_reducible(rep, right.to_subspace(), f"orbit of a right {kind} of {where}")
         else:
-            left = _orbit(transposes, y, r)
+            left = _orbit(transposes, make_y(), r)
             if left.dim == r:
                 if decisive:
                     return _closure_verdict(rep, r * r, None)
@@ -307,14 +333,23 @@ def _closure_verdict(rep, dim, thin_detail) -> IrreducibilityVerdict:
 
 def _is_invariant(rep, w: Subspace) -> bool:
     """Whether every generator image and every inverse maps w into itself.
-    Each acts on the integer rows of w through its integer numerator: scaling
-    an image does not move a vector out of w."""
-    for v in w.rows:
-        for i in range(1, rep.n):
-            if not w.contains_ints(_left_mul(rep.gen(i).num, 1, v)):
+
+    Each image g acts on the integer rows of w through its integer
+    numerator, since scaling g does not move a vector out of w.  The images
+    g v of the rows must lie in w, and they must span a space of dimension
+    dim w.  Then g w is a subspace of w of the same dimension, so g w = w,
+    and g^-1 w = g^-1 (g w) = w: no inverse is formed.
+    """
+    for i in range(1, rep.n):
+        g = rep.gen(i).num
+        images = EchelonSpan(w.ambient_dim)
+        for v in w.rows:
+            gv = _left_mul(g, 1, v)
+            if not w.contains_ints(gv):
                 return False
-            if not w.contains_ints(_left_mul(rep.gen_inverse(i).num, 1, v)):
-                return False
+            images.add(gv)
+        if images.dim != w.dim:
+            return False
     return True
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -48,11 +49,45 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(value):
+    """``(p, q)`` in lowest terms with q > 0 and value == p / q.  Ints and
+    strings of the form -?[0-9]+(/[0-9]+)? are read with ``int`` and one gcd;
+    everything else goes through ``rational``, whose errors it raises."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        m = _PLAIN_RATIONAL.fullmatch(value)
+        if m is not None:
+            p, q = m.groups()
+            if q is None:
+                return int(p), 1
+            p, q = int(p), int(q)
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
+    return rational(value).as_integer_ratio()
+
+
+def _format_entry(e, den) -> str:
+    """The entry e / den (den > 0) as ``format_rational`` writes it."""
+    g = math.gcd(e, den)
+    return str(e // g) if g == den else f"{e // g}/{den // g}"
+
+
+def is_mostly_zero(row) -> bool:
+    """Whether at least three quarters of the entries of row are zero: such a
+    vector is applied to a matrix by combining the columns (or rows) it selects."""
+    return row.count(0) * 4 >= 3 * len(row)
+
+
 def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
     Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
-    pairs = [(e, 1) if type(e) is int else rational(e).as_integer_ratio() for e in vec]
+    pairs = [_ratio(e) for e in vec]
     den = math.lcm(*(d for _, d in pairs))
     return [p * (den // d) for p, d in pairs], den
 
@@ -80,7 +115,9 @@ class Matrix:
     Fractions) or by a scalar.  A matrix product skips the zero entries of
     mostly-zero rows of the left factor, so products with the sparse
     generator images stay cheap.  Entries given to the constructor are ints,
-    Fractions or 'p/q' strings; floats and booleans are refused.
+    Fractions or 'p/q' strings; floats and booleans are refused.  The wire
+    format (``to_strings`` and ``from_strings``) goes between strings and
+    the integer rows directly and builds no ``Fraction``.
     """
 
     __slots__ = ("num", "den", "nrows", "ncols")
@@ -182,7 +219,7 @@ class Matrix:
                 raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
             brows, cols, num = other.num, None, []
             for row in self.num:
-                if row.count(0) * 4 >= 3 * len(row):
+                if is_mostly_zero(row):
                     # Mostly zero: combine the rows of other that row selects.
                     acc = [0] * other.ncols
                     for k, a in enumerate(row):
@@ -221,14 +258,17 @@ class Matrix:
 
     def to_strings(self):
         """Rows of 'p/q' strings; the JSON wire format for matrices."""
-        return [[format_rational(e) for e in row] for row in self.rows]
+        den = self.den
+        if den == 1:
+            return [[str(e) for e in row] for row in self.num]
+        return [[_format_entry(e, den) for e in row] for row in self.num]
 
     @classmethod
     def from_strings(cls, rows):
         return cls(rows)
 
     def __repr__(self):
-        body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.rows)
+        body = "; ".join(map(" ".join, self.to_strings()))
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 

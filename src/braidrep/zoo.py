@@ -9,7 +9,6 @@ and cached.  All values are immutable after construction.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
 from random import Random
@@ -84,7 +83,12 @@ class Representation:
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
         if i not in self._deformations:
-            self._deformations[i] = self.gen(i) - Matrix.identity(self.r)
+            # num - den on the diagonal: gcd(den, x - den) = gcd(den, x), so
+            # the difference stays in lowest terms.
+            g = self.gen(i)
+            den = g.den
+            num = tuple(row[:k] + (row[k] - den,) + row[k + 1 :] for k, row in enumerate(g.num))
+            self._deformations[i] = Matrix._new(num, den)
         return self._deformations[i]
 
     @cached_property
@@ -138,11 +142,13 @@ def _embed(size, at, block):
     """The size x size identity with the square block of rationals placed at
     (at, at), built from integer rows over the block's common denominator."""
     k = len(block)
+    # den is the lcm of the block's reduced denominators, so some entry of
+    # the block is prime to each prime of den: the rows are in lowest terms.
     flat, den = clear_denominators([e for brow in block for e in brow])
     rows = [[den * (i == j) for j in range(size)] for i in range(size)]
     for i in range(k):
         rows[at + i][at : at + k] = flat[i * k : (i + 1) * k]
-    return Matrix(rows) * Fraction(1, den)
+    return Matrix._new(tuple(map(tuple, rows)), den)
 
 
 def tym_standard(n, u) -> Representation:

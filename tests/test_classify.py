@@ -56,11 +56,15 @@ def unit(i, dim):
     return tuple(F(int(j == i)) for j in range(dim))
 
 
+def _invariant_by_inverses(rep, w):
+    """Reference witness check: every generator image and its explicit
+    inverse map every basis vector of w into w."""
+    return all(w.contains(g * v) for v in w.basis_vectors() for i in range(1, rep.n)
+               for g in (rep.gen(i), rep.gen_inverse(i)))
+
+
 def assert_invariant(rep, w):
-    for v in w.basis_vectors():
-        for i in range(1, rep.n):
-            assert w.contains(rep.gen(i) * v)
-            assert w.contains(rep.gen_inverse(i) * v)
+    assert _invariant_by_inverses(rep, w)
 
 
 def test_spin_of_zero_vector_is_zero():
@@ -81,6 +85,32 @@ def test_spin_of_difference_vector_is_the_sum_zero_space():
     ones = Matrix([[1] * 6])
     for b in got.basis_vectors():
         assert (ones * b) == (F(0),)
+
+
+def _spin_by_products(rep, v):
+    """Reference orbit of v, grown by Fraction products with the images."""
+    span, work = Subspace(rep.r, [v]), [v]
+    while work:
+        w = work.pop()
+        for i in range(1, rep.n):
+            gw = rep.gen(i) * w
+            if not span.contains(gw):
+                span, work = span + Subspace(rep.r, [gw]), work + [gw]
+    return span
+
+
+@pytest.mark.parametrize("rep, entries", [
+    (tym_standard(8, F(5, 3)), {0: 3, 7: -2}),
+    # The orbit of e_0 - e_1 under permutations is the sum-zero hyperplane.
+    (tym_standard(8, 1), {0: 3, 1: -3}),
+    (scrambled(tym_standard(8, 1), 2), {2: 5}),
+    # Equal summands: the orbit of (3 x, -2 x) is a proper diagonal copy.
+    (direct_sum(reduced_burau(6, 2), reduced_burau(6, 2)), {0: 3, 5: -2}),
+    (tensor_character(reduced_burau(9, -1), 2), {1: 3, 2: -2}),
+], ids=lambda v: v.label if isinstance(v, Representation) else str(v))
+def test_spin_of_mostly_zero_vectors_matches_products(rep, entries):
+    v = [F(entries.get(k, 0)) for k in range(rep.r)]
+    assert spin(rep, v) == _spin_by_products(rep, v)
 
 
 def test_burnside_of_standard_family_is_full():
@@ -510,6 +540,33 @@ def test_change_of_basis_keeps_the_verdict_of_direct_sums(spec, seed):
             assert_invariant(rep, found.witness)
 
 
+def _reported_witnesses():
+    conjugated = (parse_rep_spec(f"conj({spec},seed={seed})")[0] for spec in _SUMS for seed in (1, 3))
+    for rep in [*build_zoo(), *conjugated]:
+        witness = analyze(rep).verdict.witness
+        if witness is not None:
+            yield pytest.param(rep, witness, id=rep.label)
+
+
+@pytest.mark.parametrize("rep, witness", _reported_witnesses())
+def test_witness_check_agrees_with_explicit_inverses_on_witnesses(rep, witness):
+    assert _is_invariant(rep, witness) and _invariant_by_inverses(rep, witness)
+
+
+@pytest.mark.parametrize("rep", [
+    scrambled(tym_standard(6, 2), 1),
+    scrambled(tym_standard(6, 1), 2),
+    scrambled(reduced_burau(6, -1), 3),
+    scrambled(direct_sum(reduced_burau(5, 2), character_rep(5, 1)), 4),
+], ids=lambda rep: rep.label)
+def test_witness_check_agrees_with_explicit_inverses_off_witnesses(rep):
+    # Coordinate lines and hyperplanes of a conjugated family are not invariant.
+    r = rep.r
+    for k in range(r):
+        for w in (Subspace(r, [unit(k, r)]), Subspace(r, [unit(j, r) for j in range(r) if j != k])):
+            assert _is_invariant(rep, w) is _invariant_by_inverses(rep, w) is False, (k, w)
+
+
 def test_ladder_agrees_with_algebra_dimension(zoo):
     for rep in zoo:
         corank_val, _, graph_class, _ = corank_and_graph(rep)
@@ -626,6 +683,26 @@ def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
             shifted = thetas[name] - Matrix.identity(rep.r) * F(lam)
             assert not any(shifted * x) and not any(shifted.transpose() * y)
             assert decisive is (rank(shifted) == rep.r - 1)
+
+
+def test_norton_step_forms_no_left_kernel_after_a_proper_right_orbit(monkeypatch):
+    # A_1 of the sum has the eigenvalue -4 of the first summand only; its
+    # right eigenvector spans a proper orbit, a witness, and no left kernel
+    # (the kernel of a transpose) is needed for it.
+    rep = direct_sum(reduced_burau(6, 2), reduced_burau(6, 3))
+    assert next(_norton_vectors(rep))[1] == "A_1 at eigenvalue -4"
+    calls = []
+    original = Matrix.transpose
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "transpose", spy)
+    verdict = _norton_step(rep)
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert verdict.detail == "orbit of a right eigenvector of A_1 at eigenvalue -4"
+    assert calls == []
 
 
 def test_transposed_orbit_is_needed_for_fullness():

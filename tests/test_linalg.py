@@ -389,3 +389,41 @@ def test_integer_kernel_matches_fraction_reference(operands):
             inverse(msq)
     else:
         _check_kernel_form(inverse(msq), ref_inv)
+
+
+@st.composite
+def _wire_matrices(draw):
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # Integer entries give den = 1; fractions give negative and reducible
+    # entries over a common denominator; whole zero rows are drawn too.
+    entries = draw(st.sampled_from([
+        st.integers(-10**6, 10**6),
+        rationals,
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    ]))
+    row = st.one_of(st.just([0] * ncols), st.lists(entries, min_size=ncols, max_size=ncols))
+    return Matrix(draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wire_matrices())
+def test_wire_format_matches_fraction_reference(m):
+    expected = [[format_rational(e) for e in row] for row in m.rows]
+    assert m.to_strings() == expected
+    assert Matrix.from_strings(expected) == m
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-0", "007", "3/6", "-3/6", "0/5", " 3", "+3", "1.5", "1e2", "3_0", "1/-2",
+    "1/0", "-3/0", "", "x", "٣",  # the last is an Arabic-Indic digit three
+])
+def test_from_strings_reads_each_string_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            Matrix.from_strings([[text]])
+        assert str(raised.value) == str(exc)
+    else:
+        # Equal matrices have equal stored integers: the entry is in lowest terms.
+        assert Matrix.from_strings([[text]]) == Matrix([[expected]])
