@@ -51,6 +51,7 @@ from .linalg import (
     Matrix,
     Subspace,
     clear_denominators,
+    combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
     is_mostly_zero,
     kernel_basis,
@@ -152,20 +153,16 @@ def _left_mul(g, ncols, w):
 def _apply(m, cols, w):
     """The integer matrix m, with columns ``cols``, times the integer vector
     w: a mostly-zero w combines the columns it selects."""
-    if not is_mostly_zero(w):
-        return [sum(map(mul, row, w)) for row in m]
-    acc = [0] * len(m)
-    for a, col in zip(w, cols):
-        if a:
-            acc = [s + a * c for s, c in zip(acc, col)]
-    return acc
+    if is_mostly_zero(w):
+        return combine(w, cols, len(m))
+    return _left_mul(m, 1, w)
 
 
-def _orbit(mats, vec, r) -> EchelonSpan:
+def _orbit(mats, cols, vec, r) -> EchelonSpan:
     """Span of the orbit of the integer vector ``vec`` under the r x r
-    integer matrices ``mats``: the smallest subspace containing vec that
-    every one of them maps into itself."""
-    return _closure(EchelonSpan(r), vec, [partial(_apply, m, tuple(zip(*m))) for m in mats], r)
+    integer matrices ``mats``, whose columns are ``cols``: the smallest
+    subspace containing vec that every one of them maps into itself."""
+    return _closure(EchelonSpan(r), vec, [partial(_apply, m, c) for m, c in zip(mats, cols)], r)
 
 
 def spin(rep, v) -> Subspace:
@@ -176,7 +173,8 @@ def spin(rep, v) -> Subspace:
     # Integer numerators act in place of the images: scaling an image by its
     # denominator does not change the span.
     gens = [rep.gen(i).num for i in range(1, rep.n)]
-    return _orbit(gens, clear_denominators(v)[0], rep.r).to_subspace()
+    cols = [tuple(zip(*g)) for g in gens]
+    return _orbit(gens, cols, clear_denominators(v)[0], rep.r).to_subspace()
 
 
 def _algebra_dim(gens, r, span) -> int:
@@ -266,12 +264,6 @@ def _first_left_kernel_row(m):
     return kernel_basis(m.transpose()).rows[0]
 
 
-def _norton_vectors(rep):
-    """``(kind, where, x, y, decisive)``: ``_norton_candidates`` with each y formed."""
-    for kind, where, x, make_y, decisive in _norton_candidates(rep):
-        yield kind, where, x, make_y(), decisive
-
-
 def _norton_step(rep) -> IrreducibilityVerdict | None:
     """Norton's irreducibility test over Q on the elements of ``_norton_candidates``.
 
@@ -290,11 +282,11 @@ def _norton_step(rep) -> IrreducibilityVerdict | None:
     gens = [rep.gen(i).num for i in range(1, rep.n)]
     transposes = [tuple(zip(*g)) for g in gens]
     for kind, where, x, make_y, decisive in _norton_candidates(rep):
-        right = _orbit(gens, x, r)
+        right = _orbit(gens, transposes, x, r)
         if right.dim < r:
             verdict = _verified_reducible(rep, right.to_subspace(), f"orbit of a right {kind} of {where}")
         else:
-            left = _orbit(transposes, make_y(), r)
+            left = _orbit(transposes, gens, make_y(), r)
             if left.dim == r:
                 if decisive:
                     return _closure_verdict(rep, r * r, None)
@@ -335,21 +327,15 @@ def _is_invariant(rep, w: Subspace) -> bool:
     """Whether every generator image and every inverse maps w into itself.
 
     Each image g acts on the integer rows of w through its integer
-    numerator, since scaling g does not move a vector out of w.  The images
-    g v of the rows must lie in w, and they must span a space of dimension
-    dim w.  Then g w is a subspace of w of the same dimension, so g w = w,
-    and g^-1 w = g^-1 (g w) = w: no inverse is formed.
+    numerator, since scaling g does not move a vector out of w.  Only
+    g w within w is checked: the constructor makes every image invertible,
+    so g w has the dimension of w and equals it, and g^-1 w = w follows
+    without forming g^-1.
     """
-    for i in range(1, rep.n):
-        g = rep.gen(i).num
-        images = EchelonSpan(w.ambient_dim)
-        for v in w.rows:
-            gv = _left_mul(g, 1, v)
-            if not w.contains_ints(gv):
+    for v in w.rows:
+        for i in range(1, rep.n):
+            if not w.contains_ints(_left_mul(rep.gen(i).num, 1, v)):
                 return False
-            images.add(gv)
-        if images.dim != w.dim:
-            return False
     return True
 
 

@@ -83,6 +83,16 @@ def is_mostly_zero(row) -> bool:
     return row.count(0) * 4 >= 3 * len(row)
 
 
+def combine(coeffs, vectors, length):
+    """The integer list sum(a * v) over the nonzero coefficients a of
+    ``coeffs`` and the matching integer vectors v, all of the given length."""
+    acc = [0] * length
+    for a, v in zip(coeffs, vectors):
+        if a:
+            acc = [s + a * b for s, b in zip(acc, v)]
+    return acc
+
+
 def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
@@ -221,11 +231,7 @@ class Matrix:
             for row in self.num:
                 if is_mostly_zero(row):
                     # Mostly zero: combine the rows of other that row selects.
-                    acc = [0] * other.ncols
-                    for k, a in enumerate(row):
-                        if a:
-                            acc = [s + a * b for s, b in zip(acc, brows[k])]
-                    num.append(acc)
+                    num.append(combine(row, brows, other.ncols))
                 else:
                     if cols is None:
                         cols = tuple(zip(*brows))
