@@ -22,6 +22,7 @@ both algebra closures share one closure loop.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -53,7 +54,6 @@ from .linalg import (
     clear_denominators,
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
-    is_mostly_zero,
     kernel_basis,
     rank,
     rational,
@@ -131,14 +131,15 @@ class _ModpSpan:
 def _closure(span, start, actions, cap):
     """Grow ``span`` (an empty ``EchelonSpan`` or ``_ModpSpan``) to the
     smallest subspace containing ``start`` and closed under every linear map
-    in ``actions``, stopping early at dimension ``cap``; returns ``span``."""
+    in ``actions`` (None: an image the span holds), stopping early at
+    dimension ``cap``; returns ``span``."""
     first = span.add(start)
     work = [] if first is None else [first]
     while work and span.dim < cap:
         w = work.pop()
         for act in actions:
-            added = span.add(act(w))
-            if added is not None:
+            image = act(w)
+            if image is not None and (added := span.add(image)) is not None:
                 work.append(added)
     return span
 
@@ -150,19 +151,27 @@ def _left_mul(g, ncols, w):
     return [sum(map(mul, grow, col)) for grow in g for col in cols]
 
 
-def _apply(m, cols, w):
-    """The integer matrix m, with columns ``cols``, times the integer vector
-    w: a mostly-zero w combines the columns it selects."""
-    if is_mostly_zero(w):
-        return combine(w, cols, len(m))
-    return _left_mul(m, 1, w)
+def _factor_action(out, inn, seen, w):
+    """out^T c for c = inn w, or None where c lies in ``seen``, the span of the
+    c returned before: out^T c is linear in c, so it is in the orbit already."""
+    c = seen.add([sum(map(mul, row, w)) for row in inn])
+    return None if c is None else combine(c, out, len(w))
 
 
-def _orbit(mats, cols, vec, r) -> EchelonSpan:
-    """Span of the orbit of the integer vector ``vec`` under the r x r
-    integer matrices ``mats``, whose columns are ``cols``: the smallest
-    subspace containing vec that every one of them maps into itself."""
-    return _closure(EchelonSpan(r), vec, [partial(_apply, m, c) for m, c in zip(mats, cols)], r)
+def _orbit(rep, vec, transposed=False) -> EchelonSpan:
+    """Span of the orbit of the integer vector ``vec`` under the generator
+    images or their transposes: its closure under the factors A_i = R_i^T Y_i
+    / s_i of g_i - 1, or under A_i^T.  Rank k < r acts in O(k r) and adds at
+    most k vectors, 1 + (n-1)k inserts; at rank r, R_i = 1 and Y_i acts alone."""
+    actions = []
+    for i in range(1, rep.n):
+        img, y, _ = rep.factor(i)
+        if img.is_full():
+            actions.append(partial(_left_mul, tuple(zip(*y)) if transposed else y, 1))
+        elif img.dim:
+            out, inn = (y, img.rows) if transposed else (img.rows, y)
+            actions.append(partial(_factor_action, out, inn, EchelonSpan(img.dim)))
+    return _closure(EchelonSpan(rep.r), vec, actions, rep.r)
 
 
 def spin(rep, v) -> Subspace:
@@ -170,11 +179,7 @@ def spin(rep, v) -> Subspace:
     images and their inverses.  It is grown under the images alone: in finite
     dimension, a subspace an invertible map sends into itself is closed under
     the inverse map too."""
-    # Integer numerators act in place of the images: scaling an image by its
-    # denominator does not change the span.
-    gens = [rep.gen(i).num for i in range(1, rep.n)]
-    cols = [tuple(zip(*g)) for g in gens]
-    return _orbit(gens, cols, clear_denominators(v)[0], rep.r).to_subspace()
+    return _orbit(rep, clear_denominators(v)[0]).to_subspace()
 
 
 def _algebra_dim(gens, r, span) -> int:
@@ -279,14 +284,12 @@ def _norton_step(rep) -> IrreducibilityVerdict | None:
     verdict, or None when no element decides.
     """
     r = rep.r
-    gens = [rep.gen(i).num for i in range(1, rep.n)]
-    transposes = [tuple(zip(*g)) for g in gens]
     for kind, where, x, make_y, decisive in _norton_candidates(rep):
-        right = _orbit(gens, transposes, x, r)
+        right = _orbit(rep, x)
         if right.dim < r:
             verdict = _verified_reducible(rep, right.to_subspace(), f"orbit of a right {kind} of {where}")
         else:
-            left = _orbit(transposes, gens, make_y(), r)
+            left = _orbit(rep, make_y(), transposed=True)
             if left.dim == r:
                 if decisive:
                     return _closure_verdict(rep, r * r, None)
@@ -326,15 +329,17 @@ def _closure_verdict(rep, dim, thin_detail) -> IrreducibilityVerdict:
 def _is_invariant(rep, w: Subspace) -> bool:
     """Whether every generator image and every inverse maps w into itself.
 
-    Each image g acts on the integer rows of w through its integer
-    numerator, since scaling g does not move a vector out of w.  Only
-    g w within w is checked: the constructor makes every image invertible,
-    so g w has the dimension of w and equals it, and g^-1 w = w follows
-    without forming g^-1.
+    g_i = 1 + A_i maps a row v of w into w exactly when A_i v, a multiple
+    of R_i^T (Y_i v), lies in w, which needs checking only where Y_i v is
+    not 0.  Only g w within w is checked: the constructor makes every image
+    invertible, so g w has the dimension of w and equals it, and g^-1 w = w
+    follows without forming g^-1.
     """
-    for v in w.rows:
-        for i in range(1, rep.n):
-            if not w.contains_ints(_left_mul(rep.gen(i).num, 1, v)):
+    for i in range(1, rep.n):
+        img, y, _ = rep.factor(i)
+        for v in w.rows:
+            c = [sum(map(mul, row, v)) for row in y]
+            if any(c) and not w.contains_ints(img.combination(c)):
                 return False
     return True
 
@@ -346,17 +351,6 @@ def _verified_reducible(rep, w: Subspace | None, detail):
     if not _is_invariant(rep, w):
         return None
     return IrreducibilityVerdict(Verdict.REDUCIBLE, w, None, detail=detail)
-
-
-def _restriction_matrix(m: Matrix, sub: Subspace) -> Matrix:
-    """Matrix of m acting on an m-invariant subspace, in its canonical basis."""
-    cols = []
-    for v in sub.basis_vectors():
-        coords = sub.coordinates(m * v)
-        if coords is None:
-            raise PreconditionError("subspace is not invariant under the operator")
-        cols.append(coords)
-    return Matrix(tuple(zip(*cols)))
 
 
 def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
@@ -378,12 +372,14 @@ def _image_eigenspaces(rep, i):
 
     An eigenvector at lambda != 0 is A_i of itself over lambda, so it lies in
     the image already; only the kernel of A_i needs cutting down to it."""
-    a, img = rep.deformation(i), rep.images[i]
+    a, (img, _, s) = rep.deformation(i), rep.factor(i)
     if img.is_zero():
         return []
+    # A_i R_i^T = R_i^T (Y_i R_i^T) / s_i: A_i on its image, in the basis R_i^T.
+    on_image = Matrix._new(tuple(map(tuple, rep.middle(i, i))), 1) * Fraction(1, s)
     ident = Matrix.identity(rep.r)
     return [(lam, kernel_basis(a - ident * lam) if lam else img.intersect(kernel_basis(a)))
-            for lam in rational_eigenvalues(_restriction_matrix(a, img))]
+            for lam in rational_eigenvalues(on_image)]
 
 
 def _verify_chain_formulas(rep, xs, lam):
@@ -488,7 +484,7 @@ def _chain_data(rep):
         if w.dim >= 2:
             raise ReducibleSignal(
                 "neighboring deformation images coincide; the common plane is invariant",
-                witness=rep.images[i],
+                witness=rep.image(i),
             )
         if w.dim == 0:
             raise PreconditionError(
@@ -500,35 +496,44 @@ def _chain_data(rep):
                 raise PreconditionError(
                     f"friendship graph is not a chain: non-neighbor friendship at ({i},{j})"
                 )
-    # Each neighbor meet is a line, so a nonzero vector spans it exactly
-    # when it lies in both images.
-    cols = [rep.meet(0, 1).vector(0)]
+    # Chain vector i is v / d for chain[i] = (v, d).  Each neighbor meet is a
+    # line, so a nonzero vector spans it exactly when it lies in both images.
+    line = rep.meet(0, 1)
+    chain = [(line.rows[0], line.rows[0][line.pivots[0]])]
     for i in range(1, n):
-        cols.append(rep.gen(i) * cols[-1])
-    ims = rep.images
-    for i in range(n):
-        if not (any(cols[i]) and ims[i].contains(cols[i]) and ims[(i + 1) % n].contains(cols[i])):
+        chain.append(_apply_generator(rep, i, *chain[-1]))
+    for i, (v, _) in enumerate(chain):
+        if not (any(v) and rep.image(i).contains_ints(v) and rep.image((i + 1) % n).contains_ints(v)):
             raise NotARepresentationError(
                 f"chain vector {i} does not span the expected neighbor intersection"
             )
     twists = []
     for i in range(1, n):
-        back = rep.gen(i) * cols[i]
-        prev = cols[i - 1]
+        (back, bden), (prev, pden) = _apply_generator(rep, i, *chain[i]), chain[i - 1]
         p = next(idx for idx, e in enumerate(prev) if e)
-        u = back[p] / prev[p]
-        if u == 0 or back != _scale_vec(u, prev):
+        if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
             raise NotARepresentationError(
                 f"generator {i} does not map its chain vector into the previous line"
             )
-        twists.append(u)
-    basis = Matrix(tuple(zip(*cols)))
+        twists.append(Fraction(back[p] * pden, bden * prev[p]))
+    lcm = math.lcm(*(d for _, d in chain))
+    cols = ([e * (lcm // d) for e in v] for v, d in chain)
+    basis = Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
     if rank(basis) != n:
         raise ReducibleSignal(
             "chain vectors are dependent; their span is a proper invariant subspace",
-            witness=Subspace(r, cols),
+            witness=Subspace._span(r, [v for v, _ in chain]),
         )
     return basis, twists
+
+
+def _apply_generator(rep, i, v, den):
+    """``(w, e)`` in lowest terms with g_i (v / den) = w / e, for an integer
+    vector v: w / e = (s v + R_i^T (Y_i v)) / (s den), in O(k r)."""
+    img, y, s = rep.factor(i)
+    w = [s * a + b for a, b in zip(v, img.combination([sum(map(mul, row, v)) for row in y]))]
+    g = math.gcd(s * den, *w)
+    return [e // g for e in w], s * den // g
 
 
 def chain_basis(rep) -> Matrix:
@@ -556,11 +561,12 @@ def extract_standard_form(rep) -> StandardFormResult:
         )
     target = tym_standard(rep.n, u)
     # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
-    # = T_i.  basis T_i is formed as (T_i^T basis^T)^T, whose left factor
-    # is sparse.
-    basis_t = basis.transpose()
+    # = T_i.  Columns i-1 and i hold by the chain construction and the equal
+    # twists; T_i fixes every other e_j, leaving Y_i b_j = 0 (A_i b_j = 0).
+    cols = tuple(zip(*basis.num))
     for i in range(1, rep.n):
-        if rep.gen(i) * basis != (target.gen(i).transpose() * basis_t).transpose():
+        y = rep.factor(i)[1]
+        if any(sum(map(mul, row, cols[j])) for j in range(rep.n) if j not in (i - 1, i) for row in y):
             raise NotARepresentationError(
                 f"conjugated image of generator {i} does not match the standard family"
             )
@@ -625,9 +631,9 @@ def dimension_bound_check(rep) -> bool:
 
 def _common_fixed_vectors(rep):
     """Reducible verdict witnessed by the vectors every generator fixes, or None."""
-    # Stacked numerators: scaling a deformation does not change its kernel.
-    stacked = Matrix(tuple(row for i in range(1, rep.n) for row in rep.deformation(i).num))
-    return _verified_reducible(rep, kernel_basis(stacked), "common fixed vectors")
+    # ker A_i = ker Y_i, as R_i^T is injective: (n-1)k stacked rows.
+    stacked = tuple(row for i in range(1, rep.n) for row in rep.factor(i)[1]) or ((0,) * rep.r,)
+    return _verified_reducible(rep, kernel_basis(Matrix._new(stacked, 1)), "common fixed vectors")
 
 
 def invariant_subspace_search(rep) -> IrreducibilityVerdict:

@@ -18,6 +18,7 @@ on ints; the pivot-normalized ``Fraction`` basis is built only on request.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -77,12 +78,6 @@ def _format_entry(e, den) -> str:
     return str(e // g) if g == den else f"{e // g}/{den // g}"
 
 
-def is_mostly_zero(row) -> bool:
-    """Whether at least three quarters of the entries of row are zero: such a
-    vector is applied to a matrix by combining the columns (or rows) it selects."""
-    return row.count(0) * 4 >= 3 * len(row)
-
-
 def combine(coeffs, vectors, length):
     """The integer list sum(a * v) over the nonzero coefficients a of
     ``coeffs`` and the matching integer vectors v, all of the given length."""
@@ -91,6 +86,21 @@ def combine(coeffs, vectors, length):
         if a:
             acc = [s + a * b for s, b in zip(acc, v)]
     return acc
+
+
+def mul_rows(a, b, ncols):
+    """The integer rows of a b, for integer rows a and b with ncols columns.
+    A row of a with at least half of its entries zero combines the rows of
+    b it selects; any other row takes a dot product per column."""
+    cols, out = None, []
+    for row in a:
+        if row.count(0) * 2 >= len(row):
+            out.append(combine(row, b, ncols))
+        else:
+            if cols is None:
+                cols = tuple(zip(*b))
+            out.append([sum(map(mul, row, col)) for col in cols])
+    return out
 
 
 def clear_denominators(vec):
@@ -227,16 +237,7 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-            brows, cols, num = other.num, None, []
-            for row in self.num:
-                if is_mostly_zero(row):
-                    # Mostly zero: combine the rows of other that row selects.
-                    num.append(combine(row, brows, other.ncols))
-                else:
-                    if cols is None:
-                        cols = tuple(zip(*brows))
-                    num.append([sum(map(mul, row, col)) for col in cols])
-            return _lowest_terms(num, self.den * other.den)
+            return _lowest_terms(mul_rows(self.num, other.num, other.ncols), self.den * other.den)
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(other)}")
@@ -379,6 +380,8 @@ class Subspace:
 
     def contains_ints(self, vec) -> bool:
         """Membership of an integer vector, without a length check."""
+        if len(self.rows) == self.ambient_dim:
+            return True
         # The rows vanish at each other's pivots, so vec lies in the span
         # exactly when m * vec is the combination of the rows with
         # coefficients vec[p] * m / row[p], m the lcm of the pivot entries.
@@ -390,6 +393,18 @@ class Subspace:
                 c *= m // lead
                 acc = [a - c * b for a, b in zip(acc, row)]
         return not any(acc)
+
+    def coordinate_rows(self, num):
+        """``(rows, m)`` with num = R^T rows / m, for integer rows num whose
+        columns lie in the span, R the canonical rows and m the lcm of their
+        leads: row j is m / lead_j times row p_j of num, p_j the pivot of R_j."""
+        leads, m = self._leads
+        return tuple(tuple(map((m // lead).__mul__, num[p])) for p, lead in zip(self.pivots, leads)), m
+
+    def combination(self, coeffs):
+        """The integer vector R^T coeffs for the canonical rows R (R = 1 when full)."""
+        full = len(self.rows) == self.ambient_dim
+        return list(coeffs) if full else combine(coeffs, self.rows, self.ambient_dim)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
@@ -438,7 +453,7 @@ class Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column space of m."""
-    return Subspace._span(m.nrows, zip(*m.num))
+    return Subspace._span(m.nrows, [col for col in zip(*m.num) if any(col)])
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -690,12 +705,12 @@ class EchelonSpan:
             if c:
                 rp = row[p]
                 v = _primitive([a * rp - c * b for a, b in zip(v, row)])
-        p = next((k for k, e in enumerate(v) if e), None)
+        p = next(filter(v.__getitem__, range(len(v))), None)
         if p is None:
             return None
         if v[p] < 0:
             v = [-e for e in v]
-        at = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
+        at = bisect.bisect(self.pivots, p)
         self.pivots.insert(at, p)
         self.rows.insert(at, v)
         return tuple(v)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from braidrep.braid import (
     BraidWord,
     RelationReport,
+    _shortcut_holds,
     circular_distance,
     evaluate_word,
     sigma0_image,
@@ -16,13 +17,15 @@ from braidrep.braid import (
     verify_cyclic_conjugation,
     verify_deformed_relations,
 )
-from braidrep.errors import ShapeError
+from braidrep.errors import ShapeError, SingularMatrixError
 from braidrep.linalg import Matrix, charpoly, rank
 from braidrep.zoo import (
     Representation,
     character_rep,
+    direct_sum,
     random_invertible_matrix,
     reduced_burau,
+    scrambled,
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
@@ -234,6 +237,43 @@ def only_a_braid_pair_broken():
     return Representation(4, 2, [*burau.generators, Matrix([[2, 0], [0, 2]])], label="braid pair broken")
 
 
+def _entry_plus_one(rep, seed):
+    """rep with 1 added to one entry of one generator: the first entry, in a
+    seeded order, for which the family stays invertible."""
+    rng = Random(seed)
+    i = rng.randrange(rep.n - 1)
+    cells = [(x, y) for x in range(rep.r) for y in range(rep.r)]
+    rng.shuffle(cells)
+    for x, y in cells:
+        rows = [list(row) for row in rep.generators[i].rows]
+        rows[x][y] += 1
+        gens = list(rep.generators)
+        gens[i] = Matrix(rows)
+        try:
+            return Representation(rep.n, rep.r, gens, label=f"{rep.label} with g_{i + 1}[{x},{y}] + 1")
+        except SingularMatrixError:
+            continue
+    raise AssertionError(f"no entry of {rep.label} can be raised by 1")
+
+
+def _first_two_swapped(rep):
+    g = rep.generators
+    return Representation(rep.n, rep.r, (g[1], g[0]) + g[2:], label=f"{rep.label} with g_1, g_2 swapped")
+
+
+def _dense_cases():
+    """Every zoo member and a family with every deformation 0 (k = 0), in two
+    bases each, then each of those with one entry raised by 1 and with its
+    first two generators swapped."""
+    trivial = direct_sum(character_rep(5, 1), character_rep(5, 1))
+    for rep in build_zoo() + [trivial]:
+        for seed in (1, 2):
+            moved = scrambled(rep, seed)
+            yield moved
+            yield _entry_plus_one(moved, seed)
+            yield _first_two_swapped(moved)
+
+
 def _shortcut_cases():
     yield from build_zoo()
     yield broken_family()
@@ -244,11 +284,28 @@ def _shortcut_cases():
     yield Representation(2, 1, [Matrix([[3]])], label="n=2 character")
     yield reduced_burau(3, 2)
     yield Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]])], label="n=3 diagonal")
+    yield Representation(4, 2, [Matrix.identity(2)] * 3, label="k=0")
+    yield from _dense_cases()
+    yield from _only_a_shift_broken()
+
+
+def _only_a_shift_broken():
+    """Characters y, y, z: D maps every image into the next one and the
+    relations at g_1 hold, but D g_2 = g_3 D fails; then the same beside a
+    trivial character, where the images are a line, in two bases."""
+    chars = Representation(4, 1, [Matrix([[2]]), Matrix([[2]]), Matrix([[3]])], label="characters 2, 2, 3")
+    yield chars
+    padded = direct_sum(chars, character_rep(4, 1))
+    yield padded
+    yield scrambled(padded, 1)
 
 
 @pytest.mark.parametrize("rep", list(_shortcut_cases()), ids=lambda rep: rep.label or "broken")
 def test_relation_shortcut_matches_the_pairwise_scan(rep):
-    assert verify_braid_relations(rep) == _pairwise_report(rep)
+    expected = _pairwise_report(rep)
+    assert verify_braid_relations(rep) == expected
+    # The shortcut alone decides too: a genuine family must not need the scan.
+    assert rep.n == 2 or _shortcut_holds(rep) == expected.ok
 
 
 def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():
@@ -258,3 +315,14 @@ def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():
     report = verify_braid_relations(rep)
     assert report.braid_relations_ok and not report.far_commutation_ok
     assert [pair for _, pair in report.failures] == [(1, 3), (1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_burau_matrices_satisfy_the_relations_for_every_t(n):
+    # Each entry of a relation difference is a polynomial of degree at most 3
+    # in t (a product of three generators with entries of degree at most 1),
+    # so vanishing at five values of t proves it zero for every t.
+    for t in (2, 3, -1, F(1, 2), F(5, 3)):
+        rep = reduced_burau(n, t)
+        assert _pairwise_report(rep) == RelationReport(True, True), (n, t)
+        assert verify_braid_relations(rep).ok, (n, t)

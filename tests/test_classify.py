@@ -17,6 +17,7 @@ from braidrep.classify import (
     _modp_algebra_is_full,
     _norton_candidates,
     _norton_step,
+    _orbit,
     _rational_algebra_dim,
     analyze,
     burnside_dimension,
@@ -858,3 +859,82 @@ def test_chain_recovery_matches_the_all_pairs_scan(rep):
     forced = Representation(rep.n, rep.r, rep.generators)
     forced.shift_invariant = False  # overrides the cached check: scan every pair
     assert _chain_outcome(forced) == shortcut
+
+
+def _factor_cases():
+    yield from build_zoo()
+    yield from random_families()
+    for rep in build_zoo():
+        yield scrambled(rep, 5)
+
+
+@pytest.mark.parametrize("rep", list(_factor_cases()), ids=repr)
+def test_factors_rebuild_every_deformation(rep):
+    for i in range(rep.n):
+        img, y, s = rep.factor(i)
+        assert len(y) == img.dim == rank(rep.deformation(i)), (rep.label, i)
+        rebuilt = Matrix([[F(sum(row[x] * yrow[z] for row, yrow in zip(img.rows, y)), s)
+                           for z in range(rep.r)] for x in range(rep.r)])
+        assert rebuilt == rep.deformation(i), (rep.label, i)
+
+
+def _orbit_by_products(rep, v, transposed):
+    """Reference orbit of v under the integer numerators of the generator
+    images, or under their transposes, grown by Fraction products."""
+    mats = [Matrix(rep.gen(i).num) for i in range(1, rep.n)]
+    if transposed:
+        mats = [m.transpose() for m in mats]
+    span, work = Subspace(rep.r, [v]), [v]
+    while work:
+        w = work.pop()
+        for m in mats:
+            mw = m * w
+            if not span.contains(mw):
+                span, work = span + Subspace(rep.r, [mw]), work + [mw]
+    return span
+
+
+@pytest.mark.parametrize("rep", [
+    tym_standard(6, 2),
+    scrambled(tym_standard(6, 1), 3),
+    scrambled(reduced_burau(6, 2), 4),
+    scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
+    # every deformation of full rank, k = r
+    scrambled(tensor_character(reduced_burau(6, 2), -1), 3),
+    # k = r and upper triangular: e_0 spans an invariant line, its transposed orbit is Q^2
+    Representation(3, 2, [Matrix([[2, 1], [0, 3]]), Matrix([[3, 1], [0, 2]])], label="triangular"),
+    # a summand whose deformations are 0
+    scrambled(direct_sum(tym_standard(5, 2), character_rep(5, 1)), 2),
+    Representation(4, 2, [Matrix.identity(2)] * 3),
+], ids=repr)
+@pytest.mark.parametrize("transposed", [False, True], ids=["right", "transposed"])
+def test_factored_orbit_matches_the_orbit_under_the_images(rep, transposed):
+    rng = Random(rep.r)
+    vectors = [[int(j == k) for j in range(rep.r)] for k in range(rep.r)]
+    vectors += [[rng.randint(-3, 3) for _ in range(rep.r)] for _ in range(3)]
+    for v in vectors:
+        got = _orbit(rep, v, transposed).to_subspace()
+        assert got == _orbit_by_products(rep, v, transposed), (rep.label, v)
+
+
+@pytest.mark.parametrize("k, j", [(k, j) for k in range(1, 7) for j in range(7) if j not in (k - 1, k)])
+def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
+    # Adding e_k to column j of generator k of the standard family keeps the
+    # column inside Im A_k, so the corank and the images do not change, but
+    # g_k no longer fixes e_j.
+    base = tym_standard(7, 2)
+    rows = [list(row) for row in base.generators[k - 1].rows]
+    rows[k][j] += 1
+    gens = list(base.generators)
+    gens[k - 1] = Matrix(rows)
+    rep = scrambled(Representation(7, 7, gens), 3)
+    assert [rep.image(i).dim for i in range(1, 7)] == [2] * 6
+    if j == 6 and k < 6:
+        # The chain recovery stops before the conjugation check here.
+        with pytest.raises((PreconditionError, NotARepresentationError)) as exc:
+            extract_standard_form(rep)
+        assert "conjugated image" not in str(exc.value)
+        return
+    message = f"^conjugated image of generator {k} does not match the standard family$"
+    with pytest.raises(NotARepresentationError, match=message):
+        extract_standard_form(rep)

@@ -281,7 +281,7 @@ def _graph_inputs():
 
 def _all_pairs_adjacency(rep, labels):
     """Reference: intersect the deformation images of every pair."""
-    ims = rep.images
+    ims = [rep.image(i) for i in range(rep.n)]
     return tuple(
         tuple(i != j and not ims[i].intersect(ims[j]).is_zero() for j in labels)
         for i in labels
