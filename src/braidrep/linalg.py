@@ -23,7 +23,6 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
@@ -192,9 +191,6 @@ class Matrix:
     def column(self, j):
         return tuple(Fraction(row[j], self.den) for row in self.num)
 
-    def columns(self):
-        return tuple(zip(*self.rows)) if self.nrows else ()
-
     def transpose(self):
         if not self.nrows:
             return Matrix(((),))
@@ -292,15 +288,15 @@ class Subspace:
 
     The basis is stored as ``rows``: the integer rows of the reduced row
     echelon form, each scaled to a primitive vector with a positive entry at
-    its pivot, ordered by pivot, with ``pivots`` their pivot columns.  That
-    scaling is unique, so two Subspace values describe the same set of
-    vectors exactly when their stored rows are equal, and membership,
-    intersection and sums run on Python ints.  The pivot-normalized
-    ``Fraction`` views (``basis_vectors``, ``vector``, ``basis``) are built
-    only on request.
+    its pivot, ordered by pivot, with ``pivots`` their pivot columns and
+    ``_leads`` the pivot entries and their lcm.  That scaling is unique, so
+    two Subspace values describe the same set of vectors exactly when their
+    stored rows are equal, and membership, intersection and sums run on
+    Python ints.  The pivot-normalized ``Fraction`` views (``basis_vectors``
+    and ``basis``) are built on each call.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "__dict__")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_leads")
 
     def __init__(self, ambient_dim, vectors):
         """Canonicalize an arbitrary spanning set (vectors of length ambient_dim)."""
@@ -309,17 +305,19 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise ShapeError("spanning vector has wrong length")
             span.add(clear_denominators(v)[0])
-        self.ambient_dim = ambient_dim
-        self.rows, self.pivots = span.canonical_rows()
+        self._set(ambient_dim, *span.canonical_rows())
 
     @classmethod
     def _from_canonical(cls, ambient_dim, rows, pivots):
         """Trusted constructor for integer rows already in canonical form."""
         self = cls.__new__(cls)
-        self.ambient_dim = ambient_dim
-        self.rows = rows
-        self.pivots = pivots
+        self._set(ambient_dim, rows, pivots)
         return self
+
+    def _set(self, ambient_dim, rows, pivots):
+        self.ambient_dim, self.rows, self.pivots = ambient_dim, rows, pivots
+        leads = tuple(row[p] for p, row in zip(pivots, rows))
+        self._leads = leads, math.lcm(*leads)
 
     @classmethod
     def _span(cls, ambient_dim, int_vectors) -> "Subspace":
@@ -351,17 +349,7 @@ class Subspace:
     def is_full(self):
         return self.dim == self.ambient_dim
 
-    @cached_property
-    def _leads(self):
-        """The pivot entries of the rows, and their lcm."""
-        leads = tuple(row[p] for p, row in zip(self.pivots, self.rows))
-        return leads, math.lcm(*leads)
-
-    @cached_property
-    def _fraction_vectors(self):
-        return tuple(tuple(Fraction(e, lead) for e in row) for lead, row in zip(self._leads[0], self.rows))
-
-    @cached_property
+    @property
     def basis(self) -> Matrix:
         """Basis as a matrix whose columns are the canonical basis vectors."""
         if not self.rows:
@@ -372,11 +360,7 @@ class Subspace:
 
     def basis_vectors(self):
         """The canonical basis vectors, as ``Fraction`` tuples with pivot entries 1."""
-        return self._fraction_vectors
-
-    def vector(self, j):
-        """The j-th canonical basis vector."""
-        return self._fraction_vectors[j]
+        return tuple(tuple(Fraction(e, lead) for e in row) for lead, row in zip(self._leads[0], self.rows))
 
     def contains_ints(self, vec) -> bool:
         """Membership of an integer vector, without a length check."""

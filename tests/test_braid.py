@@ -215,19 +215,50 @@ def _permutation(images):
     return Matrix([[int(images[j] == i) for j in range(size)] for i in range(size)])
 
 
+def _delta_family(n, a, d, label):
+    """g_i = d^(i-1) a d^(1-i) on the permutation matrices of a and d.  When
+    d^n = (a d)^(n-1), g_1 ... g_(n-1) = d, so D = d and every shift
+    D g_i = g_(i+1) D holds."""
+    a, d = _permutation(a), _permutation(d)
+    gens, dinv = [a], d.transpose()
+    while len(gens) < n - 1:
+        gens.append(d * gens[-1] * dinv)
+    return Representation(n, a.nrows, gens, label=label)
+
+
 def only_far_pairs_broken():
     """5 strands on permutation matrices of size 6: g_1 = a is a 3-cycle and
-    g_i = d^(i-1) a d^(1-i) for the 5-cycle d, with d^5 = (a d)^4.  Then
-    g_1 g_2 g_3 g_4 = d, so d g_i = g_(i+1) d, and the braid relations hold,
-    but g_1 commutes with neither g_3 nor g_4: only the far-commutation
+    d a 5-cycle, with d^5 = (a d)^4, so the shifts and the braid relations
+    hold, but g_1 commutes with neither g_3 nor g_4: only the far-commutation
     check of the shortcut sees the failure."""
-    a = _permutation((1, 2, 0, 3, 4, 5))
-    d = _permutation((0, 2, 3, 4, 5, 1))
-    dinv = d.transpose()
-    gens = [a]
-    for _ in range(3):
-        gens.append(d * gens[-1] * dinv)
-    return Representation(5, 6, gens, label="far pairs broken")
+    return _delta_family(5, (1, 2, 0, 3, 4, 5), (0, 2, 3, 4, 5, 1), "far pairs broken")
+
+
+# (n, a, d, js) with d^n = (a d)^(n-1), and js the indices j >= 3 of the
+# generators that g_1 = a does not commute with.  The genuine ones: B_5 and
+# B_6 through the transitive maps of S_5 and S_6 into S_6 that send s1 to
+# three transpositions, and the permutation action of B_7 and B_8.  The
+# broken ones come from a search over a in S_m and d of each cycle type,
+# m <= 7: at n = 6 and 7 they fail at j = n//2 + 1 but not at j = 3, and no
+# broken one at n = 8 fails at j = 5 alone.
+_DELTA_FAMILIES = [
+    (5, (1, 0, 3, 2, 5, 4), (1, 2, 3, 4, 0, 5), ()),
+    (6, (1, 0, 3, 2, 5, 4), (1, 2, 0, 4, 3, 5), ()),
+    (7, (0, 1, 2, 3, 4, 6, 5), (1, 2, 3, 4, 5, 6, 0), ()),
+    (8, (1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0), ()),
+    (5, (0, 2, 4, 1, 3), (1, 2, 3, 4, 0), (3, 4)),
+    (6, (0, 2, 1, 4, 3), (1, 0, 3, 2, 4), (4,)),
+    (6, (1, 3, 4, 2, 0), (1, 2, 0, 3, 4), (3, 5)),
+    (7, (0, 1, 6, 2, 4, 5, 3), (1, 2, 3, 4, 5, 6, 0), (4, 5)),
+    (7, (0, 3, 2, 1, 6, 5, 4), (1, 2, 3, 4, 5, 6, 0), (3, 6)),
+    (8, (0, 4, 2, 6, 1, 5, 3), (1, 2, 3, 0, 5, 4, 6), (4, 6)),
+    (8, (1, 3, 4, 5, 0, 6, 2), (1, 2, 3, 0, 5, 4, 6), (3, 4, 6, 7)),
+]
+
+
+def delta_families():
+    for n, a, d, js in _DELTA_FAMILIES:
+        yield _delta_family(n, a, d, f"delta family n={n} a={a} noncommuting {js}")
 
 
 def only_a_braid_pair_broken():
@@ -287,6 +318,7 @@ def _shortcut_cases():
     yield Representation(4, 2, [Matrix.identity(2)] * 3, label="k=0")
     yield from _dense_cases()
     yield from _only_a_shift_broken()
+    yield from delta_families()
 
 
 def _only_a_shift_broken():
@@ -317,6 +349,15 @@ def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():
     assert [pair for _, pair in report.failures] == [(1, 3), (1, 4), (2, 4)]
 
 
+@pytest.mark.parametrize(("n", "a", "d", "js"), _DELTA_FAMILIES)
+def test_delta_families_pass_every_shift_and_fail_where_listed(n, a, d, js):
+    rep = _delta_family(n, a, d, "")
+    assert rep.tau == _permutation(d)
+    report = _pairwise_report(rep)
+    assert tuple(j for _, (i, j) in report.failures if i == 1 and j >= 3) == js
+    assert report.ok == (not js)
+
+
 @pytest.mark.parametrize("n", range(3, 17))
 def test_burau_matrices_satisfy_the_relations_for_every_t(n):
     # Each entry of a relation difference is a polynomial of degree at most 3
@@ -326,3 +367,13 @@ def test_burau_matrices_satisfy_the_relations_for_every_t(n):
         rep = reduced_burau(n, t)
         assert _pairwise_report(rep) == RelationReport(True, True), (n, t)
         assert verify_braid_relations(rep).ok, (n, t)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_standard_family_satisfies_the_relations_for_every_u(n):
+    # As for Burau: the entries of the generators have degree at most 1 in u,
+    # so vanishing at five values of u proves each relation for every u.
+    for u in (2, 3, -1, F(1, 2), F(5, 3)):
+        rep = tym_standard(n, u)
+        assert _pairwise_report(rep) == RelationReport(True, True), (n, u)
+        assert verify_braid_relations(rep).ok, (n, u)

@@ -795,20 +795,15 @@ def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
         assert "violates the dimension bound" in report.standard_form_error
 
 
-def test_chain_analyze_checks_relations_on_the_standard_family_only(monkeypatch):
+def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypatch):
     import braidrep.classify as classify
 
     calls = []
-    original = classify.verify_braid_relations
-
-    def spy(rep):
-        calls.append(rep)
-        return original(rep)
-
-    monkeypatch.setattr(classify, "verify_braid_relations", spy)
+    monkeypatch.setattr(classify, "verify_braid_relations", calls.append)
     report = analyze(scrambled(tym_standard(8, F(5, 3)), 3))
     assert report.standard_form is not None
-    assert len(calls) == 1 and calls[0] is report.standard_form.standard
+    assert calls == []
+    assert report.relations["braid_relations_ok"] and report.relations["far_commutation_ok"]
 
 
 _CHAIN_GRID = [
@@ -818,16 +813,21 @@ _CHAIN_GRID = [
 ] + [Representation(6, 6, [Matrix.identity(6)] * 5), tym_standard(7, 4)]
 
 
-@pytest.mark.parametrize("rep", _CHAIN_GRID, ids=repr)
-def test_analyze_relations_equal_the_dense_check_of_the_input(rep):
+def _dense_relations(rep):
+    """The relations entry of ``analyze`` from the dense check of the input."""
     dense = verify_braid_relations(rep)
-    assert analyze(rep).relations == {
+    return {
         "braid_relations_ok": dense.braid_relations_ok,
         "far_commutation_ok": dense.far_commutation_ok,
         "cyclic_conjugation_ok": dense.ok or verify_cyclic_conjugation(rep),
         "deformed_relations_ok": dense.ok,
         "failures": [[desc, list(pair)] for desc, pair in dense.failures],
     }
+
+
+@pytest.mark.parametrize("rep", _CHAIN_GRID, ids=repr)
+def test_analyze_relations_equal_the_dense_check_of_the_input(rep):
+    assert analyze(rep).relations == _dense_relations(rep)
 
 
 def _chain_outcome(rep):
@@ -917,17 +917,23 @@ def test_factored_orbit_matches_the_orbit_under_the_images(rep, transposed):
         assert got == _orbit_by_products(rep, v, transposed), (rep.label, v)
 
 
-@pytest.mark.parametrize("k, j", [(k, j) for k in range(1, 7) for j in range(7) if j not in (k - 1, k)])
-def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
-    # Adding e_k to column j of generator k of the standard family keeps the
-    # column inside Im A_k, so the corank and the images do not change, but
-    # g_k no longer fixes e_j.
+def _moved_inside_its_image(k, j):
+    """The standard family on 7 strands at u = 2 with e_k added to column j
+    of generator k, in a scrambled basis."""
     base = tym_standard(7, 2)
     rows = [list(row) for row in base.generators[k - 1].rows]
     rows[k][j] += 1
     gens = list(base.generators)
     gens[k - 1] = Matrix(rows)
-    rep = scrambled(Representation(7, 7, gens), 3)
+    return scrambled(Representation(7, 7, gens), 3)
+
+
+@pytest.mark.parametrize("k, j", [(k, j) for k in range(1, 7) for j in range(7) if j not in (k - 1, k)])
+def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
+    # Adding e_k to column j of generator k of the standard family keeps the
+    # column inside Im A_k, so the corank and the images do not change, but
+    # g_k no longer fixes e_j.
+    rep = _moved_inside_its_image(k, j)
     assert [rep.image(i).dim for i in range(1, 7)] == [2] * 6
     if j == 6 and k < 6:
         # The chain recovery stops before the conjugation check here.
@@ -938,3 +944,18 @@ def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
     message = f"^conjugated image of generator {k} does not match the standard family$"
     with pytest.raises(NotARepresentationError, match=message):
         extract_standard_form(rep)
+
+
+@pytest.mark.parametrize("k, j", [(k, j) for k in range(1, 7) for j in range(7)])
+def test_analyze_reports_a_failed_chain_step_and_checks_the_relations(k, j):
+    # Every perturbed family breaks the relations, and the chain recovery
+    # refuses it; the verdict then comes from the later steps of the ladder.
+    rep = _moved_inside_its_image(k, j)
+    with pytest.raises((PreconditionError, NotARepresentationError)) as exc:
+        extract_standard_form(rep)
+    report = analyze(rep)
+    assert report.verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+    assert report.standard_form is None
+    assert report.standard_form_error == str(exc.value)
+    assert not verify_braid_relations(rep).ok
+    assert report.relations == _dense_relations(rep)

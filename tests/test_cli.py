@@ -345,3 +345,47 @@ def test_zero_dimension_in_file_exits_two(tmp_path, capsys, verb):
     code, out, err = capture(capsys, [verb, str(path)])
     assert (code, out) == (2, "")
     assert "dimension must be at least 1" in err
+
+
+def test_graph_verb_default_json(capsys):
+    code, out, _ = capture(capsys, ["graph", "tym:n=6,u=2"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["vertices"] == ["s1", "s2", "s3", "s4", "s5"]
+    assert data["edges"] == [[1, 2], [2, 3], [3, 4], [4, 5]]
+    assert data["class"] == "ContainsChain"
+    # The distance set is defined on the full graph only.
+    assert "distance_set" not in data
+    _, out, _ = capture(capsys, ["graph", "tym:n=6,u=2", "--full"])
+    full = json.loads(out)
+    assert full["distance_set"] == [1]
+    assert full["edges"] == [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]]
+    assert full["class"] == "ContainsChain"
+
+
+def test_graph_verb_reports_an_unclassified_graph(capsys):
+    path = Path(__file__).resolve().parent / "data" / "broken_family.json"
+    code, out, _ = capture(capsys, ["graph", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert data["class"] == "unclassified: graph is not invariant under the cyclic shift"
+    assert data["edges"] == [[1, 2], [2, 3]]
+
+
+def test_conj_without_seed_takes_the_seed_option(capsys):
+    _, from_option, _ = capture(capsys, ["make", "conj(tym:n=6,u=2)", "--seed", "3"])
+    _, from_spec, _ = capture(capsys, ["make", "conj(tym:n=6,u=2,seed=3)"])
+    _, other, _ = capture(capsys, ["make", "conj(tym:n=6,u=2)", "--seed", "4"])
+    assert from_option == from_spec != other
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("conj(tym:n=6,u=2))", "unbalanced parentheses in 'tym:n=6,u=2)'"),
+    ("tensor(tym:n=6,u=2)", "tensor needs tensor(SPEC,y=RATIONAL)"),
+    ("tensor(tym:n=6,u=2,y=abc)", "bad tensor scalar: "),
+    ("hello", "cannot parse spec 'hello'"),
+])
+def test_spec_parser_errors_exit_two_with_their_message(capsys, spec, message):
+    code, out, err = capture(capsys, ["make", spec])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
