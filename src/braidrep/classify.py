@@ -60,10 +60,11 @@ from .linalg import (
     rational,
     rational_eigenvalues,
 )
-from .zoo import Representation, corank, tym_standard
+from .zoo import corank, tym_standard
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_PROJECTORS_DETAIL = "coordinate projectors certify the full matrix algebra"
 
 DEFAULT_SEED = 0
 
@@ -87,8 +88,6 @@ class StandardFormResult:
     u: Fraction
     basis: Matrix
     witness_checks: dict
-    # The standard family at u that the conjugated images were matched against.
-    standard: Representation = field(compare=False, repr=False)
 
 
 def _scale_vec(c, v):
@@ -547,9 +546,8 @@ def chain_basis(rep) -> Matrix:
 def extract_standard_form(rep) -> StandardFormResult:
     """Conjugate a corank-2 chain representation into the standard family.
 
-    Returns the single twist parameter u, the change of basis and the
-    standard family at u; the conjugated generator images are compared
-    entry-exactly against that family before returning.
+    Returns the single twist parameter u and the change of basis B, after
+    proving g_i B = B T_i(u) for every generator i without forming T(u).
     """
     basis, twists = _chain_data(rep)
     if len(set(twists)) != 1:
@@ -561,7 +559,6 @@ def extract_standard_form(rep) -> StandardFormResult:
             "twist factor 1: the sum of the chain vectors is a fixed vector",
             witness=Subspace(rep.r, (basis * ones,)),
         )
-    target = tym_standard(rep.n, u)
     # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
     # = T_i.  Columns i-1 and i hold by the chain construction and the equal
     # twists; T_i fixes every other e_j, leaving Y_i b_j = 0 (A_i b_j = 0).
@@ -580,7 +577,7 @@ def extract_standard_form(rep) -> StandardFormResult:
         "twist_factors_all_equal": True,
         "conjugated_images_match_standard_family": True,
     }
-    return StandardFormResult(u=u, basis=basis, witness_checks=checks, standard=target)
+    return StandardFormResult(u=u, basis=basis, witness_checks=checks)
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
@@ -605,19 +602,21 @@ def tym_irreducibility(n, u) -> IrreducibilityVerdict:
 
 
 def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
-    """Certify that ``rep``, the standard family at some u != 1 on n > 2
-    strands, spans the full algebra.
+    """Certify by the Norton step that T(u), the standard family at u != 1 on
+    n > 2 strands, spans the full algebra A(T(u)); raises if it does not.
 
-    This is the Norton step of ``decide_irreducibility``.  A_1 has rank two,
-    and the neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 is (u - 1) times a
-    diagonal matrix unit, so the step decides fullness from its factors: two
-    orbits of length n.  Exactly as conclusive as the closure computation;
-    raises unless the step proves the algebra full.
+    It checks the theorem behind the chain step of ``decide_irreducibility``.
+    The neighbor cubic of T(u) is (u - 1) E_11, so A(T(u)) holds every
+    (a e_1)(e_1^T b) with a, b in it.  T_i and T_i^T swap the lines through
+    e_(i-1) and e_i, so the orbits of e_1 under the T_i and under their
+    transposes are all of Q^n, and A(T(u)) is full.  ``extract_standard_form``
+    proves g_i B = B T_i(u) for every i, with B invertible and u != 1, so the
+    input's algebra B A(T(u)) B^-1 is full too.
     """
     verdict = _norton_step(rep)
     if verdict is None or verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:
         raise RuntimeError(f"Norton step does not prove {rep.label} full")
-    return replace(verdict, detail="coordinate projectors certify the full matrix algebra")
+    return replace(verdict, detail=_PROJECTORS_DETAIL)
 
 
 def dimension_bound_check(rep) -> bool:
@@ -659,14 +658,14 @@ def decide_irreducibility(rep, corank_val, graph_class):
     computed.  Returns ``(verdict, standard_form, standard_form_error)``, the
     last two from the chain step when it ran.  Stops at the first step that
     decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
-    n = r >= 6 strands, by its standard form and the Norton step on the
-    standard family, or by the verified witness of a reducible chain;
-    (3) common fixed vectors; (4) the Norton step, whose witnesses and
-    fullness proof do not depend on the basis; (5) where no element of the
-    Norton step decides, ``burnside_dimension``: the closure modulo a large
-    prime, then the exact rational closure.  An algebra of dimension below r
-    leaves every orbit proper, so the orbit of a coordinate vector is a
-    witness; otherwise thin is Inconclusive.
+    n = r >= 6 strands, by its certified standard form alone (the theorem in
+    ``_standard_fullness_certificate``), or by the verified witness of a
+    reducible chain; (3) common fixed vectors; (4) the Norton step, whose
+    witnesses and fullness proof do not depend on the basis; (5) where no
+    element of the Norton step decides, ``burnside_dimension``: the closure
+    modulo a large prime, then the exact rational closure.  An algebra of
+    dimension below r leaves every orbit proper, so the orbit of a
+    coordinate vector is a witness; otherwise thin is Inconclusive.
     """
     if corank_val == 0:
         return _trivial_action_verdict(rep), None, None
@@ -682,9 +681,9 @@ def decide_irreducibility(rep, corank_val, graph_class):
     if chain_candidate:
         try:
             standard_form = extract_standard_form(rep)
-            verdict = _standard_fullness_certificate(standard_form.standard)
-            detail = f"equivalent to the standard family at u={standard_form.u}; {verdict.detail}"
-            return replace(verdict, detail=detail), standard_form, None
+            detail = f"equivalent to the standard family at u={standard_form.u}; {_PROJECTORS_DETAIL}"
+            verdict = IrreducibilityVerdict(Verdict.ABSOLUTELY_IRREDUCIBLE, None, rep.r ** 2, detail)
+            return verdict, standard_form, None
         except ReducibleSignal as exc:
             standard_form_err = str(exc)
             verdict = _verified_reducible(rep, exc.witness, standard_form_err)

@@ -91,7 +91,7 @@ def _parse_atom(text):
     for pair in _split_top(params):
         key, eq, value = pair.partition("=")
         key = key.strip()
-        if not eq or key not in keys:
+        if not eq or key not in keys or key in values:
             raise SpecParseError(f"bad parameter {pair!r} for family {family!r}")
         values[key] = value.strip()
     if set(values) != set(keys):

@@ -143,6 +143,15 @@ def test_deformed_relations_reject_broken_family():
     assert not verify_deformed_relations(failing_family())
 
 
+def test_deformed_relations_reject_a_broken_three_strand_family():
+    # On 3 strands every pair of indices is a neighbor pair, so only the
+    # neighbor-cubic comparison can fail.
+    rep = Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[0, 1], [1, 0]])], label="broken")
+    a, b = rep.deformation(1), rep.deformation(2)
+    assert a + a * a + a * b * a != b + b * b + b * a * b
+    assert not verify_deformed_relations(rep)
+
+
 def test_empty_word_evaluates_to_identity():
     rep = tym_standard(4, 2)
     assert evaluate_word(rep, BraidWord(4, ())) == Matrix.identity(4)

@@ -268,6 +268,19 @@ def test_standard_family_irreducible_otherwise():
     assert verdict.algebra_dim == 36
 
 
+@pytest.mark.parametrize("n", range(3, 17))
+def test_standard_family_is_full_for_every_u_off_one(n):
+    # The theorem that decides a certified chain step: the neighbor cubic of
+    # A_1 and A_2 is (u - 1) E_11, and the Norton step on it proves T(u) full.
+    for u in (F(2), F(-1), F(1, 2), F(5, 3), F(-2, 3)):
+        verdict = tym_irreducibility(n, u)
+        assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+        assert verdict.algebra_dim == n * n
+        rep = tym_standard(n, u)
+        cubic = Matrix([[u - 1 if i == j == 1 else 0 for j in range(n)] for i in range(n)])
+        assert neighbor_form(rep.deformation(1), rep.deformation(2)) == cubic
+
+
 def test_neighbor_cubic_projects_onto_coordinate():
     rep = tym_standard(6, 2)
     x = tuple(F(3) if k == 3 else F(0) for k in range(6))
@@ -793,6 +806,10 @@ def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
         assert report.standard_form_error.startswith("friendship graph is not a chain")
     else:
         assert "violates the dimension bound" in report.standard_form_error
+    data = report.to_json_dict()
+    assert list(data) == ["relations", "corank", "graph", "irreducibility", "standard_form", "seed"]
+    assert data["standard_form"] == {"error": report.standard_form_error}
+    assert f"\n  standard form: error ({report.standard_form_error})\n" in report.to_text()
 
 
 def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypatch):
@@ -804,6 +821,35 @@ def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypat
     assert report.standard_form is not None
     assert calls == []
     assert report.relations["braid_relations_ok"] and report.relations["far_commutation_ok"]
+
+
+_CHAIN_DETAIL = ("equivalent to the standard family at u={}; "
+                 "coordinate projectors certify the full matrix algebra")
+
+
+def test_certified_chain_step_forms_no_standard_family(monkeypatch, capsys):
+    import braidrep.classify as classify
+
+    calls = []
+
+    def spy(name, original):
+        def recorded(*args):
+            calls.append(name)
+            return original(*args)
+        return recorded
+
+    for name in ("tym_standard", "_norton_step", "_standard_fullness_certificate"):
+        monkeypatch.setattr(classify, name, spy(name, getattr(classify, name)))
+    report = analyze(scrambled(tym_standard(8, F(5, 3)), 3))
+    assert run(["irreducible", "tym:n=14,u=2"]) == 0
+    assert calls == []
+    assert verdict_to_json_dict(report.verdict) == {
+        "tag": "AbsolutelyIrreducible", "algebra_dim": 64, "detail": _CHAIN_DETAIL.format("5/3"),
+    }
+    assert report.standard_form.u == F(5, 3)
+    assert json.loads(capsys.readouterr().out) == {
+        "tag": "AbsolutelyIrreducible", "algebra_dim": 196, "detail": _CHAIN_DETAIL.format(2),
+    }
 
 
 _CHAIN_GRID = [

@@ -384,8 +384,18 @@ def test_conj_without_seed_takes_the_seed_option(capsys):
     ("tensor(tym:n=6,u=2)", "tensor needs tensor(SPEC,y=RATIONAL)"),
     ("tensor(tym:n=6,u=2,y=abc)", "bad tensor scalar: "),
     ("hello", "cannot parse spec 'hello'"),
+    ("conj(tym:n=3,u=(2)", "unbalanced parentheses in 'tym:n=3,u=(2'"),
+    ("tym:n=3,u=2,u=5", "bad parameter 'u=5' for family 'tym'"),
+    ("tensor(char:n=3,y=2,y=3,y=4)", "bad parameter 'y=3' for family 'char'"),
 ])
 def test_spec_parser_errors_exit_two_with_their_message(capsys, spec, message):
     code, out, err = capture(capsys, ["make", spec])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+def test_analyze_text_notes_a_strand_count_outside_the_classification(capsys):
+    code, out, _ = capture(capsys, ["analyze", "tym:n=5,u=2", "--format", "text"])
+    assert code == 0
+    assert out.endswith("  note: n=5 sits outside the chain classification; exceptional graph "
+                        "shapes are reported, not classified\n  seed: 0\n")
