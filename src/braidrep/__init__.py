@@ -40,7 +40,6 @@ from .errors import (
     NeedsFieldExtensionError,
     NotARepresentationError,
     PreconditionError,
-    ReducibleSignal,
     ShapeError,
     SingularMatrixError,
     SpecParseError,
@@ -65,7 +64,6 @@ from .friendship import (
 )
 from .linalg import (
     Matrix,
-    Rational,
     Subspace,
     charpoly,
     conjugate,

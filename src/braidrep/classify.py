@@ -34,12 +34,7 @@ from .braid import (
     verify_braid_relations,
     verify_cyclic_conjugation,
 )
-from .errors import (
-    NeedsFieldExtensionError,
-    NotARepresentationError,
-    PreconditionError,
-    ReducibleSignal,
-)
+from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
 from .friendship import (
     GraphClass,
     GraphClassTag,
@@ -87,7 +82,6 @@ class IrreducibilityVerdict:
 class StandardFormResult:
     u: Fraction
     basis: Matrix
-    witness_checks: dict
 
 
 def _scale_vec(c, v):
@@ -483,9 +477,8 @@ def _chain_data(rep):
     for i in range(starts):
         w = rep.meet(i, (i + 1) % n)
         if w.dim >= 2:
-            raise ReducibleSignal(
-                "neighboring deformation images coincide; the common plane is invariant",
-                witness=rep.image(i),
+            raise PreconditionError(
+                "neighboring deformation images coincide; the common plane is invariant"
             )
         if w.dim == 0:
             raise PreconditionError(
@@ -521,9 +514,8 @@ def _chain_data(rep):
     cols = ([e * (lcm // d) for e in v] for v, d in chain)
     basis = Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
     if rank(basis) != n:
-        raise ReducibleSignal(
-            "chain vectors are dependent; their span is a proper invariant subspace",
-            witness=Subspace._span(r, [v for v, _ in chain]),
+        raise PreconditionError(
+            "chain vectors are dependent; their span is a proper invariant subspace"
         )
     return basis, twists
 
@@ -546,19 +538,19 @@ def chain_basis(rep) -> Matrix:
 def extract_standard_form(rep) -> StandardFormResult:
     """Conjugate a corank-2 chain representation into the standard family.
 
-    Returns the single twist parameter u and the change of basis B, after
-    proving g_i B = B T_i(u) for every generator i without forming T(u).
+    Returns the single twist parameter u != 1 and the change of basis B,
+    after proving g_i B = B T_i(u) for every generator i without forming
+    T(u): a certificate of irreducibility, and nothing else.  Every other
+    outcome, a twist factor 1 included, raises ``PreconditionError`` or
+    ``NotARepresentationError``; such an input is decided by the witness
+    steps of ``decide_irreducibility``.
     """
     basis, twists = _chain_data(rep)
     if len(set(twists)) != 1:
         raise NotARepresentationError(f"twist factors disagree: {twists}")
     u = twists[0]
     if u == 1:
-        ones = (_F1,) * rep.n
-        raise ReducibleSignal(
-            "twist factor 1: the sum of the chain vectors is a fixed vector",
-            witness=Subspace(rep.r, (basis * ones,)),
-        )
+        raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
     # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
     # = T_i.  Columns i-1 and i hold by the chain construction and the equal
     # twists; T_i fixes every other e_j, leaving Y_i b_j = 0 (A_i b_j = 0).
@@ -569,15 +561,7 @@ def extract_standard_form(rep) -> StandardFormResult:
             raise NotARepresentationError(
                 f"conjugated image of generator {i} does not match the standard family"
             )
-    checks = {
-        "neighbor_intersections_one_dimensional": True,
-        "chain_vectors_span_intersections": True,
-        "generators_map_chain_vectors_back": True,
-        "basis_columns_independent": True,
-        "twist_factors_all_equal": True,
-        "conjugated_images_match_standard_family": True,
-    }
-    return StandardFormResult(u=u, basis=basis, witness_checks=checks)
+    return StandardFormResult(u=u, basis=basis)
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
@@ -659,13 +643,14 @@ def decide_irreducibility(rep, corank_val, graph_class):
     last two from the chain step when it ran.  Stops at the first step that
     decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
     n = r >= 6 strands, by its certified standard form alone (the theorem in
-    ``_standard_fullness_certificate``), or by the verified witness of a
-    reducible chain; (3) common fixed vectors; (4) the Norton step, whose
-    witnesses and fullness proof do not depend on the basis; (5) where no
-    element of the Norton step decides, ``burnside_dimension``: the closure
-    modulo a large prime, then the exact rational closure.  An algebra of
-    dimension below r leaves every orbit proper, so the orbit of a
-    coordinate vector is a witness; otherwise thin is Inconclusive.
+    ``_standard_fullness_certificate``), where a chain without one goes on;
+    (3) common fixed vectors; (4) the Norton step, whose witnesses and
+    fullness proof do not depend on the basis; (5) where no element of the
+    Norton step decides, ``burnside_dimension``: the closure modulo a large
+    prime, then the exact rational closure.  An algebra of dimension below r
+    leaves every orbit proper, so the orbit of a coordinate vector is a
+    witness; otherwise thin is Inconclusive.  Every Reducible verdict is the
+    verified witness of step 1, 3, 4 or 5.
     """
     if corank_val == 0:
         return _trivial_action_verdict(rep), None, None
@@ -684,12 +669,7 @@ def decide_irreducibility(rep, corank_val, graph_class):
             detail = f"equivalent to the standard family at u={standard_form.u}; {_PROJECTORS_DETAIL}"
             verdict = IrreducibilityVerdict(Verdict.ABSOLUTELY_IRREDUCIBLE, None, rep.r ** 2, detail)
             return verdict, standard_form, None
-        except ReducibleSignal as exc:
-            standard_form_err = str(exc)
-            verdict = _verified_reducible(rep, exc.witness, standard_form_err)
-            if verdict is not None:
-                return verdict, None, standard_form_err
-        except (PreconditionError, NotARepresentationError, NeedsFieldExtensionError) as exc:
+        except (PreconditionError, NotARepresentationError) as exc:
             standard_form_err = str(exc)
     verdict = _common_fixed_vectors(rep) or _norton_step(rep)
     if verdict is None:
@@ -827,8 +807,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
         else:
             try:
                 standard_form = extract_standard_form(rep)
-            except (ReducibleSignal, PreconditionError, NotARepresentationError,
-                    NeedsFieldExtensionError) as exc:
+            except (PreconditionError, NotARepresentationError) as exc:
                 standard_form_err = str(exc)
     # A standard form proves g_i = B T_i B^-1 with B invertible, and the family
     # T(u) satisfies every relation for every u: no check is left to run.  The

@@ -305,17 +305,17 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, source_help=None):
+    def common(p, source_help=None, formats=("json", "text")):
         if source_help:
             p.add_argument("source", help=source_help)
-        p.add_argument("--format", choices=("json", "dot", "text"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--seed", type=int, default=None,
                        help="default seed of a conj(SPEC) without seed=, recorded in the "
                             "report (falls back to BRAIDREP_SEED)")
 
     p = sub.add_parser("make", help="construct a builtin representation and emit its JSON")
-    common(p, "builtin spec, e.g. tym:n=6,u=2")
+    common(p, "builtin spec, e.g. tym:n=6,u=2", formats=("json",))
     p.set_defaults(func=_cmd_make)
 
     p = sub.add_parser("verify", help="check the defining relations")
@@ -323,7 +323,7 @@ def _parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("graph", help="emit the friendship graph")
-    common(p, "builtin spec or JSON file")
+    common(p, "builtin spec or JSON file", formats=("json", "dot", "text"))
     p.add_argument("--full", action="store_true", help="include the derived vertex s0")
     p.set_defaults(func=_cmd_graph)
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Each error says that an operation could not be carried out on its input;
+none of them carries a verdict.  A Reducible verdict is returned with its
+verified witness by ``classify.decide_irreducibility``, never raised.
+"""
 
 
 class BraidRepError(Exception):
@@ -27,19 +32,6 @@ class NeedsFieldExtensionError(BraidRepError):
 
 class TrichotomyViolationError(BraidRepError):
     """A full friendship graph fits none of the three admissible shapes."""
-
-
-class ReducibleSignal(BraidRepError):
-    """A construction ran into evidence that the input is reducible.
-
-    Carries an optional invariant-subspace candidate in ``witness``.  The
-    candidate is not verified here; callers that promote it to a verdict
-    must check invariance themselves.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SpecParseError(BraidRepError, ValueError):

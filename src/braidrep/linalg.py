@@ -27,8 +27,6 @@ from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
 
-Rational = Fraction
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 

@@ -234,10 +234,10 @@ def conjugate_rep(rep, p, label=None) -> Representation:
     return Representation(rep.n, rep.r, gens, label=label or f"conj({rep.label})")
 
 
-def random_invertible_matrix(size, rng: Random, lo=-3, hi=3) -> Matrix:
-    """Seeded random invertible matrix with small integer entries."""
+def random_invertible_matrix(size, rng: Random) -> Matrix:
+    """Seeded random invertible matrix with integer entries in -3..3."""
     while True:
-        m = Matrix([[rng.randint(lo, hi) for _ in range(size)] for _ in range(size)])
+        m = Matrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
         if rank(m) == size:
             return m
 

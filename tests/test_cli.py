@@ -56,6 +56,20 @@ def test_graph_verb_emits_dot_path(capsys):
     assert "s0" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "tym:n=6,u=2", "--format", "dot"],
+    ["irreducible", "tym:n=6,u=2", "--format", "dot"],
+    ["sweep", "--n", "6", "--u", "2", "--format", "dot"],
+    ["verify", "tym:n=6,u=2", "--format", "dot"],
+    ["make", "tym:n=6,u=2", "--format", "text"],
+    ["make", "tym:n=6,u=2", "--format", "dot"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_verbs_reject_a_format_they_do_not_render(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "argument --format: invalid choice" in err
+
+
 def test_graph_verb_full_includes_wraparound(capsys):
     code, out, _ = capture(capsys, ["graph", "tym:n=6,u=2", "--format", "dot", "--full"])
     assert code == 0
