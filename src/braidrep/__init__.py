@@ -25,7 +25,6 @@ from .classify import (
     analyze,
     burnside_dimension,
     chain_basis,
-    corank_and_graph,
     decide_irreducibility,
     dimension_bound_check,
     disconnected_invariant_subspace,

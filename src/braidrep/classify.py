@@ -6,8 +6,9 @@ certified by an explicit invariant subspace witness, which is always
 verified before being reported.  Both come from one Norton step over Q
 (Holt and Rees, J. Austral. Math. Soc. A 57, 1994) on a few fixed words
 theta in the generators: it spins a right vector x under the generators
-and a left vector y under their transposes, the factors of theta = x y^T
-at rank one, else kernel vectors of theta - lambda and of its transpose.
+and a left vector y under their transposes, the factors x y^T of theta or
+of theta - lambda at rank one, else kernel vectors of theta - lambda and of
+its transpose.
 A proper orbit is a witness; two full orbits at rank one or at nullity one
 prove the algebra full.  The words do not depend on the basis, and neither
 does the step's answer.  Where no word decides, the algebra closure does,
@@ -37,7 +38,6 @@ from .braid import (
 from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
 from .friendship import (
     GraphClass,
-    GraphClassTag,
     classify_graph,
     friendship_graph,
     full_friendship_graph,
@@ -237,11 +237,16 @@ def _norton_candidates(rep):
     """``(kind, where, x, make_y, decisive)`` for the Norton step, in the
     order it tries them: first x y^T for every theta of rank one, then, for
     each other theta and each rational eigenvalue lambda in ascending order,
-    the first canonical row x of ker(theta - lambda).  ``make_y()`` returns
+    the first canonical row x of ker(theta - lambda), followed by the factors
+    x y^T of theta - lambda where that has rank one.  ``make_y()`` returns
     y: the second factor, or the first canonical row of ker(theta - lambda)^T,
     a left kernel that is formed only on that call.  ``decisive`` says that
     two full orbits of x and y prove the algebra full: always for rank one,
-    and for a kernel exactly when it is a line."""
+    and for a kernel exactly when it is a line.  The algebra is unital, so
+    theta - lambda lies in it with theta, and Norton's argument for a rank-one
+    element holds for it.  A kernel wider than a line has a first canonical
+    row that depends on the basis, while a rank-one theta - lambda decides in
+    every basis."""
     others = []
     for name, theta in _norton_elements(rep):
         found = _rank_one_factors(theta)
@@ -257,6 +262,9 @@ def _norton_candidates(rep):
             right = kernel_basis(shifted)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
                    partial(_first_left_kernel_row, shifted), right.dim == 1)
+            if right.dim == rep.r - 1:
+                x, y = _rank_one_factors(shifted)
+                yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
 
 
 def _first_left_kernel_row(m):
@@ -458,49 +466,30 @@ def lemma_bb_check(rep, i, j) -> bool:
 def _chain_data(rep):
     """Shared worker for chain recovery: basis columns and twist factors.
 
-    Verifies, in order: 4 <= n = r, corank 2, one-dimensional neighbor
-    intersections, no non-neighbor friendships; then builds the chain basis
-    and checks that each step stays in the successive intersections, that
-    each generator sends its own chain vector back into the previous span,
-    and that the columns are independent.  When D shifts the images, only
-    the pairs (0, d) are intersected; the first failure is the same.
+    Where g_i B = B T_i(u) with B invertible, A_i = B (T_i - 1) B^-1 has
+    image span(a_(i-1), a_i), for the columns a_j of B with indices mod n.
+    So images 0 and 1 meet in the line through a_0, and a_i = g_i a_(i-1).
+    This checks only what the proof of that identity needs: 4 <= n = r and a
+    line as the meet of images 0 and 1, which gives a_0; then it walks a_i =
+    g_i a_(i-1), checks that g_i a_i is a multiple of a_(i-1), whose factor
+    is the twist, and that the columns are independent.
+    ``extract_standard_form`` finishes the proof.
     """
     n, r = rep.n, rep.r
     if n < 4:
         raise PreconditionError("chain recovery needs at least 4 strands")
     if r != n:
         raise PreconditionError(f"dimension {r} differs from strand count {n}")
-    k = corank(rep)
-    if k != 2:
-        raise PreconditionError(f"corank is {k}, not 2")
-    starts, stop = (1, n // 2 + 1) if rep.shift_invariant else (n, n)
-    for i in range(starts):
-        w = rep.meet(i, (i + 1) % n)
-        if w.dim >= 2:
-            raise PreconditionError(
-                "neighboring deformation images coincide; the common plane is invariant"
-            )
-        if w.dim == 0:
-            raise PreconditionError(
-                f"friendship graph is not a chain: images {i} and {(i + 1) % n} meet trivially"
-            )
-    for i in range(starts):
-        for j in range(i + 2, stop):
-            if circular_distance(i, j, n) >= 2 and not rep.meet(i, j).is_zero():
-                raise PreconditionError(
-                    f"friendship graph is not a chain: non-neighbor friendship at ({i},{j})"
-                )
-    # Chain vector i is v / d for chain[i] = (v, d).  Each neighbor meet is a
-    # line, so a nonzero vector spans it exactly when it lies in both images.
     line = rep.meet(0, 1)
+    if line.dim >= 2:
+        raise PreconditionError("neighboring deformation images coincide")
+    if line.dim == 0:
+        raise PreconditionError("friendship graph is not a chain: images 0 and 1 meet trivially")
+    # Chain vector i is v / d for chain[i] = (v, d); each is nonzero, as the
+    # generators are invertible.
     chain = [(line.rows[0], line.rows[0][line.pivots[0]])]
     for i in range(1, n):
         chain.append(_apply_generator(rep, i, *chain[-1]))
-    for i, (v, _) in enumerate(chain):
-        if not (any(v) and rep.image(i).contains_ints(v) and rep.image((i + 1) % n).contains_ints(v)):
-            raise NotARepresentationError(
-                f"chain vector {i} does not span the expected neighbor intersection"
-            )
     twists = []
     for i in range(1, n):
         (back, bden), (prev, pden) = _apply_generator(rep, i, *chain[i]), chain[i - 1]
@@ -514,9 +503,7 @@ def _chain_data(rep):
     cols = ([e * (lcm // d) for e in v] for v, d in chain)
     basis = Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
     if rank(basis) != n:
-        raise PreconditionError(
-            "chain vectors are dependent; their span is a proper invariant subspace"
-        )
+        raise PreconditionError("chain vectors are dependent")
     return basis, twists
 
 
@@ -536,14 +523,15 @@ def chain_basis(rep) -> Matrix:
 
 
 def extract_standard_form(rep) -> StandardFormResult:
-    """Conjugate a corank-2 chain representation into the standard family.
+    """Conjugate a representation into the standard family T(u), u != 1.
 
-    Returns the single twist parameter u != 1 and the change of basis B,
-    after proving g_i B = B T_i(u) for every generator i without forming
-    T(u): a certificate of irreducibility, and nothing else.  Every other
-    outcome, a twist factor 1 included, raises ``PreconditionError`` or
-    ``NotARepresentationError``; such an input is decided by the witness
-    steps of ``decide_irreducibility``.
+    Returns u and the change of basis B, after proving g_i B = B T_i(u) for
+    every generator i without forming T(u): a certificate of irreducibility,
+    and nothing else.  That identity implies corank 2, the chain graph and
+    each chain vector lying in both neighboring images, so none of them is
+    checked.  Every other outcome, a twist factor 1 included, raises
+    ``PreconditionError`` or ``NotARepresentationError``; such an input is
+    decided by the witness steps of ``decide_irreducibility``.
     """
     basis, twists = _chain_data(rep)
     if len(set(twists)) != 1:
@@ -581,8 +569,7 @@ def tym_irreducibility(n, u) -> IrreducibilityVerdict:
         return _common_fixed_vectors(rep)
     if n > 2:
         return _standard_fullness_certificate(rep)
-    corank_val, _, graph_class, _ = corank_and_graph(rep)
-    return decide_irreducibility(rep, corank_val, graph_class)[0]
+    return decide_irreducibility(rep)[0]
 
 
 def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
@@ -635,35 +622,27 @@ def invariant_subspace_search(rep) -> IrreducibilityVerdict:
     )
 
 
-def decide_irreducibility(rep, corank_val, graph_class):
+def decide_irreducibility(rep):
     """The irreducibility decision procedure, cheapest certificate first.
 
-    ``corank_val`` and ``graph_class`` are None where they could not be
-    computed.  Returns ``(verdict, standard_form, standard_form_error)``, the
-    last two from the chain step when it ran.  Stops at the first step that
-    decides: (1) corank 0, the trivial action; (2) a corank-2 chain on
-    n = r >= 6 strands, by its certified standard form alone (the theorem in
-    ``_standard_fullness_certificate``), where a chain without one goes on;
-    (3) common fixed vectors; (4) the Norton step, whose witnesses and
-    fullness proof do not depend on the basis; (5) where no element of the
-    Norton step decides, ``burnside_dimension``: the closure modulo a large
-    prime, then the exact rational closure.  An algebra of dimension below r
-    leaves every orbit proper, so the orbit of a coordinate vector is a
-    witness; otherwise thin is Inconclusive.  Every Reducible verdict is the
-    verified witness of step 1, 3, 4 or 5.
+    Returns ``(verdict, standard_form, standard_form_error)``, the last two
+    from the chain step when it ran.  Stops at the first step that decides:
+    (1) corank 0, the trivial action; (2) corank 2 on n = r >= 6 strands,
+    by a certified standard form alone (the theorem in
+    ``_standard_fullness_certificate``), where a failed chain step records
+    its error and goes on; (3) common fixed vectors; (4) the Norton step,
+    whose witnesses and fullness proof do not depend on the basis; (5) where
+    no element of the Norton step decides, ``burnside_dimension``: the
+    closure modulo a large prime, then the exact rational closure.  An
+    algebra of dimension below r leaves every orbit proper, so the orbit of
+    a coordinate vector is a witness; otherwise thin is Inconclusive.  Every
+    Reducible verdict is the verified witness of step 1, 3, 4 or 5.
     """
-    if corank_val == 0:
+    ranks = {rep.image(i).dim for i in range(1, rep.n)}  # {corank}, where it exists
+    if ranks == {0}:
         return _trivial_action_verdict(rep), None, None
     standard_form_err = None
-    chain_candidate = (
-        corank_val == 2
-        and rep.r == rep.n
-        and rep.n >= 6
-        and graph_class is not None
-        and graph_class.tag is GraphClassTag.CONTAINS_CHAIN
-        and graph_class.distance_set == frozenset({1})
-    )
-    if chain_candidate:
+    if ranks == {2} and rep.r == rep.n >= 6:
         try:
             standard_form = extract_standard_form(rep)
             detail = f"equivalent to the standard family at u={standard_form.u}; {_PROJECTORS_DETAIL}"
@@ -689,21 +668,6 @@ def verdict_to_json_dict(verdict: IrreducibilityVerdict) -> dict:
         data["witness"] = verdict.witness.basis.to_strings()
     data["detail"] = verdict.detail
     return data
-
-
-def corank_and_graph(rep):
-    """``(corank, corank_error, graph_class, graph_error)``: each value is
-    None when computing it raised, and its error message is recorded instead."""
-    corank_val = corank_err = graph_class = graph_err = None
-    try:
-        corank_val = corank(rep)
-    except NotARepresentationError as exc:
-        corank_err = str(exc)
-    try:
-        graph_class = classify_graph(full_friendship_graph(rep))
-    except Exception as exc:  # recorded, not raised: the report must come back
-        graph_err = str(exc)
-    return corank_val, corank_err, graph_class, graph_err
 
 
 @dataclass
@@ -788,27 +752,22 @@ class AnalysisReport:
 def analyze(rep, seed=None) -> AnalysisReport:
     """Run the whole pipeline and collect findings instead of aborting."""
     seed = DEFAULT_SEED if seed is None else int(seed)
-    corank_val, corank_err, graph_class, graph_err = corank_and_graph(rep)
+    corank_val = corank_err = graph_class = graph_err = None
+    try:
+        corank_val = corank(rep)
+    except NotARepresentationError as exc:
+        corank_err = str(exc)
+    try:
+        graph_class = classify_graph(full_friendship_graph(rep))
+    except Exception as exc:  # recorded, not raised: the report must come back
+        graph_err = str(exc)
     notes = []
-    verdict, standard_form, standard_form_err = decide_irreducibility(rep, corank_val, graph_class)
-    if (
-        standard_form is None
-        and standard_form_err is None
-        and corank_val == 2
-        and rep.r >= rep.n
-        and rep.n >= 6
-        and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
-    ):
-        if rep.r != rep.n:
-            standard_form_err = (
-                "certified irreducible with corank 2 and r > n: "
-                "violates the dimension bound, so the certification is suspect"
-            )
-        else:
-            try:
-                standard_form = extract_standard_form(rep)
-            except (PreconditionError, NotARepresentationError) as exc:
-                standard_form_err = str(exc)
+    verdict, standard_form, standard_form_err = decide_irreducibility(rep)
+    if corank_val == 2 and rep.r > rep.n >= 6 and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE:
+        standard_form_err = (
+            "certified irreducible with corank 2 and r > n: "
+            "violates the dimension bound, so the certification is suspect"
+        )
     # A standard form proves g_i = B T_i B^-1 with B invertible, and the family
     # T(u) satisfies every relation for every u: no check is left to run.  The
     # deformed relations restate the braid relations, and an image of B_n

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .braid import verify_braid_relations
-from .classify import analyze, corank_and_graph, decide_irreducibility
+from .classify import analyze, decide_irreducibility
 from .classify import verdict_to_json_dict as _verdict_dict
 from .errors import BraidRepError, SpecParseError
 from .friendship import (
@@ -227,8 +227,7 @@ def _cmd_analyze(args):
 def _cmd_irreducible(args):
     seed = _resolve_seed(args)
     rep = _load_source(args.source, seed)
-    corank_val, _, graph_class, _ = corank_and_graph(rep)
-    verdict, _, _ = decide_irreducibility(rep, corank_val, graph_class)
+    verdict, _, _ = decide_irreducibility(rep)
     if args.format == "text":
         lines = [f"verdict: {verdict.tag.value}"]
         if verdict.algebra_dim is not None:

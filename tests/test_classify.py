@@ -22,7 +22,6 @@ from braidrep.classify import (
     analyze,
     burnside_dimension,
     chain_basis,
-    corank_and_graph,
     decide_irreducibility,
     dimension_bound_check,
     disconnected_invariant_subspace,
@@ -566,6 +565,25 @@ def test_change_of_basis_keeps_the_verdict_of_direct_sums(spec, seed):
             assert _is_invariant(rep, found.witness)
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("y", [3, -2])
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 16])
+def test_change_of_basis_keeps_the_verdict_of_twisted_burau_at_minus_one(n, y, seed):
+    # Reduced Burau at t = -1 is reducible for even n.  Twisted by y, A_1 has
+    # the single eigenvalue y - 1 with nullity r - 1, whose kernel's first
+    # row depends on the basis; the rank-one A_1 - (y - 1) decides in every basis.
+    plain, _ = parse_rep_spec(f"tensor(burau:n={n},t=-1,y={y})")
+    moved, _ = parse_rep_spec(f"conj(tensor(burau:n={n},t=-1,y={y}),seed={seed})")
+    with time_limit(3):
+        expected = analyze(plain).verdict
+        verdict = analyze(moved).verdict
+    assert verdict.tag is expected.tag
+    assert verdict.tag is (Verdict.REDUCIBLE if n % 2 == 0 else Verdict.ABSOLUTELY_IRREDUCIBLE)
+    for rep, found in ((plain, expected), (moved, verdict)):
+        if found.witness is not None:
+            assert_invariant(rep, found.witness)
+
+
 @pytest.mark.parametrize("rep", [
     scrambled(tym_standard(6, 2), 1),
     scrambled(tym_standard(6, 1), 2),
@@ -582,8 +600,7 @@ def test_witness_check_agrees_with_explicit_inverses_off_witnesses(rep):
 
 def test_ladder_agrees_with_algebra_dimension(zoo):
     for rep in zoo:
-        corank_val, _, graph_class, _ = corank_and_graph(rep)
-        verdict, _, _ = decide_irreducibility(rep, corank_val, graph_class)
+        verdict, _, _ = decide_irreducibility(rep)
         dim, _ = burnside_dimension(rep)
         assert (verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE) == (dim == rep.r ** 2), rep.label
 
@@ -674,6 +691,7 @@ def _is_multiple(m, of):
     (tym_standard(8, 2), "the neighbor cubic, which has rank one"),
     (direct_sum(reduced_burau(6, 2), reduced_burau(6, 3)), "A_1 at eigenvalue -4"),
     (tensor_character(reduced_burau(6, 2), -1), "A_1 at eigenvalue -2"),
+    (scrambled(tensor_character(reduced_burau(8, -1), 3), 5), "A_1 at eigenvalue 2"),
 ], ids=lambda v: v.label if isinstance(v, Representation) else v)
 def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
     a, b = rep.deformation(1), rep.deformation(2)
@@ -681,19 +699,27 @@ def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
     found = list(_norton_vectors(rep))
     assert found[0][1] == first
     # Every rank-one element first, then each other element's rational
-    # eigenvalues in ascending order, the elements in the order of thetas.
+    # eigenvalues in ascending order, the elements in the order of thetas;
+    # an eigenvalue lambda where theta - lambda has rank one is followed by
+    # the factors of theta - lambda.
+    ident = Matrix.identity(rep.r)
     factors = [f"{name}, which has rank one" for name, m in thetas.items() if rank(m) == 1]
-    eigen = [f"{name} at eigenvalue {lam}" for name, m in thetas.items() if rank(m) != 1
-             for lam in rational_eigenvalues(m)]
+    eigen = []
+    for name, m in thetas.items():
+        for lam in rational_eigenvalues(m) if rank(m) != 1 else []:
+            eigen.append(f"{name} at eigenvalue {lam}")
+            if rank(m - ident * lam) == 1:
+                eigen.append(f"{name} minus {lam}, which has rank one")
     assert [where for _, where, *_ in found] == factors + eigen
     for kind, where, x, y, decisive in found:
         name, _, lam = where.partition(" at eigenvalue ")
         if kind == "factor":
             assert decisive
-            assert _is_multiple(_outer(x, y), thetas[where.removesuffix(", which has rank one")])
+            name, _, lam = where.removesuffix(", which has rank one").partition(" minus ")
+            assert _is_multiple(_outer(x, y), thetas[name] - ident * F(lam or 0))
         else:
             # x and y span the first lines of the right and left kernels.
-            shifted = thetas[name] - Matrix.identity(rep.r) * F(lam)
+            shifted = thetas[name] - ident * F(lam)
             assert not any(shifted * x) and not any(shifted.transpose() * y)
             assert decisive is (rank(shifted) == rep.r - 1)
 
@@ -856,6 +882,58 @@ def test_certified_chain_step_forms_no_standard_family(monkeypatch, capsys):
     }
 
 
+def test_irreducibility_builds_no_friendship_graph(monkeypatch, capsys):
+    # The chain step reads the corank alone; no graph gates it.
+    import braidrep.cli as cli
+    import braidrep.classify as classify
+
+    calls = []
+
+    def spy(name, original):
+        def recorded(*args):
+            calls.append(name)
+            return original(*args)
+        return recorded
+
+    for module in (classify, cli):
+        for name in ("full_friendship_graph", "classify_graph"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    assert run(["irreducible", "tym:n=14,u=2"]) == 0
+    chain = json.loads(capsys.readouterr().out)
+    assert run(["irreducible", "conj(burau:n=7,t=2,seed=1)"]) == 0
+    burau = json.loads(capsys.readouterr().out)
+    two_strands = tym_irreducibility(2, 3)
+    assert calls == []
+    assert chain["detail"] == _CHAIN_DETAIL.format(2)
+    assert burau == {"tag": "AbsolutelyIrreducible", "algebra_dim": 36, "detail": "matrix algebra is full"}
+    assert two_strands.tag is Verdict.INCONCLUSIVE
+
+
+def test_analyze_reports_a_failed_chain_step_whatever_the_verdict(capsys):
+    # Corank 2 on n = r = 6 strands: the chain step runs and fails, and its
+    # error is reported next to a Reducible verdict.
+    spec = "dsum(burau:n=6,t=2,char:n=6,y=3)"
+    assert run(["analyze", spec]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["relations", "corank", "graph", "irreducibility", "standard_form", "seed"]
+    assert data["corank"] == 2
+    assert data["irreducibility"]["tag"] == "Reducible"
+    assert data["standard_form"] == {"error": "chain vectors are dependent"}
+    assert run(["analyze", spec, "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "analysis of dsum(burau(n=6,t=2),char(n=6,y=3)) (n=6, r=6)\n"
+        "  relations: all hold\n"
+        "  corank: 2\n"
+        "  graph: ContainsChain, distance set [1, 2, 3]\n"
+        "    all neighbor pairs are friends\n"
+        "  irreducibility: Reducible\n"
+        "    witness: invariant subspace of dimension 1\n"
+        "    orbit of a right factor of the neighbor cubic, which has rank one\n"
+        "  standard form: error (chain vectors are dependent)\n"
+        "  seed: 0\n"
+    )
+
+
 _CHAIN_GRID = [
     scrambled(tym_standard(n, u), seed)
     for n, u, seed in [(6, 2, 1), (7, F(5, 3), 2), (8, -1, 3), (9, F(-2, 3), 4),
@@ -885,7 +963,7 @@ def _chain_outcome(rep):
         result = extract_standard_form(rep)
     except (PreconditionError, NotARepresentationError) as exc:
         return type(exc), str(exc)
-    return result.u, result.basis
+    return result.u
 
 
 def _through_b3(t):
@@ -903,12 +981,10 @@ def _through_b3(t):
     scrambled(direct_sum(reduced_burau(6, 2), character_rep(6, -1)), 3),
     scrambled(direct_sum(_through_b3(2), _through_b3(3)), 4),
 ], ids=repr)
-def test_chain_recovery_matches_the_all_pairs_scan(rep):
-    assert rep.shift_invariant
-    shortcut = _chain_outcome(rep)
-    forced = Representation(rep.n, rep.r, rep.generators)
-    forced.shift_invariant = False  # overrides the cached check: scan every pair
-    assert _chain_outcome(forced) == shortcut
+def test_chain_recovery_keeps_its_outcome_in_every_basis(rep):
+    # The same u, or the same refusal: every check of the chain step is a
+    # statement about the representation, not about its basis.
+    assert _chain_outcome(scrambled(rep, 7)) == _chain_outcome(rep)
 
 
 def _factor_cases():
@@ -985,12 +1061,6 @@ def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
     # g_k no longer fixes e_j.
     rep = _moved_inside_its_image(k, j)
     assert [rep.image(i).dim for i in range(1, 7)] == [2] * 6
-    if j == 6 and k < 6:
-        # The chain recovery stops before the conjugation check here.
-        with pytest.raises((PreconditionError, NotARepresentationError)) as exc:
-            extract_standard_form(rep)
-        assert "conjugated image" not in str(exc.value)
-        return
     message = f"^conjugated image of generator {k} does not match the standard family$"
     with pytest.raises(NotARepresentationError, match=message):
         extract_standard_form(rep)
