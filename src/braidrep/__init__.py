@@ -11,8 +11,6 @@ from .braid import (
     RelationReport,
     circular_distance,
     evaluate_word,
-    sigma0_image,
-    tau_image,
     verify_braid_relations,
     verify_cyclic_conjugation,
     verify_deformed_relations,
@@ -80,7 +78,6 @@ from .zoo import (
     character_rep,
     conjugate_rep,
     corank,
-    deformation,
     direct_sum,
     load_representation,
     random_invertible_matrix,

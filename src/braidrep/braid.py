@@ -149,16 +149,6 @@ def _pairwise_relation_report(rep: "Representation") -> RelationReport:
     return RelationReport(braid_ok, far_ok, failures)
 
 
-def tau_image(rep: "Representation") -> Matrix:
-    """Image of the cyclic shift element s1 s2 ... s(n-1)."""
-    return rep.tau
-
-
-def sigma0_image(rep: "Representation") -> Matrix:
-    """Image of the derived generator s0 = tau s(n-1) tau^-1."""
-    return rep.sigma0
-
-
 def verify_cyclic_conjugation(rep: "Representation") -> bool:
     """True iff conjugation by tau shifts every deformation to the next one.
 

@@ -37,6 +37,7 @@ from .braid import (
 )
 from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
 from .friendship import (
+    FriendshipGraph,
     GraphClass,
     classify_graph,
     friendship_graph,
@@ -385,30 +386,14 @@ def _image_eigenspaces(rep, i):
             for lam in rational_eigenvalues(on_image)]
 
 
-def _verify_chain_formulas(rep, xs, lam):
-    """Check the four action formulas that make span{x_1..x_{n-1}} invariant."""
-    n = rep.n
-    minus = -(1 + lam)
-    for pos in range(1, n):
-        xi = xs[pos - 1]
-        if rep.deformation(pos) * xi != _scale_vec(lam, xi):
-            raise NotARepresentationError(f"A_{pos} does not scale chain vector {pos}")
-        if pos >= 2 and rep.deformation(pos - 1) * xi != _scale_vec(minus, xs[pos - 2]):
-            raise NotARepresentationError(f"A_{pos - 1} acts wrongly on chain vector {pos}")
-        if pos <= n - 2 and rep.deformation(pos + 1) * xi != xs[pos]:
-            raise NotARepresentationError(f"A_{pos + 1} acts wrongly on chain vector {pos}")
-        for j in range(1, n):
-            if abs(j - pos) > 1 and any(rep.deformation(j) * xi):
-                raise NotARepresentationError(f"A_{j} does not kill chain vector {pos}")
-
-
 def disconnected_invariant_subspace(rep) -> IrreducibilityVerdict:
     """Invariant-subspace construction for a totally disconnected graph.
 
-    Picks a rational eigenvalue of A_1 on its own image, propagates the
-    eigenvector through the neighboring deformations and spans the resulting
-    chain.  The chain's action formulas are verified before the span is
-    reported as a witness.
+    Picks a rational eigenvalue of A_1 on its own image and reports the
+    orbit of its eigenvector x as the witness.  On a representation that
+    orbit is the span of the chain x, A_2 x, A_3 A_2 x, ..., by the
+    neighbor identities of ``lemma_bb_check``; it is verified against every
+    generator before it is reported, so no chain formula is checked.
     """
     if corank(rep) == 0:
         return _trivial_action_verdict(rep)
@@ -421,12 +406,8 @@ def disconnected_invariant_subspace(rep) -> IrreducibilityVerdict:
             "the construction needs a field extension"
         )
     for lam, w in eigenspaces:
-        xs = [w.basis_vectors()[0]]
-        for i in range(2, rep.n):
-            xs.append(rep.deformation(i) * xs[-1])
-        _verify_chain_formulas(rep, xs, lam)
-        span = Subspace(rep.r, xs)
-        verdict = _verified_reducible(rep, span, f"eigenvector chain at eigenvalue {lam}")
+        orbit = _orbit(rep, w.rows[0]).to_subspace()
+        verdict = _verified_reducible(rep, orbit, f"eigenvector chain at eigenvalue {lam}")
         if verdict is not None:
             return verdict
     return IrreducibilityVerdict(
@@ -555,19 +536,17 @@ def extract_standard_form(rep) -> StandardFormResult:
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
     """Decide irreducibility of the standard family at parameter u.
 
-    At u = 1 the generators are permutation matrices, whose common fixed
-    vectors are the multiples of the all-ones vector: a verified witness.
-    Otherwise, from 3 strands on, the Norton step on the rank-one neighbor
-    cubic proves the generated algebra full.  On 2 strands there is no
-    neighbor cubic and a single generator generates a commutative algebra,
-    so the verdict is the one ``decide_irreducibility`` reaches, as on the
-    command line.
+    For u != 1 from 3 strands on, the Norton step on the rank-one neighbor
+    cubic proves the generated algebra full.  Otherwise the verdict is the
+    one ``decide_irreducibility`` reaches, as on the command line: at u = 1
+    the generators are permutation matrices, whose common fixed vectors, the
+    multiples of the all-ones vector, are its verified witness; on 2 strands
+    there is no neighbor cubic and a single generator generates a
+    commutative algebra.
     """
     u = rational(u)
     rep = tym_standard(n, u)
-    if u == 1:
-        return _common_fixed_vectors(rep)
-    if n > 2:
+    if u != 1 and n > 2:
         return _standard_fullness_certificate(rep)
     return decide_irreducibility(rep)[0]
 
@@ -591,10 +570,14 @@ def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
 
 
 def dimension_bound_check(rep) -> bool:
-    """Whether r <= (n-1)(k-1)+1 holds for a certified irreducible input."""
+    """Whether r <= (n-1)(k-1)+1 holds for a certified irreducible input.
+
+    The input must be decided AbsolutelyIrreducible by
+    ``decide_irreducibility``, which is exactly a full generated algebra.
+    """
     if rep.n == 4 or rep.r < rep.n:
         raise PreconditionError("bound applies for r >= n and n != 4")
-    _, verdict = burnside_dimension(rep)
+    verdict, _, _ = decide_irreducibility(rep)
     if verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:
         raise PreconditionError("input is not certified absolutely irreducible")
     k = corank(rep)
@@ -750,29 +733,38 @@ class AnalysisReport:
 
 
 def analyze(rep, seed=None) -> AnalysisReport:
-    """Run the whole pipeline and collect findings instead of aborting."""
+    """Run the whole pipeline and collect findings instead of aborting.
+
+    A certified standard form proves g_i = B T_i(u) B^-1 with B invertible,
+    so the corank 2, the chain graph and every relation are read from the
+    family T(u); the corank, the friendship graph and the relations are
+    computed only for an input without one.
+    """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
-    try:
-        corank_val = corank(rep)
-    except NotARepresentationError as exc:
-        corank_err = str(exc)
-    try:
-        graph_class = classify_graph(full_friendship_graph(rep))
-    except Exception as exc:  # recorded, not raised: the report must come back
-        graph_err = str(exc)
-    notes = []
     verdict, standard_form, standard_form_err = decide_irreducibility(rep)
+    if standard_form is not None:
+        # T(u) has corank 2 and the chain as its graph, and satisfies every
+        # relation for every u: no check is left to run.
+        corank_val, report = 2, RelationReport(True, True)
+        graph_class = classify_graph(FriendshipGraph.from_distance_set(rep.n, {1}))
+    else:
+        try:
+            corank_val = corank(rep)
+        except NotARepresentationError as exc:
+            corank_err = str(exc)
+        try:
+            graph_class = classify_graph(full_friendship_graph(rep))
+        except Exception as exc:  # recorded, not raised: the report must come back
+            graph_err = str(exc)
+        report = verify_braid_relations(rep)
     if corank_val == 2 and rep.r > rep.n >= 6 and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE:
         standard_form_err = (
             "certified irreducible with corank 2 and r > n: "
             "violates the dimension bound, so the certification is suspect"
         )
-    # A standard form proves g_i = B T_i B^-1 with B invertible, and the family
-    # T(u) satisfies every relation for every u: no check is left to run.  The
-    # deformed relations restate the braid relations, and an image of B_n
-    # passes the cyclic check by theorem: only a broken family needs it run.
-    report = verify_braid_relations(rep) if standard_form is None else RelationReport(True, True)
+    # The deformed relations restate the braid relations, and an image of
+    # B_n passes the cyclic check by theorem: only a broken family needs it run.
     relations = {
         "braid_relations_ok": report.braid_relations_ok,
         "far_commutation_ok": report.far_commutation_ok,
@@ -780,6 +772,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
         "deformed_relations_ok": report.ok,
         "failures": [[desc, list(pair)] for desc, pair in report.failures],
     }
+    notes = []
     if rep.n in (4, 5) and corank_val == 2 and rep.r >= rep.n:
         notes.append(
             f"n={rep.n} sits outside the chain classification; "

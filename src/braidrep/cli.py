@@ -161,21 +161,14 @@ def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BRAIDREP_SEED")
-    return int(env) if env else 0
-
-
 def _cmd_make(args):
-    rep, _ = parse_rep_spec(args.source, _resolve_seed(args))
+    rep, _ = parse_rep_spec(args.source, args.seed)
     _emit(_json_text(rep_to_dict(rep)), args.out)
     return 0
 
 
 def _cmd_verify(args):
-    rep = _load_source(args.source, _resolve_seed(args))
+    rep = _load_source(args.source, args.seed)
     report = verify_braid_relations(rep)
     if args.format == "text":
         lines = [
@@ -194,7 +187,7 @@ def _cmd_verify(args):
 
 
 def _cmd_graph(args):
-    rep = _load_source(args.source, _resolve_seed(args))
+    rep = _load_source(args.source, args.seed)
     full = full_friendship_graph(rep)
     try:
         tag = classify_graph(full).tag.value
@@ -214,9 +207,8 @@ def _cmd_graph(args):
 
 
 def _cmd_analyze(args):
-    seed = _resolve_seed(args)
-    rep = _load_source(args.source, seed)
-    report = analyze(rep, seed=seed)
+    rep = _load_source(args.source, args.seed)
+    report = analyze(rep, seed=args.seed)
     if args.format == "text":
         _emit(report.to_text(), args.out)
     else:
@@ -225,8 +217,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_irreducible(args):
-    seed = _resolve_seed(args)
-    rep = _load_source(args.source, seed)
+    rep = _load_source(args.source, args.seed)
     verdict, _, _ = decide_irreducibility(rep)
     if args.format == "text":
         lines = [f"verdict: {verdict.tag.value}"]
@@ -257,7 +248,6 @@ def _parse_int_list(text):
 
 
 def _cmd_sweep(args):
-    seed = _resolve_seed(args)
     try:
         ns = _parse_int_list(args.n)
         us = [rational(tok.strip()) for tok in args.u.split(",")]
@@ -266,7 +256,7 @@ def _cmd_sweep(args):
     rows = []
     for n in ns:
         for u in us:
-            report = analyze(tym_standard(n, u), seed=seed)
+            report = analyze(tym_standard(n, u), seed=args.seed)
             rows.append({
                 "n": n,
                 "u": str(u),
@@ -309,9 +299,9 @@ def _parser():
             p.add_argument("source", help=source_help)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=int, default=0,
                        help="default seed of a conj(SPEC) without seed=, recorded in the "
-                            "report (falls back to BRAIDREP_SEED)")
+                            "report (default 0)")
 
     p = sub.add_parser("make", help="construct a builtin representation and emit its JSON")
     common(p, "builtin spec, e.g. tym:n=6,u=2", formats=("json",))

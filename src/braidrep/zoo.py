@@ -256,10 +256,6 @@ def corank(rep) -> int:
     return ranks[0]
 
 
-def deformation(rep, i) -> Matrix:
-    return rep.deformation(i)
-
-
 def rep_to_dict(rep) -> dict:
     return {
         "n": rep.n,

@@ -11,8 +11,6 @@ from braidrep.braid import (
     _shortcut_holds,
     circular_distance,
     evaluate_word,
-    sigma0_image,
-    tau_image,
     verify_braid_relations,
     verify_cyclic_conjugation,
     verify_deformed_relations,
@@ -79,11 +77,11 @@ def test_broken_family_fails_far_commutation():
 
 def test_tau_of_character_is_a_power():
     rep = character_rep(5, F(3))
-    assert tau_image(rep) == Matrix([[F(81)]])
+    assert rep.tau == Matrix([[F(81)]])
 
 
 def test_tau_of_permutation_family_is_a_cycle():
-    t = tau_image(tym_standard(3, 1))
+    t = tym_standard(3, 1).tau
     dim = 3
     for i in range(dim):
         col = t.column(i)
@@ -93,18 +91,18 @@ def test_tau_of_permutation_family_is_a_cycle():
 
 def test_tau_of_all_identity_family():
     rep = Representation(4, 2, [Matrix.identity(2)] * 3)
-    assert tau_image(rep) == Matrix.identity(2)
+    assert rep.tau == Matrix.identity(2)
 
 
 def test_sigma0_of_character():
     rep = character_rep(6, F(1, 2))
-    assert sigma0_image(rep) == Matrix([[F(1, 2)]])
+    assert rep.sigma0 == Matrix([[F(1, 2)]])
 
 
 def test_sigma0_when_all_generators_coincide():
     swap = Matrix([[0, 1], [1, 0]])
     rep = Representation(3, 2, [swap, swap])
-    assert sigma0_image(rep) == swap
+    assert rep.sigma0 == swap
 
 
 def test_sigma0_deformation_of_standard_family():

@@ -34,8 +34,8 @@ from braidrep.classify import (
 )
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
-from braidrep.friendship import neighbor_form
-from braidrep.linalg import Matrix, Subspace, rank, rational_eigenvalues
+from braidrep.friendship import classify_graph, full_friendship_graph, neighbor_form
+from braidrep.linalg import Matrix, Subspace, kernel_basis, rank, rational, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -142,11 +142,23 @@ def test_burnside_of_permutation_family_is_thin():
     assert followup.tag is Verdict.REDUCIBLE
 
 
+def _eigenvector_chain(rep, lam):
+    """x, A_2 x, A_3 A_2 x, ... for the first canonical eigenvector x of A_1
+    at lam on its image."""
+    a = rep.deformation(1)
+    eigenspace = rep.image(1).intersect(kernel_basis(a - Matrix.identity(rep.r) * lam))
+    chain = [eigenspace.basis_vectors()[0]]
+    for i in range(2, rep.n):
+        chain.append(rep.deformation(i) * chain[-1])
+    return chain
+
+
 def test_disconnected_construction_on_trivial_blocks():
+    # Corank 0: the witness is the first coordinate line, not a chain.
     rep = direct_sum(character_rep(5, 1), character_rep(5, 1))
     verdict = disconnected_invariant_subspace(rep)
     assert verdict.tag is Verdict.REDUCIBLE
-    assert verdict.witness.dim == 1
+    assert verdict.witness == Subspace(2, [unit(0, 2)])
     assert_invariant(rep, verdict.witness)
 
 
@@ -156,6 +168,8 @@ def test_disconnected_construction_on_padded_burau(disconnected_fixture):
     verdict = disconnected_invariant_subspace(rep)
     assert verdict.tag is Verdict.REDUCIBLE
     assert verdict.witness.dim <= 4
+    lam = rational(verdict.detail.removeprefix("eigenvector chain at eigenvalue "))
+    assert verdict.witness == Subspace(rep.r, _eigenvector_chain(rep, lam))
     assert_invariant(rep, verdict.witness)
 
 
@@ -165,9 +179,12 @@ def test_disconnected_construction_rejects_chain_input():
 
 
 def test_disconnected_construction_finds_permutation_witness():
-    verdict = disconnected_invariant_subspace(tym_standard(6, 1))
+    rep = tym_standard(6, 1)
+    verdict = disconnected_invariant_subspace(rep)
     assert verdict.tag is Verdict.REDUCIBLE
     assert verdict.witness.dim == 5
+    assert verdict.detail == "eigenvector chain at eigenvalue -2"
+    assert verdict.witness == Subspace(6, _eigenvector_chain(rep, -2))
 
 
 def test_neighbor_identities_on_trivial_family():
@@ -817,10 +834,12 @@ def test_witness_search_ends_inconclusive_on_irreducible_input():
 
 
 @pytest.mark.parametrize("r", [6, 7])
-def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
+def test_analyze_reports_why_a_corank_two_input_has_no_standard_form(r):
     # Random rank-2 deformations on 6 strands: not a braid representation,
-    # corank 2 and no chain, certified irreducible without the chain step.
-    # analyze then tries the standard form and records why it does not apply.
+    # corank 2 and no chain, certified irreducible by the ladder.  At r = n
+    # the chain step inside decide_irreducibility runs before the ladder and
+    # fails; analyze reports its error.  At r > n there is no chain step, and
+    # analyze reports that the verdict breaks the dimension bound.
     rng = Random(r)
     gens = []
     while len(gens) < 5:
@@ -843,14 +862,32 @@ def test_analyze_tries_the_standard_form_after_an_irreducible_verdict(r):
 
 
 def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypatch):
+    # The standard form proves the relations, the corank and the graph.
     import braidrep.classify as classify
 
     calls = []
-    monkeypatch.setattr(classify, "verify_braid_relations", calls.append)
+    for name in ("verify_braid_relations", "full_friendship_graph", "corank"):
+        monkeypatch.setattr(classify, name, calls.append)
     report = analyze(scrambled(tym_standard(8, F(5, 3)), 3))
     assert report.standard_form is not None
     assert calls == []
     assert report.relations["braid_relations_ok"] and report.relations["far_commutation_ok"]
+    assert report.corank == 2
+    assert report.graph_class.tag.value == "ContainsChain"
+    assert report.graph_class.distance_set == {1}
+
+
+@pytest.mark.parametrize("n", range(6, 17))
+def test_certified_chain_reads_corank_and_graph_from_the_theorem(n):
+    # What analyze takes from a certified standard form equals what the
+    # corank and the friendship graph of the input compute.
+    for u, seed in ((F(2), n), (F(5, 3), n + 1), (F(-2, 3), n + 2)):
+        rep = scrambled(tym_standard(n, u), seed)
+        report = analyze(rep)
+        assert report.standard_form is not None
+        assert report.standard_form.u == u
+        assert report.corank == corank(rep)
+        assert report.graph_class == classify_graph(full_friendship_graph(rep))
 
 
 _CHAIN_DETAIL = ("equivalent to the standard family at u={}; "

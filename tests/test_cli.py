@@ -214,15 +214,6 @@ def test_sweep_text_table(capsys):
     assert "corank" in lines[0]
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDREP_SEED", "77")
-    _, with_env, _ = capture(capsys, ["analyze", "tym:n=6,u=2"])
-    monkeypatch.delenv("BRAIDREP_SEED")
-    _, with_flag, _ = capture(capsys, ["analyze", "tym:n=6,u=2", "--seed", "77"])
-    assert with_env == with_flag
-    assert json.loads(with_env)["seed"] == 77
-
-
 def _readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

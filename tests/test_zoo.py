@@ -12,7 +12,6 @@ from braidrep.zoo import (
     character_rep,
     conjugate_rep,
     corank,
-    deformation,
     direct_sum,
     random_invertible_matrix,
     reduced_burau,
@@ -157,11 +156,11 @@ def test_corank_rejects_unequal_deformation_ranks():
 def test_deformation_of_trivial_family_is_zero():
     rep = character_rep(5, 1)
     for i in range(5):
-        assert deformation(rep, i).is_zero()
+        assert rep.deformation(i).is_zero()
 
 
 def test_deformation_block_of_standard_family():
-    a1 = deformation(tym_standard(4, F(7)), 1)
+    a1 = tym_standard(4, F(7)).deformation(1)
     assert a1 == Matrix(
         [[-1, 7, 0, 0], [1, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     )
@@ -170,7 +169,7 @@ def test_deformation_block_of_standard_family():
 def test_derived_deformation_matches_conjugation():
     rep = tym_standard(5, 3)
     expected = rep.tau * rep.deformation(4) * rep.tau_inverse
-    assert deformation(rep, 0) == expected
+    assert rep.deformation(0) == expected
 
 
 def test_generator_images_must_be_invertible():
