@@ -490,9 +490,8 @@ def _chain_data(rep):
 
 def _apply_generator(rep, i, v, den):
     """``(w, e)`` in lowest terms with g_i (v / den) = w / e, for an integer
-    vector v: w / e = (s v + R_i^T (Y_i v)) / (s den), in O(k r)."""
-    img, y, s = rep.factor(i)
-    w = [s * a + b for a, b in zip(v, img.combination([sum(map(mul, row, v)) for row in y]))]
+    vector v, from ``Representation.act`` in O(k r)."""
+    w, s = rep.act(i, v)
     g = math.gcd(s * den, *w)
     return [e // g for e in w], s * den // g
 

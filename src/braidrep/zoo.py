@@ -1,14 +1,17 @@
 """Constructors and combinators for braid group matrix representations.
 
-Each Representation stores the n-1 generator images, their product D and
-its inverse; the image of s0, the deformations A_i = image - 1, their factors
-through their images, and pairwise intersections of those images are
-computed on demand, per index, and cached.  All values are immutable.
+Each Representation stores the n-1 generator images and the factors
+A_i = g_i - 1 = R_i^T Y_i / s_i of their deformations through their images,
+which prove the images invertible.  The product D = g_1 ... g_(n-1) and its
+inverse, the image of s0, its deformation and the pairwise intersections of
+the images are computed on demand, per index, and cached; Im A_0 = D Im A_(n-1)
+is formed through the factors, without D.  All values are immutable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from functools import cached_property, reduce
 from operator import mul
 from random import Random
@@ -17,6 +20,7 @@ from .errors import NotARepresentationError, ShapeError, SingularMatrixError
 from .linalg import (
     Matrix,
     Subspace,
+    _lowest_terms,
     block_diagonal,
     clear_denominators,
     image_basis,
@@ -54,13 +58,32 @@ class Representation:
         self._deformations = {}
         self._factors = {}
         self._meets = {}
-        # D = g_1 ... g_(n-1), the image of delta, is invertible exactly when
-        # every g_i is; sigma0 needs D^-1 anyway.
-        self.tau = reduce(mul, generators)
-        try:
-            self.tau_inverse = inverse(self.tau)
-        except SingularMatrixError:
-            raise SingularMatrixError("generator image is singular") from None
+        if not self._generators_invertible():
+            raise SingularMatrixError("generator image is singular")
+
+    def _generators_invertible(self) -> bool:
+        """Whether every g_i = 1 + R_i^T Y_i / s_i is invertible.  Sylvester's
+        identity det(1 + UV) = det(1 + VU) makes that the rank k of the k x k
+        matrix s_i + Y_i R_i^T (k = 0 passes).  Where some A_i has full rank
+        that matrix is as large as g_i, and the rank of D = g_1 ... g_(n-1)
+        decides for every generator at once."""
+        if any(self.image(i).is_full() for i in range(1, self.n)):
+            return rank(self.tau) == self.r
+        for i in range(1, self.n):
+            s, mid = self.factor(i)[2], self.middle(i, i)
+            shifted = (tuple(e + s * (a == b) for b, e in enumerate(row)) for a, row in enumerate(mid))
+            if rank(Matrix._new(tuple(shifted), 1)) < len(mid):
+                return False
+        return True
+
+    @cached_property
+    def tau(self) -> Matrix:
+        """D = g_1 ... g_(n-1), the image of delta."""
+        return reduce(mul, self.generators)
+
+    @cached_property
+    def tau_inverse(self) -> Matrix:
+        return inverse(self.tau)
 
     def gen(self, i) -> Matrix:
         """Image of generator i, with i = 0 giving the derived s0 image."""
@@ -98,7 +121,7 @@ class Representation:
         and the k rows y come from ``Subspace.coordinate_rows``."""
         if i not in self._factors:
             a = self.deformation(i)
-            img = image_basis(a)
+            img = self.image(0) if i == 0 else image_basis(a)
             y, lcm = img.coordinate_rows(a.num)
             self._factors[i] = img, y, lcm * a.den
         return self._factors[i]
@@ -109,9 +132,32 @@ class Representation:
         y, img = self.factor(i)[1], self.image(j)
         return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
 
+    def act(self, i, v) -> tuple[list, int]:
+        """``(w, s)`` with g_i v = w / s for an integer vector v:
+        w = s v + R_i^T (Y_i v), in O(k r)."""
+        img, y, s = self.factor(i)
+        return [s * a + b for a, b in zip(v, img.combination([sum(map(mul, row, v)) for row in y]))], s
+
     def image(self, i) -> Subspace:
         """Column space of the deformation A_i, for i in 0..n-1."""
-        return self.factor(i)[0]
+        return self._image0 if i == 0 else self.factor(i)[0]
+
+    @cached_property
+    def _image0(self) -> Subspace:
+        """Im A_0 = D Im A_(n-1), as A_0 = D A_(n-1) D^-1 by the definition of
+        sigma0: D acts on each canonical row through g_(n-1), ..., g_1, each
+        step kept primitive, in O(n k r) per row and without forming D."""
+        last = self.image(self.n - 1)
+        if last.is_full():
+            return last
+        rows = []
+        for v in last.rows:
+            for i in range(self.n - 1, 0, -1):
+                v = self.act(i, v)[0]
+                g = math.gcd(*v)
+                v = [e // g for e in v]
+            rows.append(v)
+        return Subspace._span(self.r, rows)
 
     @cached_property
     def shift_invariant(self) -> bool:
@@ -226,11 +272,18 @@ def direct_sum(a, b) -> Representation:
 
 
 def conjugate_rep(rep, p, label=None) -> Representation:
-    """Replace every generator image m by p^-1 m p."""
+    """Replace every generator image g = 1 + R^T Y / s (``Representation.factor``)
+    by p^-1 g p = 1 + (p^-1 R^T)(Y p) / s, in O(k r^2) each for rank k."""
     if p.shape != (rep.r, rep.r):
         raise ShapeError("change of basis has the wrong size")
-    pinv = inverse(p)
-    gens = [pinv * g * p for g in rep.generators]
+    r, pinv = rep.r, inverse(p)
+    gens = []
+    for i in range(1, rep.n):
+        img, y, s = rep.factor(i)
+        left = pinv.num if img.is_full() else mul_rows(pinv.num, tuple(zip(*img.rows)), img.dim)
+        prod, den = mul_rows(left, mul_rows(y, p.num, r), r), s * pinv.den * p.den
+        gens.append(_lowest_terms([[e + den * (a == b) for b, e in enumerate(row)]
+                                   for a, row in enumerate(prod)], den))
     return Representation(rep.n, rep.r, gens, label=label or f"conj({rep.label})")
 
 

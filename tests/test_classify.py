@@ -877,6 +877,16 @@ def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypat
     assert report.graph_class.distance_set == {1}
 
 
+def test_certified_chain_forms_neither_the_product_of_the_images_nor_sigma0():
+    # Im A_0 = D Im A_(n-1) comes through the factors, and the constructor
+    # proves the rank-two images invertible by their 2 x 2 Sylvester matrices.
+    source = scrambled(tym_standard(8, 2), 3)
+    rep = Representation(source.n, source.r, source.generators)
+    report = analyze(rep)
+    assert report.standard_form is not None and report.standard_form.u == 2
+    assert not {"tau", "tau_inverse", "sigma0"} & set(vars(rep))
+
+
 @pytest.mark.parametrize("n", range(6, 17))
 def test_certified_chain_reads_corank_and_graph_from_the_theorem(n):
     # What analyze takes from a certified standard form equals what the

@@ -377,6 +377,11 @@ def test_graph_verb_reports_an_unclassified_graph(capsys):
     assert data["edges"] == [[1, 2], [2, 3]]
 
 
+def test_singular_family_file_exits_2_with_the_message(capsys):
+    path = Path(__file__).resolve().parent / "data" / "singular_family.json"
+    assert capture(capsys, ["verify", str(path)]) == (2, "", "error: generator image is singular\n")
+
+
 def test_conj_without_seed_takes_the_seed_option(capsys):
     _, from_option, _ = capture(capsys, ["make", "conj(tym:n=6,u=2)", "--seed", "3"])
     _, from_spec, _ = capture(capsys, ["make", "conj(tym:n=6,u=2,seed=3)"])

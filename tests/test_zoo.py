@@ -1,12 +1,15 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidrep.braid import verify_braid_relations
 from braidrep.errors import NotARepresentationError, ShapeError, SingularMatrixError
-from braidrep.linalg import Matrix, rank
+from braidrep.linalg import Matrix, image_basis, inverse, rank
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -23,8 +26,10 @@ from braidrep.zoo import (
     tensor_character,
     tym_standard,
 )
+from conftest import broken_family, build_zoo, random_families
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_character_corank_values():
@@ -185,6 +190,57 @@ def test_singular_generator_is_refused_at_any_position(n, at):
         Representation(n, n, gens)
 
 
+ENTRY = st.integers(-2, 2)
+
+
+@st.composite
+def _generator(draw, r):
+    """An r x r integer matrix: dense with entries in -2..2 (mostly of full
+    deformation rank), or 1 + u v^T, forced singular when ``singular`` is drawn."""
+    kind = draw(st.sampled_from(["dense", "update", "singular"]))
+    if kind == "dense":
+        return Matrix([[draw(ENTRY) for _ in range(r)] for _ in range(r)])
+    u, v = [draw(ENTRY) for _ in range(r)], [draw(ENTRY) for _ in range(r)]
+    if kind == "singular":
+        # det(1 + u v^T) = 1 + v^T u, which v_j sets to 0 when u_j = +-1.
+        j = draw(st.integers(0, r - 1))
+        u[j], v[j] = draw(st.sampled_from([1, -1])), 0
+        v[j] = -(1 + sum(a * b for a, b in zip(u, v))) * u[j]
+    return Matrix([[int(i == j) + u[i] * v[j] for j in range(r)] for i in range(r)])
+
+
+@st.composite
+def _families(draw):
+    n, r = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    return n, r, [draw(_generator(r)) for _ in range(n - 1)]
+
+
+# Deformation ranks 1 and 2 below r = 3, invertible, then beside a singular
+# generator whose deformation image is the line through (1, 1, 0): the k < r
+# route.  The last family is singular at deformation rank r = 2: the route
+# through D.
+_SHEAR = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+_PLANE = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+_SKEW = Matrix([[0, 0, 0], [-1, 1, 0], [0, 0, 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_families())
+@example((3, 3, [_SHEAR, _PLANE]))
+@example((4, 3, [_SHEAR, _PLANE, _SKEW]))
+@example((4, 2, [Matrix([[1, 1], [0, 1]]), Matrix([[1, 2], [2, 4]]), Matrix([[0, 1], [1, 0]])]))
+def test_generators_are_refused_exactly_when_one_is_singular(family):
+    """Both invertibility routes: the k x k matrix of Sylvester's identity
+    where every deformation rank k is below r, the rank of D otherwise."""
+    n, r, gens = family
+    if any(rank(g) < r for g in gens):
+        with pytest.raises(SingularMatrixError, match="^generator image is singular$"):
+            Representation(n, r, gens)
+    else:
+        rep = Representation(n, r, gens)
+        assert rep.tau_inverse * rep.tau == Matrix.identity(r)
+
+
 def test_shape_errors_come_before_singularity():
     zero = Matrix.zero(2, 2)
     with pytest.raises(ShapeError):
@@ -253,3 +309,41 @@ def test_json_file_schema_shape(tmp_path):
 def test_malformed_json_data_raises():
     with pytest.raises(ShapeError):
         rep_from_dict({"n": 3, "generators": "nope"})
+
+
+def _shifted_image_inputs():
+    yield from build_zoo()
+    yield broken_family()
+    yield from random_families()
+    yield load_representation(DATA / "broken_family.json")
+    yield direct_sum(tym_standard(3, 2), reduced_burau(3, 2))
+    yield direct_sum(scrambled(tym_standard(4, 5), 2), character_rep(4, -1))
+    yield tensor_character(tym_standard(4, F(5, 3)), -2)
+    yield tensor_character(scrambled(reduced_burau(4, 3), 6), F(1, 3))
+    yield tym_standard(2, 3)
+    yield scrambled(tym_standard(2, -1), 4)
+    yield character_rep(2, 5)
+    yield scrambled(tym_standard(3, 2), 5)
+    yield reduced_burau(3, -1)
+
+
+@pytest.mark.parametrize("rep", list(_shifted_image_inputs()), ids=repr)
+def test_image_of_the_derived_deformation_is_the_shifted_image(rep):
+    """Im A_0, formed through the factors as D Im A_(n-1), is the column
+    space of A_0 = sigma0 - 1 formed densely."""
+    shifted = rep.image(0)
+    assert shifted == image_basis(rep.deformation(0))
+    assert rep.factor(0)[0] == shifted
+
+
+@pytest.mark.parametrize("rep", build_zoo(), ids=repr)
+def test_conjugation_in_factored_form_matches_the_dense_products(rep):
+    p = random_invertible_matrix(rep.r, Random(rep.r))
+    pinv = inverse(p)
+    assert conjugate_rep(rep, p).generators == tuple(pinv * g * p for g in rep.generators)
+
+
+def test_conjugation_forms_neither_product_of_the_images():
+    rep, p = scrambled(tym_standard(8, 2), 3), random_invertible_matrix(8, Random(3))
+    assert "tau" not in vars(rep) and "tau_inverse" not in vars(rep)
+    assert rep.tau == inverse(p) * tym_standard(8, 2).tau * p
