@@ -107,23 +107,25 @@ def _lift(img, mid, y):
     return [any(col) and img.combination(col) or None for col in cols]
 
 
+def _shift_holds(rep, i) -> bool:
+    """Whether D A_i = A_(i+1) D, for 0 <= i <= n-2, from q = ``rep.shift(i)``:
+    num(D) R_i^T = R_(i+1)^T q / m, s_(i+1) = m den(A_(i+1)) and R_(i+1)^T is
+    injective, so D A_i = A_(i+1) D iff den(A_(i+1)) q Y_i = s_i Y_(i+1) num(D).
+    As D is invertible, the shift fails where q is None: D Im A_i != Im A_(i+1)."""
+    q = rep.shift(i)
+    if q is None:
+        return False
+    (_, y, s), (_, y2, _), den2 = rep.factor(i), rep.factor(i + 1), rep.generators[i].den
+    lhs, rhs = mul_rows(q, y, rep.r), mul_rows(y2, rep.tau.num, rep.r)
+    return all(den2 * a == s * b for u, v in zip(lhs, rhs) for a, b in zip(u, v))
+
+
 def _shortcut_holds(rep) -> bool:
     """The relations of ``verify_braid_relations`` on the factors, on n > 2 strands."""
-    n, r, d, dcols = rep.n, rep.r, rep.tau.num, tuple(zip(*rep.tau.num))
-    for i in range(1, n - 1):
-        (img, y, s), (img2, y2, _) = rep.factor(i), rep.factor(i + 1)
-        moved = mul_rows(img.rows, dcols, r)  # the columns of D R_i^T, as rows
-        if img.dim != img2.dim or not all(map(img2.contains_ints, moved)):
-            return False
-        # Then D R_i^T = R_(i+1)^T q / (L den(D)), s_(i+1) = L den(A_(i+1)), and
-        # R_(i+1)^T is injective: D A_i = A_(i+1) D iff den(A_(i+1)) q Y_i = s_i Y_(i+1) num(D).
-        q, _ = img2.coordinate_rows(tuple(zip(*moved)))
-        den2 = rep.generators[i].den
-        if any(den2 * a != s * b for lhs, rhs in zip(mul_rows(q, y, r), mul_rows(y2, d, r))
-               for a, b in zip(lhs, rhs)):
-            return False
+    if not all(_shift_holds(rep, i) for i in range(1, rep.n - 1)):
+        return False
     ia, ya, _ = rep.factor(1)
-    for j in range(3, n // 2 + 2):
+    for j in range(3, rep.n // 2 + 2):
         (ij, yj, _), m1j, mj1 = rep.factor(j), rep.middle(1, j), rep.middle(j, 1)
         if (any(map(any, m1j)) or any(map(any, mj1))) and _lift(ia, m1j, yj) != _lift(ij, mj1, ya):
             return False
@@ -150,17 +152,10 @@ def _pairwise_relation_report(rep: "Representation") -> RelationReport:
 
 
 def verify_cyclic_conjugation(rep: "Representation") -> bool:
-    """True iff conjugation by tau shifts every deformation to the next one.
-
-    This holds for every genuine representation; a False answer flags a
-    matrix family that is not one.
-    """
-    t = rep.tau
-    tinv = rep.tau_inverse
-    for i in range(rep.n):
-        if t * rep.deformation(i) * tinv != rep.deformation((i + 1) % rep.n):
-            return False
-    return True
+    """True iff D = ``rep.tau`` shifts each A_i to A_(i+1), indices mod n.  As A_0 =
+    D A_(n-1) D^-1, the shifts for 1 <= i <= n-2 (``_shift_holds``) decide: they make
+    D^n = (g_1 D)^(n-1) commute with g_1 (``verify_braid_relations``), the shift at 0."""
+    return all(_shift_holds(rep, i) for i in range(1, rep.n - 1))
 
 
 def verify_deformed_relations(rep: "Representation") -> bool:

@@ -58,8 +58,6 @@ from .linalg import (
 )
 from .zoo import corank, tym_standard
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _PROJECTORS_DETAIL = "coordinate projectors certify the full matrix algebra"
 
 DEFAULT_SEED = 0
@@ -362,7 +360,7 @@ def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
         return IrreducibilityVerdict(
             Verdict.ABSOLUTELY_IRREDUCIBLE, None, 1, detail="trivial character"
         )
-    line = Subspace(rep.r, ((_F1,) + (_F0,) * (rep.r - 1),))
+    line = Subspace(rep.r, ([1] + [0] * (rep.r - 1),))
     verdict = _verified_reducible(
         rep, line, f"trivial action: direct sum of {rep.r} trivial characters"
     )
@@ -594,7 +592,9 @@ def invariant_subspace_search(rep) -> IrreducibilityVerdict:
     """Witness search: common fixed vectors, then the witnesses of the Norton
     step.  Returns a verified Reducible verdict, or Inconclusive when neither
     finds an invariant subspace, also where the Norton step proves the
-    algebra full.
+    algebra full.  ``decide_irreducibility`` runs the same two steps itself;
+    this entry point stays because the benchmark's ``classify.witness_search``
+    span is bound to it by name.
     """
     verdict = _common_fixed_vectors(rep) or _norton_step(rep)
     if verdict is not None and verdict.tag is Verdict.REDUCIBLE:
@@ -637,7 +637,7 @@ def decide_irreducibility(rep):
         dim, verdict = burnside_dimension(rep)
         if dim < rep.r:
             # An orbit A v has dimension at most dim A, so every orbit is proper.
-            orbit = spin(rep, (_F1,) + (_F0,) * (rep.r - 1))
+            orbit = spin(rep, [1] + [0] * (rep.r - 1))
             detail = f"orbit of a coordinate vector under an algebra of dimension {dim}"
             verdict = _verified_reducible(rep, orbit, detail) or verdict
     return verdict, None, standard_form_err

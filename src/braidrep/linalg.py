@@ -28,7 +28,6 @@ from operator import mul
 from .errors import ShapeError, SingularMatrixError
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def rational(value) -> Fraction:
@@ -513,19 +512,18 @@ def conjugate(m: Matrix, c: Matrix) -> Matrix:
 
 
 def charpoly(m: Matrix):
-    """Coefficients [1, c1, ..., cn] of det(xI - m), by the trace recursion."""
+    """Coefficients [1, c1, ..., cn] of det(xI - m): c_k / den^k for the integer
+    coefficients c_k of det(xI - N), N = num, from the trace recursion M_1 = N,
+    c_k = -tr(M_k) / k, M_(k+1) = N (M_k + c_k), each of whose divisions is exact."""
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    coeffs = [_F1]
-    mk = m
-    ident = Matrix.identity(n)
+    num, n, coeffs, mk = m.num, m.nrows, [1], m.num
     for k in range(1, n + 1):
-        ck = -mk.trace / k
-        coeffs.append(ck)
+        c = -sum(row[i] for i, row in enumerate(mk)) // k
+        coeffs.append(c)
         if k < n:
-            mk = m * (mk + ident * ck)
-    return coeffs
+            mk = mul_rows(num, [[e + c * (i == j) for j, e in enumerate(row)] for i, row in enumerate(mk)], n)
+    return [Fraction(c, m.den**k) for k, c in enumerate(coeffs)]
 
 
 def _poly_eval(coeffs, x):
@@ -615,11 +613,7 @@ def rational_eigenvalues(m: Matrix):
         raise ShapeError("eigenvalues of a non-square matrix")
     if m.nrows == 0:
         return []
-    ints = []
-    for c in charpoly(Matrix._new(m.num, 1)):
-        if c.denominator != 1:
-            raise RuntimeError("integer matrix has a non-integer characteristic polynomial")
-        ints.append(c.numerator)
+    ints = [c.numerator for c in charpoly(Matrix._new(m.num, 1))]
     roots = set()
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()

@@ -2,10 +2,10 @@
 
 Each Representation stores the n-1 generator images and the factors
 A_i = g_i - 1 = R_i^T Y_i / s_i of their deformations through their images,
-which prove the images invertible.  The product D = g_1 ... g_(n-1) and its
-inverse, the image of s0, its deformation and the pairwise intersections of
-the images are computed on demand, per index, and cached; Im A_0 = D Im A_(n-1)
-is formed through the factors, without D.  All values are immutable.
+which prove the images invertible.  D = g_1 ... g_(n-1) and its inverse, the
+image of s0, its deformation, the shifts of the images by D and their pairwise
+intersections are computed on demand, per index, and cached; Im A_0 =
+D Im A_(n-1) is formed through the factors, without D.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ class Representation:
         self._deformations = {}
         self._factors = {}
         self._meets = {}
+        self._shifts = {}
         if not self._generators_invertible():
             raise SingularMatrixError("generator image is singular")
 
@@ -82,8 +83,8 @@ class Representation:
         return reduce(mul, self.generators)
 
     @cached_property
-    def tau_inverse(self) -> Matrix:
-        return inverse(self.tau)
+    def _tau_columns(self) -> tuple:
+        return tuple(zip(*self.tau.num))
 
     def gen(self, i) -> Matrix:
         """Image of generator i, with i = 0 giving the derived s0 image."""
@@ -100,7 +101,7 @@ class Representation:
 
     @cached_property
     def sigma0(self) -> Matrix:
-        return self.tau * self.generators[-1] * self.tau_inverse
+        return self.tau * self.generators[-1] * inverse(self.tau)
 
     def deformation(self, i) -> Matrix:
         """A_i = image of generator i minus the identity, for i in 0..n-1."""
@@ -159,15 +160,25 @@ class Representation:
             rows.append(v)
         return Subspace._span(self.r, rows)
 
-    @cached_property
+    def shift(self, i):
+        """The integer rows q with num(D) R_i^T = R_(i+1)^T q / m for 0 <= i <= n-2,
+        cached per index, R_i the canonical rows of Im A_i and m the lcm of the
+        pivot entries of Im A_(i+1) (``Subspace.coordinate_rows``); None where
+        the images differ in dimension or D Im A_i is not inside Im A_(i+1)."""
+        if i not in self._shifts:
+            img, img2, q = self.image(i), self.image(i + 1), None
+            if img.dim == img2.dim:
+                moved = mul_rows(img.rows, self._tau_columns, self.r)  # num(D) R_i^T, transposed
+                if all(map(img2.contains_ints, moved)):
+                    q = img2.coordinate_rows(tuple(zip(*moved)))[0]
+            self._shifts[i] = q
+        return self._shifts[i]
+
+    @property
     def shift_invariant(self) -> bool:
-        """Whether D maps Im A_i onto Im A_(i+1) for i <= n-2, as in every
-        representation (delta s_i delta^-1 = s_(i+1)); at i = n-1 it holds by
-        the definition of sigma0.  Then D shifts every meet of images too."""
-        dcols, ims = tuple(zip(*self.tau.num)), [self.image(i) for i in range(self.n)]
-        return all(ims[i].dim == ims[i + 1].dim
-                   and all(map(ims[i + 1].contains_ints, mul_rows(ims[i].rows, dcols, self.r)))
-                   for i in range(self.n - 1))
+        """Whether every ``shift(i)`` exists, as in every representation (delta
+        s_i delta^-1 = s_(i+1)); at i = n-1 by sigma0.  Then D shifts every meet."""
+        return all(self.shift(i) is not None for i in range(self.n - 1))
 
     def meet(self, i, j) -> Subspace:
         """Intersection of the images of A_i and A_j, cached per unordered pair."""

@@ -16,7 +16,7 @@ from braidrep.braid import (
     verify_deformed_relations,
 )
 from braidrep.errors import ShapeError, SingularMatrixError
-from braidrep.linalg import Matrix, charpoly, rank
+from braidrep.linalg import Matrix, charpoly, inverse, rank
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -184,7 +184,7 @@ def test_zoo_families_satisfy_all_relation_checks(zoo):
 def test_conjugating_last_deformation_gives_the_derived_one(zoo):
     for rep in zoo:
         t = rep.tau
-        shifted = t * rep.deformation(rep.n - 1) * rep.tau_inverse
+        shifted = t * rep.deformation(rep.n - 1) * inverse(t)
         assert shifted == rep.deformation(0), rep.label
 
 
@@ -214,6 +214,12 @@ def _pairwise_report(rep):
     far = [("far commutation", (i, j)) for i in range(1, rep.n) for j in range(i + 2, rep.n)
            if g[i - 1] * g[j - 1] != g[j - 1] * g[i - 1]]
     return RelationReport(not braid, not far, braid + far)
+
+
+def _cyclic_reference(rep):
+    """Reference: D A_i D^-1 = A_(i+1) for every i modulo n, on dense matrices."""
+    t, tinv, n = rep.tau, inverse(rep.tau), rep.n
+    return all(t * rep.deformation(i) * tinv == rep.deformation((i + 1) % n) for i in range(n))
 
 
 def _permutation(images):
@@ -337,6 +343,33 @@ def _only_a_shift_broken():
     padded = direct_sum(chars, character_rep(4, 1))
     yield padded
     yield scrambled(padded, 1)
+
+
+def _cyclic_cases():
+    yield from build_zoo()
+    yield broken_family()
+    yield from random_families()
+    yield failing_family()
+    yield only_far_pairs_broken()
+    yield from _only_a_shift_broken()
+    yield from delta_families()
+    yield tym_standard(2, 4)
+    yield Representation(2, 2, [Matrix([[1, 2], [3, 4]])], label="n=2 dense")
+    yield reduced_burau(3, 2)
+    yield Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[0, 1], [1, 0]])], label="n=3 broken")
+
+
+@pytest.mark.parametrize("rep", list(_cyclic_cases()), ids=lambda rep: rep.label or "broken")
+def test_cyclic_check_matches_the_dense_reference(rep):
+    assert verify_cyclic_conjugation(rep) == _cyclic_reference(rep)
+
+
+def test_cyclic_check_forms_no_derived_generator():
+    # The shifts at 1 <= i <= n-2 decide the one at 0, so sigma0 and D^-1 are
+    # never needed, on genuine and on broken families.
+    for rep in (broken_family(), failing_family(), *random_families(), *build_zoo()):
+        verify_cyclic_conjugation(rep)
+        assert "sigma0" not in vars(rep), rep.label
 
 
 @pytest.mark.parametrize("rep", list(_shortcut_cases()), ids=lambda rep: rep.label or "broken")

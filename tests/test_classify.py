@@ -8,7 +8,6 @@ import pytest
 
 from braidrep.braid import (
     verify_braid_relations,
-    verify_cyclic_conjugation,
     verify_deformed_relations,
 )
 from braidrep.classify import (
@@ -48,6 +47,7 @@ from braidrep.zoo import (
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
+from test_braid import _cyclic_reference
 
 F = Fraction
 
@@ -635,7 +635,7 @@ def test_analyze_relation_booleans_match_the_checks(rep):
     report = verify_braid_relations(rep)
     assert relations["braid_relations_ok"] == report.braid_relations_ok
     assert relations["far_commutation_ok"] == report.far_commutation_ok
-    assert relations["cyclic_conjugation_ok"] == verify_cyclic_conjugation(rep)
+    assert relations["cyclic_conjugation_ok"] == _cyclic_reference(rep)
     assert relations["deformed_relations_ok"] == verify_deformed_relations(rep)
 
 
@@ -884,7 +884,32 @@ def test_certified_chain_forms_neither_the_product_of_the_images_nor_sigma0():
     rep = Representation(source.n, source.r, source.generators)
     report = analyze(rep)
     assert report.standard_form is not None and report.standard_form.u == 2
-    assert not {"tau", "tau_inverse", "sigma0"} & set(vars(rep))
+    assert not {"tau", "sigma0"} & set(vars(rep))
+
+
+def test_analyze_shifts_each_image_by_the_product_of_the_images_once(monkeypatch):
+    # The friendship graph and the relation shortcut share Representation.shift:
+    # n - 1 products of D with the image rows, where a second pass in the
+    # shortcut would take n - 2 more.  Both orders of the product count.
+    import braidrep.braid as braid
+    import braidrep.linalg as linalg
+    import braidrep.zoo as zoo
+
+    rep = scrambled(reduced_burau(8, 2), 3)
+    d, dcols, calls, mul_rows = rep.tau.num, tuple(zip(*rep.tau.num)), [], linalg.mul_rows
+    images = {rep.image(i).rows for i in range(rep.n)}
+
+    def spy(a, b, ncols):
+        if (a == d and tuple(zip(*b)) in images) or (b == dcols and a in images):
+            calls.append(a)
+        return mul_rows(a, b, ncols)
+
+    for module in (linalg, zoo, braid):
+        monkeypatch.setattr(module, "mul_rows", spy)
+    report = analyze(rep)
+    assert report.standard_form is None and report.corank == 1
+    assert all(report.relations[key] for key in ("braid_relations_ok", "far_commutation_ok"))
+    assert len(calls) == rep.n - 1
 
 
 @pytest.mark.parametrize("n", range(6, 17))
@@ -994,7 +1019,7 @@ def _dense_relations(rep):
     return {
         "braid_relations_ok": dense.braid_relations_ok,
         "far_commutation_ok": dense.far_commutation_ok,
-        "cyclic_conjugation_ok": dense.ok or verify_cyclic_conjugation(rep),
+        "cyclic_conjugation_ok": _cyclic_reference(rep),
         "deformed_relations_ok": dense.ok,
         "failures": [[desc, list(pair)] for desc, pair in dense.failures],
     }

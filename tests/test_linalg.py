@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrep import linalg
 from braidrep.errors import ShapeError, SingularMatrixError
 from braidrep.linalg import (
     Matrix,
@@ -207,12 +206,6 @@ def test_rational_eigenvalues_with_a_huge_constant_term():
     assert rational_eigenvalues(rotation) == []
 
 
-def test_rational_eigenvalues_rejects_a_non_integer_charpoly(monkeypatch):
-    monkeypatch.setattr(linalg, "charpoly", lambda m: [F(1), F(1, 2)])
-    with pytest.raises(RuntimeError):
-        rational_eigenvalues(Matrix([[3]]))
-
-
 def test_charpoly_of_companion_like_block():
     coeffs = charpoly(Matrix([[-1, 1], [1, -1]]))
     assert coeffs == [F(1), F(2), F(0)]
@@ -349,6 +342,22 @@ def _check_kernel_form(m, ref):
     assert twin == m and hash(twin) == hash(m)
 
 
+def _ref_det(a):
+    """Gaussian elimination over Fractions."""
+    a, det = [list(row) for row in a], F(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
 # Zeros are drawn often, so that the sparse-row path of the product runs too.
 rationals = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6))
 
@@ -389,6 +398,19 @@ def test_integer_kernel_matches_fraction_reference(operands):
             inverse(msq)
     else:
         _check_kernel_form(inverse(msq), ref_inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
+                                                   min_size=n, max_size=n)))
+def test_charpoly_matches_determinants_over_fractions(a):
+    # Two polynomials of degree n that agree at n + 1 points are equal.
+    n, coeffs = len(a), charpoly(Matrix(a))
+    assert len(coeffs) == n + 1 and coeffs[0] == 1
+    assert all(type(c) is Fraction for c in coeffs)
+    for x in range(n + 1):
+        shifted = [[x * (i == j) - e for j, e in enumerate(row)] for i, row in enumerate(a)]
+        assert sum(c * x ** (n - k) for k, c in enumerate(coeffs)) == _ref_det(shifted)
 
 
 @st.composite

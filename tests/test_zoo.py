@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -173,7 +174,7 @@ def test_deformation_block_of_standard_family():
 
 def test_derived_deformation_matches_conjugation():
     rep = tym_standard(5, 3)
-    expected = rep.tau * rep.deformation(4) * rep.tau_inverse
+    expected = rep.tau * rep.deformation(4) * inverse(rep.tau)
     assert rep.deformation(0) == expected
 
 
@@ -238,7 +239,7 @@ def test_generators_are_refused_exactly_when_one_is_singular(family):
             Representation(n, r, gens)
     else:
         rep = Representation(n, r, gens)
-        assert rep.tau_inverse * rep.tau == Matrix.identity(r)
+        assert inverse(rep.tau) * rep.tau == Matrix.identity(r)
 
 
 def test_shape_errors_come_before_singularity():
@@ -336,6 +337,22 @@ def test_image_of_the_derived_deformation_is_the_shifted_image(rep):
     assert rep.factor(0)[0] == shifted
 
 
+@pytest.mark.parametrize("rep", list(_shifted_image_inputs()), ids=repr)
+def test_shift_gives_the_coordinates_of_the_shifted_image(rep):
+    """shift(i) is None exactly where D Im A_i, formed densely, is not
+    Im A_(i+1); otherwise num(D) R_i^T = R_(i+1)^T q / m column by column."""
+    d = rep.tau.num
+    for i in range(rep.n - 1):
+        q, img, img2 = rep.shift(i), rep.image(i), rep.image(i + 1)
+        assert (q is None) == (image_basis(rep.tau * rep.deformation(i)) != img2), i
+        if q is None:
+            continue
+        m = math.lcm(*(row[p] for row, p in zip(img2.rows, img2.pivots)))
+        for j, v in enumerate(img.rows):
+            moved = [m * sum(a * b for a, b in zip(row, v)) for row in d]
+            assert moved == [sum(q[a][j] * w[x] for a, w in enumerate(img2.rows)) for x in range(rep.r)]
+
+
 @pytest.mark.parametrize("rep", build_zoo(), ids=repr)
 def test_conjugation_in_factored_form_matches_the_dense_products(rep):
     p = random_invertible_matrix(rep.r, Random(rep.r))
@@ -345,5 +362,5 @@ def test_conjugation_in_factored_form_matches_the_dense_products(rep):
 
 def test_conjugation_forms_neither_product_of_the_images():
     rep, p = scrambled(tym_standard(8, 2), 3), random_invertible_matrix(8, Random(3))
-    assert "tau" not in vars(rep) and "tau_inverse" not in vars(rep)
+    assert "tau" not in vars(rep)
     assert rep.tau == inverse(p) * tym_standard(8, 2).tau * p
