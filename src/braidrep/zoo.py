@@ -2,10 +2,11 @@
 
 Each Representation stores the n-1 generator images and the factors
 A_i = g_i - 1 = R_i^T Y_i / s_i of their deformations through their images,
-which prove the images invertible.  D = g_1 ... g_(n-1) and its inverse, the
-image of s0, its deformation, the shifts of the images by D and their pairwise
-intersections are computed on demand, per index, and cached; Im A_0 =
-D Im A_(n-1) is formed through the factors, without D.  All values are immutable.
+which prove the images invertible.  D = g_1 ... g_(n-1), the image sigma0 of
+s0 (which inverts D itself), the shifts of the images by D and their pairwise
+intersections are computed on first use and cached; a deformation A_i is
+built on each request.  Im A_0 = D Im A_(n-1) is formed through the factors,
+without D.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class Representation:
         self.generators = generators
         self.label = label
         self._inverses = {}
-        self._deformations = {}
         self._factors = {}
         self._meets = {}
         self._shifts = {}
@@ -104,17 +104,16 @@ class Representation:
         return self.tau * self.generators[-1] * inverse(self.tau)
 
     def deformation(self, i) -> Matrix:
-        """A_i = image of generator i minus the identity, for i in 0..n-1."""
+        """A_i = image of generator i minus the identity, for i in 0..n-1, built
+        on each call in O(r^2); the checks read the cached ``factor(i)``."""
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
-        if i not in self._deformations:
-            # num - den on the diagonal: gcd(den, x - den) = gcd(den, x), so
-            # the difference stays in lowest terms.
-            g = self.gen(i)
-            den = g.den
-            num = tuple(row[:k] + (row[k] - den,) + row[k + 1 :] for k, row in enumerate(g.num))
-            self._deformations[i] = Matrix._new(num, den)
-        return self._deformations[i]
+        # num - den on the diagonal: gcd(den, x - den) = gcd(den, x), so
+        # the difference stays in lowest terms.
+        g = self.gen(i)
+        den = g.den
+        num = tuple(row[:k] + (row[k] - den,) + row[k + 1 :] for k, row in enumerate(g.num))
+        return Matrix._new(num, den)
 
     def factor(self, i) -> tuple[Subspace, tuple, int]:
         """``(image, y, s)`` with A_i = R^T y / s, cached per index: R holds the

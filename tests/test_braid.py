@@ -141,10 +141,14 @@ def test_deformed_relations_reject_broken_family():
     assert not verify_deformed_relations(failing_family())
 
 
+def broken_three_strand_family():
+    return Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[0, 1], [1, 0]])], label="n=3 broken")
+
+
 def test_deformed_relations_reject_a_broken_three_strand_family():
     # On 3 strands every pair of indices is a neighbor pair, so only the
     # neighbor-cubic comparison can fail.
-    rep = Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[0, 1], [1, 0]])], label="broken")
+    rep = broken_three_strand_family()
     a, b = rep.deformation(1), rep.deformation(2)
     assert a + a * a + a * b * a != b + b * b + b * a * b
     assert not verify_deformed_relations(rep)
@@ -220,6 +224,17 @@ def _cyclic_reference(rep):
     """Reference: D A_i D^-1 = A_(i+1) for every i modulo n, on dense matrices."""
     t, tinv, n = rep.tau, inverse(rep.tau), rep.n
     return all(t * rep.deformation(i) * tinv == rep.deformation((i + 1) % n) for i in range(n))
+
+
+def _deformed_reference(rep):
+    """Reference: the deformed relations on every pair of indices modulo n, on
+    dense matrices: non-neighbors commute, neighbors share A + A^2 + ABA."""
+    n = rep.n
+    a = [rep.deformation(i) for i in range(n)]
+    far = all(a[i] * a[j] == a[j] * a[i] for i in range(n) for j in range(i + 1, n)
+              if circular_distance(i, j, n) >= 2)
+    return far and all(x + x * x + x * y * x == y + y * y + y * x * y
+                       for x, y in ((a[i], a[(i + 1) % n]) for i in range(n)))
 
 
 def _permutation(images):
@@ -356,7 +371,7 @@ def _cyclic_cases():
     yield tym_standard(2, 4)
     yield Representation(2, 2, [Matrix([[1, 2], [3, 4]])], label="n=2 dense")
     yield reduced_burau(3, 2)
-    yield Representation(3, 2, [Matrix([[1, 0], [0, 2]]), Matrix([[0, 1], [1, 0]])], label="n=3 broken")
+    yield broken_three_strand_family()
 
 
 @pytest.mark.parametrize("rep", list(_cyclic_cases()), ids=lambda rep: rep.label or "broken")
@@ -370,6 +385,45 @@ def test_cyclic_check_forms_no_derived_generator():
     for rep in (broken_family(), failing_family(), *random_families(), *build_zoo()):
         verify_cyclic_conjugation(rep)
         assert "sigma0" not in vars(rep), rep.label
+
+
+def _deformed_cases():
+    yield from _cyclic_cases()
+    yield only_a_braid_pair_broken()
+    yield Representation(2, 1, [Matrix([[3]])], label="n=2 character")
+
+
+@pytest.mark.parametrize("rep", list(_deformed_cases()), ids=lambda rep: rep.label or "broken")
+def test_deformed_check_matches_the_dense_reference(rep):
+    assert verify_deformed_relations(rep) == _deformed_reference(rep)
+
+
+def test_deformed_check_forms_no_derived_generator():
+    # The deformed relations are decided on the factors of g_1 ... g_(n-1),
+    # on genuine and on broken families alike.
+    for rep in (broken_family(), failing_family(), *random_families(), *_only_a_shift_broken(),
+                broken_three_strand_family(), *build_zoo()):
+        verify_deformed_relations(rep)
+        assert "sigma0" not in vars(rep), rep.label
+
+
+def test_failure_scan_forms_no_product_for_a_far_pair(monkeypatch):
+    rep = failing_family()
+    index = {id(g): i for i, g in enumerate(rep.generators, 1)}
+    pairs = []
+    original = Matrix.__mul__
+
+    def spy(self, other):
+        pairs.append((index.get(id(self)), index.get(id(other))))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", spy)
+    report = verify_braid_relations(rep)
+    monkeypatch.undo()
+    assert ("far commutation", (1, 3)) in report.failures
+    assert not [p for p in pairs if None not in p and abs(p[0] - p[1]) >= 2]
+    # The braid pairs of the failing family are still checked densely.
+    assert (1, 2) in pairs
 
 
 @pytest.mark.parametrize("rep", list(_shortcut_cases()), ids=lambda rep: rep.label or "broken")

@@ -6,10 +6,7 @@ from random import Random
 
 import pytest
 
-from braidrep.braid import (
-    verify_braid_relations,
-    verify_deformed_relations,
-)
+from braidrep.braid import verify_braid_relations
 from braidrep.classify import (
     Verdict,
     _is_invariant,
@@ -18,6 +15,7 @@ from braidrep.classify import (
     _norton_step,
     _orbit,
     _rational_algebra_dim,
+    _verified_reducible,
     analyze,
     burnside_dimension,
     chain_basis,
@@ -47,7 +45,7 @@ from braidrep.zoo import (
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
-from test_braid import _cyclic_reference
+from test_braid import _cyclic_reference, _deformed_reference
 
 F = Fraction
 
@@ -615,6 +613,17 @@ def test_witness_check_agrees_with_explicit_inverses_off_witnesses(rep):
             assert _is_invariant(rep, w) is _invariant_by_inverses(rep, w) is False, (k, w)
 
 
+def test_witness_check_rejects_a_non_invariant_candidate():
+    rep = scrambled(tym_standard(6, 2), 3)
+    assert decide_irreducibility(rep)[0].tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+    for k in range(rep.r):
+        assert _verified_reducible(rep, Subspace(rep.r, [unit(k, rep.r)]), "line") is None, k
+    reducible = scrambled(tym_standard(6, 1), 2)
+    witness = decide_irreducibility(reducible)[0].witness
+    verdict = _verified_reducible(reducible, witness, "found")
+    assert verdict.tag is Verdict.REDUCIBLE and verdict.witness == witness
+
+
 def test_ladder_agrees_with_algebra_dimension(zoo):
     for rep in zoo:
         verdict, _, _ = decide_irreducibility(rep)
@@ -636,7 +645,7 @@ def test_analyze_relation_booleans_match_the_checks(rep):
     assert relations["braid_relations_ok"] == report.braid_relations_ok
     assert relations["far_commutation_ok"] == report.far_commutation_ok
     assert relations["cyclic_conjugation_ok"] == _cyclic_reference(rep)
-    assert relations["deformed_relations_ok"] == verify_deformed_relations(rep)
+    assert relations["deformed_relations_ok"] == _deformed_reference(rep)
 
 
 def test_spin_is_closed_under_inverses_across_zoo(zoo):
