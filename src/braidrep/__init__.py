@@ -36,6 +36,7 @@ from .errors import (
     BraidRepError,
     NeedsFieldExtensionError,
     NotARepresentationError,
+    OutOfScaleError,
     PreconditionError,
     ShapeError,
     SingularMatrixError,

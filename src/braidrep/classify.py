@@ -442,17 +442,107 @@ def lemma_bb_check(rep, i, j) -> bool:
     return True
 
 
+def _chain_certificate(rep):
+    """``(u, basis)`` where the chain from the start vector proves g_i B =
+    B T_i(u) for every generator i with u != 1; None where a check fails.
+
+    The start a_0 is the canonical row of Im A_1 cap ker A_2 (``_chain_start``),
+    and a_i = g_i a_(i-1).  Column i-1 of g_i B = B T_i(u) holds by that walk,
+    column i by the twist check g_i a_i = u a_(i-1) with one u for every i,
+    and every other column j by A_i a_j = 0, that is Y_i a_j = 0.  B needs
+    no rank: by the identity, g_i B x = B T_i x, so ker B is invariant under
+    T(u), which is irreducible for u != 1 (``_standard_fullness_certificate``).
+    As B e_0 = a_0 is not 0, ker B = 0 and the n x n matrix B is invertible.
+
+    The start is the right one: under the identity A_i = B (T_i - 1) B^-1,
+    Im A_1 = B span(e_0, e_1) and ker A_2 = B span(e_j : j != 1, 2), since
+    T_2 - 1 is invertible on span(e_1, e_2) (its determinant there is 1 - u),
+    so Im A_1 cap ker A_2 = B span(e_0), the line of a_0.  The meet of
+    images 0 and 1, B span(e_(n-1), e_0) cap B span(e_0, e_1), is that line
+    too, so wherever ``_ordered_chain_step`` certifies, this does as well,
+    with the same u and B: the same walk from the same canonical row.
+    """
+    n = rep.n
+    if not 4 <= n == rep.r:
+        return None
+    start = _chain_start(rep)
+    if start is None:
+        return None
+    chain = _walk(rep, start)
+    twists = _twist_factors(rep, chain)
+    if len(twists) < n - 1 or len(set(twists)) != 1 or twists[0] == 1:
+        return None
+    if _first_unmatched_generator(rep, [v for v, _ in chain]) is not None:
+        return None
+    return twists[0], _chain_matrix(chain)
+
+
+def _chain_start(rep):
+    """The canonical row (primitive, positive pivot) of Im A_1 cap ker A_2,
+    or None where that intersection is not a line.  R_1^T c lies in ker A_2
+    = ker Y_2 exactly when Y_2 R_1^T c = 0, and R_1^T is injective, so the
+    intersection is R_1^T times the kernel of ``rep.middle(2, 1)``, k x k."""
+    kernel = kernel_basis(Matrix._new(tuple(map(tuple, rep.middle(2, 1))), 1))
+    if kernel.dim != 1:
+        return None
+    # The rows R_1 vanish at each other's pivots, so R_1^T c starts at the
+    # pivot of the row of the first nonzero c_j, where it is c_j > 0 times
+    # that row's positive lead.
+    v = rep.image(1).combination(kernel.rows[0])
+    g = math.gcd(*v)
+    return [e // g for e in v]
+
+
+def _walk(rep, start):
+    """The chain a_0, ..., a_(n-1) from a_0 = start over its first nonzero
+    entry, a_i = g_i a_(i-1), as ``(v, d)`` pairs with a_i = v / d; each is
+    nonzero, as the generators are invertible."""
+    chain = [(start, next(e for e in start if e))]
+    for i in range(1, rep.n):
+        chain.append(_apply_generator(rep, i, *chain[-1]))
+    return chain
+
+
+def _twist_factors(rep, chain):
+    """The twists t_i with g_i a_i = t_i a_(i-1) for i = 1, 2, ..., up to
+    the first i where g_i a_i is not a nonzero multiple of a_(i-1)."""
+    twists = []
+    for i in range(1, rep.n):
+        (back, bden), (prev, pden) = _apply_generator(rep, i, *chain[i]), chain[i - 1]
+        p = next(idx for idx, e in enumerate(prev) if e)
+        if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
+            break
+        twists.append(Fraction(back[p] * pden, bden * prev[p]))
+    return twists
+
+
+def _chain_matrix(chain):
+    """The matrix whose columns are the chain vectors."""
+    lcm = math.lcm(*(d for _, d in chain))
+    cols = ([e * (lcm // d) for e in v] for v, d in chain)
+    return Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
+
+
+def _first_unmatched_generator(rep, cols):
+    """The first generator i with Y_i a_j != 0 for a column a_j of ``cols``,
+    j outside {i-1, i}, where T_i fixes e_j; None if there is none."""
+    for i in range(1, rep.n):
+        y = rep.factor(i)[1]
+        if any(sum(map(mul, row, cols[j])) for j in range(rep.n) if j not in (i - 1, i) for row in y):
+            return i
+    return None
+
+
 def _chain_data(rep):
-    """Shared worker for chain recovery: basis columns and twist factors.
+    """The ordered chain step up to the twists: basis columns and twist
+    factors, or the error of the first check the input fails.
 
     Where g_i B = B T_i(u) with B invertible, A_i = B (T_i - 1) B^-1 has
     image span(a_(i-1), a_i), for the columns a_j of B with indices mod n.
     So images 0 and 1 meet in the line through a_0, and a_i = g_i a_(i-1).
-    This checks only what the proof of that identity needs: 4 <= n = r and a
-    line as the meet of images 0 and 1, which gives a_0; then it walks a_i =
-    g_i a_(i-1), checks that g_i a_i is a multiple of a_(i-1), whose factor
-    is the twist, and that the columns are independent.
-    ``extract_standard_form`` finishes the proof.
+    This checks, in order: 4 <= n = r; a line as the meet of images 0 and 1,
+    which gives a_0; that g_i a_i is a multiple of a_(i-1), whose factor is
+    the twist; and that the columns are independent.
     """
     n, r = rep.n, rep.r
     if n < 4:
@@ -464,23 +554,13 @@ def _chain_data(rep):
         raise PreconditionError("neighboring deformation images coincide")
     if line.dim == 0:
         raise PreconditionError("friendship graph is not a chain: images 0 and 1 meet trivially")
-    # Chain vector i is v / d for chain[i] = (v, d); each is nonzero, as the
-    # generators are invertible.
-    chain = [(line.rows[0], line.rows[0][line.pivots[0]])]
-    for i in range(1, n):
-        chain.append(_apply_generator(rep, i, *chain[-1]))
-    twists = []
-    for i in range(1, n):
-        (back, bden), (prev, pden) = _apply_generator(rep, i, *chain[i]), chain[i - 1]
-        p = next(idx for idx, e in enumerate(prev) if e)
-        if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
-            raise NotARepresentationError(
-                f"generator {i} does not map its chain vector into the previous line"
-            )
-        twists.append(Fraction(back[p] * pden, bden * prev[p]))
-    lcm = math.lcm(*(d for _, d in chain))
-    cols = ([e * (lcm // d) for e in v] for v, d in chain)
-    basis = Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
+    chain = _walk(rep, line.rows[0])
+    twists = _twist_factors(rep, chain)
+    if len(twists) < n - 1:
+        raise NotARepresentationError(
+            f"generator {len(twists) + 1} does not map its chain vector into the previous line"
+        )
+    basis = _chain_matrix(chain)
     if rank(basis) != n:
         raise PreconditionError("chain vectors are dependent")
     return basis, twists
@@ -500,17 +580,10 @@ def chain_basis(rep) -> Matrix:
     return basis
 
 
-def extract_standard_form(rep) -> StandardFormResult:
-    """Conjugate a representation into the standard family T(u), u != 1.
-
-    Returns u and the change of basis B, after proving g_i B = B T_i(u) for
-    every generator i without forming T(u): a certificate of irreducibility,
-    and nothing else.  That identity implies corank 2, the chain graph and
-    each chain vector lying in both neighboring images, so none of them is
-    checked.  Every other outcome, a twist factor 1 included, raises
-    ``PreconditionError`` or ``NotARepresentationError``; such an input is
-    decided by the witness steps of ``decide_irreducibility``.
-    """
+def _ordered_chain_step(rep):
+    """The chain step check by check, as ``_chain_data`` and then equal
+    twists, u != 1 and Y_i b_j = 0: ``(u, basis)``, or the error of the
+    first check the input fails."""
     basis, twists = _chain_data(rep)
     if len(set(twists)) != 1:
         raise NotARepresentationError(f"twist factors disagree: {twists}")
@@ -520,13 +593,27 @@ def extract_standard_form(rep) -> StandardFormResult:
     # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
     # = T_i.  Columns i-1 and i hold by the chain construction and the equal
     # twists; T_i fixes every other e_j, leaving Y_i b_j = 0 (A_i b_j = 0).
-    cols = tuple(zip(*basis.num))
-    for i in range(1, rep.n):
-        y = rep.factor(i)[1]
-        if any(sum(map(mul, row, cols[j])) for j in range(rep.n) if j not in (i - 1, i) for row in y):
-            raise NotARepresentationError(
-                f"conjugated image of generator {i} does not match the standard family"
-            )
+    i = _first_unmatched_generator(rep, tuple(zip(*basis.num)))
+    if i is not None:
+        raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
+    return u, basis
+
+
+def extract_standard_form(rep) -> StandardFormResult:
+    """Conjugate a representation into the standard family T(u), u != 1.
+
+    Returns u and the change of basis B, after proving g_i B = B T_i(u) for
+    every generator i without forming T(u): a certificate of irreducibility,
+    and nothing else.  That identity implies corank 2, the chain graph and
+    each chain vector lying in both neighboring images, so none of them is
+    checked.  ``_chain_certificate`` proves it from the start vector in Im
+    A_1 cap ker A_2, with no meet of images, no Im A_0 and no rank.  Where it
+    fails, ``_ordered_chain_step`` runs every check in order and raises the
+    error of the first that fails, ``PreconditionError`` or
+    ``NotARepresentationError``, a twist factor 1 included; such an input is
+    decided by the witness steps of ``decide_irreducibility``.
+    """
+    u, basis = _chain_certificate(rep) or _ordered_chain_step(rep)
     return StandardFormResult(u=u, basis=basis)
 
 

@@ -18,7 +18,7 @@ import sys
 from .braid import verify_braid_relations
 from .classify import analyze, decide_irreducibility
 from .classify import verdict_to_json_dict as _verdict_dict
-from .errors import BraidRepError, SpecParseError
+from .errors import BraidRepError, OutOfScaleError, SpecParseError
 from .friendship import (
     classify_graph,
     friendship_graph,
@@ -81,6 +81,15 @@ def _group_specs(parts, expected):
     return [",".join(parts[bounds[k] : bounds[k + 1]]) for k in range(expected)]
 
 
+# The largest dense size (n - 1) r^2 of a spec the command line builds: the
+# entries of its n - 1 generator images, which set its peak memory.  2^18
+# admits tym:n=64 (258048 entries).  Measured with Python 3.11 on x86-64, the
+# widest admitted specs peak at 58 MB for `make tym:n=64,u=2` and at 169 MB
+# for the dense `make conj(tym:n=64,u=5/3,seed=7)`; `make tym:n=128,u=2`
+# (2080768 entries) peaked at 348 MB before this bound.
+MAX_DENSE_ENTRIES = 1 << 18
+
+
 def _parse_atom(text):
     family, _, params = text.partition(":")
     family = family.strip()
@@ -102,11 +111,14 @@ def _parse_atom(text):
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad value in {text!r}: {exc}") from exc
     builder = {"tym": tym_standard, "burau": reduced_burau, "char": character_rep}[family]
-    return builder(n, scalar), {"family": family, "n": n, keys[1]: scalar}
+    r = {"tym": n, "burau": n - 1, "char": 1}[family]
+    return (n, r), functools.partial(builder, n, scalar), {"family": family, "n": n, keys[1]: scalar}
 
 
-def parse_rep_spec(text, default_seed=0):
-    """Parse a builtin spec; returns (representation, metadata)."""
+def _parse(text, default_seed):
+    """``((n, r), build, metadata)`` for a builtin spec: its strand count
+    and dimension, read from the text alone (``dsum`` adds the dimensions,
+    ``tensor`` and ``conj`` keep them), and a function that builds it."""
     text = text.strip()
     for comb in ("tensor", "dsum", "conj"):
         if text.startswith(comb + "(") and text.endswith(")"):
@@ -114,17 +126,17 @@ def parse_rep_spec(text, default_seed=0):
             if comb == "tensor":
                 if len(parts) < 2 or not parts[-1].startswith("y="):
                     raise SpecParseError("tensor needs tensor(SPEC,y=RATIONAL)")
-                rep, _ = parse_rep_spec(",".join(parts[:-1]), default_seed)
+                shape, build, _ = _parse(",".join(parts[:-1]), default_seed)
                 try:
                     y = rational(parts[-1][2:])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise SpecParseError(f"bad tensor scalar: {exc}") from exc
-                return tensor_character(rep, y), {"family": "tensor"}
+                return shape, lambda: tensor_character(build(), y), {"family": "tensor"}
             if comb == "dsum":
                 left, right = _group_specs(parts, 2)
-                a, _ = parse_rep_spec(left, default_seed)
-                b, _ = parse_rep_spec(right, default_seed)
-                return direct_sum(a, b), {"family": "dsum"}
+                (n, r), build_a, _ = _parse(left, default_seed)
+                (m, q), build_b, _ = _parse(right, default_seed)
+                return (max(n, m), r + q), lambda: direct_sum(build_a(), build_b()), {"family": "dsum"}
             if parts and parts[-1].startswith("seed="):
                 try:
                     seed = int(parts[-1][5:])
@@ -134,11 +146,30 @@ def parse_rep_spec(text, default_seed=0):
             else:
                 seed = default_seed
                 inner = ",".join(parts)
-            rep, _ = parse_rep_spec(inner, default_seed)
-            return scrambled(rep, seed), {"family": "conj", "seed": seed}
+            shape, build, _ = _parse(inner, default_seed)
+            return shape, lambda: scrambled(build(), seed), {"family": "conj", "seed": seed}
     if ":" in text:
         return _parse_atom(text)
     raise SpecParseError(f"cannot parse spec {text!r}")
+
+
+def _check_scale(n, r):
+    """Refuse a family whose dense size (n - 1) r^2 is past ``MAX_DENSE_ENTRIES``."""
+    size = (n - 1) * r * r
+    if size > MAX_DENSE_ENTRIES:
+        raise OutOfScaleError(
+            f"out of scale: n={n}, r={r} gives (n-1)*r^2 = {size} matrix entries, "
+            f"past the bound of {MAX_DENSE_ENTRIES}"
+        )
+
+
+def parse_rep_spec(text, default_seed=0):
+    """Parse a builtin spec; returns (representation, metadata).  The whole
+    spec is parsed and its size checked (``_check_scale``) before any matrix
+    is built."""
+    (n, r), build, meta = _parse(text, default_seed)
+    _check_scale(n, r)
+    return build(), meta
 
 
 def _load_source(source, default_seed):
@@ -253,6 +284,8 @@ def _cmd_sweep(args):
         us = [rational(tok.strip()) for tok in args.u.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad sweep grid: {exc}") from exc
+    for n in ns:
+        _check_scale(n, n)
     rows = []
     for n in ns:
         for u in us:

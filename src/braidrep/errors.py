@@ -36,3 +36,7 @@ class TrichotomyViolationError(BraidRepError):
 
 class SpecParseError(BraidRepError, ValueError):
     """A builtin representation spec string could not be parsed."""
+
+
+class OutOfScaleError(BraidRepError, ValueError):
+    """A builtin spec asks for matrices past the size the command line builds."""

@@ -23,6 +23,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
@@ -108,6 +109,12 @@ def clear_denominators(vec):
     return [p * (den // d) for p, d in pairs], den
 
 
+@cache
+def _identity_rows(n):
+    """The rows of the n x n identity as int tuples, built once per n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _lowest_terms(num, den) -> "Matrix":
     """The matrix num / den (integer rows, den > 0) with common factors divided out."""
     if den != 1:
@@ -161,7 +168,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._new(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+        return cls._new(_identity_rows(n), 1)
 
     @classmethod
     def zero(cls, nrows, ncols):
@@ -330,11 +337,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls._from_canonical(
-            ambient_dim,
-            tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
-            tuple(range(ambient_dim)),
-        )
+        return cls._from_canonical(ambient_dim, _identity_rows(ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self):
@@ -707,7 +710,10 @@ class EchelonSpan:
     def canonical_rows(self):
         """The canonical integer rows of the current span (the reduced
         echelon basis, each row primitive with a positive pivot entry) and
-        their pivots, as tuples."""
+        their pivots, as tuples.  A full span is Q^length, whose canonical
+        rows are the identity rows: no back-substitution is run for it."""
+        if len(self.rows) == self.length:
+            return _identity_rows(self.length), tuple(range(self.length))
         return tuple(map(tuple, self.reduced_rows())), tuple(self.pivots)
 
     def to_subspace(self):

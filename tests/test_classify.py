@@ -9,11 +9,13 @@ import pytest
 from braidrep.braid import verify_braid_relations
 from braidrep.classify import (
     Verdict,
+    _chain_certificate,
     _is_invariant,
     _modp_algebra_is_full,
     _norton_candidates,
     _norton_step,
     _orbit,
+    _ordered_chain_step,
     _rational_algebra_dim,
     _verified_reducible,
     analyze,
@@ -1188,3 +1190,91 @@ def test_analyze_decides_a_twist_one_chain_by_its_fixed_vectors():
     error = "twist factor 1: the sum of the chain vectors is a fixed vector"
     assert report.to_json_dict()["standard_form"] == {"error": error}
     assert not verify_braid_relations(rep).ok
+
+
+def _varying_twists(us):
+    """The generators of the standard family, with the block [[0, u_i], [1, 0]]
+    at its own u_i for each generator i: the chain walks, but its twists differ."""
+    n = len(us) + 1
+    gens = []
+    for i, u in enumerate(us, start=1):
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i - 1][i - 1], rows[i - 1][i], rows[i][i - 1], rows[i][i] = 0, u, 1, 0
+        gens.append(Matrix(rows))
+    return Representation(n, n, gens, label=f"varying twists {us}")
+
+
+def test_chain_step_names_twists_that_disagree():
+    message = r"^twist factors disagree: \[Fraction\(2, 1\), Fraction\(3, 1\)"
+    with pytest.raises(NotARepresentationError, match=message):
+        extract_standard_form(scrambled(_varying_twists([2, 3, 2, 2, 2]), 4))
+
+
+def _chain_step_inputs():
+    yield from build_zoo()
+    for seed in (5, 7):
+        yield from (scrambled(rep, seed) for rep in build_zoo())
+    yield broken_family()
+    yield from random_families()
+    for n in range(6, 17):
+        for u in (F(2), F(-2, 3), F(1)):
+            yield scrambled(tym_standard(n, u), n)
+    for n in (6, 7):
+        spec = f"dsum(burau:n={n},t=2,char:n={n},y=3)"
+        yield parse_rep_spec(spec)[0]
+        yield parse_rep_spec(f"conj({spec},seed=2)")[0]
+    yield from _CHAIN_GRID
+    yield from (_moved_inside_its_image(k, j) for k in range(1, 7) for j in range(7))
+    yield _twist_one_family()
+    for us in ([2, 3, 2, 2, 2], [2, 2, 2, 2, 3], [F(1, 2), 2, 2, 2, 2, 2]):
+        yield _varying_twists(us)
+        yield scrambled(_varying_twists(us), 4)
+
+
+def _outcome(step, rep):
+    """("ok", u, basis strings) from ``step``, or ("error", type, message)."""
+    try:
+        u, basis = step(rep)
+    except (PreconditionError, NotARepresentationError) as exc:
+        return "error", type(exc), str(exc)
+    return "ok", u, basis.to_strings()
+
+
+@pytest.mark.parametrize("rep", list(_chain_step_inputs()), ids=repr)
+def test_chain_certificate_agrees_with_the_ordered_chain_step(rep):
+    # Where the ordered step certifies, the certificate does alone, with the
+    # same u and basis; elsewhere the certificate refuses, and
+    # extract_standard_form raises the ordered step's error.
+    ordered = _outcome(_ordered_chain_step, rep)
+    certified = _chain_certificate(rep)
+    if ordered[0] == "ok":
+        assert certified is not None
+        assert ("ok", certified[0], certified[1].to_strings()) == ordered
+    else:
+        assert certified is None
+    extracted = _outcome(lambda r: tuple(vars(extract_standard_form(r)).values()), rep)
+    assert extracted == ordered
+
+
+@pytest.mark.parametrize("spec", ["tym:n=6,u=2", "conj(tym:n=8,u=5/3,seed=7)",
+                                  "conj(tym:n=10,u=-2/3,seed=11)", "conj(tym:n=16,u=3,seed=1)"])
+def test_certified_chain_takes_no_meet_no_image0_and_no_rank_of_its_basis(monkeypatch, spec):
+    # The certificate starts in Im A_1 cap ker A_2 and needs no rank of B:
+    # the identity g_i B = B T_i(u) makes ker B invariant under T(u).
+    import braidrep.classify as classify
+    import braidrep.zoo as zoo
+
+    rep, _ = parse_rep_spec(spec)
+    calls, rank_of = [], classify.rank
+
+    def spy_rank(m):
+        calls.append(("rank", m.shape))
+        return rank_of(m)
+
+    monkeypatch.setattr(Representation, "_image0", property(lambda self: calls.append("_image0")))
+    monkeypatch.setattr(Representation, "meet", lambda self, i, j: calls.append(("meet", i, j)))
+    for module in (classify, zoo):
+        monkeypatch.setattr(module, "rank", spy_rank)
+    verdict, standard_form, _ = decide_irreducibility(rep)
+    assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE and standard_form is not None
+    assert calls == []

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import braidrep
-from braidrep.cli import parse_rep_spec, run
-from braidrep.errors import SpecParseError
+from braidrep.cli import MAX_DENSE_ENTRIES, _parse, parse_rep_spec, run
+from braidrep.errors import OutOfScaleError, SpecParseError
 from braidrep.linalg import Matrix
 from braidrep.zoo import Representation, character_rep, direct_sum, save_representation, tym_standard
 
@@ -409,3 +409,40 @@ def test_analyze_text_notes_a_strand_count_outside_the_classification(capsys):
     assert code == 0
     assert out.endswith("  note: n=5 sits outside the chain classification; exceptional graph "
                         "shapes are reported, not classified\n  seed: 0\n")
+
+
+@pytest.mark.parametrize("spec, shape", [
+    ("tym:n=64,u=2", (64, 64)),
+    ("burau:n=9,t=2", (9, 8)),
+    ("char:n=5,y=3", (5, 1)),
+    ("dsum(tym:n=64,u=2,tym:n=64,u=3)", (64, 128)),
+    ("dsum(burau:n=7,t=2,char:n=7,y=3)", (7, 7)),
+    ("tensor(conj(burau:n=9,t=2,seed=3),y=2)", (9, 8)),
+])
+def test_spec_shape_is_read_from_the_text(spec, shape):
+    assert _parse(spec, 0)[0] == shape
+
+
+def test_scale_bound_admits_tym_on_64_strands_and_no_more():
+    assert (64 - 1) * 64 ** 2 <= MAX_DENSE_ENTRIES < (65 - 1) * 65 ** 2
+    rep, _ = parse_rep_spec("tym:n=64,u=2")
+    assert (rep.n, rep.r) == (64, 64)
+    with pytest.raises(OutOfScaleError):
+        parse_rep_spec("tym:n=65,u=2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["make", "tym:n=128,u=2"],
+    ["analyze", "conj(dsum(tym:n=64,u=2,tym:n=64,u=3),seed=1)"],
+    ["irreducible", "tensor(burau:n=129,t=2,y=3)"],
+    ["sweep", "--n", "6,128", "--u", "2"],
+])
+def test_out_of_scale_spec_exits_two_before_any_matrix_is_built(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Matrix, "_new", classmethod(refuse))
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of scale: n=") and err.count("\n") == 1
