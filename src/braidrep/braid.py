@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import ShapeError
-from .linalg import Matrix, mul_rows
+from .linalg import Matrix, combine, mul_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .zoo import Representation
@@ -73,12 +74,18 @@ class RelationReport:
 def verify_braid_relations(rep: "Representation") -> RelationReport:
     """Check both defining relation families on the generator images, exactly.
 
-    The check runs in O(n) relations through D = ``rep.tau``, the image of
-    delta = s1 s2 ... s(n-1): B_n is presented on sigma_1 and delta
-    (Kassel and Turaev, *Braid Groups*, GTM 247, Ch. 1).  It tests the shifts
-    D g_i = g_(i+1) D for i <= n-2 and the commutation of g_1 with g_j for
-    3 <= j <= n//2 + 1.  These hold in every representation, since delta s_i
-    delta^-1 = s_(i+1) in B_n, and they imply every other relation:
+    Each relation is tested on its own pair, on the factors A_i = g_i - 1 =
+    R_i^T Y_i / s_i of rank k (``Representation.factor``), through the k x k
+    middles M_ij = Y_i R_j^T of ``Representation.middles``: a far pair by
+    ``_commutes``, a braid pair by ``_braid_holds``, so no product of
+    generators is formed.  Where some A_i has full rank r (the constructor's
+    rule for forming D), the middles are r x r and the check first tries a
+    shortcut in O(n) relations through D = ``rep.tau``, the image of delta =
+    s1 s2 ... s(n-1): B_n is presented on sigma_1 and delta (Kassel and
+    Turaev, *Braid Groups*, GTM 247, Ch. 1).  It tests the shifts D g_i =
+    g_(i+1) D for i <= n-2 and the commutation of g_1 with g_j for 3 <= j <=
+    n//2 + 1.  These hold in every representation, since delta s_i delta^-1
+    = s_(i+1) in B_n, and they imply every other relation:
 
     - Commutations.  The shifts give g_i = D^(i-1) g_1 D^(1-i), so D =
       (g_1 D)^(n-1) D^(1-n).  Then D^n = (g_1 D)^(n-1) commutes with g_1 D
@@ -91,20 +98,28 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
       it to (i, i+1).
 
     So the shortcut passes exactly when every relation holds, and only a
-    failing family pays for the pairwise scan that lists its failures.  Each
-    relation is tested on the factors A_i = g_i - 1 = R_i^T Y_i / s_i of rank
-    k (``Representation.factor``) in O(k r^2), through k x k middle matrices.
+    failing family pays for the pairwise scan that lists its failures.
     """
-    if rep.n > 2 and _shortcut_holds(rep):
+    if rep.n > 2 and rep.has_full_image and _shortcut_holds(rep):
         return RelationReport(True, True)
     return _pairwise_relation_report(rep)
 
 
-def _lift(img, mid, y):
-    """The columns of R^T mid y for the canonical rows R of img, a zero column
-    as None: R^T is injective, so exactly the zero coordinate columns lift to 0."""
-    cols = zip(*mul_rows(mid, y, img.ambient_dim))
-    return [any(col) and img.combination(col) or None for col in cols]
+def _lifts_agree(img, mid, y, img2, mid2, y2) -> bool:
+    """Whether R^T mid y = R2^T mid2 y2, for the canonical rows R of img and R2
+    of img2 and integer matrices y and y2 whose rows are independent, in
+    O(k^2 r) and without forming either r x r side.  As y2 maps onto the
+    coordinate space, the columns of the right side span R2^T applied to the
+    columns of mid2, so it is R^T x for some x exactly when those lie in img.  The
+    canonical rows vanish at each other's pivots, so row p of R^T x is
+    lead x_a at the pivot p of row a of R, and x = mid y exactly when lead
+    (mid y)_a equals row p of the right side for every a."""
+    if not all(img.contains_ints(img2.combination(col)) for col in zip(*mid2)):
+        return False
+    r = img.ambient_dim
+    left, right = mul_rows(mid, y, r), mul_rows(mid2, y2, r)
+    return all([row[p] * e for e in lrow] == combine([row2[p] for row2 in img2.rows], right, r)
+               for p, row, lrow in zip(img.pivots, img.rows, left))
 
 
 def _shift_holds(rep, i) -> bool:
@@ -120,38 +135,64 @@ def _shift_holds(rep, i) -> bool:
     return all(den2 * a == s * b for u, v in zip(lhs, rhs) for a, b in zip(u, v))
 
 
-def _commutes(rep, i, j) -> bool:
-    """Whether A_i A_j = A_j A_i, on the factors: the two products are R_i^T
-    (Y_i R_j^T) Y_j and R_j^T (Y_j R_i^T) Y_i over s_i s_j, and both are 0 where
-    their middles are."""
+def _block(rep, mids, i, j):
+    """M_ij = Y_i R_j^T from ``mids``, which leaves out the zero blocks
+    (``Representation.middles``), as k_i x k_j integer rows."""
+    return mids.get((i, j)) or [[0] * rep.image(j).dim for _ in range(rep.image(i).dim)]
+
+
+def _pair_middles(rep, i, j):
+    """The nonzero ones of ``rep.middle(i, j)`` and ``rep.middle(j, i)``, keyed
+    like ``Representation.middles``."""
+    pairs = (((i, j), rep.middle(i, j)), ((j, i), rep.middle(j, i)))
+    return {key: mid for key, mid in pairs if any(map(any, mid))}
+
+
+def _commutes(rep, i, j, mids) -> bool:
+    """Whether A_i A_j = A_j A_i, on the factors: the two products are
+    R_i^T M_ij Y_j and R_j^T M_ji Y_i over s_i s_j, with M_ij = Y_i R_j^T from
+    ``mids`` (``Representation.middles``), and both are 0 where their middles are."""
+    if (i, j) not in mids and (j, i) not in mids:
+        return True
     (img, y, _), (img2, y2, _) = rep.factor(i), rep.factor(j)
-    mid, mid2 = rep.middle(i, j), rep.middle(j, i)
-    return not (any(map(any, mid)) or any(map(any, mid2))) or _lift(img, mid, y2) == _lift(img2, mid2, y)
+    return _lifts_agree(img, _block(rep, mids, i, j), y2, img2, _block(rep, mids, j, i), y)
+
+
+def _scaled_cubic(rep, mids, a, b, s, s2):
+    """s2 C for the k x k matrix C = s s2 + s2 M_aa + M_ab M_ba, M from ``mids``."""
+    square, ab = _block(rep, mids, a, a), _block(rep, mids, a, b)
+    ba = list(zip(*_block(rep, mids, b, a))) or [()] * len(square)  # its columns
+    return [[s2 * (s2 * (s * (p == q) + e) + sum(map(mul, row, col))) for q, (e, col) in enumerate(zip(srow, ba))]
+            for p, (srow, row) in enumerate(zip(square, ab))]
+
+
+def _braid_holds(rep, a, b, mids) -> bool:
+    """Whether g_a g_b g_a = g_b g_a g_b, as the paper's deformed relation
+    A + A^2 + ABA = B + B^2 + BAB for A = A_a and B = A_b: the two sides
+    differ by exactly the difference of the braid words.  With
+    A = R_a^T Y_a / s_a and M_ij = Y_i R_j^T from ``mids``, the left side
+    is R_a^T C_a Y_a / (s_a^2 s_b) for C_a = s_a s_b + s_b M_aa + M_ab M_ba, so
+    over s_a^2 s_b^2 the relation reads s_b R_a^T C_a Y_a = s_a R_b^T C_b Y_b."""
+    (img, y, s), (img2, y2, s2) = rep.factor(a), rep.factor(b)
+    left, right = _scaled_cubic(rep, mids, a, b, s, s2), _scaled_cubic(rep, mids, b, a, s2, s)
+    return _lifts_agree(img, left, y, img2, right, y2)
 
 
 def _shortcut_holds(rep) -> bool:
     """The relations of ``verify_braid_relations`` on the factors, on n > 2 strands."""
-    return verify_cyclic_conjugation(rep) and all(_commutes(rep, 1, j) for j in range(3, rep.n // 2 + 2))
+    return verify_cyclic_conjugation(rep) and all(
+        _commutes(rep, 1, j, _pair_middles(rep, 1, j)) for j in range(3, rep.n // 2 + 2))
 
 
 def _pairwise_relation_report(rep: "Representation") -> RelationReport:
-    """Every defining relation checked on its own pair, failures in scan order:
-    a braid relation on dense products, a far commutation on the factors."""
-    g = {i: rep.gen(i) for i in range(1, rep.n)}
-    failures = []
-    braid_ok = True
-    for i in range(1, rep.n - 1):
-        a, b = g[i], g[i + 1]
-        if a * b * a != b * a * b:
-            braid_ok = False
-            failures.append(("braid relation", (i, i + 1)))
-    far_ok = True
-    for i in range(1, rep.n):
-        for j in range(i + 2, rep.n):
-            if not _commutes(rep, i, j):
-                far_ok = False
-                failures.append(("far commutation", (i, j)))
-    return RelationReport(braid_ok, far_ok, failures)
+    """Every defining relation checked on its own pair, from the factors and
+    the middles of ``Representation.middles``, failures in scan order."""
+    mids = rep.middles()
+    braid = [("braid relation", (i, i + 1)) for i in range(1, rep.n - 1)
+             if not _braid_holds(rep, i, i + 1, mids)]
+    far = [("far commutation", (i, j)) for i in range(1, rep.n) for j in range(i + 2, rep.n)
+           if not _commutes(rep, i, j, mids)]
+    return RelationReport(not braid, not far, braid + far)
 
 
 def verify_cyclic_conjugation(rep: "Representation") -> bool:
@@ -165,14 +206,14 @@ def verify_deformed_relations(rep: "Representation") -> bool:
     """Whether the A_i = g_i - 1, indices mod n, satisfy the paper's relations:
     non-neighbors (circular distance >= 2) commute, and neighbors share
     A + A^2 + ABA = B + B^2 + BAB.  These are the braid relations rewritten, so
-    the shortcut of ``verify_braid_relations`` decides, with no sigma0.  For
+    ``verify_braid_relations`` decides, with no sigma0.  For
     n >= 4 a pair at distance d >= 2 inside 1 ... n-1 has circular distance
     min(d, n - d) >= 2, so the relations of g_1 ... g_(n-1) are among them.
     Conversely, those make delta^n central, and delta-conjugation cycles
     sigma_0 ... sigma_(n-1), so each pair mod n is a delta-translate of one
     inside 1 ... n-1 at the same circular distance.  On 2 strands sigma0 = s1,
     and the one neighbor pair (A_1, A_1) passes."""
-    return rep.n < 3 or _shortcut_holds(rep)
+    return verify_braid_relations(rep).ok
 
 
 def evaluate_word(rep: "Representation", word: BraidWord) -> Matrix:

@@ -824,7 +824,9 @@ def analyze(rep, seed=None) -> AnalysisReport:
     A certified standard form proves g_i = B T_i(u) B^-1 with B invertible,
     so the corank 2, the chain graph and every relation are read from the
     family T(u); the corank, the friendship graph and the relations are
-    computed only for an input without one.
+    computed only for an input without one.  There the relations come first:
+    where they hold, D shifts every image to the next, and the graph reads
+    the meets (0, d) with no shift formed.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
@@ -839,11 +841,11 @@ def analyze(rep, seed=None) -> AnalysisReport:
             corank_val = corank(rep)
         except NotARepresentationError as exc:
             corank_err = str(exc)
+        report = verify_braid_relations(rep)
         try:
-            graph_class = classify_graph(full_friendship_graph(rep))
+            graph_class = classify_graph(full_friendship_graph(rep, report.ok))
         except Exception as exc:  # recorded, not raised: the report must come back
             graph_err = str(exc)
-        report = verify_braid_relations(rep)
     if corank_val == 2 and rep.r > rep.n >= 6 and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE:
         standard_form_err = (
             "certified irreducible with corank 2 and r > n: "

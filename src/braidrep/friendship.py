@@ -108,9 +108,10 @@ def are_true_friends(rep, i, j) -> bool:
     return prod == b * a and not prod.is_zero()
 
 
-def _graph(rep, labels, full) -> FriendshipGraph:
-    # When D shifts the images, each pair is a D-translate of (0, d).
-    if rep.shift_invariant:
+def _graph(rep, labels, full, relations_hold=False) -> FriendshipGraph:
+    # When D shifts the images, each pair is a D-translate of (0, d).  Relations
+    # that hold make D A_i D^-1 = A_(i+1) for every i mod n, so no shift is formed.
+    if relations_hold or rep.shift_invariant:
         n = rep.n
         dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
         adj = tuple(tuple(circular_distance(i, j, n) in dset for j in labels) for i in labels)
@@ -119,8 +120,10 @@ def _graph(rep, labels, full) -> FriendshipGraph:
     return FriendshipGraph(len(labels), full, adj)
 
 
-def full_friendship_graph(rep) -> FriendshipGraph:
-    return _graph(rep, range(rep.n), True)
+def full_friendship_graph(rep, relations_hold=False) -> FriendshipGraph:
+    """The graph on s0..s(n-1).  Pass ``relations_hold`` only for a family
+    whose relations are proved (``verify_braid_relations(rep).ok``)."""
+    return _graph(rep, range(rep.n), True, relations_hold)
 
 
 def friendship_graph(rep) -> FriendshipGraph:

@@ -52,10 +52,13 @@ _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def _ratio(value):
     """``(p, q)`` in lowest terms with q > 0 and value == p / q.  Ints and
-    strings of the form -?[0-9]+(/[0-9]+)? are read with ``int`` and one gcd;
-    everything else goes through ``rational``, whose errors it raises."""
+    Fractions are read at once, strings of the form -?[0-9]+(/[0-9]+)? with
+    ``int`` and one gcd; everything else goes through ``rational``, whose
+    errors it raises."""
     if type(value) is int:
         return value, 1
+    if type(value) is Fraction:
+        return value.as_integer_ratio()
     if type(value) is str:
         m = _PLAIN_RATIONAL.fullmatch(value)
         if m is not None:

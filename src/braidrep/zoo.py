@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import mul
 from random import Random
 
@@ -68,7 +69,7 @@ class Representation:
         matrix s_i + Y_i R_i^T (k = 0 passes).  Where some A_i has full rank
         that matrix is as large as g_i, and the rank of D = g_1 ... g_(n-1)
         decides for every generator at once."""
-        if any(self.image(i).is_full() for i in range(1, self.n)):
+        if self.has_full_image:
             return rank(self.tau) == self.r
         for i in range(1, self.n):
             s, mid = self.factor(i)[2], self.middle(i, i)
@@ -76,6 +77,12 @@ class Representation:
             if rank(Matrix._new(tuple(shifted), 1)) < len(mid):
                 return False
         return True
+
+    @cached_property
+    def has_full_image(self) -> bool:
+        """Whether some A_i, 1 <= i <= n-1, has full rank r: there the k x k
+        middles are as large as g_i, and the checks go through D instead."""
+        return any(self.image(i).is_full() for i in range(1, self.n))
 
     @cached_property
     def tau(self) -> Matrix:
@@ -131,6 +138,23 @@ class Representation:
         so that A_i A_j = R_i^T (Y_i R_j^T) Y_j / (s_i s_j)."""
         y, img = self.factor(i)[1], self.image(j)
         return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
+
+    def middles(self) -> dict:
+        """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1, keyed by (i, j),
+        a zero one left out, all read from one product of the stacked rows
+        Y_1 ... Y_(n-1) with the stacked canonical rows R_1 ... R_(n-1) transposed."""
+        imgs = [self.image(i) for i in range(1, self.n)]
+        rows = [row for img in imgs for row in img.rows]
+        ys = [row for i in range(1, self.n) for row in self.factor(i)[1]]
+        prod = mul_rows(ys, tuple(zip(*rows)), len(rows))
+        at = [0, *accumulate(img.dim for img in imgs)]  # generator i owns at[i-1] .. at[i]
+        owner = [j for j in range(1, self.n) for _ in range(at[j - 1], at[j])]
+        out = {}
+        for i in range(1, self.n):
+            band = prod[at[i - 1] : at[i]]
+            for j in {owner[c] for row in band for c, e in enumerate(row) if e}:
+                out[i, j] = [row[at[j - 1] : at[j]] for row in band]
+        return out
 
     def act(self, i, v) -> tuple[list, int]:
         """``(w, s)`` with g_i v = w / s for an integer vector v:

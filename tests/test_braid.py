@@ -24,6 +24,7 @@ from braidrep.zoo import (
     random_invertible_matrix,
     reduced_burau,
     scrambled,
+    tensor_character,
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
@@ -421,9 +422,9 @@ def test_failure_scan_forms_no_product_for_a_far_pair(monkeypatch):
     report = verify_braid_relations(rep)
     monkeypatch.undo()
     assert ("far commutation", (1, 3)) in report.failures
-    assert not [p for p in pairs if None not in p and abs(p[0] - p[1]) >= 2]
-    # The braid pairs of the failing family are still checked densely.
-    assert (1, 2) in pairs
+    # Far pairs and braid pairs alike are checked on the factors: no dense
+    # product at all (D, which the shortcut reads, was formed by the constructor).
+    assert not pairs
 
 
 @pytest.mark.parametrize("rep", list(_shortcut_cases()), ids=lambda rep: rep.label or "broken")
@@ -432,6 +433,58 @@ def test_relation_shortcut_matches_the_pairwise_scan(rep):
     assert verify_braid_relations(rep) == expected
     # The shortcut alone decides too: a genuine family must not need the scan.
     assert rep.n == 2 or _shortcut_holds(rep) == expected.ok
+
+
+def _zero_beside_nonzero():
+    """A_1 = 0 next to A_2 != 0, so the braid relations at (1, 2) and (2, 3)
+    fail while (1, 3) commutes: with a shear (rank 1, no image full) and
+    with a diagonal (A_2 of full rank), each also in a second basis."""
+    one = Matrix.identity(2)
+    for g in (Matrix([[1, 1], [0, 1]]), Matrix([[2, 0], [0, 3]])):
+        rep = Representation(4, 2, [one, g, one], label=f"A_1 = 0 beside g_2 = {g.to_strings()}")
+        yield rep
+        yield scrambled(rep, 2)
+
+
+def _factor_scan_cases():
+    """Inputs whose relations are checked pair by pair on the factors, where
+    no image is full, and full-rank twists, which take the D shortcut first."""
+    for n in range(12, 17):
+        yield scrambled(reduced_burau(n, F(5, 3)), n)
+        yield scrambled(tym_standard(n, 1), n)
+        yield direct_sum(reduced_burau(n, 2), character_rep(n, 3))
+    yield scrambled(direct_sum(tym_standard(12, 2), character_rep(12, F(1, 2))), 3)
+    yield broken_family()
+    yield failing_family()
+    yield from random_families()
+    yield only_far_pairs_broken()
+    yield only_a_braid_pair_broken()
+    yield from _only_a_shift_broken()
+    yield from delta_families()
+    yield broken_three_strand_family()
+    yield from _zero_beside_nonzero()
+    for rep in (reduced_burau(6, 2), tym_standard(6, F(5, 3))):
+        twist = tensor_character(rep, F(3, 2))
+        assert twist.has_full_image
+        yield twist
+        yield scrambled(twist, 4)
+        yield _entry_plus_one(scrambled(twist, 4), 4)
+
+
+@pytest.mark.parametrize("rep", list(_factor_scan_cases()), ids=lambda rep: rep.label or "broken")
+def test_relation_check_matches_the_dense_reference(rep):
+    assert verify_braid_relations(rep) == _pairwise_report(rep)
+
+
+def test_middles_are_the_nonzero_blocks_of_each_middle():
+    for rep in (scrambled(reduced_burau(7, 2), 1), scrambled(tym_standard(6, 1), 2),
+                direct_sum(tym_standard(5, 2), character_rep(5, 3)), *_zero_beside_nonzero(),
+                broken_family(), Representation(4, 2, [Matrix.identity(2)] * 3)):
+        pairs = [(i, j) for i in range(1, rep.n) for j in range(1, rep.n)]
+        nonzero = [(i, j) for i, j in pairs if any(map(any, rep.middle(i, j)))]
+        mids = rep.middles()
+        assert sorted(mids) == nonzero, rep.label
+        assert all(list(map(list, rep.middle(i, j))) == mid for (i, j), mid in mids.items()), rep.label
 
 
 def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():

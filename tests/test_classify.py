@@ -47,7 +47,17 @@ from braidrep.zoo import (
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
-from test_braid import _cyclic_reference, _deformed_reference
+from test_braid import (
+    _cyclic_reference,
+    _deformed_reference,
+    _only_a_shift_broken,
+    _zero_beside_nonzero,
+    broken_three_strand_family,
+    delta_families,
+    failing_family,
+    only_a_braid_pair_broken,
+    only_far_pairs_broken,
+)
 
 F = Fraction
 
@@ -899,15 +909,17 @@ def test_certified_chain_forms_neither_the_product_of_the_images_nor_sigma0():
 
 
 def test_analyze_shifts_each_image_by_the_product_of_the_images_once(monkeypatch):
-    # The friendship graph and the relation shortcut share Representation.shift:
-    # n - 1 products of D with the image rows, where a second pass in the
-    # shortcut would take n - 2 more.  Both orders of the product count.
+    # The relations are checked pair by pair on the factors, and relations that
+    # hold make D shift every image, so the friendship graph forms no shift:
+    # no product of D with image rows, in either order.  D itself comes from a
+    # second copy of the input, which analyze does not see.
     import braidrep.braid as braid
     import braidrep.linalg as linalg
     import braidrep.zoo as zoo
 
     rep = scrambled(reduced_burau(8, 2), 3)
-    d, dcols, calls, mul_rows = rep.tau.num, tuple(zip(*rep.tau.num)), [], linalg.mul_rows
+    tau = scrambled(reduced_burau(8, 2), 3).tau
+    d, dcols, calls, mul_rows = tau.num, tuple(zip(*tau.num)), [], linalg.mul_rows
     images = {rep.image(i).rows for i in range(rep.n)}
 
     def spy(a, b, ncols):
@@ -920,7 +932,51 @@ def test_analyze_shifts_each_image_by_the_product_of_the_images_once(monkeypatch
     report = analyze(rep)
     assert report.standard_form is None and report.corank == 1
     assert all(report.relations[key] for key in ("braid_relations_ok", "far_commutation_ok"))
-    assert len(calls) == rep.n - 1
+    assert not calls
+
+
+@pytest.mark.parametrize("check", [analyze, verify_braid_relations], ids=lambda f: f.__name__)
+def test_non_chain_input_forms_no_dense_product(monkeypatch, check):
+    # No image of scrambled Burau is full, so neither the relation check nor
+    # the graph needs D, sigma0 or any product of dense matrices.
+    rep = scrambled(reduced_burau(8, 2), 3)
+    products = []
+    original = Matrix.__mul__
+
+    def spy(self, other):
+        products.append((self.shape, getattr(other, "shape", None)))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", spy)
+    check(rep)
+    monkeypatch.undo()
+    assert not products
+    assert "tau" not in vars(rep) and "sigma0" not in vars(rep)
+
+
+def _graph_families():
+    yield from build_zoo()
+    for seed in (1, 2):
+        yield from (scrambled(rep, seed) for rep in build_zoo())
+    yield broken_family()
+    yield from random_families()
+    yield from (failing_family(), only_far_pairs_broken(), only_a_braid_pair_broken(),
+                broken_three_strand_family())
+    yield from _only_a_shift_broken()
+    yield from delta_families()
+    yield from _zero_beside_nonzero()
+
+
+@pytest.mark.parametrize("rep", list(_graph_families()), ids=lambda rep: rep.label or "broken")
+def test_analyze_graph_class_equals_the_graph_of_the_input(rep):
+    # analyze hands the outcome of its relation check to the graph; the graph
+    # of the input itself proves the shifts instead.
+    report = analyze(rep)
+    try:
+        expected = classify_graph(full_friendship_graph(rep)), None
+    except Exception as exc:
+        expected = None, str(exc)
+    assert (report.graph_class, report.graph_error) == expected
 
 
 @pytest.mark.parametrize("n", range(6, 17))

@@ -25,6 +25,8 @@ GOLDEN = {
     # u = 1: the all-ones line, the common fixed vectors
     "chain_u1": "conj(tym:n=8,u=1,seed=4)",
     "burau": "conj(burau:n=6,t=3,seed=5)",
+    # relations checked pair by pair on the factors, graph without a shift
+    "burau_n12": "conj(burau:n=12,t=5/3,seed=7)",
     # direct sums: the eigenvector chain witness, common fixed vectors
     "dsum_burau": "conj(dsum(burau:n=5,t=2,burau:n=5,t=3),seed=1)",
     "dsum_tym_char": "conj(dsum(tym:n=5,u=2,char:n=5,y=1),seed=3)",
