@@ -22,7 +22,6 @@ from .classify import (
     Verdict,
     analyze,
     burnside_dimension,
-    chain_basis,
     decide_irreducibility,
     dimension_bound_check,
     disconnected_invariant_subspace,

@@ -52,7 +52,6 @@ from .linalg import (
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
     kernel_basis,
-    rank,
     rational,
     rational_eigenvalues,
 )
@@ -443,8 +442,11 @@ def lemma_bb_check(rep, i, j) -> bool:
 
 
 def _chain_certificate(rep):
-    """``(u, basis)`` where the chain from the start vector proves g_i B =
-    B T_i(u) for every generator i with u != 1; None where a check fails.
+    """``(u, basis)`` once the chain from the start vector proves g_i B =
+    B T_i(u) for every generator i with u != 1; otherwise raises
+    ``PreconditionError`` or ``NotARepresentationError`` naming the first
+    check that fails, in this order: 4 <= n, r = n, a line as the start,
+    n - 1 twists, equal twists, u != 1 and Y_i a_j = 0.
 
     The start a_0 is the canonical row of Im A_1 cap ker A_2 (``_chain_start``),
     and a_i = g_i a_(i-1).  Column i-1 of g_i B = B T_i(u) holds by that walk,
@@ -453,38 +455,46 @@ def _chain_certificate(rep):
     no rank: by the identity, g_i B x = B T_i x, so ker B is invariant under
     T(u), which is irreducible for u != 1 (``_standard_fullness_certificate``).
     As B e_0 = a_0 is not 0, ker B = 0 and the n x n matrix B is invertible.
+    The identity implies corank 2, the chain graph and each chain vector
+    lying in both neighboring images, so none of them is checked.
 
     The start is the right one: under the identity A_i = B (T_i - 1) B^-1,
     Im A_1 = B span(e_0, e_1) and ker A_2 = B span(e_j : j != 1, 2), since
     T_2 - 1 is invertible on span(e_1, e_2) (its determinant there is 1 - u),
-    so Im A_1 cap ker A_2 = B span(e_0), the line of a_0.  The meet of
-    images 0 and 1, B span(e_(n-1), e_0) cap B span(e_0, e_1), is that line
-    too, so wherever ``_ordered_chain_step`` certifies, this does as well,
-    with the same u and B: the same walk from the same canonical row.
+    so Im A_1 cap ker A_2 = B span(e_0), the line of a_0.
     """
-    n = rep.n
-    if not 4 <= n == rep.r:
-        return None
-    start = _chain_start(rep)
-    if start is None:
-        return None
-    chain = _walk(rep, start)
+    n, r = rep.n, rep.r
+    if n < 4:
+        raise PreconditionError("chain recovery needs at least 4 strands")
+    if r != n:
+        raise PreconditionError(f"dimension {r} differs from strand count {n}")
+    chain = _walk(rep, _chain_start(rep))
     twists = _twist_factors(rep, chain)
-    if len(twists) < n - 1 or len(set(twists)) != 1 or twists[0] == 1:
-        return None
-    if _first_unmatched_generator(rep, [v for v, _ in chain]) is not None:
-        return None
-    return twists[0], _chain_matrix(chain)
+    if len(twists) < n - 1:
+        raise NotARepresentationError(
+            f"generator {len(twists) + 1} does not map its chain vector into the previous line"
+        )
+    if len(set(twists)) != 1:
+        raise NotARepresentationError(f"twist factors disagree: {twists}")
+    u = twists[0]
+    if u == 1:
+        raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
+    i = _first_unmatched_generator(rep, [v for v, _ in chain])
+    if i is not None:
+        raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
+    return u, _chain_matrix(chain)
 
 
 def _chain_start(rep):
-    """The canonical row (primitive, positive pivot) of Im A_1 cap ker A_2,
-    or None where that intersection is not a line.  R_1^T c lies in ker A_2
-    = ker Y_2 exactly when Y_2 R_1^T c = 0, and R_1^T is injective, so the
-    intersection is R_1^T times the kernel of ``rep.middle(2, 1)``, k x k."""
-    kernel = kernel_basis(Matrix._new(tuple(map(tuple, rep.middle(2, 1))), 1))
+    """The canonical row (primitive, positive pivot) of Im A_1 cap ker A_2;
+    raises ``PreconditionError`` where that intersection is not a line.  R_1^T
+    c lies in ker A_2 = ker Y_2 exactly when Y_2 R_1^T c = 0, and R_1^T is
+    injective, so the intersection is R_1^T times the kernel of
+    ``rep.middle(2, 1)``, k x k (a zero row where A_2 = 0)."""
+    middle = rep.middle(2, 1) or [[0] * rep.image(1).dim]
+    kernel = kernel_basis(Matrix._new(tuple(map(tuple, middle)), 1))
     if kernel.dim != 1:
-        return None
+        raise PreconditionError(f"chain start Im A_1 cap ker A_2 has dimension {kernel.dim}, not 1")
     # The rows R_1 vanish at each other's pivots, so R_1^T c starts at the
     # pivot of the row of the first nonzero c_j, where it is c_j > 0 times
     # that row's positive lead.
@@ -533,39 +543,6 @@ def _first_unmatched_generator(rep, cols):
     return None
 
 
-def _chain_data(rep):
-    """The ordered chain step up to the twists: basis columns and twist
-    factors, or the error of the first check the input fails.
-
-    Where g_i B = B T_i(u) with B invertible, A_i = B (T_i - 1) B^-1 has
-    image span(a_(i-1), a_i), for the columns a_j of B with indices mod n.
-    So images 0 and 1 meet in the line through a_0, and a_i = g_i a_(i-1).
-    This checks, in order: 4 <= n = r; a line as the meet of images 0 and 1,
-    which gives a_0; that g_i a_i is a multiple of a_(i-1), whose factor is
-    the twist; and that the columns are independent.
-    """
-    n, r = rep.n, rep.r
-    if n < 4:
-        raise PreconditionError("chain recovery needs at least 4 strands")
-    if r != n:
-        raise PreconditionError(f"dimension {r} differs from strand count {n}")
-    line = rep.meet(0, 1)
-    if line.dim >= 2:
-        raise PreconditionError("neighboring deformation images coincide")
-    if line.dim == 0:
-        raise PreconditionError("friendship graph is not a chain: images 0 and 1 meet trivially")
-    chain = _walk(rep, line.rows[0])
-    twists = _twist_factors(rep, chain)
-    if len(twists) < n - 1:
-        raise NotARepresentationError(
-            f"generator {len(twists) + 1} does not map its chain vector into the previous line"
-        )
-    basis = _chain_matrix(chain)
-    if rank(basis) != n:
-        raise PreconditionError("chain vectors are dependent")
-    return basis, twists
-
-
 def _apply_generator(rep, i, v, den):
     """``(w, e)`` in lowest terms with g_i (v / den) = w / e, for an integer
     vector v, from ``Representation.act`` in O(k r)."""
@@ -574,46 +551,16 @@ def _apply_generator(rep, i, v, den):
     return [e // g for e in w], s * den // g
 
 
-def chain_basis(rep) -> Matrix:
-    """Basis matrix whose columns are the chain vectors a_0 .. a_{n-1}."""
-    basis, _ = _chain_data(rep)
-    return basis
-
-
-def _ordered_chain_step(rep):
-    """The chain step check by check, as ``_chain_data`` and then equal
-    twists, u != 1 and Y_i b_j = 0: ``(u, basis)``, or the error of the
-    first check the input fails."""
-    basis, twists = _chain_data(rep)
-    if len(set(twists)) != 1:
-        raise NotARepresentationError(f"twist factors disagree: {twists}")
-    u = twists[0]
-    if u == 1:
-        raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
-    # basis is invertible, so g_i basis = basis T_i says basis^-1 g_i basis
-    # = T_i.  Columns i-1 and i hold by the chain construction and the equal
-    # twists; T_i fixes every other e_j, leaving Y_i b_j = 0 (A_i b_j = 0).
-    i = _first_unmatched_generator(rep, tuple(zip(*basis.num)))
-    if i is not None:
-        raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
-    return u, basis
-
-
 def extract_standard_form(rep) -> StandardFormResult:
     """Conjugate a representation into the standard family T(u), u != 1.
 
     Returns u and the change of basis B, after proving g_i B = B T_i(u) for
     every generator i without forming T(u): a certificate of irreducibility,
-    and nothing else.  That identity implies corank 2, the chain graph and
-    each chain vector lying in both neighboring images, so none of them is
-    checked.  ``_chain_certificate`` proves it from the start vector in Im
-    A_1 cap ker A_2, with no meet of images, no Im A_0 and no rank.  Where it
-    fails, ``_ordered_chain_step`` runs every check in order and raises the
-    error of the first that fails, ``PreconditionError`` or
-    ``NotARepresentationError``, a twist factor 1 included; such an input is
-    decided by the witness steps of ``decide_irreducibility``.
+    and nothing else.  The proof, and the error of the first check an input
+    fails, are those of ``_chain_certificate``; such an input is decided by
+    the witness steps of ``decide_irreducibility``.
     """
-    u, basis = _chain_certificate(rep) or _ordered_chain_step(rep)
+    u, basis = _chain_certificate(rep)
     return StandardFormResult(u=u, basis=basis)
 
 
@@ -643,9 +590,9 @@ def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
     The neighbor cubic of T(u) is (u - 1) E_11, so A(T(u)) holds every
     (a e_1)(e_1^T b) with a, b in it.  T_i and T_i^T swap the lines through
     e_(i-1) and e_i, so the orbits of e_1 under the T_i and under their
-    transposes are all of Q^n, and A(T(u)) is full.  ``extract_standard_form``
-    proves g_i B = B T_i(u) for every i, with B invertible and u != 1, so the
-    input's algebra B A(T(u)) B^-1 is full too.
+    transposes are all of Q^n, and A(T(u)) is full.  Where
+    ``_chain_certificate`` proves g_i B = B T_i(u), the input's algebra
+    B A(T(u)) B^-1 is full too.
     """
     verdict = _norton_step(rep)
     if verdict is None or verdict.tag is not Verdict.ABSOLUTELY_IRREDUCIBLE:

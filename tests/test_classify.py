@@ -9,18 +9,15 @@ import pytest
 from braidrep.braid import verify_braid_relations
 from braidrep.classify import (
     Verdict,
-    _chain_certificate,
     _is_invariant,
     _modp_algebra_is_full,
     _norton_candidates,
     _norton_step,
     _orbit,
-    _ordered_chain_step,
     _rational_algebra_dim,
     _verified_reducible,
     analyze,
     burnside_dimension,
-    chain_basis,
     decide_irreducibility,
     dimension_bound_check,
     disconnected_invariant_subspace,
@@ -34,7 +31,7 @@ from braidrep.classify import (
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
 from braidrep.friendship import classify_graph, full_friendship_graph, neighbor_form
-from braidrep.linalg import Matrix, Subspace, kernel_basis, rank, rational, rational_eigenvalues
+from braidrep.linalg import Matrix, Subspace, inverse, kernel_basis, rank, rational, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -220,36 +217,45 @@ def test_neighbor_identities_reject_distant_pair():
 
 
 def test_chain_basis_of_standard_family_is_identity():
-    assert chain_basis(tym_standard(6, 2)) == Matrix.identity(6)
+    assert extract_standard_form(tym_standard(6, 2)).basis == Matrix.identity(6)
 
 
 def test_chain_basis_of_conjugated_family_is_invertible_and_consistent():
     rep = scrambled(tym_standard(7, 3), 23)
-    basis = chain_basis(rep)
-    res = extract_standard_form(rep)
-    assert res.basis == basis
+    basis = extract_standard_form(rep).basis
+    assert rank(basis) == 7
+    assert conjugate_rep(rep, basis).generators == tym_standard(7, 3).generators
 
 
 def test_chain_basis_rejects_coinciding_images(coinciding_images_fixture):
-    with pytest.raises(PreconditionError, match="^neighboring deformation images coincide"):
-        chain_basis(coinciding_images_fixture)
+    # All images are one plane, on which A_2 is invertible: ker A_2 misses it.
+    with pytest.raises(PreconditionError, match="^chain start Im A_1 cap ker A_2 has dimension 0, not 1$"):
+        extract_standard_form(coinciding_images_fixture)
 
 
-@pytest.mark.parametrize("recover", [chain_basis, extract_standard_form])
-def test_chain_recovery_rejects_fewer_than_four_strands(recover):
+def test_chain_recovery_rejects_fewer_than_four_strands():
     with pytest.raises(PreconditionError) as info:
-        recover(tym_standard(3, 2))
+        extract_standard_form(tym_standard(3, 2))
     assert str(info.value) == "chain recovery needs at least 4 strands"
 
 
 def test_chain_basis_rejects_low_corank():
-    with pytest.raises(PreconditionError):
-        chain_basis(tym_standard(6, 1))
+    # Corank 1: Im A_1 is the line of e_0 - e_1, which A_2 does not kill.
+    with pytest.raises(PreconditionError, match="^chain start Im A_1 cap ker A_2 has dimension 0, not 1$"):
+        extract_standard_form(tym_standard(6, 1))
 
 
 def test_chain_basis_rejects_dimension_mismatch():
-    with pytest.raises(PreconditionError):
-        chain_basis(reduced_burau(6, 2))
+    with pytest.raises(PreconditionError, match="^dimension 5 differs from strand count 6$"):
+        extract_standard_form(reduced_burau(6, 2))
+
+
+def test_chain_start_is_all_of_im_a1_where_a2_is_zero():
+    # A_2 = 0 has no factor rows, so ker A_2 is everything and the start
+    # space is the whole plane Im A_1.
+    gens = [tym_standard(6, 2).gen(1)] + [Matrix.identity(6)] * 4
+    with pytest.raises(PreconditionError, match="^chain start Im A_1 cap ker A_2 has dimension 2, not 1$"):
+        extract_standard_form(Representation(6, 6, gens))
 
 
 def test_extract_recovers_parameter_from_plain_family():
@@ -873,7 +879,7 @@ def test_analyze_reports_why_a_corank_two_input_has_no_standard_form(r):
     assert report.verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
     assert report.standard_form is None
     if r == 6:
-        assert report.standard_form_error.startswith("friendship graph is not a chain")
+        assert report.standard_form_error.startswith("chain start Im A_1 cap ker A_2 has dimension 0")
     else:
         assert "violates the dimension bound" in report.standard_form_error
     data = report.to_json_dict()
@@ -1057,7 +1063,7 @@ def test_analyze_reports_a_failed_chain_step_whatever_the_verdict(capsys):
     assert list(data) == ["relations", "corank", "graph", "irreducibility", "standard_form", "seed"]
     assert data["corank"] == 2
     assert data["irreducibility"]["tag"] == "Reducible"
-    assert data["standard_form"] == {"error": "chain vectors are dependent"}
+    assert data["standard_form"] == {"error": "chain start Im A_1 cap ker A_2 has dimension 0, not 1"}
     assert run(["analyze", spec, "--format", "text"]) == 0
     assert capsys.readouterr().out == (
         "analysis of dsum(burau(n=6,t=2),char(n=6,y=3)) (n=6, r=6)\n"
@@ -1068,7 +1074,7 @@ def test_analyze_reports_a_failed_chain_step_whatever_the_verdict(capsys):
         "  irreducibility: Reducible\n"
         "    witness: invariant subspace of dimension 1\n"
         "    orbit of a right factor of the neighbor cubic, which has rank one\n"
-        "  standard form: error (chain vectors are dependent)\n"
+        "  standard form: error (chain start Im A_1 cap ker A_2 has dimension 0, not 1)\n"
         "  seed: 0\n"
     )
 
@@ -1200,8 +1206,11 @@ def test_chain_check_sees_a_generator_moved_inside_its_image(k, j):
     # g_k no longer fixes e_j.
     rep = _moved_inside_its_image(k, j)
     assert [rep.image(i).dim for i in range(1, 7)] == [2] * 6
-    message = f"^conjugated image of generator {k} does not match the standard family$"
-    with pytest.raises(NotARepresentationError, match=message):
+    error, message = NotARepresentationError, f"^conjugated image of generator {k} does not match the standard family$"
+    if (k, j) == (2, 0):
+        # A_2 e_0 = e_2 now, so ker A_2 meets Im A_1 = span(e_0, e_1) in 0.
+        error, message = PreconditionError, "^chain start Im A_1 cap ker A_2 has dimension 0, not 1$"
+    with pytest.raises(error, match=message):
         extract_standard_form(rep)
 
 
@@ -1287,6 +1296,49 @@ def _chain_step_inputs():
         yield scrambled(_varying_twists(us), 4)
 
 
+def _ordered_reference(rep):
+    """Reference: the ordered chain step on dense matrices, ``(u, basis)``, or
+    the error of the first check the input fails.  Where g_i B = B T_i(u)
+    with B invertible, images 0 and 1 meet in the line through a_0, and a_i
+    = g_i a_(i-1).  This checks, in order: 4 <= n = r; a line as that meet;
+    that g_i a_i is a multiple of a_(i-1), whose factor is the twist; that
+    the columns are independent; equal twists; u != 1; and B^-1 g_i B = T_i(u)."""
+    n, r = rep.n, rep.r
+    if n < 4:
+        raise PreconditionError("chain recovery needs at least 4 strands")
+    if r != n:
+        raise PreconditionError(f"dimension {r} differs from strand count {n}")
+    line = rep.meet(0, 1)
+    if line.dim >= 2:
+        raise PreconditionError("neighboring deformation images coincide")
+    if line.dim == 0:
+        raise PreconditionError("friendship graph is not a chain: images 0 and 1 meet trivially")
+    lead = next(e for e in line.rows[0] if e)
+    chain = [tuple(F(e, lead) for e in line.rows[0])]
+    for i in range(1, n):
+        chain.append(rep.gen(i) * chain[-1])
+    twists = []
+    for i in range(1, n):
+        back, prev = rep.gen(i) * chain[i], chain[i - 1]
+        t = next(b / p for b, p in zip(back, prev) if p)
+        if not t or back != tuple(t * e for e in prev):
+            raise NotARepresentationError(f"generator {i} does not map its chain vector into the previous line")
+        twists.append(t)
+    basis = Matrix(list(zip(*chain)))
+    if rank(basis) != n:
+        raise PreconditionError("chain vectors are dependent")
+    if len(set(twists)) != 1:
+        raise NotARepresentationError(f"twist factors disagree: {twists}")
+    u = twists[0]
+    if u == 1:
+        raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
+    binv, target = inverse(basis), tym_standard(n, u)
+    for i in range(1, n):
+        if binv * rep.gen(i) * basis != target.gen(i):
+            raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
+    return u, basis
+
+
 def _outcome(step, rep):
     """("ok", u, basis strings) from ``step``, or ("error", type, message)."""
     try:
@@ -1298,30 +1350,24 @@ def _outcome(step, rep):
 
 @pytest.mark.parametrize("rep", list(_chain_step_inputs()), ids=repr)
 def test_chain_certificate_agrees_with_the_ordered_chain_step(rep):
-    # Where the ordered step certifies, the certificate does alone, with the
-    # same u and basis; elsewhere the certificate refuses, and
-    # extract_standard_form raises the ordered step's error.
-    ordered = _outcome(_ordered_chain_step, rep)
-    certified = _chain_certificate(rep)
-    if ordered[0] == "ok":
-        assert certified is not None
-        assert ("ok", certified[0], certified[1].to_strings()) == ordered
-    else:
-        assert certified is None
+    # Where the ordered reference certifies, the chain step does, with the
+    # same u and basis; where it refuses, the chain step refuses too.
+    ordered = _outcome(_ordered_reference, rep)
     extracted = _outcome(lambda r: tuple(vars(extract_standard_form(r)).values()), rep)
-    assert extracted == ordered
+    if ordered[0] == "ok":
+        assert extracted == ordered
+    else:
+        assert extracted[0] == "error"
 
 
-@pytest.mark.parametrize("spec", ["tym:n=6,u=2", "conj(tym:n=8,u=5/3,seed=7)",
-                                  "conj(tym:n=10,u=-2/3,seed=11)", "conj(tym:n=16,u=3,seed=1)"])
-def test_certified_chain_takes_no_meet_no_image0_and_no_rank_of_its_basis(monkeypatch, spec):
-    # The certificate starts in Im A_1 cap ker A_2 and needs no rank of B:
-    # the identity g_i B = B T_i(u) makes ker B invariant under T(u).
+def _spy_meet_image0_and_rank(monkeypatch):
+    """Record every call of ``Representation.meet``, ``Representation._image0``
+    and ``rank``, in each module that binds ``rank``."""
     import braidrep.classify as classify
+    import braidrep.linalg as linalg
     import braidrep.zoo as zoo
 
-    rep, _ = parse_rep_spec(spec)
-    calls, rank_of = [], classify.rank
+    calls, rank_of = [], linalg.rank
 
     def spy_rank(m):
         calls.append(("rank", m.shape))
@@ -1329,8 +1375,34 @@ def test_certified_chain_takes_no_meet_no_image0_and_no_rank_of_its_basis(monkey
 
     monkeypatch.setattr(Representation, "_image0", property(lambda self: calls.append("_image0")))
     monkeypatch.setattr(Representation, "meet", lambda self, i, j: calls.append(("meet", i, j)))
-    for module in (classify, zoo):
-        monkeypatch.setattr(module, "rank", spy_rank)
+    for module in (linalg, zoo, classify):
+        if "rank" in vars(module):
+            monkeypatch.setattr(module, "rank", spy_rank)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["tym:n=6,u=2", "conj(tym:n=8,u=5/3,seed=7)",
+                                  "conj(tym:n=10,u=-2/3,seed=11)", "conj(tym:n=16,u=3,seed=1)"])
+def test_certified_chain_takes_no_meet_no_image0_and_no_rank_of_its_basis(monkeypatch, spec):
+    # The certificate starts in Im A_1 cap ker A_2 and needs no rank of B:
+    # the identity g_i B = B T_i(u) makes ker B invariant under T(u).
+    rep, _ = parse_rep_spec(spec)
+    calls = _spy_meet_image0_and_rank(monkeypatch)
     verdict, standard_form, _ = decide_irreducibility(rep)
     assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE and standard_form is not None
+    assert calls == []
+
+
+@pytest.mark.parametrize("rep", [
+    parse_rep_spec("dsum(burau:n=6,t=2,char:n=6,y=3)")[0],
+    parse_rep_spec("conj(dsum(burau:n=7,t=2,char:n=7,y=3),seed=2)")[0],
+    _twist_one_family(),
+    _varying_twists([2, 3, 2, 2, 2]),
+], ids=repr)
+def test_failed_chain_step_takes_no_meet_no_image0_and_no_rank(monkeypatch, rep):
+    # A chain step that fails stops at its own first failing check, with no
+    # meet of images and no rank of the chain vectors.
+    calls = _spy_meet_image0_and_rank(monkeypatch)
+    with pytest.raises((PreconditionError, NotARepresentationError)):
+        extract_standard_form(rep)
     assert calls == []
