@@ -1,7 +1,7 @@
 """Exact rational toolkit for braid group matrix representations.
 
 Builds the named representation families, verifies the defining relations,
-computes friendship graphs from exact subspace intersections, certifies
+computes friendship graphs by exact rank tests on the images, certifies
 irreducibility, and recovers the standard form of corank-2 chain
 representations.
 """

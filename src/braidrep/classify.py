@@ -39,6 +39,7 @@ from .errors import NeedsFieldExtensionError, NotARepresentationError, Precondit
 from .friendship import (
     FriendshipGraph,
     GraphClass,
+    are_friends,
     classify_graph,
     friendship_graph,
     full_friendship_graph,
@@ -423,7 +424,7 @@ def lemma_bb_check(rep, i, j) -> bool:
     n = rep.n
     if circular_distance(i, j, n) != 1:
         raise PreconditionError("indices are not neighbors")
-    if not rep.meet(i, j).is_zero():
+    if are_friends(rep, i, j):
         raise PreconditionError("neighbors are friends; the identities do not apply")
     a = rep.deformation(i)
     b = rep.deformation(j)
@@ -773,7 +774,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
     family T(u); the corank, the friendship graph and the relations are
     computed only for an input without one.  There the relations come first:
     where they hold, D shifts every image to the next, and the graph reads
-    the meets (0, d) with no shift formed.
+    the pairs (0, d) with no shift formed.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None

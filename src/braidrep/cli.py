@@ -21,7 +21,6 @@ from .classify import verdict_to_json_dict as _verdict_dict
 from .errors import BraidRepError, OutOfScaleError, SpecParseError
 from .friendship import (
     classify_graph,
-    friendship_graph,
     full_friendship_graph,
     graph_to_dot,
     graph_to_json_dict,
@@ -224,7 +223,7 @@ def _cmd_graph(args):
         tag = classify_graph(full).tag.value
     except BraidRepError as exc:
         tag = f"unclassified: {exc}"
-    graph = full if args.full else friendship_graph(rep)
+    graph = full if args.full else full.reduced()
     if args.format == "dot":
         _emit(graph_to_dot(graph, label=tag), args.out)
     elif args.format == "text":

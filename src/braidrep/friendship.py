@@ -1,19 +1,21 @@
 """Friendship graphs of a representation and their classification.
 
-Two generators are friends when the images of their deformations meet in a
-nonzero subspace.  The full graph has a vertex for each of s0..s(n-1) and is
-invariant under the cyclic index shift, so its edge set is determined by a
-set of circular distances; the reduced graph drops the vertex s0.
+Two generators are friends when the images U, V of their deformations
+intersect in a nonzero subspace, that is when dim(U + V) < dim U + dim V.
+The full graph has a vertex for each of s0..s(n-1) and is invariant under
+the cyclic index shift, so its edge set is determined by a set of circular
+distances; the reduced graph is the full one with the vertex s0 dropped.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 from .braid import circular_distance
 from .errors import PreconditionError, TrichotomyViolationError
-from .linalg import Matrix
+from .linalg import Matrix, rank
 
 
 class GraphClassTag(str, enum.Enum):
@@ -68,22 +70,31 @@ class FriendshipGraph:
     def edge_count(self):
         return len(self.edges())
 
+    def reduced(self) -> "FriendshipGraph":
+        """The induced subgraph of a full graph on s1..s(n-1)."""
+        if not self.full:
+            raise PreconditionError("only a full graph has the vertex s0 to drop")
+        adj = tuple(row[1:] for row in self.adjacency[1:])
+        return FriendshipGraph(self.vertex_count - 1, False, adj)
+
     @classmethod
-    def from_distance_set(cls, n, distances, full=True) -> "FriendshipGraph":
+    def from_distance_set(cls, n, distances) -> "FriendshipGraph":
         """Build the cyclic-invariant full graph with edges at the given distances."""
         distances = set(distances)
         adj = tuple(
             tuple(i != j and circular_distance(i, j, n) in distances for j in range(n))
             for i in range(n)
         )
-        return cls(n, full, adj)
+        return cls(n, True, adj)
 
 
 def are_friends(rep, i, j) -> bool:
-    """True iff the deformation images at i and j intersect nontrivially."""
+    """True iff the images U of A_i and V of A_j intersect nontrivially, that
+    is iff dim(U + V), the rank of their stacked canonical rows, is below dim U + dim V."""
     if i == j:
         raise ValueError("friendship is between distinct generators")
-    return not rep.meet(i, j).is_zero()
+    u, v = rep.image(i), rep.image(j)
+    return rank(Matrix._new((*u.rows, *v.rows), 1)) < u.dim + v.dim
 
 
 def neighbor_form(a: Matrix, b: Matrix) -> Matrix:
@@ -108,27 +119,24 @@ def are_true_friends(rep, i, j) -> bool:
     return prod == b * a and not prod.is_zero()
 
 
-def _graph(rep, labels, full, relations_hold=False) -> FriendshipGraph:
-    # When D shifts the images, each pair is a D-translate of (0, d).  Relations
-    # that hold make D A_i D^-1 = A_(i+1) for every i mod n, so no shift is formed.
-    if relations_hold or rep.shift_invariant:
-        n = rep.n
-        dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
-        adj = tuple(tuple(circular_distance(i, j, n) in dset for j in labels) for i in labels)
-    else:
-        adj = tuple(tuple(i != j and are_friends(rep, i, j) for j in labels) for i in labels)
-    return FriendshipGraph(len(labels), full, adj)
-
-
 def full_friendship_graph(rep, relations_hold=False) -> FriendshipGraph:
     """The graph on s0..s(n-1).  Pass ``relations_hold`` only for a family
     whose relations are proved (``verify_braid_relations(rep).ok``)."""
-    return _graph(rep, range(rep.n), True, relations_hold)
+    n = rep.n
+    # When D shifts the images, each pair is a D-translate of (0, d).  Relations
+    # that hold make D A_i D^-1 = A_(i+1) for every i mod n, so no shift is formed.
+    if relations_hold or rep.shift_invariant:
+        dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
+        return FriendshipGraph.from_distance_set(n, dset)
+    adj = [[False] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        adj[i][j] = adj[j][i] = are_friends(rep, i, j)
+    return FriendshipGraph(n, True, tuple(map(tuple, adj)))
 
 
 def friendship_graph(rep) -> FriendshipGraph:
     """The induced subgraph on the ordinary generators s1..s(n-1)."""
-    return _graph(rep, range(1, rep.n), False)
+    return full_friendship_graph(rep).reduced()
 
 
 def check_zn_equivariance(graph: FriendshipGraph) -> bool:

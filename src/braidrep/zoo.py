@@ -3,10 +3,9 @@
 Each Representation stores the n-1 generator images and the factors
 A_i = g_i - 1 = R_i^T Y_i / s_i of their deformations through their images,
 which prove the images invertible.  D = g_1 ... g_(n-1), the image sigma0 of
-s0 (which inverts D itself), the shifts of the images by D and their pairwise
-intersections are computed on first use and cached; a deformation A_i is
-built on each request.  Im A_0 = D Im A_(n-1) is formed through the factors,
-without D.  All values are immutable.
+s0 (which inverts D itself) and the shifts of the images by D are computed on
+first use and cached; a deformation A_i is built on each request.  Im A_0 =
+D Im A_(n-1) comes from the factors, without D.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class Representation:
         self.label = label
         self._inverses = {}
         self._factors = {}
-        self._meets = {}
         self._shifts = {}
         if not self._generators_invertible():
             raise SingularMatrixError("generator image is singular")
@@ -200,17 +198,8 @@ class Representation:
     @property
     def shift_invariant(self) -> bool:
         """Whether every ``shift(i)`` exists, as in every representation (delta
-        s_i delta^-1 = s_(i+1)); at i = n-1 by sigma0.  Then D shifts every meet."""
+        s_i delta^-1 = s_(i+1)); at i = n-1 by sigma0.  Then D shifts every image."""
         return all(self.shift(i) is not None for i in range(self.n - 1))
-
-    def meet(self, i, j) -> Subspace:
-        """Intersection of the images of A_i and A_j, cached per unordered pair."""
-        lo, hi = min(i, j), max(i, j)
-        if (lo, hi) not in self._meets:
-            if lo < 0 or hi > self.n - 1:
-                raise IndexError(f"deformation index pair {(i, j)} out of range")
-            self._meets[lo, hi] = self.image(lo).intersect(self.image(hi))
-        return self._meets[lo, hi]
 
     def __eq__(self, other):
         if not isinstance(other, Representation):

@@ -678,17 +678,20 @@ def test_spin_is_closed_under_inverses_across_zoo(zoo):
     # reducible, decided by the Norton step
     scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
 ], ids=["chain", "direct sum"])
-def test_analyze_intersects_each_pair_of_images_once(monkeypatch, rep):
-    calls = []
-    original = Subspace.intersect
+def test_analyze_tests_each_pair_of_images_once_and_intersects_none(monkeypatch, rep):
+    import braidrep.friendship as friendship
 
-    def counted(self, other):
-        calls.append(1)
-        return original(self, other)
+    intersections, pairs, are_friends = [], [], friendship.are_friends
 
-    monkeypatch.setattr(Subspace, "intersect", counted)
+    def counted(rep, i, j):
+        pairs.append(frozenset((i, j)))
+        return are_friends(rep, i, j)
+
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: intersections.append(1))
+    monkeypatch.setattr(friendship, "are_friends", counted)
     analyze(rep)
-    assert len(calls) <= rep.n * (rep.n - 1) // 2
+    assert intersections == []
+    assert len(pairs) == len(set(pairs))
 
 
 def _norton_fullness(rep):
@@ -1308,7 +1311,7 @@ def _ordered_reference(rep):
         raise PreconditionError("chain recovery needs at least 4 strands")
     if r != n:
         raise PreconditionError(f"dimension {r} differs from strand count {n}")
-    line = rep.meet(0, 1)
+    line = rep.image(0).intersect(rep.image(1))
     if line.dim >= 2:
         raise PreconditionError("neighboring deformation images coincide")
     if line.dim == 0:
@@ -1361,7 +1364,7 @@ def test_chain_certificate_agrees_with_the_ordered_chain_step(rep):
 
 
 def _spy_meet_image0_and_rank(monkeypatch):
-    """Record every call of ``Representation.meet``, ``Representation._image0``
+    """Record every call of ``Subspace.intersect``, ``Representation._image0``
     and ``rank``, in each module that binds ``rank``."""
     import braidrep.classify as classify
     import braidrep.linalg as linalg
@@ -1374,7 +1377,7 @@ def _spy_meet_image0_and_rank(monkeypatch):
         return rank_of(m)
 
     monkeypatch.setattr(Representation, "_image0", property(lambda self: calls.append("_image0")))
-    monkeypatch.setattr(Representation, "meet", lambda self, i, j: calls.append(("meet", i, j)))
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: calls.append("intersect"))
     for module in (linalg, zoo, classify):
         if "rank" in vars(module):
             monkeypatch.setattr(module, "rank", spy_rank)

@@ -10,7 +10,7 @@ import pytest
 import braidrep
 from braidrep.cli import MAX_DENSE_ENTRIES, _parse, parse_rep_spec, run
 from braidrep.errors import OutOfScaleError, SpecParseError
-from braidrep.linalg import Matrix
+from braidrep.linalg import Matrix, Subspace
 from braidrep.zoo import Representation, character_rep, direct_sum, save_representation, tym_standard
 
 
@@ -375,6 +375,32 @@ def test_graph_verb_reports_an_unclassified_graph(capsys):
     data = json.loads(out)
     assert data["class"] == "unclassified: graph is not invariant under the cyclic shift"
     assert data["edges"] == [[1, 2], [2, 3]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+@pytest.mark.parametrize("full", [[], ["--full"]], ids=["reduced", "full"])
+@pytest.mark.parametrize("source", [
+    "conj(tym:n=8,u=2,seed=3)",
+    str(Path(__file__).resolve().parent / "data" / "broken_family.json"),
+], ids=["shift", "all pairs"])
+def test_graph_verb_builds_one_graph_and_intersects_no_images(monkeypatch, capsys, fmt, full, source):
+    # The reduced graph is read off the full one, not built by a second pass.
+    import braidrep.cli as cli
+    import braidrep.friendship as friendship
+
+    builds, intersections, build = [], [], friendship.full_friendship_graph
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    for module in (cli, friendship):
+        monkeypatch.setattr(module, "full_friendship_graph", counted)
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: intersections.append(1))
+    code, _, _ = capture(capsys, ["graph", source, "--format", fmt, *full])
+    assert code == 0
+    assert len(builds) == 1
+    assert intersections == []
 
 
 def test_singular_family_file_exits_2_with_the_message(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from braidrep.friendship import (
     is_chain,
     is_connected,
 )
+from braidrep.linalg import Subspace
 from braidrep.zoo import (
     character_rep,
     direct_sum,
@@ -28,6 +30,7 @@ from braidrep.zoo import (
     tym_standard,
 )
 from conftest import broken_family, build_zoo, random_families
+from test_braid import delta_families
 
 F = Fraction
 
@@ -53,9 +56,9 @@ def test_friendship_rejects_out_of_range_indices():
     with pytest.raises(IndexError):
         are_friends(rep, -1, 2)
     with pytest.raises(IndexError):
-        rep.meet(-1, 2)
+        rep.image(-1)
     with pytest.raises(IndexError):
-        rep.meet(2, 5)
+        are_friends(rep, 2, 5)
 
 
 def test_friendship_rejects_equal_indices():
@@ -107,6 +110,31 @@ def test_reduced_graph_of_standard_family_is_a_path():
 
 def test_reduced_graph_of_trivial_family_is_edgeless():
     assert friendship_graph(character_rep(4, 1)).edge_count() == 0
+
+
+def test_reduced_graph_drops_the_vertex_s0():
+    full = cycle_graph(6)
+    assert full.reduced() == FriendshipGraph(5, False, tuple(row[1:] for row in full.adjacency[1:]))
+    assert full.reduced().edges() == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    with pytest.raises(PreconditionError):
+        full.reduced().reduced()
+
+
+def _friendship_inputs():
+    zoo = build_zoo()
+    yield from zoo
+    for seed in (1, 2):
+        yield from (scrambled(rep, seed) for rep in zoo)
+    yield broken_family()
+    yield from random_families()
+    yield from delta_families()
+
+
+@pytest.mark.parametrize("rep", list(_friendship_inputs()), ids=repr)
+def test_friendship_is_a_nonzero_intersection(rep):
+    # The Zassenhaus intersection of the two images is the reference.
+    for i, j in permutations(range(rep.n), 2):
+        assert are_friends(rep, i, j) == (not rep.image(i).intersect(rep.image(j)).is_zero()), (i, j)
 
 
 def test_reduced_graph_is_conjugation_invariant():
@@ -292,6 +320,27 @@ def _all_pairs_adjacency(rep, labels):
 def test_graph_matches_all_pairs_reference(rep):
     assert full_friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(rep.n))
     assert friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(1, rep.n))
+
+
+@pytest.mark.parametrize("rep", list(_graph_inputs()), ids=repr)
+def test_graph_builders_intersect_no_images(monkeypatch, rep):
+    calls = []
+    monkeypatch.setattr(Subspace, "intersect", lambda self, other: calls.append((self, other)))
+    full = full_friendship_graph(rep)
+    assert friendship_graph(rep) == full.reduced()
+    are_friends(rep, 0, rep.n - 1)
+    assert calls == []
+
+
+def test_proved_relations_read_the_graph_off_the_pairs_at_s0():
+    # The caller vouches for the relations, so the pairs (0, d) decide every
+    # edge, even on a family whose images D does not shift.  Without that
+    # every pair is tested, and here the two graphs differ.
+    rep = broken_family()
+    assert not rep.shift_invariant
+    dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, 0, d)}
+    assert full_friendship_graph(rep, relations_hold=True) == FriendshipGraph.from_distance_set(rep.n, dset)
+    assert full_friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(rep.n))
 
 
 def test_shift_invariance_holds_for_representations_only():

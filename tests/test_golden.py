@@ -1,8 +1,9 @@
-"""Default ``analyze`` output, pinned byte for byte.
+"""Default ``analyze`` and ``graph`` output, pinned byte for byte.
 
-The files under ``tests/data/`` hold the JSON that ``braidrep analyze SPEC``
-printed for each spec below; a change that speeds up a layer must leave
-every one of them unchanged (the determinism contract of the CLI).
+The files under ``tests/data/`` hold what ``braidrep analyze SPEC`` and
+``braidrep graph SPEC`` printed for each spec below; a change that speeds up
+a layer must leave every one of them unchanged (the determinism contract of
+the CLI).
 """
 
 from fractions import Fraction
@@ -47,6 +48,30 @@ GOLDEN = {
 def test_analyze_output_is_unchanged(capsys, name):
     assert run(["analyze", GOLDEN[name]]) == 0
     expected = (DATA / f"analyze_{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+GRAPH_GOLDEN = {
+    # the all-pairs rule on a family that is not a representation: unclassified
+    "broken": str(DATA / "broken_family.json"),
+    # the all-pairs rule on random images: ContainsChain
+    "random_seed5": str(DATA / "random_seed5.json"),
+    # the D-shift rule: the pairs (0, d) decide every edge
+    "chain_n10": "conj(tym:n=10,u=-2/3,seed=11)",
+    # near-full images: every pair of generators is friends
+    "complete": "conj(tensor(tym:n=8,u=1,y=-1),seed=5)",
+}
+
+# (file suffix, extra arguments): the reduced graph as JSON, the full graph
+# as JSON, the reduced graph as DOT.
+GRAPH_FORMS = [(".json", []), ("_full.json", ["--full"]), (".dot", ["--format", "dot"])]
+
+
+@pytest.mark.parametrize("suffix, extra", GRAPH_FORMS, ids=[s for s, _ in GRAPH_FORMS])
+@pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN))
+def test_graph_output_is_unchanged(capsys, name, suffix, extra):
+    assert run(["graph", GRAPH_GOLDEN[name], *extra]) == 0
+    expected = (DATA / f"graph_{name}{suffix}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
