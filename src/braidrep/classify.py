@@ -333,9 +333,9 @@ def _is_invariant(rep, w: Subspace) -> bool:
 
     g_i = 1 + A_i maps a row v of w into w exactly when A_i v, a multiple
     of R_i^T (Y_i v), lies in w, which needs checking only where Y_i v is
-    not 0.  Only g w within w is checked: the constructor makes every image
-    invertible, so g w has the dimension of w and equals it, and g^-1 w = w
-    follows without forming g^-1.
+    not 0.  Only g w within w is checked: every image is proved invertible
+    when the family is built, so g w has the dimension of w and equals it,
+    and g^-1 w = w follows without forming g^-1.
     """
     for i in range(1, rep.n):
         img, y, _ = rep.factor(i)

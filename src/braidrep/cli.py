@@ -83,7 +83,7 @@ def _group_specs(parts, expected):
 # The largest dense size (n - 1) r^2 of a spec the command line builds: the
 # entries of its n - 1 generator images, which set its peak memory.  2^18
 # admits tym:n=64 (258048 entries).  Measured with Python 3.11 on x86-64, the
-# widest admitted specs peak at 58 MB for `make tym:n=64,u=2` and at 169 MB
+# widest admitted specs peak at 58 MB for `make tym:n=64,u=2` and at 168 MB
 # for the dense `make conj(tym:n=64,u=5/3,seed=7)`; `make tym:n=128,u=2`
 # (2080768 entries) peaked at 348 MB before this bound.
 MAX_DENSE_ENTRIES = 1 << 18

@@ -629,23 +629,6 @@ def rational_eigenvalues(m: Matrix):
     return sorted(roots)
 
 
-def block_diagonal(blocks) -> Matrix:
-    """Assemble square blocks along the diagonal."""
-    blocks = list(blocks)
-    size = sum(b.nrows for b in blocks)
-    den = math.lcm(*(b.den for b in blocks))
-    rows = [[0] * size for _ in range(size)]
-    at = 0
-    for b in blocks:
-        if not b.is_square:
-            raise ShapeError("diagonal blocks must be square")
-        scale = den // b.den
-        for i, row in enumerate(b.num):
-            rows[at + i][at : at + b.ncols] = [e * scale for e in row]
-        at += b.nrows
-    return _lowest_terms(rows, den)
-
-
 def _primitive(v):
     """Divide out the gcd of an integer vector, in place semantics."""
     g = math.gcd(*v)

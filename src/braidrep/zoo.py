@@ -1,9 +1,16 @@
 """Constructors and combinators for braid group matrix representations.
 
-Each Representation stores the n-1 generator images and the factors
-A_i = g_i - 1 = R_i^T Y_i / s_i of their deformations through their images,
-which prove the images invertible.  D = g_1 ... g_(n-1), the image sigma0 of
-s0 (which inverts D itself) and the shifts of the images by D are computed on
+A Representation holds the factors A_i = g_i - 1 = R_i^T Y_i / s_i of the
+deformations of its n-1 generator images: the k canonical rows R_i of Im A_i,
+k x r integer rows Y_i and a positive integer s_i.  The builders make those
+factors without forming an r x r matrix: tym, Burau and the characters pad
+the factor of each distinct 2 x 2 or 3 x 3 block into place, after proving
+the block invertible by its rank; a direct sum concatenates the factors of
+its summands; a conjugate spans p^-1 Im A_i and reads its rows from one
+product.  The public constructor takes dense images instead (JSON files,
+library callers, ``tensor_character``), factors each one and proves it
+invertible.  The dense images g_i, D = g_1 ... g_(n-1), the image sigma0 of s0
+(which inverts D itself) and the shifts of the images by D are computed on
 first use and cached; a deformation A_i is built on each request.  Im A_0 =
 D Im A_(n-1) comes from the factors, without D.  All values are immutable.
 """
@@ -22,8 +29,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _lowest_terms,
-    block_diagonal,
-    clear_denominators,
+    combine,
     image_basis,
     inverse,
     mul_rows,
@@ -32,8 +38,25 @@ from .linalg import (
 )
 
 
+def _plus_scalar(m, c) -> Matrix:
+    """m + c for a square matrix m and an integer c.  num + c den on the
+    diagonal: gcd(den, x + c den) = gcd(den, x), so the sum stays in lowest terms."""
+    step = c * m.den
+    num = tuple(row[:k] + (row[k] + step,) + row[k + 1 :] for k, row in enumerate(m.num))
+    return Matrix._new(num, m.den)
+
+
 class Representation:
     """A family of invertible r x r matrices indexed by the generators.
+
+    A family is held by the factors A_i = g_i - 1 = R_i^T Y_i / s_i of its
+    deformations, i = 1 ... n-1 (``factor``), which every check reads.  The
+    public constructor is the entry for dense images (JSON files, library
+    callers): it factors each image and proves it invertible.  The zoo
+    builders pass factors they read off a small block, a sum or a change of
+    basis to ``_from_factors``, with their own proof of invertibility.  Both
+    hand the same triples to ``_init``.  ``generators`` is formed from the
+    factors on first use.
 
     The constructor enforces shape and invertibility only; properties that
     hold for genuine representations (equal deformation ranks, the defining
@@ -51,15 +74,27 @@ class Representation:
             raise ShapeError(f"expected {n - 1} generator images, got {len(generators)}")
         if any(g.shape != (r, r) for g in generators):
             raise ShapeError("generator images must all be square of the stated size")
-        self.n = n
-        self.r = r
+        self._init(n, r, [_factor(_plus_scalar(g, -1)) for g in generators], label)
         self.generators = generators
-        self.label = label
-        self._inverses = {}
-        self._factors = {}
-        self._shifts = {}
         if not self._generators_invertible():
             raise SingularMatrixError("generator image is singular")
+
+    def _init(self, n, r, factors, label):
+        """Hold the factors ``(image, y, s)`` of A_1 ... A_(n-1), unchecked."""
+        self.n = n
+        self.r = r
+        self.label = label
+        self._inverses = {}
+        self._factors = dict(enumerate(factors, 1))
+        self._shifts = {}
+
+    @classmethod
+    def _from_factors(cls, n, r, factors, label):
+        """A family from the factors of its deformations, as ``factor`` returns
+        them; the caller has proved every g_i = 1 + R_i^T Y_i / s_i invertible."""
+        self = cls.__new__(cls)
+        self._init(n, r, factors, label)
+        return self
 
     def _generators_invertible(self) -> bool:
         """Whether every g_i = 1 + R_i^T Y_i / s_i is invertible.  Sylvester's
@@ -108,27 +143,37 @@ class Representation:
     def sigma0(self) -> Matrix:
         return self.tau * self.generators[-1] * inverse(self.tau)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """The images g_i = 1 + A_i, formed from the factors on first use."""
+        return tuple(_plus_scalar(self.deformation(i), 1) for i in range(1, self.n))
+
     def deformation(self, i) -> Matrix:
         """A_i = image of generator i minus the identity, for i in 0..n-1, built
-        on each call in O(r^2); the checks read the cached ``factor(i)``."""
+        on each call: from g_i in O(r^2) where the images are formed, else
+        as R_i^T Y_i / s_i in O(k r^2); the checks read the cached ``factor(i)``."""
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
-        # num - den on the diagonal: gcd(den, x - den) = gcd(den, x), so
-        # the difference stays in lowest terms.
-        g = self.gen(i)
-        den = g.den
-        num = tuple(row[:k] + (row[k] - den,) + row[k + 1 :] for k, row in enumerate(g.num))
-        return Matrix._new(num, den)
+        if i == 0 or "generators" in vars(self):
+            return _plus_scalar(self.gen(i), -1)
+        img, y, s = self._factors[i]
+        if img.is_zero():
+            return Matrix.zero(self.r, self.r)
+        # R^T Y = m num(A_i) and s = m den(A_i), m the lcm of the pivot
+        # entries (``Subspace.coordinate_rows``): dividing by m leaves lowest terms.
+        m = img._leads[1]
+        rows = y if img.is_full() else [combine(col, y, self.r) for col in zip(*img.rows)]
+        if m > 1:
+            rows = ([e // m for e in row] for row in rows)
+        return Matrix._new(tuple(map(tuple, rows)), s // m)
 
     def factor(self, i) -> tuple[Subspace, tuple, int]:
-        """``(image, y, s)`` with A_i = R^T y / s, cached per index: R holds the
-        k canonical rows of image = Im A_i (R = 1 at k = r), so ker A_i = ker y,
-        and the k rows y come from ``Subspace.coordinate_rows``."""
+        """``(image, y, s)`` with A_i = R^T y / s: R holds the k canonical rows
+        of image = Im A_i (R = 1 at k = r), so ker A_i = ker y, and the k rows
+        y are those of ``Subspace.coordinate_rows`` of num(A_i), scaled by
+        s = m den(A_i).  Held for i >= 1; formed at i = 0 on first use."""
         if i not in self._factors:
-            a = self.deformation(i)
-            img = self.image(0) if i == 0 else image_basis(a)
-            y, lcm = img.coordinate_rows(a.num)
-            self._factors[i] = img, y, lcm * a.den
+            self._factors[i] = _factor(self.deformation(i), self.image(0))
         return self._factors[i]
 
     def middle(self, i, j) -> list:
@@ -213,26 +258,62 @@ class Representation:
         return f"Representation(n={self.n}, r={self.r}, label={self.label!r})"
 
 
+def _factor(a, img=None) -> tuple[Subspace, tuple, int]:
+    """The factor ``(image, y, s)`` of a deformation matrix a, as
+    ``Representation.factor`` gives it, from its image where the caller
+    knows it: s = m den(a), with m the lcm of the pivot entries of the image."""
+    img = image_basis(a) if img is None else img
+    y, m = img.coordinate_rows(a.num)
+    return img, y, m * a.den
+
+
+def _pad(r, at, img, y):
+    """``(rows, pivots, y)`` of a factor on Q^k, its canonical rows R and
+    rows y, moved to the coordinates at ... at+k-1 of Q^r: canonical there too."""
+    left, right = (0,) * at, (0,) * (r - at - img.ambient_dim)
+    return (tuple(left + row + right for row in img.rows), tuple(p + at for p in img.pivots),
+            tuple(left + tuple(row) + right for row in y))
+
+
+def _block_factor(block):
+    """The factor ``(image, y, s)`` of B - 1, for a square block B of
+    rationals, after proving B invertible by its rank; raises
+    ``SingularMatrixError`` where it is not."""
+    b = Matrix(block)
+    if rank(b) < b.nrows:
+        raise SingularMatrixError("generator image is singular")
+    return _factor(_plus_scalar(b, -1))
+
+
+def _placed(r, at, factor):
+    """The factor of the r x r identity with the block of ``_block_factor``
+    placed at (at, at), in O(k r) for block size k, with no r x r matrix formed."""
+    img, y, s = factor
+    rows, pivots, y = _pad(r, at, img, y)
+    return Subspace._from_canonical(r, rows, pivots), y, s
+
+
+def _sum_factor(fa, fb):
+    """The factor of the block-diagonal sum of two deformations from theirs:
+    the canonical rows and rows y of each, padded into place.  Each y is
+    rescaled by s / s_j to the sum's s = lcm(m_a, m_b) lcm(den_a, den_b),
+    where den_j = s_j / m_j for the lcm m_j of the pivot entries of image j."""
+    (ia, ya, sa), (ib, yb, sb) = fa, fb
+    ma, mb = ia._leads[1], ib._leads[1]
+    s, size = math.lcm(ma, mb) * math.lcm(sa // ma, sb // mb), ia.ambient_dim + ib.ambient_dim
+    rows_a, piv_a, ya = _pad(size, 0, ia, ([e * (s // sa) for e in row] for row in ya))
+    rows_b, piv_b, yb = _pad(size, ia.ambient_dim, ib, ([e * (s // sb) for e in row] for row in yb))
+    return Subspace._from_canonical(size, rows_a + rows_b, piv_a + piv_b), ya + yb, s
+
+
 def character_rep(n, y) -> Representation:
     """The one-dimensional family sending every generator to [y]."""
     y = rational(y)
     if y == 0:
         raise ValueError("character parameter must be nonzero")
-    g = Matrix(((y,),))
-    return Representation(n, 1, (g,) * (n - 1), label=f"char(n={n},y={y})")
-
-
-def _embed(size, at, block):
-    """The size x size identity with the square block of rationals placed at
-    (at, at), built from integer rows over the block's common denominator."""
-    k = len(block)
-    # den is the lcm of the block's reduced denominators, so some entry of
-    # the block is prime to each prime of den: the rows are in lowest terms.
-    flat, den = clear_denominators([e for brow in block for e in brow])
-    rows = [[den * (i == j) for j in range(size)] for i in range(size)]
-    for i in range(k):
-        rows[at + i][at : at + k] = flat[i * k : (i + 1) * k]
-    return Matrix._new(tuple(map(tuple, rows)), den)
+    if n < 2:
+        raise ValueError("need at least 2 strands")
+    return Representation._from_factors(n, 1, [_block_factor(((y,),))] * (n - 1), f"char(n={n},y={y})")
 
 
 def tym_standard(n, u) -> Representation:
@@ -249,8 +330,9 @@ def tym_standard(n, u) -> Representation:
         raise ValueError("block parameter must be nonzero")
     if n < 2:
         raise ValueError("need at least 2 strands")
-    gens = [_embed(n, i - 1, ((0, u), (1, 0))) for i in range(1, n)]
-    return Representation(n, n, gens, label=f"tym(n={n},u={u})")
+    block = _block_factor(((0, u), (1, 0)))
+    factors = [_placed(n, i - 1, block) for i in range(1, n)]
+    return Representation._from_factors(n, n, factors, f"tym(n={n},u={u})")
 
 
 def reduced_burau(n, t) -> Representation:
@@ -266,19 +348,18 @@ def reduced_burau(n, t) -> Representation:
     if n < 3:
         raise ValueError("need at least 3 strands")
     r = n - 1
-    gens = []
-    for i in range(1, n):
-        if i == 1:
-            gens.append(_embed(r, 0, ((-t, 0), (1, 1))))
-        elif i == n - 1:
-            gens.append(_embed(r, n - 3, ((1, t), (0, -t))))
-        else:
-            gens.append(_embed(r, i - 2, ((1, t, 0), (0, -t, 0), (0, 1, 1))))
-    return Representation(n, r, gens, label=f"burau(n={n},t={t})")
+    first = _block_factor(((-t, 0), (1, 1)))
+    middle = _block_factor(((1, t, 0), (0, -t, 0), (0, 1, 1)))
+    last = _block_factor(((1, t), (0, -t)))
+    factors = [_placed(r, 0, first), *(_placed(r, i - 2, middle) for i in range(2, n - 1)),
+               _placed(r, n - 3, last)]
+    return Representation._from_factors(n, r, factors, f"burau(n={n},t={t})")
 
 
 def tensor_character(rep, y) -> Representation:
-    """Scale every generator image entry-wise by the nonzero scalar y."""
+    """Scale every generator image entry-wise by the nonzero scalar y.  The
+    images are formed and factored again by the public constructor: the
+    deformation y g - 1 has no factor that those of g - 1 give directly."""
     y = rational(y)
     if y == 0:
         raise ValueError("character parameter must be nonzero")
@@ -287,41 +368,56 @@ def tensor_character(rep, y) -> Representation:
 
 
 def direct_sum(a, b) -> Representation:
-    """Block-diagonal sum of two families on the same strand count."""
+    """Block-diagonal sum of two families on the same strand count, from
+    their factors (``_sum_factor``); a sum of invertible images is invertible."""
     if a.n != b.n:
         raise ShapeError("strand counts differ")
-    gens = [block_diagonal((g, h)) for g, h in zip(a.generators, b.generators)]
-    return Representation(a.n, a.r + b.r, gens, label=f"dsum({a.label},{b.label})")
+    factors = [_sum_factor(a.factor(i), b.factor(i)) for i in range(1, a.n)]
+    return Representation._from_factors(a.n, a.r + b.r, factors, f"dsum({a.label},{b.label})")
 
 
 def conjugate_rep(rep, p, label=None) -> Representation:
-    """Replace every generator image g = 1 + R^T Y / s (``Representation.factor``)
-    by p^-1 g p = 1 + (p^-1 R^T)(Y p) / s, in O(k r^2) each for rank k."""
+    """Replace every generator image g by p^-1 g p (``_conjugate``)."""
     if p.shape != (rep.r, rep.r):
         raise ShapeError("change of basis has the wrong size")
-    r, pinv = rep.r, inverse(p)
-    gens = []
+    return _conjugate(rep, p, inverse(p), label)
+
+
+def _conjugate(rep, p, pinv, label) -> Representation:
+    """p^-1 g p = 1 + (p^-1 R^T)(Y p) / s for each g = 1 + R^T Y / s
+    (``Representation.factor``), pinv = p^-1, with the product formed in
+    O(k r^2) for rank k.  Its image p^-1 Im A is the span of the k columns of
+    p^-1 R^T, and its rows y are the coordinate rows of the product.  p^-1 g p
+    is invertible exactly when g is, so no proof is run again."""
+    r, factors = rep.r, []
     for i in range(1, rep.n):
         img, y, s = rep.factor(i)
         left = pinv.num if img.is_full() else mul_rows(pinv.num, tuple(zip(*img.rows)), img.dim)
-        prod, den = mul_rows(left, mul_rows(y, p.num, r), r), s * pinv.den * p.den
-        gens.append(_lowest_terms([[e + den * (a == b) for b, e in enumerate(row)]
-                                   for a, row in enumerate(prod)], den))
-    return Representation(rep.n, rep.r, gens, label=label or f"conj({rep.label})")
+        a = _lowest_terms(mul_rows(left, mul_rows(y, p.num, r), r), s * pinv.den * p.den)
+        factors.append(_factor(a, Subspace.full(r) if img.is_full() else Subspace._span(r, zip(*left))))
+    return Representation._from_factors(rep.n, r, factors, label or f"conj({rep.label})")
+
+
+def _random_invertible_pair(size, rng: Random) -> tuple[Matrix, Matrix]:
+    """``(m, m^-1)`` for the matrix ``random_invertible_matrix`` draws, with
+    one elimination per draw: ``inverse`` refuses exactly the singular ones."""
+    while True:
+        m = Matrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
+        try:
+            return m, inverse(m)
+        except SingularMatrixError:
+            pass
 
 
 def random_invertible_matrix(size, rng: Random) -> Matrix:
     """Seeded random invertible matrix with integer entries in -3..3."""
-    while True:
-        m = Matrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
-        if rank(m) == size:
-            return m
+    return _random_invertible_pair(size, rng)[0]
 
 
 def scrambled(rep, seed) -> Representation:
     """Conjugate by a seeded random invertible matrix, recording the seed."""
-    p = random_invertible_matrix(rep.r, Random(seed))
-    return conjugate_rep(rep, p, label=f"{rep.label} conjugated by P#seed={seed}")
+    p, pinv = _random_invertible_pair(rep.r, Random(seed))
+    return _conjugate(rep, p, pinv, f"{rep.label} conjugated by P#seed={seed}")
 
 
 def corank(rep) -> int:

@@ -1,9 +1,9 @@
-"""Default ``analyze`` and ``graph`` output, pinned byte for byte.
+"""Default ``analyze``, ``graph`` and ``make`` output, pinned byte for byte.
 
-The files under ``tests/data/`` hold what ``braidrep analyze SPEC`` and
-``braidrep graph SPEC`` printed for each spec below; a change that speeds up
-a layer must leave every one of them unchanged (the determinism contract of
-the CLI).
+The files under ``tests/data/`` hold what ``braidrep analyze SPEC``,
+``braidrep graph SPEC`` and ``braidrep make SPEC`` printed for each spec
+below; a change that speeds up a layer must leave every one of them
+unchanged (the determinism contract of the CLI).
 """
 
 from fractions import Fraction
@@ -72,6 +72,23 @@ GRAPH_FORMS = [(".json", []), ("_full.json", ["--full"]), (".dot", ["--format", 
 def test_graph_output_is_unchanged(capsys, name, suffix, extra):
     assert run(["graph", GRAPH_GOLDEN[name], *extra]) == 0
     expected = (DATA / f"graph_{name}{suffix}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+MAKE_GOLDEN = {
+    # the dense images of a sum, formed from its factors
+    "dsum_tym_char": "dsum(tym:n=6,u=2,char:n=6,y=1/2)",
+    "char": "char:n=4,y=-3/2",
+    "burau": "burau:n=7,t=5/3",
+    # a conjugate of a sum: the image passed on through the change of basis
+    "conj_dsum": "conj(dsum(tym:n=6,u=2,char:n=6,y=1/2),seed=3)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAKE_GOLDEN))
+def test_make_output_is_unchanged(capsys, name):
+    assert run(["make", MAKE_GOLDEN[name]]) == 0
+    expected = (DATA / f"make_{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
