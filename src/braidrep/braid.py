@@ -123,14 +123,19 @@ def _lifts_agree(img, mid, y, img2, mid2, y2) -> bool:
 
 
 def _shift_holds(rep, i) -> bool:
-    """Whether D A_i = A_(i+1) D, for 0 <= i <= n-2, from q = ``rep.shift(i)``:
-    num(D) R_i^T = R_(i+1)^T q / m, s_(i+1) = m den(A_(i+1)) and R_(i+1)^T is
-    injective, so D A_i = A_(i+1) D iff den(A_(i+1)) q Y_i = s_i Y_(i+1) num(D).
-    As D is invertible, the shift fails where q is None: D Im A_i != Im A_(i+1)."""
-    q = rep.shift(i)
-    if q is None:
+    """Whether D A_i = A_(i+1) D, for 0 <= i <= n-2 and D = ``rep.tau``.  As D
+    is invertible, it fails unless D Im A_i lies in Im A_(i+1) with equal
+    dimensions.  Then num(D) R_i^T = R_(i+1)^T q / m for the canonical rows R
+    and the coordinates q of ``Subspace.coordinate_rows``, with m the lcm of the
+    pivot entries of Im A_(i+1).  As s_(i+1) = m den(A_(i+1)) and R_(i+1)^T is
+    injective, D A_i = A_(i+1) D iff den(A_(i+1)) q Y_i = s_i Y_(i+1) num(D)."""
+    (img, y, s), (img2, y2, _) = rep.factor(i), rep.factor(i + 1)
+    if img.dim != img2.dim:
         return False
-    (_, y, s), (_, y2, _), den2 = rep.factor(i), rep.factor(i + 1), rep.generators[i].den
+    moved = mul_rows(img.rows, tuple(zip(*rep.tau.num)), rep.r)  # num(D) R_i^T, transposed
+    if not all(map(img2.contains_ints, moved)):
+        return False
+    q, den2 = img2.coordinate_rows(tuple(zip(*moved)))[0], rep.generators[i].den
     lhs, rhs = mul_rows(q, y, rep.r), mul_rows(y2, rep.tau.num, rep.r)
     return all(den2 * a == s * b for u, v in zip(lhs, rhs) for a, b in zip(u, v))
 

@@ -165,10 +165,13 @@ def _check_scale(n, r):
 def parse_rep_spec(text, default_seed=0):
     """Parse a builtin spec; returns (representation, metadata).  The whole
     spec is parsed and its size checked (``_check_scale``) before any matrix
-    is built."""
-    (n, r), build, meta = _parse(text, default_seed)
-    _check_scale(n, r)
-    return build(), meta
+    is built.  A spec nested past the recursion limit is refused as unparsable."""
+    try:
+        (n, r), build, meta = _parse(text, default_seed)
+        _check_scale(n, r)
+        return build(), meta
+    except RecursionError:
+        raise SpecParseError("spec is nested too deeply") from None
 
 
 def _load_source(source, default_seed):
@@ -263,28 +266,29 @@ def _cmd_irreducible(args):
     return 0
 
 
-def _parse_int_list(text):
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            if int(lo) > int(hi):
-                raise SpecParseError(f"empty strand range {chunk!r}")
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(chunk))
-    return values
+def _parse_ranges(text):
+    """The ``(lo, hi)`` strand ranges of a list like ``6..10,12``."""
+    ranges = []
+    for chunk in map(str.strip, text.split(",")):
+        lo, dots, hi = chunk.partition("..")
+        lo, hi = int(lo), int(hi if dots else lo)
+        if lo > hi:
+            raise SpecParseError(f"empty strand range {chunk!r}")
+        ranges.append((lo, hi))
+    return ranges
 
 
 def _cmd_sweep(args):
     try:
-        ns = _parse_int_list(args.n)
+        ranges = _parse_ranges(args.n)
         us = [rational(tok.strip()) for tok in args.u.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad sweep grid: {exc}") from exc
-    for n in ns:
-        _check_scale(n, n)
+    # The size (n - 1) n^2 of tym:n grows with n: each range's upper end
+    # bounds it, and is checked before the range is expanded.
+    for _, hi in ranges:
+        _check_scale(hi, hi)
+    ns = [n for lo, hi in ranges for n in range(lo, hi + 1)]
     rows = []
     for n in ns:
         for u in us:

@@ -2,9 +2,10 @@
 
 Two generators are friends when the images U, V of their deformations
 intersect in a nonzero subspace, that is when dim(U + V) < dim U + dim V.
-The full graph has a vertex for each of s0..s(n-1) and is invariant under
-the cyclic index shift, so its edge set is determined by a set of circular
-distances; the reduced graph is the full one with the vertex s0 dropped.
+The full graph has a vertex for each of s0..s(n-1), and forms no product of
+the images.  For a representation it is invariant under the cyclic index
+shift, so its edge set is determined by a set of circular distances; the
+reduced graph is the full one with the vertex s0 dropped.
 """
 
 from __future__ import annotations
@@ -90,9 +91,15 @@ class FriendshipGraph:
 
 def are_friends(rep, i, j) -> bool:
     """True iff the images U of A_i and V of A_j intersect nontrivially, that
-    is iff dim(U + V), the rank of their stacked canonical rows, is below dim U + dim V."""
+    is iff dim(U + V), the rank of their stacked canonical rows, is below
+    dim U + dim V.  As dim(U + V) <= r, they meet where dim U + dim V > r, and
+    neither a rank nor Im A_0 is formed there: A_0 = D A_(n-1) D^-1 has the
+    dimension of Im A_(n-1)."""
     if i == j:
         raise ValueError("friendship is between distinct generators")
+    last = rep.n - 1
+    if rep.image(i or last).dim + rep.image(j or last).dim > rep.r:
+        return True
     u, v = rep.image(i), rep.image(j)
     return rank(Matrix._new((*u.rows, *v.rows), 1)) < u.dim + v.dim
 
@@ -120,12 +127,12 @@ def are_true_friends(rep, i, j) -> bool:
 
 
 def full_friendship_graph(rep, relations_hold=False) -> FriendshipGraph:
-    """The graph on s0..s(n-1).  Pass ``relations_hold`` only for a family
-    whose relations are proved (``verify_braid_relations(rep).ok``)."""
+    """The graph on s0..s(n-1), from every unordered pair of images.  Pass
+    ``relations_hold`` only for a family whose relations are proved
+    (``verify_braid_relations(rep).ok``): then D A_i D^-1 = A_(i+1) for every
+    i mod n, each pair is a D-translate of some (0, d), and only those are read."""
     n = rep.n
-    # When D shifts the images, each pair is a D-translate of (0, d).  Relations
-    # that hold make D A_i D^-1 = A_(i+1) for every i mod n, so no shift is formed.
-    if relations_hold or rep.shift_invariant:
+    if relations_hold:
         dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
         return FriendshipGraph.from_distance_set(n, dset)
     adj = [[False] * n for _ in range(n)]

@@ -9,10 +9,10 @@ the block invertible by its rank; a direct sum concatenates the factors of
 its summands; a conjugate spans p^-1 Im A_i and reads its rows from one
 product.  The public constructor takes dense images instead (JSON files,
 library callers, ``tensor_character``), factors each one and proves it
-invertible.  The dense images g_i, D = g_1 ... g_(n-1), the image sigma0 of s0
-(which inverts D itself) and the shifts of the images by D are computed on
-first use and cached; a deformation A_i is built on each request.  Im A_0 =
-D Im A_(n-1) comes from the factors, without D.  All values are immutable.
+invertible.  The dense images g_i, D = g_1 ... g_(n-1) and the image sigma0
+of s0 (which inverts D itself) are computed on first use and cached; a
+deformation A_i is built on each request.  Im A_0 = D Im A_(n-1) comes from
+the factors, without D.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class Representation:
         self.label = label
         self._inverses = {}
         self._factors = dict(enumerate(factors, 1))
-        self._shifts = {}
 
     @classmethod
     def _from_factors(cls, n, r, factors, label):
@@ -121,10 +120,6 @@ class Representation:
     def tau(self) -> Matrix:
         """D = g_1 ... g_(n-1), the image of delta."""
         return reduce(mul, self.generators)
-
-    @cached_property
-    def _tau_columns(self) -> tuple:
-        return tuple(zip(*self.tau.num))
 
     def gen(self, i) -> Matrix:
         """Image of generator i, with i = 0 giving the derived s0 image."""
@@ -225,26 +220,6 @@ class Representation:
                 v = [e // g for e in v]
             rows.append(v)
         return Subspace._span(self.r, rows)
-
-    def shift(self, i):
-        """The integer rows q with num(D) R_i^T = R_(i+1)^T q / m for 0 <= i <= n-2,
-        cached per index, R_i the canonical rows of Im A_i and m the lcm of the
-        pivot entries of Im A_(i+1) (``Subspace.coordinate_rows``); None where
-        the images differ in dimension or D Im A_i is not inside Im A_(i+1)."""
-        if i not in self._shifts:
-            img, img2, q = self.image(i), self.image(i + 1), None
-            if img.dim == img2.dim:
-                moved = mul_rows(img.rows, self._tau_columns, self.r)  # num(D) R_i^T, transposed
-                if all(map(img2.contains_ints, moved)):
-                    q = img2.coordinate_rows(tuple(zip(*moved)))[0]
-            self._shifts[i] = q
-        return self._shifts[i]
-
-    @property
-    def shift_invariant(self) -> bool:
-        """Whether every ``shift(i)`` exists, as in every representation (delta
-        s_i delta^-1 = s_(i+1)); at i = n-1 by sigma0.  Then D shifts every image."""
-        return all(self.shift(i) is not None for i in range(self.n - 1))
 
     def __eq__(self, other):
         if not isinstance(other, Representation):

@@ -332,6 +332,25 @@ def test_one_parser_serves_consecutive_runs_like_fresh_processes(capsys):
     assert capture(capsys, ["frobnicate"])[0] == 2
 
 
+def test_oversized_sweep_range_exits_two_before_it_is_expanded():
+    """The range's upper end is checked before the range is expanded: a list
+    of 10^12 strand counts would exhaust the 1.5 GB address space given here."""
+    src = str(Path(braidrep.__file__).resolve().parent.parent)
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+            "from braidrep.cli import run; sys.exit(run(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--n", "6..1000000000000", "--u", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: out of scale: n=1000000000000,") and done.stderr.count("\n") == 1
+
+
+def test_spec_nested_past_the_recursion_limit_exits_two(capsys):
+    spec = "tensor(" * 2000 + "tym:n=6,u=2" + ",y=2)" * 2000
+    assert capture(capsys, ["make", spec]) == (2, "", "error: spec is nested too deeply\n")
+
+
 @pytest.mark.parametrize("verb", ["verify", "graph", "analyze"])
 def test_zero_denominator_in_file_exits_two(tmp_path, capsys, verb):
     data = {"n": 3, "r": 1, "generators": [[["1/0"]], [["2"]]], "label": ""}
@@ -382,7 +401,7 @@ def test_graph_verb_reports_an_unclassified_graph(capsys):
 @pytest.mark.parametrize("source", [
     "conj(tym:n=8,u=2,seed=3)",
     str(Path(__file__).resolve().parent / "data" / "broken_family.json"),
-], ids=["shift", "all pairs"])
+], ids=["conj", "all pairs"])
 def test_graph_verb_builds_one_graph_and_intersects_no_images(monkeypatch, capsys, fmt, full, source):
     # The reduced graph is read off the full one, not built by a second pass.
     import braidrep.cli as cli
@@ -401,6 +420,33 @@ def test_graph_verb_builds_one_graph_and_intersects_no_images(monkeypatch, capsy
     assert code == 0
     assert len(builds) == 1
     assert intersections == []
+
+
+@pytest.mark.parametrize("full", [[], ["--full"]], ids=["reduced", "full"])
+@pytest.mark.parametrize("spec", [
+    "tym:n=8,u=2",
+    "conj(tym:n=16,u=5/3,seed=7)",
+    "conj(burau:n=16,t=5/3,seed=7)",
+    "dsum(tym:n=16,u=2,char:n=16,y=3)",
+    "conj(tensor(tym:n=8,u=1,y=-1),seed=5)",
+    "conj(burau:n=65,t=5/3,seed=7)",  # at the size bound, where D took seconds
+])
+def test_graph_verb_forms_no_product_of_the_images(monkeypatch, capsys, full, spec):
+    # No image of these specs is full: every pair is tested from the images
+    # alone, so neither D nor sigma0 is formed.
+    import braidrep.cli as cli
+
+    reps, build = [], cli.full_friendship_graph
+
+    def spy(rep, *args):
+        reps.append(rep)
+        return build(rep, *args)
+
+    monkeypatch.setattr(cli, "full_friendship_graph", spy)
+    assert capture(capsys, ["graph", spec, *full])[0] == 0
+    (rep,) = reps
+    assert not rep.has_full_image
+    assert not {"tau", "sigma0"} & set(vars(rep))
 
 
 def test_singular_family_file_exits_2_with_the_message(capsys):

@@ -337,13 +337,25 @@ def test_proved_relations_read_the_graph_off_the_pairs_at_s0():
     # edge, even on a family whose images D does not shift.  Without that
     # every pair is tested, and here the two graphs differ.
     rep = broken_family()
-    assert not rep.shift_invariant
     dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, 0, d)}
     assert full_friendship_graph(rep, relations_hold=True) == FriendshipGraph.from_distance_set(rep.n, dset)
     assert full_friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(rep.n))
 
 
-def test_shift_invariance_holds_for_representations_only():
-    assert all(rep.shift_invariant for rep in build_zoo())
-    assert not broken_family().shift_invariant
-    assert [rep.shift_invariant for rep in random_families()] == [True] * 5 + [False]
+@pytest.mark.parametrize("rep", [
+    tensor_character(tym_standard(6, 2), 3),
+    scrambled(tensor_character(tym_standard(8, 1), -1), 5),
+], ids=repr)
+def test_images_past_half_the_dimension_meet_with_no_rank_taken(monkeypatch, rep):
+    # dim U + dim V > r forces U and V to meet: every pair is friends, and
+    # the count decides it before the rank test of the stacked rows, with
+    # the dimension of Im A_0 read off Im A_(n-1).
+    import braidrep.friendship as friendship
+
+    calls = []
+    monkeypatch.setattr(friendship, "rank", calls.append)
+    assert all(2 * rep.image(i).dim > rep.r for i in range(1, rep.n))
+    graph = full_friendship_graph(rep)
+    assert graph.edge_count() == rep.n * (rep.n - 1) // 2
+    assert calls == []
+    assert "_image0" not in vars(rep)

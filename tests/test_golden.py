@@ -56,7 +56,7 @@ GRAPH_GOLDEN = {
     "broken": str(DATA / "broken_family.json"),
     # the all-pairs rule on random images: ContainsChain
     "random_seed5": str(DATA / "random_seed5.json"),
-    # the D-shift rule: the pairs (0, d) decide every edge
+    # a conjugated chain: rank-two images, every pair tested by rank
     "chain_n10": "conj(tym:n=10,u=-2/3,seed=11)",
     # near-full images: every pair of generators is friends
     "complete": "conj(tensor(tym:n=8,u=1,y=-1),seed=5)",
