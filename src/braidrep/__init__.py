@@ -49,6 +49,7 @@ from .friendship import (
     are_friends,
     are_true_friends,
     check_zn_equivariance,
+    classify_distances,
     classify_graph,
     distance_set,
     friendship_graph,

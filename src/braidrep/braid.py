@@ -10,7 +10,7 @@ index arithmetic here is modulo n with that convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -65,6 +65,9 @@ class RelationReport:
     braid_relations_ok: bool
     far_commutation_ok: bool
     failures: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
+    # The verdict of ``verify_cyclic_conjugation`` where the check ran it
+    # (the shortcut for a full image), else None; not part of equality.
+    cyclic_conjugation_ok: bool | None = field(default=None, compare=False)
 
     @property
     def ok(self):
@@ -98,10 +101,15 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
       it to (i, i+1).
 
     So the shortcut passes exactly when every relation holds, and only a
-    failing family pays for the pairwise scan that lists its failures.
+    failing family pays for the pairwise scan that lists its failures.  The
+    report keeps the shortcut's cyclic verdict, so a caller need not run
+    the shifts again.
     """
-    if rep.n > 2 and rep.has_full_image and _shortcut_holds(rep):
-        return RelationReport(True, True)
+    if rep.n > 2 and rep.has_full_image:
+        cyclic = verify_cyclic_conjugation(rep)
+        if cyclic and _far_shortcut_holds(rep):
+            return RelationReport(True, True, cyclic_conjugation_ok=True)
+        return replace(_pairwise_relation_report(rep), cyclic_conjugation_ok=cyclic)
     return _pairwise_relation_report(rep)
 
 
@@ -183,10 +191,10 @@ def _braid_holds(rep, a, b, mids) -> bool:
     return _lifts_agree(img, left, y, img2, right, y2)
 
 
-def _shortcut_holds(rep) -> bool:
-    """The relations of ``verify_braid_relations`` on the factors, on n > 2 strands."""
-    return verify_cyclic_conjugation(rep) and all(
-        _commutes(rep, 1, j, _pair_middles(rep, 1, j)) for j in range(3, rep.n // 2 + 2))
+def _far_shortcut_holds(rep) -> bool:
+    """The commutations of g_1 with g_j, 3 <= j <= n//2 + 1, that the shortcut
+    of ``verify_braid_relations`` tests after the shifts."""
+    return all(_commutes(rep, 1, j, _pair_middles(rep, 1, j)) for j in range(3, rep.n // 2 + 2))
 
 
 def _pairwise_relation_report(rep: "Representation") -> RelationReport:

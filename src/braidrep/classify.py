@@ -37,9 +37,9 @@ from .braid import (
 )
 from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
 from .friendship import (
-    FriendshipGraph,
     GraphClass,
     are_friends,
+    classify_distances,
     classify_graph,
     friendship_graph,
     full_friendship_graph,
@@ -538,9 +538,10 @@ def _first_unmatched_generator(rep, cols):
     """The first generator i with Y_i a_j != 0 for a column a_j of ``cols``,
     j outside {i-1, i}, where T_i fixes e_j; None if there is none."""
     for i in range(1, rep.n):
-        y = rep.factor(i)[1]
-        if any(sum(map(mul, row, cols[j])) for j in range(rep.n) if j not in (i - 1, i) for row in y):
-            return i
+        for row in rep.factor(i)[1]:
+            prods = [sum(map(mul, row, col)) for col in cols]
+            if any(prods[: i - 1]) or any(prods[i + 1 :]):
+                return i
     return None
 
 
@@ -783,7 +784,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
         # T(u) has corank 2 and the chain as its graph, and satisfies every
         # relation for every u: no check is left to run.
         corank_val, report = 2, RelationReport(True, True)
-        graph_class = classify_graph(FriendshipGraph.from_distance_set(rep.n, {1}))
+        graph_class = classify_distances(rep.n, {1})
     else:
         try:
             corank_val = corank(rep)
@@ -800,11 +801,15 @@ def analyze(rep, seed=None) -> AnalysisReport:
             "violates the dimension bound, so the certification is suspect"
         )
     # The deformed relations restate the braid relations, and an image of
-    # B_n passes the cyclic check by theorem: only a broken family needs it run.
+    # B_n passes the cyclic check by theorem: only a broken family needs it
+    # run, and not again where the relation shortcut ran it.
+    cyclic = report.cyclic_conjugation_ok
+    if cyclic is None:
+        cyclic = report.ok or verify_cyclic_conjugation(rep)
     relations = {
         "braid_relations_ok": report.braid_relations_ok,
         "far_commutation_ok": report.far_commutation_ok,
-        "cyclic_conjugation_ok": report.ok or verify_cyclic_conjugation(rep),
+        "cyclic_conjugation_ok": cyclic,
         "deformed_relations_ok": report.ok,
         "failures": [[desc, list(pair)] for desc, pair in report.failures],
     }

@@ -182,8 +182,14 @@ def classify_graph(graph: FriendshipGraph) -> GraphClass:
         raise PreconditionError("classification is defined for full graphs")
     if not check_zn_equivariance(graph):
         raise PreconditionError("graph is not invariant under the cyclic shift")
-    n = graph.vertex_count
-    dset = distance_set(graph)
+    return classify_distances(graph.vertex_count, distance_set(graph))
+
+
+def classify_distances(n, dset) -> GraphClass:
+    """``classify_graph`` of the full graph on n vertices whose edges join the
+    pairs at the circular distances in ``dset`` (each in 1 .. n//2), read off
+    the distances with no graph built."""
+    dset = frozenset(dset)
     if not dset:
         return GraphClass(GraphClassTag.TOTALLY_DISCONNECTED, dset, "no friendships")
     if 1 in dset:

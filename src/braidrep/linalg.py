@@ -8,7 +8,8 @@ Python ints with a single normalising gcd per result, and the
 ``fractions.Fraction`` entries are built only when a caller asks for them.
 Matrices are immutable and safe to share.
 
-Elimination is fraction-free (``EchelonSpan`` keeps primitive integer rows).
+Elimination is fraction-free (``EchelonSpan`` keeps primitive integer rows,
+with one gcd per new row).
 A Subspace is stored in the same integer layout, in a canonical form: the
 rows of its reduced echelon basis, each scaled to a primitive integer
 vector with a positive pivot entry.  Subspace equality is then a syntactic
@@ -47,6 +48,7 @@ def format_rational(value) -> str:
     return str(Fraction(value))
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -107,8 +109,10 @@ def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
     Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
-    pairs = [_ratio(e) for e in vec]
+    pairs = [e.as_integer_ratio() if type(e) in _EXACT_TYPES else _ratio(e) for e in vec]
     den = math.lcm(*(d for _, d in pairs))
+    if den == 1:
+        return [p for p, _ in pairs], 1
     return [p * (den // d) for p, d in pairs], den
 
 
@@ -645,10 +649,15 @@ class EchelonSpan:
     primitive integer vectors kept in forward echelon form only: each row's
     first nonzero entry sits at its pivot and is positive, and rows are
     ordered by pivot, but entries above later pivots are not cleared.
-    Incoming vectors are reduced fraction-free (cross-multiplication with gcd
-    stripping), and stored rows never change, which keeps the integers small
-    even on dense input.  The back-substitution that produces the unique
-    reduced basis happens once, in ``reduced_rows``.
+    Stored rows never change, which keeps the integers small even on dense
+    input.  The back-substitution that produces the unique reduced basis
+    happens once, in ``reduced_rows``.
+
+    ``add`` reduces an incoming vector v <- lead * v - c * row at each pivot
+    where v is nonzero and takes one gcd, once v stands as a new row.  Each
+    step scales v by a positive lead, so v ends as a positive multiple of
+    what a gcd after every step leaves, and the primitive row it stores is
+    the same.  A dependent vector, most of a low-rank image, takes no gcd.
     """
 
     __slots__ = ("length", "rows", "pivots")
@@ -664,17 +673,22 @@ class EchelonSpan:
 
     def add(self, vec):
         """Insert an integer vector; returns its primitive reduced form if new, else None."""
-        v = _primitive(vec)
+        v = vec
         for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
                 rp = row[p]
-                v = _primitive([a * rp - c * b for a, b in zip(v, row)])
+                v = [a * rp - c * b for a, b in zip(v, row)]
+                if not any(v):
+                    return None
         p = next(filter(v.__getitem__, range(len(v))), None)
         if p is None:
             return None
+        g = math.gcd(*v)
         if v[p] < 0:
-            v = [-e for e in v]
+            v = [-e // g for e in v]
+        elif g > 1:
+            v = [e // g for e in v]
         at = bisect.bisect(self.pivots, p)
         self.pivots.insert(at, p)
         self.rows.insert(at, v)

@@ -1,7 +1,9 @@
 import json
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -38,6 +40,7 @@ from braidrep.zoo import (
     conjugate_rep,
     corank,
     direct_sum,
+    load_representation,
     reduced_burau,
     scrambled,
     tensor_character,
@@ -57,6 +60,7 @@ from test_braid import (
 )
 
 F = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def unit(i, dim):
@@ -664,6 +668,25 @@ def test_analyze_relation_booleans_match_the_checks(rep):
     assert relations["far_commutation_ok"] == report.far_commutation_ok
     assert relations["cyclic_conjugation_ok"] == _cyclic_reference(rep)
     assert relations["deformed_relations_ok"] == _deformed_reference(rep)
+
+
+@pytest.mark.parametrize("name", ["broken_family.json", "random_seed5.json"])
+def test_analyze_runs_each_shift_once(monkeypatch, name):
+    import braidrep.braid as braid
+
+    rep = load_representation(DATA / name)
+    calls, shift_holds = Counter(), braid._shift_holds
+
+    def counted(rep, i):
+        calls[i] += 1
+        return shift_holds(rep, i)
+
+    monkeypatch.setattr(braid, "_shift_holds", counted)
+    relations = analyze(rep).relations
+    monkeypatch.undo()
+    # The relation shortcut runs the shifts; the cyclic verdict reuses them.
+    assert calls and set(calls.values()) == {1}, calls
+    assert relations["cyclic_conjugation_ok"] == _cyclic_reference(rep)
 
 
 def test_spin_is_closed_under_inverses_across_zoo(zoo):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -11,6 +11,7 @@ from braidrep.friendship import (
     are_friends,
     are_true_friends,
     check_zn_equivariance,
+    classify_distances,
     classify_graph,
     distance_set,
     friendship_graph,
@@ -197,6 +198,21 @@ def test_classify_complete_graph_contains_chain():
 def test_classify_rejects_inadmissible_distance_set():
     with pytest.raises(TrichotomyViolationError):
         classify_graph(FriendshipGraph.from_distance_set(7, {2}))
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except TrichotomyViolationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_classify_distances_matches_the_built_graph(n):
+    reach = range(1, n // 2 + 1)
+    for dset in (set(c) for size in range(len(reach) + 1) for c in combinations(reach, size)):
+        got = _outcome(classify_distances, n, dset)
+        assert got == _outcome(classify_graph, FriendshipGraph.from_distance_set(n, dset)), (n, dset)
 
 
 def test_classify_rejects_non_equivariant_graph():

@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 from random import Random
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 
 from braidrep.errors import ShapeError, SingularMatrixError
 from braidrep.linalg import (
+    EchelonSpan,
     Matrix,
     Subspace,
+    _ratio,
     charpoly,
+    clear_denominators,
+    combine,
     conjugate,
     format_rational,
     image_basis,
@@ -21,6 +26,7 @@ from braidrep.linalg import (
     rational,
     rational_eigenvalues,
 )
+from conftest import build_zoo
 
 F = Fraction
 
@@ -449,3 +455,102 @@ def test_from_strings_reads_each_string_as_fraction_does(text):
     else:
         # Equal matrices have equal stored integers: the entry is in lowest terms.
         assert Matrix.from_strings([[text]]) == Matrix([[expected]])
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return [e // g for e in v] if g > 1 else v
+
+
+class _StepwiseSpan(EchelonSpan):
+    """``EchelonSpan`` with the insert it had before: a gcd on the input and
+    after every reduction step, the reference for the one-gcd insert."""
+
+    __slots__ = ()
+
+    def add(self, vec):
+        v = _primitive(vec)
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                rp = row[p]
+                v = _primitive([a * rp - c * b for a, b in zip(v, row)])
+        p = next(filter(v.__getitem__, range(len(v))), None)
+        if p is None:
+            return None
+        if v[p] < 0:
+            v = [-e for e in v]
+        at = bisect.bisect(self.pivots, p)
+        self.pivots.insert(at, p)
+        self.rows.insert(at, v)
+        return tuple(v)
+
+
+def _assert_inserts_match(length, vectors):
+    span, ref = EchelonSpan(length), _StepwiseSpan(length)
+    for v in vectors:
+        assert span.add(v) == ref.add(v), v
+        # Equal rows of equal type: a list is stored where the reference stores one.
+        assert span.rows == ref.rows and span.pivots == ref.pivots
+
+
+@st.composite
+def _integer_vectors(draw):
+    """Independent integer vectors, small or large, in any order with
+    combinations of them, as lists or tuples."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10**12, 10**12))
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n + 1))
+    coeffs = st.lists(st.integers(-4, 4), min_size=len(base), max_size=len(base))
+    vectors = base + [combine(c, base, n) for c in draw(st.lists(coeffs, max_size=6))]
+    vectors = [tuple(v) if draw(st.booleans()) else v for v in vectors]
+    return n, draw(st.permutations(vectors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_vectors())
+def test_echelon_insert_matches_the_stepwise_reference(case):
+    _assert_inserts_match(*case)
+
+
+def test_echelon_insert_matches_the_stepwise_reference_on_the_zoo():
+    for rep in build_zoo():
+        for i in range(1, rep.n):
+            m = rep.deformation(i)
+            _assert_inserts_match(m.nrows, list(zip(*m.num)))
+            _assert_inserts_match(m.ncols, m.num)
+
+
+def _reference_clear(vec):
+    pairs = [_ratio(e) for e in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs], den
+
+
+_ENTRIES = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50),
+                     st.integers(-99, 99).map(str), st.fractions(max_denominator=50).map(str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ENTRIES, max_size=12))
+def test_clear_denominators_matches_the_per_entry_reference(vec):
+    assert clear_denominators(vec) == _reference_clear(vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(_ENTRIES, min_size=k, max_size=k),
+                                                   min_size=1, max_size=4)))
+def test_matrix_reads_mixed_entries_as_the_per_entry_reference(rows):
+    m = Matrix(rows)
+    flat, den = _reference_clear([e for row in rows for e in row])
+    k = len(rows[0])
+    assert m.den == den
+    assert m.num == tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(len(rows)))
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_clear_denominators_refuses_booleans_and_floats(bad):
+    with pytest.raises(ValueError):
+        clear_denominators([F(1, 2), bad])
+    with pytest.raises(ValueError):
+        Matrix([[F(1, 2), bad]])
