@@ -199,7 +199,8 @@ def _far_shortcut_holds(rep) -> bool:
 
 def _pairwise_relation_report(rep: "Representation") -> RelationReport:
     """Every defining relation checked on its own pair, from the factors and
-    the middles of ``Representation.middles``, failures in scan order."""
+    the middles of ``Representation.middles``, which are formed once per
+    representation and shared with the Norton step; failures in scan order."""
     mids = rep.middles()
     braid = [("braid relation", (i, i + 1)) for i in range(1, rep.n - 1)
              if not _braid_holds(rep, i, i + 1, mids)]

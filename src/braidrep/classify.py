@@ -15,9 +15,15 @@ does the step's answer.  Where no word decides, the algebra closure does,
 modulo a large prime and then exactly; a thin algebra without a witness is
 the honest answer Inconclusive.
 
+The step runs on the factors A_i = R_i^T Y_i / s_i of rank k and their k x k
+middles M_ij = Y_i R_j^T: each word is theta = X Z with eigenvalues and
+kernels read off the k x k matrix Z X (``_norton_candidates``), and an orbit
+closes in the coordinates of the images (``_orbit``), so no r x r word is
+formed and no orbit probes Q^r where the images are narrow.
+
 ``decide_irreducibility`` is the one decision procedure, used by ``analyze``
-and the command line; it tries the certificates cheapest first.  Orbits and
-both algebra closures share one closure loop.
+and the command line; it tries the certificates cheapest first.  Both
+algebra closures share one closure loop.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from operator import mul
 
 from .braid import (
     RelationReport,
+    _block,
+    _scaled_cubic,
     circular_distance,
     verify_braid_relations,
     verify_cyclic_conjugation,
@@ -43,16 +51,19 @@ from .friendship import (
     classify_graph,
     friendship_graph,
     full_friendship_graph,
-    neighbor_form,
 )
 from .linalg import (
     EchelonSpan,
     Matrix,
     Subspace,
+    _identity_rows,
+    _lowest_terms,
     clear_denominators,
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
     kernel_basis,
+    mul_rows,
+    rank,
     rational,
     rational_eigenvalues,
 )
@@ -121,27 +132,96 @@ class _ModpSpan:
         return v
 
 
-def _closure(span, start, actions, cap):
-    """Grow ``span`` (an empty ``EchelonSpan`` or ``_ModpSpan``) to the
-    smallest subspace containing ``start`` and closed under every linear map
-    in ``actions`` (None: an image the span holds), stopping early at
-    dimension ``cap``; returns ``span``."""
-    first = span.add(start)
-    work = [] if first is None else [first]
-    while work and span.dim < cap:
-        w = work.pop()
-        for act in actions:
-            image = act(w)
-            if image is not None and (added := span.add(image)) is not None:
-                work.append(added)
-    return span
-
-
 def _left_mul(g, ncols, w):
     """g times the matrix with ``ncols`` columns flattened row by row into w,
     flattened the same way; with one column this is g times the vector w."""
     cols = [w[j::ncols] for j in range(ncols)]
     return [sum(map(mul, grow, col)) for grow in g for col in cols]
+
+
+def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
+    """Span of the orbit of the integer vector ``vec`` under the generator
+    images, or under their transposes, closed in the coordinates of the
+    factors A_i = R_i^T Y_i / s_i (``Representation.factor``) on the middles
+    M_ij = Y_i R_j^T (``Representation.middles``).
+
+    The orbit of v is W = span{v} + sum_i R_i^T V_i, where V_i in Q^(k_i) is
+    the least subspace that holds Y_i v and satisfies M_ij V_j in V_i for
+    every j.  Proof: A_i v = R_i^T (Y_i v) / s_i and A_i R_j^T x = R_i^T
+    (M_ij x) / s_i lie in R_i^T V_i, so W is invariant under every g_i = 1 +
+    A_i and holds v, and the orbit O lies in W.  Conversely the spaces {x :
+    R_i^T x in O} hold Y_i v and satisfy the same inclusions, as O is
+    invariant; they contain the least V_i, so W lies in O.  For the
+    transposes A_i^T = Y_i^T R_i / s_i the roles of R_i and Y_i swap, and the
+    middles are R_i Y_j^T = M_ji^T.
+
+    The V_i are closed on the middles, and a target is skipped once V_i is
+    Q^(k_i): each new basis vector of V_j costs a k_i x k_j product for each
+    V_i that is not full yet, and at k = 1 the closure is a search of the
+    graph of nonzero middles.  Where every V_i is full, W = span{v} + sum_i
+    Im A_i, which is Q^r whenever the images span Q^r: ``images_span`` says
+    the caller knows they do.  For the transposes the images are spanned by
+    the rows of the Y_i, which span Q^r exactly where the generators fix no
+    nonzero vector (their common kernel is the annihilator of those rows).
+    Otherwise v and the bases of the R_i^T V_i, at most 1 + sum_i k_i
+    vectors, are eliminated once.
+
+    Coordinates pay where the images are narrow: the V_i hold up to (n-1)k
+    vectors, each probing n-1 targets at k^2, against at most r vectors in
+    Q^r, each probing n-1 generators at k r.  A generator with (n-1) k_i^2 >
+    r^2, such as a twist whose image is all or nearly all of Q^r, acts in Q^r
+    instead, and those generators share one space U: U holds A_i x for each
+    of them and each x of v, U and the R_j^T V_j (none where c = Y_i x lies
+    in the span of the c applied before, as A_i x = R_i^T c / s_i is in U
+    then), and the other V_j hold Y_j U too.  The argument above shows that
+    span{v} + U + sum_j R_j^T V_j is the orbit.  So span{v} + U, which the
+    closure grows, lies in O, and where one of these A_i is invertible, U
+    holds A_i O, of the dimension of O: span{v} + U = O, and once full it
+    ends the closure early.
+    """
+    r, n = rep.r, rep.n
+    if not any(vec):
+        return Subspace.zero(r)
+    wide, invertible, outs, inns, spaces = [], False, {}, {}, {}
+    for i in range(1, n):
+        img, y, _ = rep.factor(i)
+        out, inn = (y, img.rows) if transposed else (img.rows, y)
+        if (n - 1) * img.dim ** 2 > r * r:
+            invertible |= img.is_full()
+            wide.append(partial(_left_mul, tuple(zip(*y)) if transposed else y, 1) if img.is_full()
+                        else partial(_factor_action, out, inn, EchelonSpan(img.dim)))
+        elif img.dim:
+            outs[i], inns[i], spaces[i] = out, inn, EchelonSpan(img.dim)
+    mids, ambient = rep.middles(transposed) if spaces else {}, EchelonSpan(r)
+    growing = dict(spaces)  # the V_i that are not Q^(k_i) yet
+    # (0, x): a vector x of span{v} + U; (j, w): a new basis vector w of V_j.
+    work = [(0, ambient.add(vec))]
+    while work and (growing or wide):
+        j, w = work.pop()
+        for i, space in list(growing.items()):
+            rows = inns[i] if j == 0 else mids.get((i, j))
+            if rows and (added := space.add([sum(map(mul, row, w)) for row in rows])) is not None:
+                work.append((i, added))
+                if space.dim == space.length:
+                    del growing[i]
+        if wide:
+            x = w if j == 0 else combine(w, outs[j], r)
+            for act in wide:
+                image = act(x)
+                if image is not None and (added := ambient.add(image)) is not None:
+                    if ambient.dim == r:
+                        return Subspace.full(r)
+                    work.append((0, added))
+    if invertible:
+        return ambient.to_subspace()
+    if images_span and not growing and not wide:
+        return Subspace.full(r)
+    for i, space in spaces.items():
+        for w in space.rows:
+            if ambient.dim == r:
+                return Subspace.full(r)
+            ambient.add(combine(w, outs[i], r))
+    return ambient.to_subspace()
 
 
 def _factor_action(out, inn, seen, w):
@@ -151,36 +231,26 @@ def _factor_action(out, inn, seen, w):
     return None if c is None else combine(c, out, len(w))
 
 
-def _orbit(rep, vec, transposed=False) -> EchelonSpan:
-    """Span of the orbit of the integer vector ``vec`` under the generator
-    images or their transposes: its closure under the factors A_i = R_i^T Y_i
-    / s_i of g_i - 1, or under A_i^T.  Rank k < r acts in O(k r) and adds at
-    most k vectors, 1 + (n-1)k inserts; at rank r, R_i = 1 and Y_i acts alone."""
-    actions = []
-    for i in range(1, rep.n):
-        img, y, _ = rep.factor(i)
-        if img.is_full():
-            actions.append(partial(_left_mul, tuple(zip(*y)) if transposed else y, 1))
-        elif img.dim:
-            out, inn = (y, img.rows) if transposed else (img.rows, y)
-            actions.append(partial(_factor_action, out, inn, EchelonSpan(img.dim)))
-    return _closure(EchelonSpan(rep.r), vec, actions, rep.r)
-
-
 def spin(rep, v) -> Subspace:
     """Smallest subspace containing v that is closed under all generator
     images and their inverses.  It is grown under the images alone: in finite
     dimension, a subspace an invertible map sends into itself is closed under
     the inverse map too."""
-    return _orbit(rep, clear_denominators(v)[0]).to_subspace()
+    return _orbit(rep, clear_denominators(v)[0])
 
 
 def _algebra_dim(gens, r, span) -> int:
     """Dimension of the unital algebra generated by the r x r integer
-    matrices ``gens`` over the field of ``span``: the closure of the
-    identity under left multiplication by the generators."""
-    ident = [int(i == j) for i in range(r) for j in range(r)]
-    return _closure(span, ident, [partial(_left_mul, g, r) for g in gens], r * r).dim
+    matrices ``gens`` over the field of ``span`` (an empty ``EchelonSpan`` or
+    ``_ModpSpan``): the closure of the identity under left multiplication by
+    the generators, stopped once it reaches r^2."""
+    work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
+    while work and span.dim < r * r:
+        w = work.pop()
+        for g in gens:
+            if (added := span.add(_left_mul(g, r, w))) is not None:
+                work.append(added)
+    return span.dim
 
 
 def _modp_algebra_is_full(rep) -> bool:
@@ -206,30 +276,43 @@ def _rational_algebra_dim(rep) -> int:
     return _algebra_dim(gens, rep.r, EchelonSpan(rep.r ** 2))
 
 
-def _rank_one_factors(m):
-    """Integer vectors ``(x, y)`` with m a nonzero multiple of x y^T, or
-    None when the rank of m is not one."""
-    y = next((row for row in m.num if any(row)), None)
+def _rank_one_factors(rows):
+    """Integer vectors ``(x, y)`` with the integer rows ``rows`` a nonzero
+    multiple of x y^T, or None when their rank is not one."""
+    y = next((row for row in rows if any(row)), None)
     if y is None:
         return None
     j = next(k for k, e in enumerate(y) if e)
-    x = [row[j] for row in m.num]
+    x = [row[j] for row in rows]
     # Every row of a rank-one matrix is a multiple of y, namely x_i / y_j times it.
-    if any(a * y[j] != xi * b for row, xi in zip(m.num, x) for a, b in zip(row, y)):
+    if any(a * y[j] != xi * b for row, xi in zip(rows, x) for a, b in zip(row, y)):
         return None
     return x, list(y)
 
 
+def _int_rows(rows, ncols) -> Matrix:
+    """The integer rows as a Matrix with ncols columns (one zero row where
+    there are none), for ``kernel_basis``."""
+    return Matrix._new(tuple(map(tuple, rows)) or ((0,) * ncols,), 1)
+
+
 def _norton_elements(rep):
-    """``(name, theta)`` for A_1, the neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1
-    and A_1 A_2, each formed when the caller asks for it.  They are words in
+    """``(name, left, z, d, p)`` for A_1, the neighbor cubic A_1 + A_1^2 +
+    A_1 A_2 A_1 and A_1 A_2, each formed when the caller asks for it, as
+    theta = X Z / d with X = R_1^T left on the factors A_i = R_i^T Y_i / s_i,
+    and p = Z X, k x k for the k rows of Z.  With M_ij = Y_i R_j^T from
+    ``rep.middles()``: A_1 is R_1^T Y_1 / s_1, p = M_11; the cubic is R_1^T C
+    Y_1 / (s_1 s_2)^2 for the s_2 C of ``braid._scaled_cubic``, p = M_11 C;
+    A_1 A_2 is R_1^T M_12 Y_2 / (s_1 s_2), p = M_21 M_12.  They are words in
     the generators, so they lie in the generated algebra in every basis."""
-    a = rep.deformation(1)
-    yield "A_1", a
+    mids, (img, y1, s1) = rep.middles(), rep.factor(1)
+    m11 = _block(rep, mids, 1, 1)
+    yield "A_1", _identity_rows(img.dim), y1, s1, m11
     if rep.n > 2:
-        b = rep.deformation(2)
-        yield "the neighbor cubic", neighbor_form(a, b)
-        yield "A_1 A_2", a * b
+        y2, s2 = rep.factor(2)[1:]
+        cubic, m12 = _scaled_cubic(rep, mids, 1, 2, s1, s2), _block(rep, mids, 1, 2)
+        yield "the neighbor cubic", cubic, y1, (s1 * s2) ** 2, mul_rows(m11, cubic, img.dim)
+        yield "A_1 A_2", m12, y2, s1 * s2, mul_rows(_block(rep, mids, 2, 1), m12, len(y2))
 
 
 def _norton_candidates(rep):
@@ -245,33 +328,72 @@ def _norton_candidates(rep):
     theta - lambda lies in it with theta, and Norton's argument for a rank-one
     element holds for it.  A kernel wider than a line has a first canonical
     row that depends on the basis, while a rank-one theta - lambda decides in
-    every basis."""
+    every basis.
+
+    Everything is read off the factors theta = X Z / d of
+    ``_norton_elements``, X = R_1^T left, with no r x r matrix: R_1^T is
+    injective and the rows of Z are independent, so theta has the rank of
+    left, and at rank one left = a b^T gives x = R_1^T a and y = Z^T b.  The
+    characteristic polynomial of theta is x^(r-k) times that of the k x k
+    matrix P = Z X / d = p / d, so its eigenvalues are those of P, with 0
+    where k < r.  For lambda != 0, ker(theta - lambda) = X ker(P - lambda),
+    on which X is injective, and ker(theta - lambda)^T = Z^T ker(P -
+    lambda)^T; so the nullity is read on k x k.  ker theta = ker(left Z) and
+    ker theta^T = ker(left^T R_1).  theta - lambda has rank one only where k
+    >= r - 1; there theta is formed for its factors."""
+    r, img = rep.r, rep.image(1)
     others = []
-    for name, theta in _norton_elements(rep):
-        found = _rank_one_factors(theta)
+    for name, left, z, d, p in _norton_elements(rep):
+        found = _rank_one_factors(left)
         if found is None:
-            others.append((name, theta))
+            others.append((name, left, z, d, p))
         else:
-            x, y = found
-            yield "factor", f"{name}, which has rank one", x, lambda y=y: y, True
-    ident = Matrix.identity(rep.r)
-    for name, theta in others:
-        for lam in rational_eigenvalues(theta):
-            shifted = theta - ident * lam
-            right = kernel_basis(shifted)
-            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
-                   partial(_first_left_kernel_row, shifted), right.dim == 1)
-            if right.dim == rep.r - 1:
-                x, y = _rank_one_factors(shifted)
+            a, b = found
+            yield ("factor", f"{name}, which has rank one", img.combination(a),
+                   partial(combine, b, z, r), True)
+    for name, left, z, d, p in others:
+        k = len(z)
+        small = _lowest_terms(p, d)
+        lams = set(rational_eigenvalues(small))
+        if k < r:
+            lams.add(Fraction(0))
+        for lam in sorted(lams):
+            if lam:
+                shifted = small - Matrix.identity(k) * lam
+                ws = kernel_basis(shifted).rows
+                right = Subspace._span(r, (img.combination([sum(map(mul, row, w)) for row in left]) for w in ws))
+                make_y = partial(_first_left_row, shifted, z, r)
+            else:
+                right = kernel_basis(_int_rows(mul_rows(left, z, r), r))
+                make_y = partial(_first_kernel_row, tuple(zip(*left)), img.rows, r)
+            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
+            if right.dim == r - 1:
+                x, y = _rank_one_factors(_shifted_theta(img, left, z, d, lam))
                 yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
 
 
-def _first_left_kernel_row(m):
-    """The first canonical row of the kernel of m^T."""
-    return kernel_basis(m.transpose()).rows[0]
+def _first_left_row(shifted, z, r):
+    """The first canonical row of Z^T ker(shifted^T), for the k x k shifted
+    = P - lambda of ``_norton_candidates``: ker(theta - lambda)^T."""
+    return Subspace._span(r, [combine(u, z, r) for u in kernel_basis(shifted.transpose()).rows]).rows[0]
 
 
-def _norton_step(rep) -> IrreducibilityVerdict | None:
+def _first_kernel_row(a, b, r):
+    """The first canonical row of the kernel of the product of the integer
+    rows a and b, b with r columns: ker(theta^T) = ker(left^T R_1) at 0."""
+    return kernel_basis(_int_rows(mul_rows(a, b, r), r)).rows[0]
+
+
+def _shifted_theta(img, left, z, d, lam):
+    """Integer rows of a positive multiple of theta - lambda, theta = R_1^T
+    left Z / d: q R_1^T (left Z) - a d for lambda = a / q."""
+    a, q = lam.as_integer_ratio()
+    lz = mul_rows(left, z, img.ambient_dim)
+    theta = (img.combination(col) for col in zip(*lz))  # columns of R_1^T (left Z)
+    return [[q * e - a * d * (i == j) for j, e in enumerate(row)] for i, row in enumerate(zip(*theta))]
+
+
+def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:
     """Norton's irreducibility test over Q on the elements of ``_norton_candidates``.
 
     A proper orbit A x of x under the generators is an invariant subspace.
@@ -282,22 +404,25 @@ def _norton_step(rep) -> IrreducibilityVerdict | None:
     a line, the input is absolutely irreducible: theta - lambda is singular
     on any proper submodule over the algebraic closure or on the quotient by
     it, so the submodule contains x or is annihilated by y, because the
-    nullity does not change under field extension.  Returns the first
-    verdict, or None when no element decides.
+    nullity does not change under field extension.  ``fixed_free`` says the
+    caller has found no common fixed vector, and ``images_span`` that the
+    images span Q^r, so the transposed and the right orbits may take the
+    shortcut of ``_orbit``.  Returns the first verdict, or None when no
+    element decides.
     """
     r = rep.r
     for kind, where, x, make_y, decisive in _norton_candidates(rep):
-        right = _orbit(rep, x)
+        right = _orbit(rep, x, images_span=images_span)
         if right.dim < r:
-            verdict = _verified_reducible(rep, right.to_subspace(), f"orbit of a right {kind} of {where}")
+            verdict = _verified_reducible(rep, right, f"orbit of a right {kind} of {where}")
         else:
-            left = _orbit(rep, make_y(), transposed=True)
+            left = _orbit(rep, make_y(), transposed=True, images_span=fixed_free)
             if left.dim == r:
                 if decisive:
                     return _closure_verdict(rep, r * r, None)
                 continue
             verdict = _verified_reducible(
-                rep, kernel_basis(Matrix(left.rows)),
+                rep, kernel_basis(Matrix._new(left.rows, 1)),
                 f"annihilator of the transposed orbit of a left {kind} of {where}",
             )
         if verdict is not None:
@@ -331,17 +456,22 @@ def _closure_verdict(rep, dim, thin_detail) -> IrreducibilityVerdict:
 def _is_invariant(rep, w: Subspace) -> bool:
     """Whether every generator image and every inverse maps w into itself.
 
-    g_i = 1 + A_i maps a row v of w into w exactly when A_i v, a multiple
-    of R_i^T (Y_i v), lies in w, which needs checking only where Y_i v is
-    not 0.  Only g w within w is checked: every image is proved invertible
-    when the family is built, so g w has the dimension of w and equals it,
-    and g^-1 w = w follows without forming g^-1.
+    g_i = 1 + A_i maps w into w exactly when A_i w = R_i^T (Y_i w) does,
+    that is when R_i^T c lies in w for c in a basis of the span of the Y_i v,
+    v the rows of w: where k < dim w, a c in the span of those checked
+    before is skipped, so at most k memberships are tested.  Only g w within
+    w is checked: every image is proved invertible when the family is built,
+    so g w has the dimension of w and equals it, and g^-1 w = w follows
+    without forming g^-1.
     """
     for i in range(1, rep.n):
         img, y, _ = rep.factor(i)
+        seen = EchelonSpan(img.dim) if img.dim < w.dim else None
         for v in w.rows:
             c = [sum(map(mul, row, v)) for row in y]
-            if any(c) and not w.contains_ints(img.combination(c)):
+            if seen is not None:
+                c = seen.add(c)
+            if c is not None and any(c) and not w.contains_ints(img.combination(c)):
                 return False
     return True
 
@@ -372,15 +502,17 @@ def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
 def _image_eigenspaces(rep, i):
     """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its image.
 
-    An eigenvector at lambda != 0 is A_i of itself over lambda, so it lies in
-    the image already; only the kernel of A_i needs cutting down to it."""
-    a, (img, _, s) = rep.deformation(i), rep.factor(i)
+    A_i R_i^T = R_i^T (Y_i R_i^T) / s_i: A_i acts on its image, in the basis
+    R_i^T, as P = M_ii / s_i, and R_i^T is injective, so the eigenspace is
+    R_i^T ker(P - lambda).  At lambda != 0 that is the whole eigenspace of
+    A_i, as an eigenvector is A_i of itself over lambda; at 0 it is Im A_i
+    cap ker A_i."""
+    img, _, s = rep.factor(i)
     if img.is_zero():
         return []
-    # A_i R_i^T = R_i^T (Y_i R_i^T) / s_i: A_i on its image, in the basis R_i^T.
-    on_image = Matrix._new(tuple(map(tuple, rep.middle(i, i))), 1) * Fraction(1, s)
-    ident = Matrix.identity(rep.r)
-    return [(lam, kernel_basis(a - ident * lam) if lam else img.intersect(kernel_basis(a)))
+    on_image = _lowest_terms(rep.middle(i, i), s)
+    ident = Matrix.identity(img.dim)
+    return [(lam, Subspace._span(rep.r, map(img.combination, kernel_basis(on_image - ident * lam).rows)))
             for lam in rational_eigenvalues(on_image)]
 
 
@@ -404,7 +536,7 @@ def disconnected_invariant_subspace(rep) -> IrreducibilityVerdict:
             "the construction needs a field extension"
         )
     for lam, w in eigenspaces:
-        orbit = _orbit(rep, w.rows[0]).to_subspace()
+        orbit = _orbit(rep, w.rows[0])
         verdict = _verified_reducible(rep, orbit, f"eigenvector chain at eigenvalue {lam}")
         if verdict is not None:
             return verdict
@@ -617,11 +749,22 @@ def dimension_bound_check(rep) -> bool:
     return rep.r <= (rep.n - 1) * (k - 1) + 1
 
 
-def _common_fixed_vectors(rep):
-    """Reducible verdict witnessed by the vectors every generator fixes, or None."""
-    # ker A_i = ker Y_i, as R_i^T is injective: (n-1)k stacked rows.
-    stacked = tuple(row for i in range(1, rep.n) for row in rep.factor(i)[1]) or ((0,) * rep.r,)
-    return _verified_reducible(rep, kernel_basis(Matrix._new(stacked, 1)), "common fixed vectors")
+def _witness_steps(rep) -> IrreducibilityVerdict | None:
+    """Common fixed vectors, then the Norton step: the first verdict, or None.
+
+    The fixed vectors are ker A_i = ker Y_i, as R_i^T is injective: the
+    kernel of the (n-1)k stacked rows Y_i.  Where the k_i add up to r and no
+    image is full, ``rep.middle_product`` is the r x r matrix Y R^T of the
+    stacked rows Y_i and R_i, of rank r exactly when both are invertible:
+    when no nonzero vector is fixed and the images span Q^r, which the
+    Norton step's orbits then take as known."""
+    r = rep.r
+    square = sum(rep.image(i).dim for i in range(1, rep.n)) == r and not rep.has_full_image
+    if square and rank(_int_rows(rep.middle_product, r)) == r:
+        return _norton_step(rep, fixed_free=True, images_span=True)
+    stacked = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
+    fixed = kernel_basis(_int_rows(stacked, r))
+    return _verified_reducible(rep, fixed, "common fixed vectors") or _norton_step(rep, fixed.is_zero())
 
 
 def invariant_subspace_search(rep) -> IrreducibilityVerdict:
@@ -632,7 +775,7 @@ def invariant_subspace_search(rep) -> IrreducibilityVerdict:
     this entry point stays because the benchmark's ``classify.witness_search``
     span is bound to it by name.
     """
-    verdict = _common_fixed_vectors(rep) or _norton_step(rep)
+    verdict = _witness_steps(rep)
     if verdict is not None and verdict.tag is Verdict.REDUCIBLE:
         return verdict
     return IrreducibilityVerdict(
@@ -668,7 +811,7 @@ def decide_irreducibility(rep):
             return verdict, standard_form, None
         except (PreconditionError, NotARepresentationError) as exc:
             standard_form_err = str(exc)
-    verdict = _common_fixed_vectors(rep) or _norton_step(rep)
+    verdict = _witness_steps(rep)
     if verdict is None:
         dim, verdict = burnside_dimension(rep)
         if dim < rep.r:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
+from operator import and_
 
 from .braid import circular_distance
 from .errors import PreconditionError, TrichotomyViolationError
@@ -94,13 +95,21 @@ def are_friends(rep, i, j) -> bool:
     is iff dim(U + V), the rank of their stacked canonical rows, is below
     dim U + dim V.  As dim(U + V) <= r, they meet where dim U + dim V > r, and
     neither a rank nor Im A_0 is formed there: A_0 = D A_(n-1) D^-1 has the
-    dimension of Im A_(n-1)."""
+    dimension of Im A_(n-1).  Two exact tests come before the rank: a
+    canonical row that U and V share is a nonzero vector of both, and where
+    no column is nonzero in both U and V, a common vector is 0."""
     if i == j:
         raise ValueError("friendship is between distinct generators")
     last = rep.n - 1
     if rep.image(i or last).dim + rep.image(j or last).dim > rep.r:
         return True
     u, v = rep.image(i), rep.image(j)
+    # Both tests stop early on dense rows: these differ, and meet, in their
+    # first columns.
+    if any(map(v.rows.__contains__, u.rows)):
+        return True
+    if not any(map(and_, map(any, zip(*u.rows)), map(any, zip(*v.rows)))):
+        return False
     return rank(Matrix._new((*u.rows, *v.rows), 1)) < u.dim + v.dim
 
 

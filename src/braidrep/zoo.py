@@ -12,7 +12,9 @@ library callers, ``tensor_character``), factors each one and proves it
 invertible.  The dense images g_i, D = g_1 ... g_(n-1) and the image sigma0
 of s0 (which inverts D itself) are computed on first use and cached; a
 deformation A_i is built on each request.  Im A_0 = D Im A_(n-1) comes from
-the factors, without D.  All values are immutable.
+the factors, without D.  The k x k middles M_ij = Y_i R_j^T of all pairs,
+which the relation check and the Norton step read, come from one product,
+formed on first use and cached.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -177,22 +179,30 @@ class Representation:
         y, img = self.factor(i)[1], self.image(j)
         return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
 
-    def middles(self) -> dict:
-        """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1, keyed by (i, j),
-        a zero one left out, all read from one product of the stacked rows
-        Y_1 ... Y_(n-1) with the stacked canonical rows R_1 ... R_(n-1) transposed."""
-        imgs = [self.image(i) for i in range(1, self.n)]
-        rows = [row for img in imgs for row in img.rows]
-        ys = [row for i in range(1, self.n) for row in self.factor(i)[1]]
-        prod = mul_rows(ys, tuple(zip(*rows)), len(rows))
-        at = [0, *accumulate(img.dim for img in imgs)]  # generator i owns at[i-1] .. at[i]
-        owner = [j for j in range(1, self.n) for _ in range(at[j - 1], at[j])]
-        out = {}
-        for i in range(1, self.n):
-            band = prod[at[i - 1] : at[i]]
-            for j in {owner[c] for row in band for c, e in enumerate(row) if e}:
-                out[i, j] = [row[at[j - 1] : at[j]] for row in band]
-        return out
+    def middles(self, transposed=False) -> dict:
+        """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1 as integer
+        rows, keyed by (i, j), a zero one left out; with
+        ``transposed``, the middles R_i Y_j^T = M_ji^T of the transposed
+        factors A_i^T = Y_i^T R_i / s_i, keyed the same way.  Both are read
+        from ``middle_product`` and cached: the dicts and their rows are
+        shared, so callers only read them."""
+        return self._transposed_middles if transposed else self._middles
+
+    @cached_property
+    def middle_product(self) -> list:
+        """The integer rows of Y R^T, for Y the stacked rows Y_1 ... Y_(n-1)
+        and R the stacked canonical rows of the images that are not full:
+        the blocks M_ij side by side, from one product formed on first use
+        (``_middle_product``) and shared, so callers only read it."""
+        return _middle_product(self)
+
+    @cached_property
+    def _middles(self) -> dict:
+        return _middle_blocks(self, self.middle_product)
+
+    @cached_property
+    def _transposed_middles(self) -> dict:
+        return {(j, i): [list(col) for col in zip(*mid)] for (i, j), mid in self._middles.items()}
 
     def act(self, i, v) -> tuple[list, int]:
         """``(w, s)`` with g_i v = w / s for an integer vector v:
@@ -231,6 +241,32 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(n={self.n}, r={self.r}, label={self.label!r})"
+
+
+def _middle_product(rep) -> list:
+    """``Representation.middle_product``, in one ``mul_rows``."""
+    rows = [row for i in range(1, rep.n) if not rep.image(i).is_full() for row in rep.image(i).rows]
+    ys = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
+    return mul_rows(ys, tuple(zip(*rows)), len(rows))
+
+
+def _middle_blocks(rep, prod) -> dict:
+    """``Representation.middles`` cut from the product ``prod`` of
+    ``_middle_product``; M_ij = Y_i where Im A_j is full, as R_j = 1 there."""
+    n, imgs = rep.n, [rep.image(i) for i in range(1, rep.n)]
+    narrow = [j for j, img in enumerate(imgs, 1) if not img.is_full()]
+    at = [0, *accumulate(imgs[j - 1].dim for j in narrow)]  # narrow[c] owns columns at[c] .. at[c+1]
+    owner = [c for c in range(len(narrow)) for _ in range(at[c], at[c + 1])]
+    full = [j for j, img in enumerate(imgs, 1) if img.is_full()]
+    out, first = {}, 0
+    for i in range(1, n):
+        y = rep.factor(i)[1]
+        band, first = prod[first : first + len(y)], first + len(y)
+        for c in {owner[col] for row in band for col, e in enumerate(row) if e}:
+            out[i, narrow[c]] = [row[at[c] : at[c + 1]] for row in band]
+        for j in full if y else ():
+            out[i, j] = y
+    return out
 
 
 def _factor(a, img=None) -> tuple[Subspace, tuple, int]:

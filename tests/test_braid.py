@@ -484,7 +484,7 @@ def test_middles_are_the_nonzero_blocks_of_each_middle():
         nonzero = [(i, j) for i, j in pairs if any(map(any, rep.middle(i, j)))]
         mids = rep.middles()
         assert sorted(mids) == nonzero, rep.label
-        assert all(list(map(list, rep.middle(i, j))) == mid for (i, j), mid in mids.items()), rep.label
+        assert all(list(map(list, rep.middle(i, j))) == list(map(list, mid)) for (i, j), mid in mids.items()), rep.label
 
 
 def test_far_pairs_broken_family_passes_the_shift_and_braid_checks():

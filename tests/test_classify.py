@@ -16,8 +16,10 @@ from braidrep.classify import (
     _norton_candidates,
     _norton_step,
     _orbit,
+    _rank_one_factors,
     _rational_algebra_dim,
     _verified_reducible,
+    _witness_steps,
     analyze,
     burnside_dimension,
     decide_irreducibility,
@@ -794,6 +796,104 @@ def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
             assert decisive is (rank(shifted) == rep.r - 1)
 
 
+def _mixed_deformations():
+    """Images on 4 strands in dimension 3 whose deformations have full rank,
+    rank one and rank 0, in a scrambled basis: not a representation."""
+    gens = [Matrix([[2, 1, 0], [0, 3, 1], [1, 0, 2]]), Matrix([[1, 0, 0], [1, 2, 0], [0, 0, 1]]),
+            Matrix.identity(3)]
+    return scrambled(Representation(4, 3, gens, label="mixed"), 2)
+
+
+def _dense_norton_vectors(rep):
+    """Reference for ``_norton_vectors``: the same candidates read off the
+    dense r x r elements, their dense eigenvalues and kernels."""
+    a = rep.deformation(1)
+    thetas = [("A_1", a)]
+    if rep.n > 2:
+        b = rep.deformation(2)
+        thetas += [("the neighbor cubic", neighbor_form(a, b)), ("A_1 A_2", a * b)]
+    others = []
+    for name, theta in thetas:
+        found = _rank_one_factors(theta.num)
+        if found is None:
+            others.append((name, theta))
+        else:
+            yield "factor", f"{name}, which has rank one", found[0], found[1], True
+    ident = Matrix.identity(rep.r)
+    for name, theta in others:
+        for lam in rational_eigenvalues(theta):
+            shifted = theta - ident * lam
+            right = kernel_basis(shifted)
+            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
+                   kernel_basis(shifted.transpose()).rows[0], right.dim == 1)
+            if right.dim == rep.r - 1:
+                x, y = _rank_one_factors(shifted.num)
+                yield "factor", f"{name} minus {lam}, which has rank one", x, y, True
+
+
+def _candidate_cases():
+    for rep in build_zoo():
+        yield rep
+        yield scrambled(rep, 1)
+    yield from random_families()
+    yield broken_family()
+    yield _mixed_deformations()
+    yield Representation(4, 2, [Matrix.identity(2)] * 3)
+    yield Representation(3, 2, [Matrix(((2, 0), (0, 1))), Matrix(((1, 0), (1, 2)))])
+    yield scrambled(direct_sum(tym_standard(5, 2), character_rep(5, 1)), 2)
+    yield scrambled(direct_sum(tym_standard(4, 2), tym_standard(4, 3)), 7)
+    yield scrambled(tensor_character(reduced_burau(6, 2), -1), 3)
+    yield scrambled(tensor_character(tym_standard(6, 1), 2), 4)
+
+
+@pytest.mark.parametrize("rep", list(_candidate_cases()), ids=repr)
+def test_factored_candidates_match_the_dense_ones(rep):
+    # Same order, details and decisiveness, and x and y on the same lines.
+    def lines(found):
+        return [(kind, where, Subspace(rep.r, [x]), Subspace(rep.r, [y]), decisive)
+                for kind, where, x, y, decisive in found]
+
+    assert lines(_norton_vectors(rep)) == lines(_dense_norton_vectors(rep))
+
+
+def _spy_rep_middles(monkeypatch):
+    import braidrep.zoo as zoo
+
+    calls, original = [], zoo._middle_product
+    monkeypatch.setattr(zoo, "_middle_product", lambda rep: calls.append(rep) or original(rep))
+    return calls
+
+
+def test_analyze_forms_the_stacked_middle_product_once(monkeypatch):
+    calls = _spy_rep_middles(monkeypatch)
+    rep = scrambled(reduced_burau(8, 2), 3)
+    assert analyze(rep).verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
+    assert calls == [rep]
+
+
+@pytest.mark.parametrize("rep", [
+    scrambled(reduced_burau(8, 2), 3),
+    parse_rep_spec("conj(dsum(tym:n=8,u=2,tym:n=8,u=3),seed=7)")[0],
+], ids=lambda rep: rep.label)
+def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep):
+    import braidrep.linalg as linalg
+
+    sizes, charpoly = [], linalg.charpoly
+
+    def counted(m):
+        sizes.append(m.nrows)
+        return charpoly(m)
+
+    def refused(self, i):
+        raise AssertionError(f"deformation {i} formed")
+
+    monkeypatch.setattr(linalg, "charpoly", counted)
+    monkeypatch.setattr(Representation, "deformation", refused)
+    verdict = _norton_step(rep)
+    assert verdict is not None
+    assert all(size < rep.r for size in sizes)
+
+
 def test_norton_step_forms_no_left_kernel_after_a_proper_right_orbit(monkeypatch):
     # A_1 of the sum has the eigenvalue -4 of the first summand only; its
     # right eigenvector spans a proper orbit, a witness, and no left kernel
@@ -1191,27 +1291,118 @@ def _orbit_by_products(rep, v, transposed):
     return span
 
 
-@pytest.mark.parametrize("rep", [
-    tym_standard(6, 2),
-    scrambled(tym_standard(6, 1), 3),
-    scrambled(reduced_burau(6, 2), 4),
-    scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
-    # every deformation of full rank, k = r
-    scrambled(tensor_character(reduced_burau(6, 2), -1), 3),
-    # k = r and upper triangular: e_0 spans an invariant line, its transposed orbit is Q^2
-    Representation(3, 2, [Matrix([[2, 1], [0, 3]]), Matrix([[3, 1], [0, 2]])], label="triangular"),
-    # a summand whose deformations are 0
-    scrambled(direct_sum(tym_standard(5, 2), character_rep(5, 1)), 2),
-    Representation(4, 2, [Matrix.identity(2)] * 3),
-], ids=repr)
+def _orbit_cases():
+    yield from [
+        tym_standard(6, 2),
+        scrambled(tym_standard(6, 1), 3),
+        scrambled(reduced_burau(6, 2), 4),
+        scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
+        # every deformation of full rank, k = r
+        scrambled(tensor_character(reduced_burau(6, 2), -1), 3),
+        # k = r and upper triangular: e_0 spans an invariant line, its transposed orbit is Q^2
+        Representation(3, 2, [Matrix([[2, 1], [0, 3]]), Matrix([[3, 1], [0, 2]])], label="triangular"),
+        # a summand whose deformations are 0
+        scrambled(direct_sum(tym_standard(5, 2), character_rep(5, 1)), 2),
+        Representation(4, 2, [Matrix.identity(2)] * 3),
+        broken_family(),
+        _mixed_deformations(),
+    ]
+    yield from random_families()
+
+
+@pytest.mark.parametrize("rep", list(_orbit_cases()), ids=repr)
 @pytest.mark.parametrize("transposed", [False, True], ids=["right", "transposed"])
 def test_factored_orbit_matches_the_orbit_under_the_images(rep, transposed):
     rng = Random(rep.r)
     vectors = [[int(j == k) for j in range(rep.r)] for k in range(rep.r)]
     vectors += [[rng.randint(-3, 3) for _ in range(rep.r)] for _ in range(3)]
     for v in vectors:
-        got = _orbit(rep, v, transposed).to_subspace()
-        assert got == _orbit_by_products(rep, v, transposed), (rep.label, v)
+        assert _orbit(rep, v, transposed) == _orbit_by_products(rep, v, transposed), (rep.label, v)
+
+
+def _spans_q_r(rep, transposed):
+    """Whether the images of the A_i, or of their transposes, span Q^r."""
+    rows = [row for i in range(1, rep.n)
+            for row in (rep.factor(i)[1] if transposed else rep.image(i).rows)]
+    return Subspace(rep.r, rows).is_full() if rows else False
+
+
+def _square_cases():
+    # Two families with k_1 + k_2 = r = 2: one fixes e_2, and the images of
+    # the other both are the line of e_1.
+    fixing = Representation(3, 2, [Matrix([[2, 0], [0, 1]]), Matrix([[3, 0], [0, 1]])], label="fixing")
+    one_line = Representation(3, 2, [Matrix([[2, 0], [0, 1]]), Matrix([[1, 1], [0, 1]])], label="one line")
+    for rep in (*build_zoo(), *random_families(), broken_family(), _mixed_deformations(), fixing, one_line):
+        for seed in (None, 1, 2):
+            yield rep if seed is None else scrambled(rep, seed)
+
+
+def test_square_middle_product_has_rank_r_exactly_when_both_stacks_span():
+    # Where the k_i add up to r and no image is full, Y R^T is r x r.
+    seen = deficient = 0
+    for rep in _square_cases():
+        if sum(rep.image(i).dim for i in range(1, rep.n)) != rep.r or rep.has_full_image:
+            continue
+        seen += 1
+        both = _spans_q_r(rep, False) and _spans_q_r(rep, True)
+        assert (rank(Matrix(rep.middle_product)) == rep.r) == both, rep.label
+        assert _witness_steps_agree(rep)
+        deficient += not both
+    assert seen >= 12 and deficient >= 6
+
+
+def _witness_steps_agree(rep):
+    """The ladder's witness steps give the verdict of the fixed vectors and
+    the Norton step run without the square shortcut."""
+    fixed = kernel_basis(Matrix([row for i in range(1, rep.n) for row in rep.factor(i)[1]]))
+    expected = _verified_reducible(rep, fixed, "common fixed vectors") or _norton_step(rep)
+    return _witness_steps(rep) == expected
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("transposed", [False, True], ids=["right", "transposed"])
+def test_orbit_shortcut_reports_full_only_for_full_orbits(seed, transposed):
+    # The shortcut trusts its caller that the images span Q^r; given the
+    # truth, every full orbit it reports is Q^r under the products.
+    for rep in build_zoo():
+        if seed is not None:
+            rep = scrambled(rep, seed)
+        spans = _spans_q_r(rep, transposed)
+        rng = Random(rep.r)
+        vectors = [[int(j == k) for j in range(rep.r)] for k in range(rep.r)]
+        vectors += [[rng.randint(-3, 3) for _ in range(rep.r)] for _ in range(2)]
+        for v in vectors:
+            got = _orbit(rep, v, transposed, images_span=spans)
+            assert got == _orbit(rep, v, transposed), (rep.label, v)
+            if got.is_full():
+                assert _orbit_by_products(rep, v, transposed).is_full(), (rep.label, v)
+
+
+@pytest.mark.parametrize("rep", [
+    scrambled(direct_sum(reduced_burau(5, 2), reduced_burau(5, 3)), 1),
+    scrambled(direct_sum(tym_standard(4, 2), tym_standard(4, 1)), 2),
+    scrambled(tensor_character(reduced_burau(5, 2), -1), 3),
+    _mixed_deformations(),
+    # A_1 = e_2 e_1^T: on span(e_0, e_1) the first row passes and the second fails
+    Representation(3, 3, [Matrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]), Matrix.identity(3)], label="shear"),
+], ids=lambda rep: rep.label)
+def test_witness_check_agrees_with_explicit_inverses_on_spans(rep):
+    # Orbits are invariant; an orbit plus a vector, a coordinate plane or a
+    # random span mostly is not, and may fail only at a row past the first.
+    rng, r = Random(rep.r), rep.r
+    for a in range(r):
+        for b in range(a + 1, r):
+            w = Subspace(r, [unit(a, r), unit(b, r)])
+            assert _is_invariant(rep, w) is _invariant_by_inverses(rep, w), (rep.label, a, b)
+    for _ in range(6):
+        v = [rng.randint(-3, 3) for _ in range(r)]
+        orbit = _orbit_by_products(rep, v, False)
+        extra = [rng.randint(-3, 3) for _ in range(r)]
+        spans = [orbit, Subspace(r, [*orbit.basis_vectors(), extra]),
+                 Subspace(r, [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, r - 1))])]
+        for w in spans:
+            if 0 < w.dim < r:
+                assert _is_invariant(rep, w) is _invariant_by_inverses(rep, w), (rep.label, w.rows)
 
 
 def _moved_inside_its_image(k, j):

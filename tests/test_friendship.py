@@ -129,6 +129,12 @@ def _friendship_inputs():
     yield broken_family()
     yield from random_families()
     yield from delta_families()
+    # plain sums with a character: every pair shares the character's row
+    # where y != 1, and pairs of the other summand may have disjoint supports
+    for y in (3, 1):
+        yield direct_sum(tym_standard(8, 2), character_rep(8, y))
+        yield direct_sum(character_rep(6, y), reduced_burau(6, 2))
+    yield direct_sum(tym_standard(5, 2), tym_standard(5, 3))
 
 
 @pytest.mark.parametrize("rep", list(_friendship_inputs()), ids=repr)
@@ -136,6 +142,26 @@ def test_friendship_is_a_nonzero_intersection(rep):
     # The Zassenhaus intersection of the two images is the reference.
     for i, j in permutations(range(rep.n), 2):
         assert are_friends(rep, i, j) == (not rep.image(i).intersect(rep.image(j)).is_zero()), (i, j)
+
+
+@pytest.mark.parametrize("rep, calls", [
+    # a shared canonical row decides every pair
+    (direct_sum(tym_standard(16, 2), character_rep(16, 3)), 0),
+    # unit-vector rows: a shared row or disjoint supports decides every pair
+    (tym_standard(8, 3), 0),
+    # dense rows after a change of basis: every one of the 28 pairs takes a rank
+    (scrambled(tym_standard(8, 3), 2), 28),
+], ids=repr)
+def test_friendship_pre_tests_skip_the_rank(monkeypatch, rep, calls):
+    import braidrep.friendship as friendship
+
+    ranks, rank = [], friendship.rank
+    monkeypatch.setattr(friendship, "rank", lambda m: ranks.append(m) or rank(m))
+    graph = full_friendship_graph(rep)
+    assert len(ranks) == calls
+    assert graph.adjacency == tuple(
+        tuple(i != j and not rep.image(i).intersect(rep.image(j)).is_zero() for j in range(rep.n))
+        for i in range(rep.n))
 
 
 def test_reduced_graph_is_conjugation_invariant():

@@ -41,6 +41,12 @@ GOLDEN = {
     "broken": str(DATA / "broken_family.json"),
     # random images whose friendship graph is not a D-translate of one row
     "random_seed5": str(DATA / "random_seed5.json"),
+    # the Norton step's witnesses: the orbit of a right factor of a rank-one A_1,
+    # the orbit of an eigenvector of the neighbor cubic, and the annihilator
+    # of a transposed orbit
+    "burau_minus1": "conj(burau:n=6,t=-1,seed=7)",
+    "dsum_tym3": "conj(dsum(tym:n=3,u=2,tym:n=3,u=3),seed=7)",
+    "transposed": str(DATA / "transposed_family.json"),
 }
 
 
