@@ -331,16 +331,18 @@ def _norton_candidates(rep):
     every basis.
 
     Everything is read off the factors theta = X Z / d of
-    ``_norton_elements``, X = R_1^T left, with no r x r matrix: R_1^T is
-    injective and the rows of Z are independent, so theta has the rank of
-    left, and at rank one left = a b^T gives x = R_1^T a and y = Z^T b.  The
-    characteristic polynomial of theta is x^(r-k) times that of the k x k
-    matrix P = Z X / d = p / d, so its eigenvalues are those of P, with 0
-    where k < r.  For lambda != 0, ker(theta - lambda) = X ker(P - lambda),
-    on which X is injective, and ker(theta - lambda)^T = Z^T ker(P -
-    lambda)^T; so the nullity is read on k x k.  ker theta = ker(left Z) and
-    ker theta^T = ker(left^T R_1).  theta - lambda has rank one only where k
-    >= r - 1; there theta is formed for its factors."""
+    ``_norton_elements``, X = R_1^T left: R_1^T is injective and the rows of
+    Z are independent, so theta has the rank of left, and at rank one
+    left = a b^T gives x = R_1^T a and y = Z^T b.  The characteristic
+    polynomial of theta is x^(r-k) times that of the k x k matrix
+    P = Z X / d = p / d, so its eigenvalues are those of P, with 0 where
+    k < r.  For lambda != 0, ker(theta - lambda) = X ker(P - lambda), on
+    which X is injective, and ker(theta - lambda)^T = Z^T ker(P - lambda)^T;
+    so the nullity is read on k x k.  ker theta = ker(left Z) and
+    ker theta^T = ker(left^T R_1).  Only where k >= r - 1 is theta formed:
+    P is then about as large, the kernels of theta - lambda come out
+    canonical with no elimination of the X w, and theta - lambda may have
+    rank one (it has rank at least r - k for lambda != 0)."""
     r, img = rep.r, rep.image(1)
     others = []
     for name, left, z, d, p in _norton_elements(rep):
@@ -357,8 +359,13 @@ def _norton_candidates(rep):
         lams = set(rational_eigenvalues(small))
         if k < r:
             lams.add(Fraction(0))
+        theta = _theta(img, left, z, d) if k >= r - 1 else None
         for lam in sorted(lams):
-            if lam:
+            if theta is not None:
+                shifted = theta - Matrix.identity(r) * lam
+                right = kernel_basis(shifted)
+                make_y = partial(_first_left_kernel_row, shifted)
+            elif lam:
                 shifted = small - Matrix.identity(k) * lam
                 ws = kernel_basis(shifted).rows
                 right = Subspace._span(r, (img.combination([sum(map(mul, row, w)) for row in left]) for w in ws))
@@ -368,8 +375,13 @@ def _norton_candidates(rep):
                 make_y = partial(_first_kernel_row, tuple(zip(*left)), img.rows, r)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
             if right.dim == r - 1:
-                x, y = _rank_one_factors(_shifted_theta(img, left, z, d, lam))
+                x, y = _rank_one_factors(shifted.num)
                 yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
+
+
+def _first_left_kernel_row(m):
+    """The first canonical row of the kernel of m^T."""
+    return kernel_basis(m.transpose()).rows[0]
 
 
 def _first_left_row(shifted, z, r):
@@ -384,13 +396,12 @@ def _first_kernel_row(a, b, r):
     return kernel_basis(_int_rows(mul_rows(a, b, r), r)).rows[0]
 
 
-def _shifted_theta(img, left, z, d, lam):
-    """Integer rows of a positive multiple of theta - lambda, theta = R_1^T
-    left Z / d: q R_1^T (left Z) - a d for lambda = a / q."""
-    a, q = lam.as_integer_ratio()
-    lz = mul_rows(left, z, img.ambient_dim)
-    theta = (img.combination(col) for col in zip(*lz))  # columns of R_1^T (left Z)
-    return [[q * e - a * d * (i == j) for j, e in enumerate(row)] for i, row in enumerate(zip(*theta))]
+def _theta(img, left, z, d) -> Matrix:
+    """theta = R_1^T left Z / d, r x r, for the canonical rows R_1 of img:
+    row q of R_1^T (left Z) combines the rows of left Z by column q of R_1."""
+    r = img.ambient_dim
+    lz = mul_rows(left, z, r)
+    return _lowest_terms([combine(col, lz, r) for col in zip(*img.rows)] if img.rows else [[0] * r] * r, d)
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:

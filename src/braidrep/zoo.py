@@ -244,10 +244,11 @@ class Representation:
 
 
 def _middle_product(rep) -> list:
-    """``Representation.middle_product``, in one ``mul_rows``."""
+    """``Representation.middle_product``, in one ``mul_rows`` (none where
+    every image is full)."""
     rows = [row for i in range(1, rep.n) if not rep.image(i).is_full() for row in rep.image(i).rows]
     ys = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
-    return mul_rows(ys, tuple(zip(*rows)), len(rows))
+    return mul_rows(ys, tuple(zip(*rows)), len(rows)) if rows else [[] for _ in ys]
 
 
 def _middle_blocks(rep, prod) -> dict:
