@@ -301,10 +301,11 @@ def _norton_elements(rep):
     A_1 A_2 A_1 and A_1 A_2, each formed when the caller asks for it, as
     theta = X Z / d with X = R_1^T left on the factors A_i = R_i^T Y_i / s_i,
     and p = Z X, k x k for the k rows of Z.  With M_ij = Y_i R_j^T from
-    ``rep.middles()``: A_1 is R_1^T Y_1 / s_1, p = M_11; the cubic is R_1^T C
-    Y_1 / (s_1 s_2)^2 for the s_2 C of ``braid._scaled_cubic``, p = M_11 C;
-    A_1 A_2 is R_1^T M_12 Y_2 / (s_1 s_2), p = M_21 M_12.  They are words in
-    the generators, so they lie in the generated algebra in every basis."""
+    ``rep.middles()``: A_1 is R_1^T Y_1 / s_1, p = M_11; the cubic is
+    R_1^T C' Y_1 / (s_1 s_2)^2 for the C' = s_2 C of ``braid._scaled_cubic``,
+    p = M_11 C'; A_1 A_2 is R_1^T M_12 Y_2 / (s_1 s_2), p = M_21 M_12.
+    They are words in the generators, so they lie in the generated algebra
+    in every basis."""
     mids, (img, y1, s1) = rep.middles(), rep.factor(1)
     m11 = _block(rep, mids, 1, 1)
     yield "A_1", _identity_rows(img.dim), y1, s1, m11
