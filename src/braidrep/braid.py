@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import ShapeError
@@ -81,13 +80,13 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
     R_i^T Y_i / s_i of rank k (``Representation.factor``), through the k x k
     middles M_ij = Y_i R_j^T of ``Representation.middles``: a far pair by
     ``_commutes``, a braid pair by ``_braid_holds``, so no product of
-    generators is formed.  Where some A_i has full rank r (the constructor's
-    rule for forming D), the middles are r x r and the check first tries a
-    shortcut in O(n) relations through D = ``rep.tau``, the image of delta =
-    s1 s2 ... s(n-1): B_n is presented on sigma_1 and delta (Kassel and
-    Turaev, *Braid Groups*, GTM 247, Ch. 1).  It tests the shifts D g_i =
-    g_(i+1) D for i <= n-2 and the commutation of g_1 with g_j for 3 <= j <=
-    n//2 + 1.  These hold in every representation, since delta s_i delta^-1
+    generators is formed.  Where some A_i has full rank r
+    (``Representation.has_full_image``), the middles are r x r and the check
+    first tries a shortcut in O(n) relations through D = ``rep.tau``, the
+    image of delta = s1 s2 ... s(n-1): B_n is presented on sigma_1 and delta
+    (Kassel and Turaev, *Braid Groups*, GTM 247, Ch. 1).  It tests the shifts
+    D g_i = g_(i+1) D for i <= n-2 and the commutation of g_1 with g_j for
+    3 <= j <= n//2 + 1.  These hold in every representation, since delta s_i delta^-1
     = s_(i+1) in B_n, and they imply every other relation:
 
     - Commutations.  The shifts give g_i = D^(i-1) g_1 D^(1-i), so D =
@@ -148,64 +147,41 @@ def _shift_holds(rep, i) -> bool:
     return all(den2 * a == s * b for u, v in zip(lhs, rhs) for a, b in zip(u, v))
 
 
-def _block(rep, mids, i, j):
-    """M_ij = Y_i R_j^T from ``mids``, which leaves out the zero blocks
-    (``Representation.middles``), as k_i x k_j integer rows."""
-    return mids.get((i, j)) or [[0] * rep.image(j).dim for _ in range(rep.image(i).dim)]
-
-
-def _pair_middles(rep, i, j):
-    """The nonzero ones of ``rep.middle(i, j)`` and ``rep.middle(j, i)``, keyed
-    like ``Representation.middles``."""
-    pairs = (((i, j), rep.middle(i, j)), ((j, i), rep.middle(j, i)))
-    return {key: mid for key, mid in pairs if any(map(any, mid))}
-
-
-def _commutes(rep, i, j, mids) -> bool:
+def _commutes(rep, i, j) -> bool:
     """Whether A_i A_j = A_j A_i, on the factors: the two products are
-    R_i^T M_ij Y_j and R_j^T M_ji Y_i over s_i s_j, with M_ij = Y_i R_j^T from
-    ``mids`` (``Representation.middles``), and both are 0 where their middles are."""
+    R_i^T M_ij Y_j and R_j^T M_ji Y_i over s_i s_j (``Representation.block``),
+    and both are 0 where their middles are."""
+    mids = rep.middles()
     if (i, j) not in mids and (j, i) not in mids:
         return True
     (img, y, _), (img2, y2, _) = rep.factor(i), rep.factor(j)
-    return _lifts_agree(img, _block(rep, mids, i, j), y2, img2, _block(rep, mids, j, i), y)
+    return _lifts_agree(img, rep.block(i, j), y2, img2, rep.block(j, i), y)
 
 
-def _scaled_cubic(rep, mids, a, b, s, s2):
-    """s2 C for the k x k matrix C = s s2 + s2 M_aa + M_ab M_ba, M from ``mids``."""
-    square, ab = _block(rep, mids, a, a), _block(rep, mids, a, b)
-    ba = list(zip(*_block(rep, mids, b, a))) or [()] * len(square)  # its columns
-    return [[s2 * (s2 * (s * (p == q) + e) + sum(map(mul, row, col))) for q, (e, col) in enumerate(zip(srow, ba))]
-            for p, (srow, row) in enumerate(zip(square, ab))]
-
-
-def _braid_holds(rep, a, b, mids) -> bool:
+def _braid_holds(rep, a, b) -> bool:
     """Whether g_a g_b g_a = g_b g_a g_b, as the paper's deformed relation
     A + A^2 + ABA = B + B^2 + BAB for A = A_a and B = A_b: the two sides
-    differ by exactly the difference of the braid words.  With
-    A = R_a^T Y_a / s_a and M_ij = Y_i R_j^T from ``mids``, the left side
-    is R_a^T C_a Y_a / (s_a^2 s_b) for C_a = s_a s_b + s_b M_aa + M_ab M_ba, so
-    over s_a^2 s_b^2 the relation reads s_b R_a^T C_a Y_a = s_a R_b^T C_b Y_b."""
-    (img, y, s), (img2, y2, s2) = rep.factor(a), rep.factor(b)
-    left, right = _scaled_cubic(rep, mids, a, b, s, s2), _scaled_cubic(rep, mids, b, a, s2, s)
-    return _lifts_agree(img, left, y, img2, right, y2)
+    differ by exactly the difference of the braid words.  The left side is
+    R_a^T C_ab Y_a / (s_a^2 s_b) (``Representation.cubic``), so over
+    s_a^2 s_b^2 the relation reads s_b R_a^T C_ab Y_a = s_a R_b^T C_ba Y_b."""
+    (img, y, _), (img2, y2, _) = rep.factor(a), rep.factor(b)
+    return _lifts_agree(img, rep.cubic(a, b), y, img2, rep.cubic(b, a), y2)
 
 
 def _far_shortcut_holds(rep) -> bool:
     """The commutations of g_1 with g_j, 3 <= j <= n//2 + 1, that the shortcut
     of ``verify_braid_relations`` tests after the shifts."""
-    return all(_commutes(rep, 1, j, _pair_middles(rep, 1, j)) for j in range(3, rep.n // 2 + 2))
+    return all(_commutes(rep, 1, j) for j in range(3, rep.n // 2 + 2))
 
 
 def _pairwise_relation_report(rep: "Representation") -> RelationReport:
     """Every defining relation checked on its own pair, from the factors and
     the middles of ``Representation.middles``, which are formed once per
     representation and shared with the Norton step; failures in scan order."""
-    mids = rep.middles()
     braid = [("braid relation", (i, i + 1)) for i in range(1, rep.n - 1)
-             if not _braid_holds(rep, i, i + 1, mids)]
+             if not _braid_holds(rep, i, i + 1)]
     far = [("far commutation", (i, j)) for i in range(1, rep.n) for j in range(i + 2, rep.n)
-           if not _commutes(rep, i, j, mids)]
+           if not _commutes(rep, i, j)]
     return RelationReport(not braid, not far, braid + far)
 
 

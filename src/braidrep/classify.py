@@ -1,29 +1,13 @@
 """Invariant subspaces, irreducibility certificates and standard-form recovery.
 
 Irreducibility over the algebraic closure is certified by the generated
-matrix algebra being all of r x r (the Burnside criterion).  Reducibility is
-certified by an explicit invariant subspace witness, which is always
-verified before being reported.  Both come from one Norton step over Q
-(Holt and Rees, J. Austral. Math. Soc. A 57, 1994) on a few fixed words
-theta in the generators: it spins a right vector x under the generators
-and a left vector y under their transposes, the factors x y^T of theta or
-of theta - lambda at rank one, else kernel vectors of theta - lambda and of
-its transpose.
-A proper orbit is a witness; two full orbits at rank one or at nullity one
-prove the algebra full.  The words do not depend on the basis, and neither
-does the step's answer.  Where no word decides, the algebra closure does,
-modulo a large prime and then exactly; a thin algebra without a witness is
-the honest answer Inconclusive.
-
-The step runs on the factors A_i = R_i^T Y_i / s_i of rank k and their k x k
-middles M_ij = Y_i R_j^T: each word is theta = X Z with eigenvalues and
-kernels read off the k x k matrix Z X (``_norton_candidates``), and an orbit
-closes in the coordinates of the images (``_orbit``), so no r x r word is
-formed and no orbit probes Q^r where the images are narrow.
-
-``decide_irreducibility`` is the one decision procedure, used by ``analyze``
-and the command line; it tries the certificates cheapest first.  Both
-algebra closures share one closure loop.
+matrix algebra being all of r x r (the Burnside criterion), reducibility by
+an invariant subspace that is verified before it is reported
+(``_is_invariant``).  ``decide_irreducibility`` is the one decision
+procedure, used by ``analyze`` and the command line; its docstring lists the
+certificates in the order it tries them.  The proofs are given once each:
+the Norton step in ``_norton_step`` and ``_norton_candidates``, the orbits in
+``_orbit`` and the chain step in ``_chain_certificate``.
 """
 
 from __future__ import annotations
@@ -35,14 +19,7 @@ from fractions import Fraction
 from functools import partial
 from operator import mul
 
-from .braid import (
-    RelationReport,
-    _block,
-    _scaled_cubic,
-    circular_distance,
-    verify_braid_relations,
-    verify_cyclic_conjugation,
-)
+from .braid import RelationReport, circular_distance, verify_braid_relations, verify_cyclic_conjugation
 from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
 from .friendship import (
     GraphClass,
@@ -299,21 +276,20 @@ def _int_rows(rows, ncols) -> Matrix:
 def _norton_elements(rep):
     """``(name, left, z, d, p)`` for A_1, the neighbor cubic A_1 + A_1^2 +
     A_1 A_2 A_1 and A_1 A_2, each formed when the caller asks for it, as
-    theta = X Z / d with X = R_1^T left on the factors A_i = R_i^T Y_i / s_i,
-    and p = Z X, k x k for the k rows of Z.  With M_ij = Y_i R_j^T from
-    ``rep.middles()``: A_1 is R_1^T Y_1 / s_1, p = M_11; the cubic is
-    R_1^T C' Y_1 / (s_1 s_2)^2 for the C' = s_2 C of ``braid._scaled_cubic``,
-    p = M_11 C'; A_1 A_2 is R_1^T M_12 Y_2 / (s_1 s_2), p = M_21 M_12.
-    They are words in the generators, so they lie in the generated algebra
-    in every basis."""
-    mids, (img, y1, s1) = rep.middles(), rep.factor(1)
-    m11 = _block(rep, mids, 1, 1)
+    theta = X Z / d with X = R_1^T left, and p = Z X, k x k for the k rows
+    of Z, from the middles M_ij of ``Representation.block``: A_1 is
+    R_1^T Y_1 / s_1, p = M_11; the cubic is R_1^T C Y_1 / (s_1 s_2)^2 for
+    C = ``rep.cubic(1, 2)``, p = M_11 C; A_1 A_2 is R_1^T M_12 Y_2 /
+    (s_1 s_2), p = M_21 M_12.  They are words in the generators, so they lie
+    in the generated algebra in every basis."""
+    img, y1, s1 = rep.factor(1)
+    m11 = rep.block(1, 1)
     yield "A_1", _identity_rows(img.dim), y1, s1, m11
     if rep.n > 2:
         y2, s2 = rep.factor(2)[1:]
-        cubic, m12 = _scaled_cubic(rep, mids, 1, 2, s1, s2), _block(rep, mids, 1, 2)
+        cubic, m12 = rep.cubic(1, 2), rep.block(1, 2)
         yield "the neighbor cubic", cubic, y1, (s1 * s2) ** 2, mul_rows(m11, cubic, img.dim)
-        yield "A_1 A_2", m12, y2, s1 * s2, mul_rows(_block(rep, mids, 2, 1), m12, len(y2))
+        yield "A_1 A_2", m12, y2, s1 * s2, mul_rows(rep.block(2, 1), m12, len(y2))
 
 
 def _norton_candidates(rep):
@@ -324,12 +300,10 @@ def _norton_candidates(rep):
     x y^T of theta - lambda where that has rank one.  ``make_y()`` returns
     y: the second factor, or the first canonical row of ker(theta - lambda)^T,
     a left kernel that is formed only on that call.  ``decisive`` says that
-    two full orbits of x and y prove the algebra full: always for rank one,
-    and for a kernel exactly when it is a line.  The algebra is unital, so
-    theta - lambda lies in it with theta, and Norton's argument for a rank-one
-    element holds for it.  A kernel wider than a line has a first canonical
-    row that depends on the basis, while a rank-one theta - lambda decides in
-    every basis.
+    two full orbits of x and y prove the algebra full (``_norton_step``):
+    always for rank one, and for a kernel exactly when it is a line; theta -
+    lambda lies in the unital algebra with theta.  A rank-one theta - lambda
+    decides in every basis, where a wider kernel's first row depends on it.
 
     Everything is read off the factors theta = X Z / d of
     ``_norton_elements``, X = R_1^T left: R_1^T is injective and the rows of
@@ -362,10 +336,14 @@ def _norton_candidates(rep):
             lams.add(Fraction(0))
         theta = _theta(img, left, z, d) if k >= r - 1 else None
         for lam in sorted(lams):
+            rank_one = None
             if theta is not None:
                 shifted = theta - Matrix.identity(r) * lam
                 right = kernel_basis(shifted)
-                make_y = partial(_first_left_kernel_row, shifted)
+                make_y = partial(_first_kernel_row, shifted.num, r)
+                # Rank one only here: elsewhere nullity <= k <= r - 2, or rank(left) = 1 already.
+                if right.dim == r - 1:
+                    rank_one = _rank_one_factors(shifted.num)
             elif lam:
                 shifted = small - Matrix.identity(k) * lam
                 ws = kernel_basis(shifted).rows
@@ -373,16 +351,11 @@ def _norton_candidates(rep):
                 make_y = partial(_first_left_row, shifted, z, r)
             else:
                 right = kernel_basis(_int_rows(mul_rows(left, z, r), r))
-                make_y = partial(_first_kernel_row, tuple(zip(*left)), img.rows, r)
+                make_y = partial(_first_kernel_row, left, r, img.rows)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
-            if right.dim == r - 1:
-                x, y = _rank_one_factors(shifted.num)
+            if rank_one is not None:
+                x, y = rank_one
                 yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
-
-
-def _first_left_kernel_row(m):
-    """The first canonical row of the kernel of m^T."""
-    return kernel_basis(m.transpose()).rows[0]
 
 
 def _first_left_row(shifted, z, r):
@@ -391,10 +364,12 @@ def _first_left_row(shifted, z, r):
     return Subspace._span(r, [combine(u, z, r) for u in kernel_basis(shifted.transpose()).rows]).rows[0]
 
 
-def _first_kernel_row(a, b, r):
-    """The first canonical row of the kernel of the product of the integer
-    rows a and b, b with r columns: ker(theta^T) = ker(left^T R_1) at 0."""
-    return kernel_basis(_int_rows(mul_rows(a, b, r), r)).rows[0]
+def _first_kernel_row(a, r, b=None):
+    """The first canonical row of ker a^T, or of ker(a^T b), for integer rows
+    a and b, with r columns in either: ker(theta - lambda)^T from the
+    numerator a of theta - lambda, and ker theta^T = ker(left^T R_1) at 0."""
+    rows = list(zip(*a)) if b is None else mul_rows(tuple(zip(*a)), b, r)
+    return kernel_basis(_int_rows(rows, r)).rows[0]
 
 
 def _theta(img, left, z, d) -> Matrix:
@@ -447,11 +422,9 @@ def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
 
     Full dimension r^2 certifies absolute irreducibility; anything less is
     Inconclusive on its own, because a thin algebra does not by itself
-    produce an invariant subspace over the rationals.
-
-    Fullness is first certified modulo a large prime, which is exact in that
-    direction and avoids the coefficient growth of the rational closure; the
-    exact closure runs only when the modular one comes up thin.
+    produce an invariant subspace over the rationals.  Fullness is first
+    certified modulo a large prime (``_modp_algebra_is_full``), and the exact
+    closure runs only where that comes up thin.
     """
     cap = rep.r ** 2
     dim = cap if _modp_algebra_is_full(rep) else _rational_algebra_dim(rep)
@@ -700,11 +673,9 @@ def _apply_generator(rep, i, v, den):
 def extract_standard_form(rep) -> StandardFormResult:
     """Conjugate a representation into the standard family T(u), u != 1.
 
-    Returns u and the change of basis B, after proving g_i B = B T_i(u) for
-    every generator i without forming T(u): a certificate of irreducibility,
-    and nothing else.  The proof, and the error of the first check an input
-    fails, are those of ``_chain_certificate``; such an input is decided by
-    the witness steps of ``decide_irreducibility``.
+    Returns u and the change of basis B that ``_chain_certificate`` proves,
+    or raises the error of its first failing check; such an input is decided
+    by the witness steps of ``decide_irreducibility``.
     """
     u, basis = _chain_certificate(rep)
     return StandardFormResult(u=u, basis=basis)
@@ -713,13 +684,10 @@ def extract_standard_form(rep) -> StandardFormResult:
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
     """Decide irreducibility of the standard family at parameter u.
 
-    For u != 1 from 3 strands on, the Norton step on the rank-one neighbor
-    cubic proves the generated algebra full.  Otherwise the verdict is the
-    one ``decide_irreducibility`` reaches, as on the command line: at u = 1
-    the generators are permutation matrices, whose common fixed vectors, the
-    multiples of the all-ones vector, are its verified witness; on 2 strands
-    there is no neighbor cubic and a single generator generates a
-    commutative algebra.
+    For u != 1 from 3 strands on, by ``_standard_fullness_certificate``.
+    Otherwise the verdict is that of ``decide_irreducibility``, as on the
+    command line: at u = 1 the all-ones vector is fixed, and on 2 strands a
+    single generator generates a commutative algebra.
     """
     u = rational(u)
     rep = tym_standard(n, u)
@@ -925,19 +893,15 @@ class AnalysisReport:
 def analyze(rep, seed=None) -> AnalysisReport:
     """Run the whole pipeline and collect findings instead of aborting.
 
-    A certified standard form proves g_i = B T_i(u) B^-1 with B invertible,
-    so the corank 2, the chain graph and every relation are read from the
-    family T(u); the corank, the friendship graph and the relations are
-    computed only for an input without one.  There the relations come first:
-    where they hold, D shifts every image to the next, and the graph reads
-    the pairs (0, d) with no shift formed.
+    With a certified standard form, the corank, the graph and the relations
+    are those of T(u) (``_chain_certificate``).  Otherwise they are computed,
+    the relations first, so that where they hold the graph reads only the
+    pairs (0, d) (``full_friendship_graph``).
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
     verdict, standard_form, standard_form_err = decide_irreducibility(rep)
     if standard_form is not None:
-        # T(u) has corank 2 and the chain as its graph, and satisfies every
-        # relation for every u: no check is left to run.
         corank_val, report = 2, RelationReport(True, True)
         graph_class = classify_distances(rep.n, {1})
     else:
@@ -955,9 +919,8 @@ def analyze(rep, seed=None) -> AnalysisReport:
             "certified irreducible with corank 2 and r > n: "
             "violates the dimension bound, so the certification is suspect"
         )
-    # The deformed relations restate the braid relations, and an image of
-    # B_n passes the cyclic check by theorem: only a broken family needs it
-    # run, and not again where the relation shortcut ran it.
+    # An image of B_n passes the cyclic check (``verify_braid_relations``):
+    # only a broken family runs it, and once.
     cyclic = report.cyclic_conjugation_ok
     if cyclic is None:
         cyclic = report.ok or verify_cyclic_conjugation(rep)

@@ -1,20 +1,9 @@
 """Exact rational dense linear algebra.
 
-Scalars are arbitrary-precision rationals, so every operation here is exact:
-zero tests are decidable and all equality checks are bit-exact.  A Matrix is
-stored as integer rows over one positive common denominator, in lowest terms
-(the layout of FLINT's ``fmpq_mat``): products, sums and comparisons run on
-Python ints with a single normalising gcd per result, and the
-``fractions.Fraction`` entries are built only when a caller asks for them.
-Matrices are immutable and safe to share.
-
-Elimination is fraction-free (``EchelonSpan`` keeps primitive integer rows,
-with one gcd per new row).
-A Subspace is stored in the same integer layout, in a canonical form: the
-rows of its reduced echelon basis, each scaled to a primitive integer
-vector with a positive pivot entry.  Subspace equality is then a syntactic
-check on the stored integers, and membership, sums and intersections run
-on ints; the pivot-normalized ``Fraction`` basis is built only on request.
+Every operation is exact over Q, so zero tests are decidable and equality is
+bit-exact.  How a ``Matrix`` is stored (integer rows over one denominator)
+and the canonical form of a ``Subspace`` are given in their docstrings;
+elimination is fraction-free (``EchelonSpan``).  All values are immutable.
 """
 
 from __future__ import annotations
@@ -564,14 +553,14 @@ def _poly_rem(a, b):
 
 def _squarefree_part(ints):
     """The monic integer polynomial with the roots of the monic ``ints``,
-    each once: ints / gcd(ints, ints')."""
+    each once: ints / gcd(ints, ints'), divided exactly."""
     a, b = ints, _derivative(ints)
     while b:
         a, b = b, _poly_rem(a, b)[1]
     if len(a) == 1:
         return ints
     # A monic factor of a monic integer polynomial has integer coefficients.
-    quo, _ = _poly_rem(ints, [c / a[0] for c in a])
+    quo, _ = _poly_rem(ints, [Fraction(c, a[0]) for c in a])
     return [int(c) for c in quo]
 
 
@@ -582,9 +571,10 @@ def _integer_roots(ints):
     Each root modulo a prime q at which the squarefree part g stays
     squarefree lifts by Newton steps to a unique root modulo q^(2^k); once
     the modulus exceeds twice |g(0)|, which bounds any integer root, the
-    symmetric residue is the only integer candidate and is checked exactly.
-    The cost grows with the bit length of the coefficients, not with their
-    size as trial division of the constant term does."""
+    symmetric residue is the only integer candidate, accepted only where
+    ``ints`` itself vanishes.  The cost grows with the bit length of the
+    coefficients, not with their size as trial division of the constant
+    term does."""
     g = _squarefree_part(ints)
     dg = _derivative(g)
     bound = 2 * abs(g[-1])
@@ -605,7 +595,7 @@ def _integer_roots(ints):
             mod *= mod
             a = (a - _poly_eval(g, a) * pow(_poly_eval(dg, a), -1, mod)) % mod
         cand = a - mod if 2 * a > mod else a
-        if _poly_eval(g, cand) == 0:
+        if _poly_eval(ints, cand) == 0:
             roots.append(cand)
     return roots
 
@@ -615,9 +605,9 @@ def rational_eigenvalues(m: Matrix):
 
     The eigenvalues of m are those of its integer numerator matrix divided
     by its denominator.  The numerator's characteristic polynomial is monic
-    with integer coefficients, so its rational roots are integers dividing
-    the constant term; each candidate is verified exactly.  Non-rational
-    eigenvalues are silently omitted.
+    with integer coefficients, so its rational roots are integers
+    (``_integer_roots``), and each is checked against the characteristic
+    polynomial itself.  Non-rational eigenvalues are silently omitted.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues of a non-square matrix")

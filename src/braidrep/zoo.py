@@ -1,20 +1,9 @@
 """Constructors and combinators for braid group matrix representations.
 
-A Representation holds the factors A_i = g_i - 1 = R_i^T Y_i / s_i of the
-deformations of its n-1 generator images: the k canonical rows R_i of Im A_i,
-k x r integer rows Y_i and a positive integer s_i.  The builders make those
-factors without forming an r x r matrix: tym, Burau and the characters pad
-the factor of each distinct 2 x 2 or 3 x 3 block into place, after proving
-the block invertible by its rank; a direct sum concatenates the factors of
-its summands; a conjugate spans p^-1 Im A_i and reads its rows from one
-product.  The public constructor takes dense images instead (JSON files,
-library callers, ``tensor_character``), factors each one and proves it
-invertible.  The dense images g_i, D = g_1 ... g_(n-1) and the image sigma0
-of s0 (which inverts D itself) are computed on first use and cached; a
-deformation A_i is built on each request.  Im A_0 = D Im A_(n-1) comes from
-the factors, without D.  The k x k middles M_ij = Y_i R_j^T of all pairs,
-which the relation check and the Norton step read, come from one product,
-formed on first use and cached.  All values are immutable.
+A ``Representation`` holds its generators by the factors of their
+deformations, laid out in its docstring.  The zoo builders make those
+factors without forming an r x r matrix; the public constructor factors
+dense images.
 """
 
 from __future__ import annotations
@@ -52,13 +41,20 @@ class Representation:
     """A family of invertible r x r matrices indexed by the generators.
 
     A family is held by the factors A_i = g_i - 1 = R_i^T Y_i / s_i of its
-    deformations, i = 1 ... n-1 (``factor``), which every check reads.  The
-    public constructor is the entry for dense images (JSON files, library
-    callers): it factors each image and proves it invertible.  The zoo
-    builders pass factors they read off a small block, a sum or a change of
-    basis to ``_from_factors``, with their own proof of invertibility.  Both
-    hand the same triples to ``_init``.  ``generators`` is formed from the
-    factors on first use.
+    deformations, i = 1 ... n-1 (``factor``), which every check reads: the
+    k canonical rows R_i of Im A_i, k x r integer rows Y_i and a positive
+    integer s_i.  The k x k middles M_ij = Y_i R_j^T, so that A_i A_j =
+    R_i^T M_ij Y_j / (s_i s_j), come from one product, formed on first use
+    and cached (``middles``, ``block``, ``cubic``); ``middle`` forms one
+    alone.  The dense images ``generators``, D = ``tau`` and ``sigma0`` are
+    formed on first use and cached, a dense A_i (``deformation``) on each
+    request, and Im A_0 from the factors, without D.
+
+    The public constructor is the entry for dense images (JSON files,
+    library callers): it factors each image and proves it invertible.  The
+    zoo builders pass factors they read off a small block, a sum or a
+    change of basis to ``_from_factors``, with their own proof of
+    invertibility.  Both hand the same triples to ``_init``.
 
     The constructor enforces shape and invertibility only; properties that
     hold for genuine representations (equal deformation ranks, the defining
@@ -100,22 +96,15 @@ class Representation:
     def _generators_invertible(self) -> bool:
         """Whether every g_i = 1 + R_i^T Y_i / s_i is invertible.  Sylvester's
         identity det(1 + UV) = det(1 + VU) makes that the rank k of the k x k
-        matrix s_i + Y_i R_i^T (k = 0 passes).  Where some A_i has full rank
-        that matrix is as large as g_i, and the rank of D = g_1 ... g_(n-1)
-        decides for every generator at once."""
-        if self.has_full_image:
-            return rank(self.tau) == self.r
-        for i in range(1, self.n):
-            s, mid = self.factor(i)[2], self.middle(i, i)
-            shifted = (tuple(e + s * (a == b) for b, e in enumerate(row)) for a, row in enumerate(mid))
-            if rank(Matrix._new(tuple(shifted), 1)) < len(mid):
-                return False
-        return True
+        matrix s_i + Y_i R_i^T (k = 0 passes); at k = r, R_i = 1 and it is
+        the r x r matrix s_i + Y_i."""
+        return all(rank(_plus_scalar(Matrix._new(tuple(map(tuple, self.middle(i, i))), 1), self.factor(i)[2]))
+                   == self.image(i).dim for i in range(1, self.n))
 
     @cached_property
     def has_full_image(self) -> bool:
         """Whether some A_i, 1 <= i <= n-1, has full rank r: there the k x k
-        middles are as large as g_i, and the checks go through D instead."""
+        middles are as large as g_i, and the relation check tries D first."""
         return any(self.image(i).is_full() for i in range(1, self.n))
 
     @cached_property
@@ -147,12 +136,12 @@ class Representation:
 
     def deformation(self, i) -> Matrix:
         """A_i = image of generator i minus the identity, for i in 0..n-1, built
-        on each call: from g_i in O(r^2) where the images are formed, else
-        as R_i^T Y_i / s_i in O(k r^2); the checks read the cached ``factor(i)``."""
+        on each call: from sigma0 at i = 0, else as R_i^T Y_i / s_i from
+        ``factor(i)`` in O(k r^2); the checks read the factors themselves."""
         if not 0 <= i <= self.n - 1:
             raise IndexError(f"deformation index {i} out of range")
-        if i == 0 or "generators" in vars(self):
-            return _plus_scalar(self.gen(i), -1)
+        if i == 0:
+            return _plus_scalar(self.sigma0, -1)
         img, y, s = self._factors[i]
         if img.is_zero():
             return Matrix.zero(self.r, self.r)
@@ -174,8 +163,9 @@ class Representation:
         return self._factors[i]
 
     def middle(self, i, j) -> list:
-        """The k x k integer rows Y_i R_j^T of the factors of A_i and A_j,
-        so that A_i A_j = R_i^T (Y_i R_j^T) Y_j / (s_i s_j)."""
+        """M_ij = Y_i R_j^T as k_i x k_j integer rows, formed alone in
+        O(k_i k_j r), for a caller that needs one or two; ``block`` reads the
+        same from the cached ``middles``."""
         y, img = self.factor(i)[1], self.image(j)
         return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
 
@@ -188,17 +178,45 @@ class Representation:
         shared, so callers only read them."""
         return self._transposed_middles if transposed else self._middles
 
+    def block(self, i, j) -> list:
+        """M_ij as k_i x k_j integer rows, read from ``middles`` and zero-filled
+        where that leaves a zero block out."""
+        return self._middles.get((i, j)) or [[0] * self.image(j).dim for _ in range(self.image(i).dim)]
+
+    def cubic(self, a, b) -> list:
+        """s_b C_ab as k x k integer rows, for C_ab = s_a s_b + s_b M_aa +
+        M_ab M_ba from ``block``: A + A^2 + ABA = R_a^T C_ab Y_a / (s_a^2 s_b)
+        for A = A_a and B = A_b."""
+        sa, sb = self.factor(a)[2], self.factor(b)[2]
+        square, ab = self.block(a, a), self.block(a, b)
+        ba = list(zip(*self.block(b, a))) or [()] * len(square)  # its columns
+        return [[sb * (sb * (sa * (p == q) + e) + sum(map(mul, row, col))) for q, (e, col) in enumerate(zip(srow, ba))]
+                for p, (srow, row) in enumerate(zip(square, ab))]
+
     @cached_property
     def middle_product(self) -> list:
-        """The integer rows of Y R^T, for Y the stacked rows Y_1 ... Y_(n-1)
-        and R the stacked canonical rows of the images that are not full:
-        the blocks M_ij side by side, from one product formed on first use
-        (``_middle_product``) and shared, so callers only read it."""
+        """The integer rows of Y R^T for the stacked rows Y_1 ... Y_(n-1) and
+        the stacked canonical rows R of the images that are not full: the
+        blocks M_ij side by side (``_middle_product``), shared, so read only."""
         return _middle_product(self)
 
     @cached_property
     def _middles(self) -> dict:
-        return _middle_blocks(self, self.middle_product)
+        # Cut from ``middle_product``; M_ij = Y_i where Im A_j is full, as R_j = 1 there.
+        imgs, prod = [self.image(i) for i in range(1, self.n)], self.middle_product
+        narrow = [j for j, img in enumerate(imgs, 1) if not img.is_full()]
+        at = [0, *accumulate(imgs[j - 1].dim for j in narrow)]  # narrow[c] owns columns at[c] .. at[c+1]
+        owner = [c for c in range(len(narrow)) for _ in range(at[c], at[c + 1])]
+        full = [j for j, img in enumerate(imgs, 1) if img.is_full()]
+        out, first = {}, 0
+        for i in range(1, self.n):
+            y = self.factor(i)[1]
+            band, first = prod[first : first + len(y)], first + len(y)
+            for c in {owner[col] for row in band for col, e in enumerate(row) if e}:
+                out[i, narrow[c]] = [row[at[c] : at[c + 1]] for row in band]
+            for j in full if y else ():
+                out[i, j] = y
+        return out
 
     @cached_property
     def _transposed_middles(self) -> dict:
@@ -249,25 +267,6 @@ def _middle_product(rep) -> list:
     rows = [row for i in range(1, rep.n) if not rep.image(i).is_full() for row in rep.image(i).rows]
     ys = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
     return mul_rows(ys, tuple(zip(*rows)), len(rows)) if rows else [[] for _ in ys]
-
-
-def _middle_blocks(rep, prod) -> dict:
-    """``Representation.middles`` cut from the product ``prod`` of
-    ``_middle_product``; M_ij = Y_i where Im A_j is full, as R_j = 1 there."""
-    n, imgs = rep.n, [rep.image(i) for i in range(1, rep.n)]
-    narrow = [j for j, img in enumerate(imgs, 1) if not img.is_full()]
-    at = [0, *accumulate(imgs[j - 1].dim for j in narrow)]  # narrow[c] owns columns at[c] .. at[c+1]
-    owner = [c for c in range(len(narrow)) for _ in range(at[c], at[c + 1])]
-    full = [j for j, img in enumerate(imgs, 1) if img.is_full()]
-    out, first = {}, 0
-    for i in range(1, n):
-        y = rep.factor(i)[1]
-        band, first = prod[first : first + len(y)], first + len(y)
-        for c in {owner[col] for row in band for col, e in enumerate(row) if e}:
-            out[i, narrow[c]] = [row[at[c] : at[c + 1]] for row in band]
-        for j in full if y else ():
-            out[i, j] = y
-    return out
 
 
 def _factor(a, img=None) -> tuple[Subspace, tuple, int]:
@@ -350,9 +349,8 @@ def tym_standard(n, u) -> Representation:
 def reduced_burau(n, t) -> Representation:
     """Reduced Burau specialization at t, in the (n-1)-dimensional convention
     with first block [[-t,0],[1,1]], middle blocks [[1,t,0],[0,-t,0],[0,1,1]]
-    and last block [[1,t],[0,-t]].  The tests check the relations for
-    n = 3..16 at five values of t: each entry of a relation difference is a
-    polynomial of degree <= 3 in t, so that proves them for every t.
+    and last block [[1,t],[0,-t]].  Its relations are proved for every t as
+    those of ``tym_standard`` are for every u, on n = 3..16.
     """
     t = rational(t)
     if t == 0:

@@ -47,6 +47,8 @@ GOLDEN = {
     "burau_minus1": "conj(burau:n=6,t=-1,seed=7)",
     "dsum_tym3": "conj(dsum(tym:n=3,u=2,tym:n=3,u=3),seed=7)",
     "transposed": str(DATA / "transposed_family.json"),
+    # a sum of equal blocks whose Norton words have repeated eigenvalues past 2^53
+    "equal_sum": "conj(dsum(tym:n=8,u=5/3,tym:n=8,u=5/3),seed=2)",
 }
 
 

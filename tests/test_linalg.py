@@ -212,6 +212,30 @@ def test_rational_eigenvalues_with_a_huge_constant_term():
     assert rational_eigenvalues(rotation) == []
 
 
+def test_rational_eigenvalues_of_a_repeated_root_past_the_float_range():
+    # The squarefree part of (x - c)^2 is divided out exactly, not in floats.
+    c = 2**60 + 1
+    assert rational_eigenvalues(Matrix([[c, 1], [0, c]])) == [F(c)]
+    assert rational_eigenvalues(Matrix([[c, 0], [0, c]])) == [F(c)]
+
+
+# Eigenvalues anywhere up to 2^70 in size, and often past 2^53, where a float
+# no longer holds every integer.
+_EIGENVALUES = st.integers(-(2**70), 2**70) | st.integers(2**53, 2**70) | st.integers(-(2**70), -(2**53))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_EIGENVALUES, st.integers(1, 3)), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_rational_eigenvalues_of_triangular_matrices(roots, rng):
+    diagonal = [lam for lam, mult in roots for _ in range(mult)]
+    rng.shuffle(diagonal)
+    size = len(diagonal)
+    m = Matrix([[diagonal[i] if i == j else rng.randint(-3, 3) * (i < j) for j in range(size)]
+                for i in range(size)])
+    assert rational_eigenvalues(m) == sorted({F(lam) for lam in diagonal})
+
+
 def test_charpoly_of_companion_like_block():
     coeffs = charpoly(Matrix([[-1, 1], [1, -1]]))
     assert coeffs == [F(1), F(2), F(0)]

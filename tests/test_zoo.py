@@ -216,9 +216,9 @@ def _families(draw):
 
 
 # Deformation ranks 1 and 2 below r = 3, invertible, then beside a singular
-# generator whose deformation image is the line through (1, 1, 0): the k < r
-# route.  The last family is singular at deformation rank r = 2: the route
-# through D.
+# generator whose deformation image is the line through (1, 1, 0): k < r.
+# The last family is singular at deformation rank r = 2, where the k x k
+# matrix of Sylvester's identity is r x r.
 _SHEAR = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 _PLANE = Matrix([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
 _SKEW = Matrix([[0, 0, 0], [-1, 1, 0], [0, 0, 1]])
@@ -230,8 +230,8 @@ _SKEW = Matrix([[0, 0, 0], [-1, 1, 0], [0, 0, 1]])
 @example((4, 3, [_SHEAR, _PLANE, _SKEW]))
 @example((4, 2, [Matrix([[1, 1], [0, 1]]), Matrix([[1, 2], [2, 4]]), Matrix([[0, 1], [1, 0]])]))
 def test_generators_are_refused_exactly_when_one_is_singular(family):
-    """Both invertibility routes: the k x k matrix of Sylvester's identity
-    where every deformation rank k is below r, the rank of D otherwise."""
+    """Sylvester's rule, the rank of the k x k matrix s_i + Y_i R_i^T, at every
+    deformation rank k: below r, and at k = r, where it is s_i + Y_i."""
     n, r, gens = family
     if any(rank(g) < r for g in gens):
         with pytest.raises(SingularMatrixError, match="^generator image is singular$"):
@@ -239,6 +239,14 @@ def test_generators_are_refused_exactly_when_one_is_singular(family):
     else:
         rep = Representation(n, r, gens)
         assert inverse(rep.tau) * rep.tau == Matrix.identity(r)
+
+
+def test_full_images_are_proved_invertible_without_d():
+    # Every deformation of the twist has full rank: Sylvester's rule reads
+    # the r x r matrices s_i + Y_i, and D is left unformed.
+    rep = tensor_character(tym_standard(6, 2), 3)
+    assert rep.has_full_image
+    assert "tau" not in vars(rep)
 
 
 def test_shape_errors_come_before_singularity():
