@@ -567,14 +567,15 @@ def _chain_certificate(rep):
     n - 1 twists, equal twists, u != 1 and Y_i a_j = 0.
 
     The start a_0 is the canonical row of Im A_1 cap ker A_2 (``_chain_start``),
-    and a_i = g_i a_(i-1).  Column i-1 of g_i B = B T_i(u) holds by that walk,
-    column i by the twist check g_i a_i = u a_(i-1) with one u for every i,
-    and every other column j by A_i a_j = 0, that is Y_i a_j = 0.  B needs
-    no rank: by the identity, g_i B x = B T_i x, so ker B is invariant under
-    T(u), which is irreducible for u != 1 (``_standard_fullness_certificate``).
-    As B e_0 = a_0 is not 0, ker B = 0 and the n x n matrix B is invertible.
-    The identity implies corank 2, the chain graph and each chain vector
-    lying in both neighboring images, so none of them is checked.
+    and the walk a_i = g_i a_(i-1) is nonzero, as g_i is invertible.  Column
+    i-1 of g_i B = B T_i(u) holds by that walk, column i by the twist check
+    g_i a_i = u a_(i-1) with one u for every i, and every other column j by
+    A_i a_j = 0, that is Y_i a_j = 0.  B needs no rank: by the identity,
+    g_i B x = B T_i x, so ker B is invariant under T(u), which is irreducible
+    for u != 1 (``_standard_fullness_certificate``).  As B e_0 = a_0 is not
+    0, ker B = 0 and the n x n matrix B is invertible.  The identity implies
+    corank 2, the chain graph and each chain vector lying in both
+    neighboring images, so none of them is checked.
 
     The start is the right one: under the identity A_i = B (T_i - 1) B^-1,
     Im A_1 = B span(e_0, e_1) and ker A_2 = B span(e_j : j != 1, 2), since
@@ -586,20 +587,33 @@ def _chain_certificate(rep):
         raise PreconditionError("chain recovery needs at least 4 strands")
     if r != n:
         raise PreconditionError(f"dimension {r} differs from strand count {n}")
-    chain = _walk(rep, _chain_start(rep))
-    twists = _twist_factors(rep, chain)
-    if len(twists) < n - 1:
-        raise NotARepresentationError(
-            f"generator {len(twists) + 1} does not map its chain vector into the previous line"
-        )
+    start = _chain_start(rep)
+    chain = [(start, next(e for e in start if e))]  # a_i = v / d, in lowest terms
+    for i in range(1, n):
+        (v, den), (w, s) = chain[-1], rep.act(i, chain[-1][0])
+        g = math.gcd(s * den, *w)
+        chain.append(([e // g for e in w], s * den // g))
+    # Y_i v_j at [i - 1][j], each formed once: ``act`` formed Y_i v_(i-1) in the walk.
+    products = [[None if j == i - 1 else [sum(map(mul, row, v)) for row in rep.factor(i)[1]]
+                 for j, (v, _) in enumerate(chain)] for i in range(1, n)]
+    twists = []
+    for i, row in enumerate(products, 1):
+        # The twist t_i with g_i a_i = (s_i v_i + R_i^T Y_i v_i) / (s_i d_i) = t_i a_(i-1).
+        img, _, s = rep.factor(i)
+        (v, den), (prev, pden) = chain[i], chain[i - 1]
+        back = [s * a + b for a, b in zip(v, img.combination(row[i]))]
+        p = next(idx for idx, e in enumerate(prev) if e)
+        if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
+            raise NotARepresentationError(f"generator {i} does not map its chain vector into the previous line")
+        twists.append(Fraction(back[p] * pden, s * den * prev[p]))
     if len(set(twists)) != 1:
         raise NotARepresentationError(f"twist factors disagree: {twists}")
     u = twists[0]
     if u == 1:
         raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
-    i = _first_unmatched_generator(rep, [v for v, _ in chain])
-    if i is not None:
-        raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
+    for i, row in enumerate(products, 1):
+        if any(any(c) for j, c in enumerate(row) if j not in (i - 1, i)):
+            raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
     return u, _chain_matrix(chain)
 
 
@@ -609,8 +623,7 @@ def _chain_start(rep):
     c lies in ker A_2 = ker Y_2 exactly when Y_2 R_1^T c = 0, and R_1^T is
     injective, so the intersection is R_1^T times the kernel of
     ``rep.middle(2, 1)``, k x k (a zero row where A_2 = 0)."""
-    middle = rep.middle(2, 1) or [[0] * rep.image(1).dim]
-    kernel = kernel_basis(Matrix._new(tuple(map(tuple, middle)), 1))
+    kernel = kernel_basis(_int_rows(rep.middle(2, 1), rep.image(1).dim))
     if kernel.dim != 1:
         raise PreconditionError(f"chain start Im A_1 cap ker A_2 has dimension {kernel.dim}, not 1")
     # The rows R_1 vanish at each other's pivots, so R_1^T c starts at the
@@ -621,53 +634,11 @@ def _chain_start(rep):
     return [e // g for e in v]
 
 
-def _walk(rep, start):
-    """The chain a_0, ..., a_(n-1) from a_0 = start over its first nonzero
-    entry, a_i = g_i a_(i-1), as ``(v, d)`` pairs with a_i = v / d; each is
-    nonzero, as the generators are invertible."""
-    chain = [(start, next(e for e in start if e))]
-    for i in range(1, rep.n):
-        chain.append(_apply_generator(rep, i, *chain[-1]))
-    return chain
-
-
-def _twist_factors(rep, chain):
-    """The twists t_i with g_i a_i = t_i a_(i-1) for i = 1, 2, ..., up to
-    the first i where g_i a_i is not a nonzero multiple of a_(i-1)."""
-    twists = []
-    for i in range(1, rep.n):
-        (back, bden), (prev, pden) = _apply_generator(rep, i, *chain[i]), chain[i - 1]
-        p = next(idx for idx, e in enumerate(prev) if e)
-        if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
-            break
-        twists.append(Fraction(back[p] * pden, bden * prev[p]))
-    return twists
-
-
 def _chain_matrix(chain):
     """The matrix whose columns are the chain vectors."""
     lcm = math.lcm(*(d for _, d in chain))
     cols = ([e * (lcm // d) for e in v] for v, d in chain)
     return Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
-
-
-def _first_unmatched_generator(rep, cols):
-    """The first generator i with Y_i a_j != 0 for a column a_j of ``cols``,
-    j outside {i-1, i}, where T_i fixes e_j; None if there is none."""
-    for i in range(1, rep.n):
-        for row in rep.factor(i)[1]:
-            prods = [sum(map(mul, row, col)) for col in cols]
-            if any(prods[: i - 1]) or any(prods[i + 1 :]):
-                return i
-    return None
-
-
-def _apply_generator(rep, i, v, den):
-    """``(w, e)`` in lowest terms with g_i (v / den) = w / e, for an integer
-    vector v, from ``Representation.act`` in O(k r)."""
-    w, s = rep.act(i, v)
-    g = math.gcd(s * den, *w)
-    return [e // g for e in w], s * den // g
 
 
 def extract_standard_form(rep) -> StandardFormResult:
@@ -895,8 +866,10 @@ def analyze(rep, seed=None) -> AnalysisReport:
 
     With a certified standard form, the corank, the graph and the relations
     are those of T(u) (``_chain_certificate``).  Otherwise they are computed,
-    the relations first, so that where they hold the graph reads only the
-    pairs (0, d) (``full_friendship_graph``).
+    the relations first.  Where they hold, D A_i D^-1 = A_(i+1) for every i
+    mod n, so each pair of images is a D-translate of some (0, d): the
+    distance set {d : ``are_friends(rep, 0, d)``} is classified with no graph
+    built.  Otherwise the graph of every pair is classified.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
@@ -911,7 +884,11 @@ def analyze(rep, seed=None) -> AnalysisReport:
             corank_err = str(exc)
         report = verify_braid_relations(rep)
         try:
-            graph_class = classify_graph(full_friendship_graph(rep, report.ok))
+            if report.ok:
+                dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, 0, d)}
+                graph_class = classify_distances(rep.n, dset)
+            else:
+                graph_class = classify_graph(full_friendship_graph(rep))
         except Exception as exc:  # recorded, not raised: the report must come back
             graph_err = str(exc)
     if corank_val == 2 and rep.r > rep.n >= 6 and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE:

@@ -46,38 +46,58 @@ _ATOM_KEYS = {
 
 def _split_top(text):
     """Split on commas that are not nested inside parentheses."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
+    return [text[lo:hi] for lo, hi in _split(text, 0, len(text), _paren_table(text))]
+
+
+def _paren_table(text):
+    """``{p: q}`` for each '(' at p closed by the ')' at q, in one pass."""
+    table, stack = {}, []
+    for p, ch in enumerate(text):
         if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecParseError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise SpecParseError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(current))
-    return [p.strip() for p in parts]
+            stack.append(p)
+        elif ch == ")" and stack:
+            table[stack.pop()] = p
+    return table
 
 
-def _starts_spec(part):
-    return ":" in part or "(" in part
+def _strip(text, lo, hi):
+    """The range of text[lo:hi].strip()."""
+    while lo < hi and text[lo].isspace():
+        lo += 1
+    while hi > lo and text[hi - 1].isspace():
+        hi -= 1
+    return lo, hi
 
 
-def _group_specs(parts, expected):
-    """Regroup comma-split parts into the expected number of spec strings."""
-    starts = [k for k, p in enumerate(parts) if _starts_spec(p)]
+def _split(text, lo, hi, table):
+    """The stripped ranges of the parts of text[lo:hi] between its commas at
+    depth 0.  A group is jumped by ``table``, so only the characters at depth
+    0 are read; a group left open, or a ')' at depth 0, is unbalanced."""
+    parts, start, p = [], lo, lo
+    while p < hi:
+        ch = text[p]
+        if ch == "(":
+            p = table.get(p, hi)
+        if p >= hi or ch == ")":
+            raise SpecParseError(f"unbalanced parentheses in {text[lo:hi]!r}")
+        if ch == ",":
+            parts.append(_strip(text, start, p))
+            start = p + 1
+        p += 1
+    parts.append(_strip(text, start, hi))
+    return parts
+
+
+def _group_specs(text, parts, expected):
+    """Regroup comma-split parts into the ranges of the expected number of
+    specs, each starting at a part that holds a ':' or a '('; no character
+    before the first '(' of a part is nested, so the scan stops there."""
+    starts = [k for k, (lo, hi) in enumerate(parts) if any(text[p] in ":(" for p in range(lo, hi))]
     if len(starts) != expected or starts[0] != 0:
-        raise SpecParseError(f"expected {expected} nested spec(s) in {','.join(parts)!r}")
+        shown = ",".join(text[lo:hi] for lo, hi in parts)
+        raise SpecParseError(f"expected {expected} nested spec(s) in {shown!r}")
     bounds = starts + [len(parts)]
-    return [",".join(parts[bounds[k] : bounds[k + 1]]) for k in range(expected)]
+    return [(parts[bounds[k]][0], parts[bounds[k + 1] - 1][1]) for k in range(expected)]
 
 
 # The largest dense size (n - 1) r^2 of a spec the command line builds: the
@@ -118,38 +138,43 @@ def _parse(text, default_seed):
     """``((n, r), build, metadata)`` for a builtin spec: its strand count
     and dimension, read from the text alone (``dsum`` adds the dimensions,
     ``tensor`` and ``conj`` keep them), and a function that builds it."""
-    text = text.strip()
+    return _parse_range(text, *_strip(text, 0, len(text)), _paren_table(text), default_seed)
+
+
+def _parse_range(text, lo, hi, table, default_seed):
+    """``_parse`` of the stripped spec at lo:hi.  Each level splits its own
+    range once (``_split``), so the parse reads each character a bounded
+    number of times, and a message quotes the spec's own text."""
     for comb in ("tensor", "dsum", "conj"):
-        if text.startswith(comb + "(") and text.endswith(")"):
-            parts = _split_top(text[len(comb) + 1 : -1])
+        if text.startswith(comb + "(", lo, hi) and text.endswith(")", lo, hi):
+            parts = _split(text, lo + len(comb) + 1, hi - 1, table)
+            a, b = parts[-1]
             if comb == "tensor":
-                if len(parts) < 2 or not parts[-1].startswith("y="):
+                if len(parts) < 2 or not text.startswith("y=", a, b):
                     raise SpecParseError("tensor needs tensor(SPEC,y=RATIONAL)")
-                shape, build, _ = _parse(",".join(parts[:-1]), default_seed)
+                shape, build, _ = _parse_range(text, parts[0][0], parts[-2][1], table, default_seed)
                 try:
-                    y = rational(parts[-1][2:])
+                    y = rational(text[a + 2 : b])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise SpecParseError(f"bad tensor scalar: {exc}") from exc
                 return shape, lambda: tensor_character(build(), y), {"family": "tensor"}
             if comb == "dsum":
-                left, right = _group_specs(parts, 2)
-                (n, r), build_a, _ = _parse(left, default_seed)
-                (m, q), build_b, _ = _parse(right, default_seed)
+                left, right = _group_specs(text, parts, 2)
+                (n, r), build_a, _ = _parse_range(text, *left, table, default_seed)
+                (m, q), build_b, _ = _parse_range(text, *right, table, default_seed)
                 return (max(n, m), r + q), lambda: direct_sum(build_a(), build_b()), {"family": "dsum"}
-            if parts and parts[-1].startswith("seed="):
+            seed = default_seed
+            if text.startswith("seed=", a, b):
                 try:
-                    seed = int(parts[-1][5:])
+                    seed = int(text[a + 5 : b])
                 except ValueError as exc:
                     raise SpecParseError(f"bad conj seed: {exc}") from exc
-                inner = ",".join(parts[:-1])
-            else:
-                seed = default_seed
-                inner = ",".join(parts)
-            shape, build, _ = _parse(inner, default_seed)
+                parts = parts[:-1] or [(a, a)]
+            shape, build, _ = _parse_range(text, parts[0][0], parts[-1][1], table, default_seed)
             return shape, lambda: scrambled(build(), seed), {"family": "conj", "seed": seed}
-    if ":" in text:
-        return _parse_atom(text)
-    raise SpecParseError(f"cannot parse spec {text!r}")
+    if ":" in text[lo:hi]:
+        return _parse_atom(text[lo:hi])
+    raise SpecParseError(f"cannot parse spec {text[lo:hi]!r}")
 
 
 def _check_scale(n, r):

@@ -135,15 +135,10 @@ def are_true_friends(rep, i, j) -> bool:
     return prod == b * a and not prod.is_zero()
 
 
-def full_friendship_graph(rep, relations_hold=False) -> FriendshipGraph:
-    """The graph on s0..s(n-1), from every unordered pair of images.  Pass
-    ``relations_hold`` only for a family whose relations are proved
-    (``verify_braid_relations(rep).ok``): then D A_i D^-1 = A_(i+1) for every
-    i mod n, each pair is a D-translate of some (0, d), and only those are read."""
+def full_friendship_graph(rep) -> FriendshipGraph:
+    """The graph on s0..s(n-1), from every unordered pair of images.
+    ``analyze`` reads a family with proved relations off the pairs (0, d)."""
     n = rep.n
-    if relations_hold:
-        dset = {d for d in range(1, n // 2 + 1) if are_friends(rep, 0, d)}
-        return FriendshipGraph.from_distance_set(n, dset)
     adj = [[False] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
         adj[i][j] = adj[j][i] = are_friends(rep, i, j)

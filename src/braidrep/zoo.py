@@ -17,6 +17,7 @@ from random import Random
 
 from .errors import NotARepresentationError, ShapeError, SingularMatrixError
 from .linalg import (
+    EchelonSpan,
     Matrix,
     Subspace,
     _lowest_terms,
@@ -24,7 +25,6 @@ from .linalg import (
     image_basis,
     inverse,
     mul_rows,
-    rank,
     rational,
 )
 
@@ -51,10 +51,11 @@ class Representation:
     request, and Im A_0 from the factors, without D.
 
     The public constructor is the entry for dense images (JSON files,
-    library callers): it factors each image and proves it invertible.  The
-    zoo builders pass factors they read off a small block, a sum or a
-    change of basis to ``_from_factors``, with their own proof of
-    invertibility.  Both hand the same triples to ``_init``.
+    library callers): it factors each image and proves it invertible
+    (``_invertible_factor``).  The zoo builders pass factors they read off a
+    small block, a sum or a change of basis to ``_from_factors``: a block is
+    factored by the same routine, and a sum or a change of basis of
+    invertible images is invertible.  Both hand the same triples to ``_init``.
 
     The constructor enforces shape and invertibility only; properties that
     hold for genuine representations (equal deformation ranks, the defining
@@ -72,10 +73,8 @@ class Representation:
             raise ShapeError(f"expected {n - 1} generator images, got {len(generators)}")
         if any(g.shape != (r, r) for g in generators):
             raise ShapeError("generator images must all be square of the stated size")
-        self._init(n, r, [_factor(_plus_scalar(g, -1)) for g in generators], label)
+        self._init(n, r, [_invertible_factor(g) for g in generators], label)
         self.generators = generators
-        if not self._generators_invertible():
-            raise SingularMatrixError("generator image is singular")
 
     def _init(self, n, r, factors, label):
         """Hold the factors ``(image, y, s)`` of A_1 ... A_(n-1), unchecked."""
@@ -92,14 +91,6 @@ class Representation:
         self = cls.__new__(cls)
         self._init(n, r, factors, label)
         return self
-
-    def _generators_invertible(self) -> bool:
-        """Whether every g_i = 1 + R_i^T Y_i / s_i is invertible.  Sylvester's
-        identity det(1 + UV) = det(1 + VU) makes that the rank k of the k x k
-        matrix s_i + Y_i R_i^T (k = 0 passes); at k = r, R_i = 1 and it is
-        the r x r matrix s_i + Y_i."""
-        return all(rank(_plus_scalar(Matrix._new(tuple(map(tuple, self.middle(i, i))), 1), self.factor(i)[2]))
-                   == self.image(i).dim for i in range(1, self.n))
 
     @cached_property
     def has_full_image(self) -> bool:
@@ -269,6 +260,26 @@ def _middle_product(rep) -> list:
     return mul_rows(ys, tuple(zip(*rows)), len(rows)) if rows else [[] for _ in ys]
 
 
+def _y_rt(y, img) -> list:
+    """Y R^T as integer rows, for the rows y and the canonical rows R of img:
+    y itself where img is full, as R = 1 there."""
+    return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
+
+
+def _invertible_factor(g) -> tuple[Subspace, tuple, int]:
+    """The factor ``(image, y, s)`` of g - 1, for a square matrix g of
+    rationals, after proving g invertible; raises ``SingularMatrixError``
+    where it is not.  Sylvester's identity det(1 + UV) = det(1 + VU) makes
+    g = 1 + R^T Y / s invertible exactly when the k x k integer rows s + Y R^T
+    have rank k (k = 0 passes); at k = r, R = 1 and they are s + Y."""
+    img, y, s = _factor(_plus_scalar(g, -1))
+    span = EchelonSpan(img.dim)
+    for p, row in enumerate(_y_rt(y, img)):
+        if span.add([s * (p == q) + e for q, e in enumerate(row)]) is None:
+            raise SingularMatrixError("generator image is singular")
+    return img, y, s
+
+
 def _factor(a, img=None) -> tuple[Subspace, tuple, int]:
     """The factor ``(image, y, s)`` of a deformation matrix a, as
     ``Representation.factor`` gives it, from its image where the caller
@@ -286,18 +297,8 @@ def _pad(r, at, img, y):
             tuple(left + tuple(row) + right for row in y))
 
 
-def _block_factor(block):
-    """The factor ``(image, y, s)`` of B - 1, for a square block B of
-    rationals, after proving B invertible by its rank; raises
-    ``SingularMatrixError`` where it is not."""
-    b = Matrix(block)
-    if rank(b) < b.nrows:
-        raise SingularMatrixError("generator image is singular")
-    return _factor(_plus_scalar(b, -1))
-
-
 def _placed(r, at, factor):
-    """The factor of the r x r identity with the block of ``_block_factor``
+    """The factor of the r x r identity with the block of ``_invertible_factor``
     placed at (at, at), in O(k r) for block size k, with no r x r matrix formed."""
     img, y, s = factor
     rows, pivots, y = _pad(r, at, img, y)
@@ -324,7 +325,7 @@ def character_rep(n, y) -> Representation:
         raise ValueError("character parameter must be nonzero")
     if n < 2:
         raise ValueError("need at least 2 strands")
-    return Representation._from_factors(n, 1, [_block_factor(((y,),))] * (n - 1), f"char(n={n},y={y})")
+    return Representation._from_factors(n, 1, [_invertible_factor(Matrix([[y]]))] * (n - 1), f"char(n={n},y={y})")
 
 
 def tym_standard(n, u) -> Representation:
@@ -341,7 +342,7 @@ def tym_standard(n, u) -> Representation:
         raise ValueError("block parameter must be nonzero")
     if n < 2:
         raise ValueError("need at least 2 strands")
-    block = _block_factor(((0, u), (1, 0)))
+    block = _invertible_factor(Matrix([[0, u], [1, 0]]))
     factors = [_placed(n, i - 1, block) for i in range(1, n)]
     return Representation._from_factors(n, n, factors, f"tym(n={n},u={u})")
 
@@ -358,9 +359,9 @@ def reduced_burau(n, t) -> Representation:
     if n < 3:
         raise ValueError("need at least 3 strands")
     r = n - 1
-    first = _block_factor(((-t, 0), (1, 1)))
-    middle = _block_factor(((1, t, 0), (0, -t, 0), (0, 1, 1)))
-    last = _block_factor(((1, t), (0, -t)))
+    first = _invertible_factor(Matrix([[-t, 0], [1, 1]]))
+    middle = _invertible_factor(Matrix([[1, t, 0], [0, -t, 0], [0, 1, 1]]))
+    last = _invertible_factor(Matrix([[1, t], [0, -t]]))
     factors = [_placed(r, 0, first), *(_placed(r, i - 2, middle) for i in range(2, n - 1)),
                _placed(r, n - 3, last)]
     return Representation._from_factors(n, r, factors, f"burau(n={n},t={t})")

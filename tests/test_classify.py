@@ -1120,6 +1120,35 @@ def test_analyze_graph_class_equals_the_graph_of_the_input(rep):
     assert (report.graph_class, report.graph_error) == expected
 
 
+def test_analyze_reads_proved_relations_off_the_pairs_at_s0_with_no_graph(monkeypatch):
+    # The relations of scrambled Burau hold and it has no chain, so analyze
+    # classifies the distances d with s0 and s_d friends, and builds no graph.
+    import braidrep.classify as classify
+    from braidrep.friendship import FriendshipGraph
+
+    rep, graphs, pairs, friends = parse_rep_spec("conj(burau:n=8,t=3,seed=5)")[0], [], [], classify.are_friends
+    monkeypatch.setattr(FriendshipGraph, "__post_init__", graphs.append)
+    monkeypatch.setattr(classify, "are_friends", lambda rep, i, j: pairs.append((i, j)) or friends(rep, i, j))
+    report = analyze(rep)
+    assert report.relations["deformed_relations_ok"] and report.standard_form is None
+    assert graphs == []
+    assert pairs == [(0, d) for d in range(1, rep.n // 2 + 1)]
+    monkeypatch.undo()
+    assert report.graph_class == classify_graph(full_friendship_graph(rep))
+
+
+def test_chain_step_acts_only_in_its_walk(monkeypatch):
+    # The walk forms a_i = g_i a_(i-1); the twist check and Y_i a_j = 0 read
+    # one table of the products Y_i a_j, so no generator acts again.
+    import braidrep.classify as classify
+
+    rep, acts, act = parse_rep_spec("conj(tym:n=8,u=2,seed=3)")[0], [], Representation.act
+    monkeypatch.setattr(Representation, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
+    u, _ = classify._chain_certificate(rep)
+    assert u == 2
+    assert acts == list(range(1, rep.n))
+
+
 @pytest.mark.parametrize("n", range(6, 17))
 def test_certified_chain_reads_corank_and_graph_from_the_theorem(n):
     # What analyze takes from a certified standard form equals what the

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import braidrep
+import braidrep.cli as cli
 from braidrep.cli import MAX_DENSE_ENTRIES, _parse, parse_rep_spec, run
 from braidrep.errors import OutOfScaleError, SpecParseError
 from braidrep.linalg import Matrix, Subspace
@@ -349,6 +350,45 @@ def test_oversized_sweep_range_exits_two_before_it_is_expanded():
 def test_spec_nested_past_the_recursion_limit_exits_two(capsys):
     spec = "tensor(" * 2000 + "tym:n=6,u=2" + ",y=2)" * 2000
     assert capture(capsys, ["make", spec]) == (2, "", "error: spec is nested too deeply\n")
+
+
+def _parse_steps(spec):
+    """The lines of ``braidrep.cli`` that ``_parse`` runs on spec: each
+    character that a loop of the parser scans costs at least one."""
+    steps = [0]
+
+    def count(frame, event, arg):
+        steps[0] += event == "line"
+        return count
+
+    def trace(frame, event, arg):
+        return count if frame.f_code.co_filename == cli.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        shape = _parse(spec, 0)[0]
+    finally:
+        sys.settrace(previous)
+    return shape, steps[0]
+
+
+@pytest.mark.parametrize("outer, inner, added", [
+    ("tensor(", ",y=2)", 0),
+    ("conj(", ",seed=3)", 0),
+    ("conj( tensor( ", " , y=2 ) )", 0),
+    ("dsum(", ",char:n=6,y=3)", 1),
+    ("dsum(char:n=6,y=3, ", ")", 1),
+])
+@pytest.mark.parametrize("depth", [1, 30, 300])
+def test_spec_parse_scans_a_bounded_multiple_of_its_length(outer, inner, added, depth):
+    # Each level splits its own range once and jumps the groups inside it,
+    # so the parse does not re-scan the inner text at every nesting level.
+    # Each level adds ``added`` to the dimension.
+    spec = outer * depth + "tym:n=6,u=2" + inner * depth
+    shape, steps = _parse_steps(spec)
+    assert shape == (6, 6 + added * depth)
+    assert steps <= 30 * len(spec)
 
 
 @pytest.mark.parametrize("verb", ["verify", "graph", "analyze"])

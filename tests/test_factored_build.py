@@ -174,7 +174,37 @@ def test_the_verbs_never_form_the_dense_images_of_a_plain_spec(monkeypatch, spec
 @pytest.mark.parametrize("block", [((1, 2), (2, 4)), ((0,),), ((1, 0, 0), (0, 1, 1), (0, 2, 2))])
 def test_a_singular_block_is_refused(block):
     with pytest.raises(SingularMatrixError, match="^generator image is singular$"):
-        zoo._block_factor(tuple(tuple(map(F, row)) for row in block))
+        zoo._invertible_factor(Matrix([list(map(F, row)) for row in block]))
+
+
+@pytest.mark.parametrize("image", [
+    [[0, 0], [0, 2]],  # g - 1 = diag(-1, 1) has full rank: k = r
+    [[0, 0, 0], [0, 1, 0], [0, 0, 1]],  # g - 1 has rank one: k < r
+], ids=["full_rank_deformation", "rank_one_deformation"])
+def test_a_singular_dense_image_is_refused_by_the_constructor(image):
+    r = len(image)
+    with pytest.raises(SingularMatrixError, match="^generator image is singular$"):
+        Representation(3, r, [Matrix.identity(r), Matrix(image)])
+
+
+@pytest.mark.parametrize("spec, calls", [
+    ("conj(burau:n=8,t=3,seed=5)", 7), ("tym:n=6,u=2", 5), ("conj(tensor(tym:n=5,u=2,y=3),seed=1)", 4),
+])
+def test_one_routine_proves_every_image_invertible(monkeypatch, spec, calls):
+    # The public constructor proves each of its n - 1 images, and the builders
+    # prove each distinct block once; a sum or a change of basis proves nothing.
+    source = parse_rep_spec(spec)[0]
+    gens, proved, prove = source.generators, [], zoo._invertible_factor
+    monkeypatch.setattr(zoo, "_invertible_factor", lambda g: proved.append(g) or prove(g))
+    rep = Representation(source.n, source.r, gens)
+    assert proved == list(gens) and len(proved) == calls
+    proved.clear()
+    zoo.tym_standard(8, 2), zoo.character_rep(8, 3), zoo.reduced_burau(8, 2)
+    assert len(proved) == 1 + 1 + 3
+    summands = zoo.tym_standard(4, 2), zoo.character_rep(4, 3)
+    proved.clear()
+    zoo.direct_sum(*summands), zoo.scrambled(rep, 3)
+    assert proved == []
 
 
 def _reference_invertible_matrix(size, rng):
@@ -197,13 +227,12 @@ def test_random_invertible_matrix_keeps_its_draws():
 @pytest.mark.parametrize("size, seed", [(1, 0), (1, 3), (4, 2), (8, 7), (16, 5)])
 def test_scrambled_eliminates_its_change_of_basis_once(monkeypatch, size, seed):
     p = random_invertible_matrix(size, Random(seed))
-    calls, original_inverse, original_rank = [], zoo.inverse, zoo.rank
+    calls, original_inverse = [], zoo.inverse
 
     def spy(original):
         return lambda m: calls.append(m == p) or original(m)
 
     monkeypatch.setattr(zoo, "inverse", spy(original_inverse))
-    monkeypatch.setattr(zoo, "rank", spy(original_rank))
     rep = zoo.tym_standard(size, 2) if size > 1 else zoo.character_rep(3, 2)
     calls.clear()
     scrambled(rep, seed)

@@ -374,13 +374,13 @@ def test_graph_builders_intersect_no_images(monkeypatch, rep):
     assert calls == []
 
 
-def test_proved_relations_read_the_graph_off_the_pairs_at_s0():
-    # The caller vouches for the relations, so the pairs (0, d) decide every
-    # edge, even on a family whose images D does not shift.  Without that
-    # every pair is tested, and here the two graphs differ.
+def test_the_graph_of_a_broken_family_tests_every_pair():
+    # D does not shift the images of a broken family, so the pairs (0, d)
+    # alone, which ``analyze`` reads where the relations hold, give another
+    # graph here; the graph tests every pair.
     rep = broken_family()
     dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, 0, d)}
-    assert full_friendship_graph(rep, relations_hold=True) == FriendshipGraph.from_distance_set(rep.n, dset)
+    assert full_friendship_graph(rep) != FriendshipGraph.from_distance_set(rep.n, dset)
     assert full_friendship_graph(rep).adjacency == _all_pairs_adjacency(rep, range(rep.n))
 
 

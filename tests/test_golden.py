@@ -59,6 +59,14 @@ def test_analyze_output_is_unchanged(capsys, name):
     assert capsys.readouterr().out == expected
 
 
+def test_analyze_text_reads_proved_relations_off_the_pairs_at_s0(capsys):
+    # n = 5 sits outside the chain step, so the graph of this chain comes
+    # from the distances d at which s0 and s_d are friends.
+    assert run(["analyze", "conj(tym:n=5,u=2,seed=3)", "--format", "text"]) == 0
+    expected = (DATA / "analyze_tym5_text.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 GRAPH_GOLDEN = {
     # the all-pairs rule on a family that is not a representation: unclassified
     "broken": str(DATA / "broken_family.json"),
