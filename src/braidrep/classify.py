@@ -593,15 +593,11 @@ def _chain_certificate(rep):
         (v, den), (w, s) = chain[-1], rep.act(i, chain[-1][0])
         g = math.gcd(s * den, *w)
         chain.append(([e // g for e in w], s * den // g))
-    # Y_i v_j at [i - 1][j], each formed once: ``act`` formed Y_i v_(i-1) in the walk.
-    products = [[None if j == i - 1 else [sum(map(mul, row, v)) for row in rep.factor(i)[1]]
-                 for j, (v, _) in enumerate(chain)] for i in range(1, n)]
     twists = []
-    for i, row in enumerate(products, 1):
-        # The twist t_i with g_i a_i = (s_i v_i + R_i^T Y_i v_i) / (s_i d_i) = t_i a_(i-1).
-        img, _, s = rep.factor(i)
-        (v, den), (prev, pden) = chain[i], chain[i - 1]
-        back = [s * a + b for a, b in zip(v, img.combination(row[i]))]
+    for i in range(1, n):
+        # The twist t_i with g_i a_i = back / (s_i d_i) = t_i a_(i-1); ``act``
+        # forms Y_i a_i here, as the walk formed Y_i a_(i-1).
+        (back, s), (_, den), (prev, pden) = rep.act(i, chain[i][0]), chain[i], chain[i - 1]
         p = next(idx for idx, e in enumerate(prev) if e)
         if not back[p] or any(a * prev[p] != b * back[p] for a, b in zip(back, prev)):
             raise NotARepresentationError(f"generator {i} does not map its chain vector into the previous line")
@@ -611,8 +607,9 @@ def _chain_certificate(rep):
     u = twists[0]
     if u == 1:
         raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
-    for i, row in enumerate(products, 1):
-        if any(any(c) for j, c in enumerate(row) if j not in (i - 1, i)):
+    for i in range(1, n):
+        y = rep.factor(i)[1]
+        if any(sum(map(mul, row, v)) for j, (v, _) in enumerate(chain) if j not in (i - 1, i) for row in y):
             raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
     return u, _chain_matrix(chain)
 

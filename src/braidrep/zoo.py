@@ -157,8 +157,7 @@ class Representation:
         """M_ij = Y_i R_j^T as k_i x k_j integer rows, formed alone in
         O(k_i k_j r), for a caller that needs one or two; ``block`` reads the
         same from the cached ``middles``."""
-        y, img = self.factor(i)[1], self.image(j)
-        return y if img.is_full() else [[sum(map(mul, a, b)) for b in img.rows] for a in y]
+        return _y_rt(self.factor(i)[1], self.image(j))
 
     def middles(self, transposed=False) -> dict:
         """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1 as integer

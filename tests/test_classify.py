@@ -1137,16 +1137,16 @@ def test_analyze_reads_proved_relations_off_the_pairs_at_s0_with_no_graph(monkey
     assert report.graph_class == classify_graph(full_friendship_graph(rep))
 
 
-def test_chain_step_acts_only_in_its_walk(monkeypatch):
-    # The walk forms a_i = g_i a_(i-1); the twist check and Y_i a_j = 0 read
-    # one table of the products Y_i a_j, so no generator acts again.
+def test_chain_step_acts_once_in_its_walk_and_once_per_twist(monkeypatch):
+    # The walk forms a_i = g_i a_(i-1) and the twist check g_i a_i; the check
+    # Y_i a_j = 0 forms only the other products, so no generator acts again.
     import braidrep.classify as classify
 
     rep, acts, act = parse_rep_spec("conj(tym:n=8,u=2,seed=3)")[0], [], Representation.act
     monkeypatch.setattr(Representation, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
     u, _ = classify._chain_certificate(rep)
     assert u == 2
-    assert acts == list(range(1, rep.n))
+    assert acts == [*range(1, rep.n), *range(1, rep.n)]
 
 
 @pytest.mark.parametrize("n", range(6, 17))
