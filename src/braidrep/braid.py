@@ -120,7 +120,12 @@ def _lifts_agree(img, mid, y, img2, mid2, y2) -> bool:
     columns of mid2, so it is R^T x for some x exactly when those lie in img.  The
     canonical rows vanish at each other's pivots, so row p of R^T x is
     lead x_a at the pivot p of row a of R, and x = mid y exactly when lead
-    (mid y)_a equals row p of the right side for every a."""
+    (mid y)_a equals row p of the right side for every a.  As R^T is injective
+    and y maps onto the coordinate space, a side is 0 exactly when its middle
+    is, so a zero middle settles the pair at once."""
+    zero, zero2 = not any(map(any, mid)), not any(map(any, mid2))
+    if zero or zero2:
+        return zero and zero2
     if not all(img.contains_ints(img2.combination(col)) for col in zip(*mid2)):
         return False
     r = img.ambient_dim

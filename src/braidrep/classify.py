@@ -130,7 +130,7 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
     R_i^T x in O} hold Y_i v and satisfy the same inclusions, as O is
     invariant; they contain the least V_i, so W lies in O.  For the
     transposes A_i^T = Y_i^T R_i / s_i the roles of R_i and Y_i swap, and the
-    middles are R_i Y_j^T = M_ji^T.
+    middles are R_i Y_j^T = M_ji^T, applied to w as the combination w^T M_ji.
 
     The V_i are closed on the middles, and a target is skipped once V_i is
     Q^(k_i): each new basis vector of V_j costs a k_i x k_j product for each
@@ -169,15 +169,16 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
                         else partial(_factor_action, out, inn, EchelonSpan(img.dim)))
         elif img.dim:
             outs[i], inns[i], spaces[i] = out, inn, EchelonSpan(img.dim)
-    mids, ambient = rep.middles(transposed) if spaces else {}, EchelonSpan(r)
+    mids, ambient = rep.middles() if spaces else {}, EchelonSpan(r)
     growing = dict(spaces)  # the V_i that are not Q^(k_i) yet
     # (0, x): a vector x of span{v} + U; (j, w): a new basis vector w of V_j.
     work = [(0, ambient.add(vec))]
     while work and (growing or wide):
         j, w = work.pop()
         for i, space in list(growing.items()):
-            rows = inns[i] if j == 0 else mids.get((i, j))
-            if rows and (added := space.add([sum(map(mul, row, w)) for row in rows])) is not None:
+            rows = inns[i] if j == 0 else mids.get((j, i) if transposed else (i, j))
+            if rows and (added := space.add(combine(w, rows, space.length) if transposed and j
+                                            else [sum(map(mul, row, w)) for row in rows])) is not None:
                 work.append((i, added))
                 if space.dim == space.length:
                     del growing[i]
@@ -864,9 +865,10 @@ def analyze(rep, seed=None) -> AnalysisReport:
     With a certified standard form, the corank, the graph and the relations
     are those of T(u) (``_chain_certificate``).  Otherwise they are computed,
     the relations first.  Where they hold, D A_i D^-1 = A_(i+1) for every i
-    mod n, so each pair of images is a D-translate of some (0, d): the
-    distance set {d : ``are_friends(rep, 0, d)``} is classified with no graph
-    built.  Otherwise the graph of every pair is classified.
+    mod n, so each pair of images is a D-translate of some (1, 1 + d), or of
+    (0, 1) on 2 strands: the distance set {d : ``are_friends(rep, 1, 1 + d)``}
+    is classified with no graph built and, for n >= 3, no Im A_0.  Otherwise
+    the graph of every pair is classified.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
@@ -882,7 +884,8 @@ def analyze(rep, seed=None) -> AnalysisReport:
         report = verify_braid_relations(rep)
         try:
             if report.ok:
-                dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, 0, d)}
+                start = 1 if rep.n > 2 else 0
+                dset = {d for d in range(1, rep.n // 2 + 1) if are_friends(rep, start, start + d)}
                 graph_class = classify_distances(rep.n, dset)
             else:
                 graph_class = classify_graph(full_friendship_graph(rep))

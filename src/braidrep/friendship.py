@@ -97,19 +97,25 @@ def are_friends(rep, i, j) -> bool:
     neither a rank nor Im A_0 is formed there: A_0 = D A_(n-1) D^-1 has the
     dimension of Im A_(n-1).  Two exact tests come before the rank: a
     canonical row that U and V share is a nonzero vector of both, and where
-    no column is nonzero in both U and V, a common vector is 0."""
+    no column is nonzero in both U and V, a common vector is 0.  A line U =
+    span(u) meets V exactly when u lies in V, a membership test in place of
+    the rank."""
     if i == j:
         raise ValueError("friendship is between distinct generators")
     last = rep.n - 1
     if rep.image(i or last).dim + rep.image(j or last).dim > rep.r:
         return True
     u, v = rep.image(i), rep.image(j)
+    if u.dim > v.dim:
+        u, v = v, u
     # Both tests stop early on dense rows: these differ, and meet, in their
     # first columns.
     if any(map(v.rows.__contains__, u.rows)):
         return True
     if not any(map(and_, map(any, zip(*u.rows)), map(any, zip(*v.rows)))):
         return False
+    if u.dim == 1:
+        return v.contains_ints(u.rows[0])
     return rank(Matrix._new((*u.rows, *v.rows), 1)) < u.dim + v.dim
 
 
@@ -137,7 +143,7 @@ def are_true_friends(rep, i, j) -> bool:
 
 def full_friendship_graph(rep) -> FriendshipGraph:
     """The graph on s0..s(n-1), from every unordered pair of images.
-    ``analyze`` reads a family with proved relations off the pairs (0, d)."""
+    ``analyze`` reads a family with proved relations off the pairs (1, 1 + d)."""
     n = rep.n
     adj = [[False] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):

@@ -192,9 +192,9 @@ class Matrix:
         return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def transpose(self):
-        if not self.nrows:
-            return Matrix(((),))
-        return Matrix._new(tuple(zip(*self.num)), self.den)
+        out = Matrix._new(tuple(zip(*self.num)) or ((),) * self.ncols, self.den)
+        out.nrows, out.ncols = self.ncols, self.nrows
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

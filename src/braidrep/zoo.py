@@ -159,14 +159,12 @@ class Representation:
         same from the cached ``middles``."""
         return _y_rt(self.factor(i)[1], self.image(j))
 
-    def middles(self, transposed=False) -> dict:
+    def middles(self) -> dict:
         """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1 as integer
-        rows, keyed by (i, j), a zero one left out; with
-        ``transposed``, the middles R_i Y_j^T = M_ji^T of the transposed
-        factors A_i^T = Y_i^T R_i / s_i, keyed the same way.  Both are read
-        from ``middle_product`` and cached: the dicts and their rows are
-        shared, so callers only read them."""
-        return self._transposed_middles if transposed else self._middles
+        rows, keyed by (i, j), a zero one left out.  They are read from
+        ``middle_product`` and cached: the dict and its rows are shared, so
+        callers only read them."""
+        return self._middles
 
     def block(self, i, j) -> list:
         """M_ij as k_i x k_j integer rows, read from ``middles`` and zero-filled
@@ -207,10 +205,6 @@ class Representation:
             for j in full if y else ():
                 out[i, j] = y
         return out
-
-    @cached_property
-    def _transposed_middles(self) -> dict:
-        return {(j, i): [list(col) for col in zip(*mid)] for (i, j), mid in self._middles.items()}
 
     def act(self, i, v) -> tuple[list, int]:
         """``(w, s)`` with g_i v = w / s for an integer vector v:

@@ -463,6 +463,8 @@ def _factor_scan_cases():
     yield from delta_families()
     yield broken_three_strand_family()
     yield from _zero_beside_nonzero()
+    # cubic(1, 2) = 0 beside cubic(2, 1) = -6: a zero middle settles the failing pair
+    yield Representation(3, 2, [Matrix([[2, 0], [0, 1]]), Matrix([[-1, 0], [1, 1]])], label="zero cubic")
     for rep in (reduced_burau(6, 2), tym_standard(6, F(5, 3))):
         twist = tensor_character(rep, F(3, 2))
         assert twist.has_full_image

@@ -1106,6 +1106,12 @@ def _graph_families():
     yield from _only_a_shift_broken()
     yield from delta_families()
     yield from _zero_beside_nonzero()
+    # lines that meet, in r = 2: every image is the same line
+    line_sum = "dsum(char:n=5,y=2,char:n=5,y=1)"
+    yield parse_rep_spec(line_sum)[0]
+    for seed in (1, 2):
+        yield parse_rep_spec(f"conj({line_sum},seed={seed})")[0]
+    yield _mixed_deformations()
 
 
 @pytest.mark.parametrize("rep", list(_graph_families()), ids=lambda rep: rep.label or "broken")
@@ -1120,19 +1126,26 @@ def test_analyze_graph_class_equals_the_graph_of_the_input(rep):
     assert (report.graph_class, report.graph_error) == expected
 
 
-def test_analyze_reads_proved_relations_off_the_pairs_at_s0_with_no_graph(monkeypatch):
-    # The relations of scrambled Burau hold and it has no chain, so analyze
-    # classifies the distances d with s0 and s_d friends, and builds no graph.
+@pytest.mark.parametrize("spec, start", [
+    ("conj(burau:n=8,t=3,seed=5)", 1),
+    # on 2 strands the one pair is (s0, s1)
+    ("conj(dsum(char:n=2,y=2,char:n=2,y=3),seed=1)", 0),
+])
+def test_analyze_reads_proved_relations_off_the_pairs_at_s1_with_no_graph(monkeypatch, spec, start):
+    # The relations hold and there is no chain, so analyze classifies the
+    # distances d with s1 and s_(1+d) friends, builds no graph and, for
+    # n >= 3, forms no Im A_0.
     import braidrep.classify as classify
     from braidrep.friendship import FriendshipGraph
 
-    rep, graphs, pairs, friends = parse_rep_spec("conj(burau:n=8,t=3,seed=5)")[0], [], [], classify.are_friends
+    rep, graphs, pairs, friends = parse_rep_spec(spec)[0], [], [], classify.are_friends
     monkeypatch.setattr(FriendshipGraph, "__post_init__", graphs.append)
     monkeypatch.setattr(classify, "are_friends", lambda rep, i, j: pairs.append((i, j)) or friends(rep, i, j))
     report = analyze(rep)
     assert report.relations["deformed_relations_ok"] and report.standard_form is None
     assert graphs == []
-    assert pairs == [(0, d) for d in range(1, rep.n // 2 + 1)]
+    assert pairs == [(start, start + d) for d in range(1, rep.n // 2 + 1)]
+    assert start == 0 or "_image0" not in vars(rep)
     monkeypatch.undo()
     assert report.graph_class == classify_graph(full_friendship_graph(rep))
 

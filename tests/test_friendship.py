@@ -21,8 +21,10 @@ from braidrep.friendship import (
     is_chain,
     is_connected,
 )
-from braidrep.linalg import Subspace
+from braidrep.cli import parse_rep_spec
+from braidrep.linalg import Matrix, Subspace
 from braidrep.zoo import (
+    Representation,
     character_rep,
     direct_sum,
     reduced_burau,
@@ -32,6 +34,7 @@ from braidrep.zoo import (
 )
 from conftest import broken_family, build_zoo, random_families
 from test_braid import delta_families
+from test_classify import _mixed_deformations
 
 F = Fraction
 
@@ -135,6 +138,21 @@ def _friendship_inputs():
         yield direct_sum(tym_standard(8, 2), character_rep(8, y))
         yield direct_sum(character_rep(6, y), reduced_burau(6, 2))
     yield direct_sum(tym_standard(5, 2), tym_standard(5, 3))
+    # every image the same line in r = 2, and a line beside a full image and a zero one
+    line_sum = "dsum(char:n=5,y=2,char:n=5,y=1)"
+    for spec in (line_sum, f"conj({line_sum},seed=1)", f"conj({line_sum},seed=2)"):
+        yield parse_rep_spec(spec)[0]
+    yield _mixed_deformations()
+    yield _line_in_a_plane()
+    yield scrambled(_line_in_a_plane(), 1)
+
+
+def _line_in_a_plane():
+    """Im A_1 is the plane of e1 and e2, and Im A_2 the line of e1 + e2 in it:
+    they meet in a line that is no canonical row of the plane.  Not a
+    representation."""
+    gens = [Matrix([[2, 0, 0], [0, 2, 0], [0, 0, 1]]), Matrix([[1, 0, 1], [0, 1, 1], [0, 0, 1]])]
+    return Representation(3, 3, gens, label="line in a plane")
 
 
 @pytest.mark.parametrize("rep", list(_friendship_inputs()), ids=repr)
@@ -151,6 +169,9 @@ def test_friendship_is_a_nonzero_intersection(rep):
     (tym_standard(8, 3), 0),
     # dense rows after a change of basis: every one of the 28 pairs takes a rank
     (scrambled(tym_standard(8, 3), 2), 28),
+    # dense lines, and a line in a plane: membership decides where one image is a line
+    (scrambled(reduced_burau(8, 3), 2), 0),
+    (scrambled(_line_in_a_plane(), 1), 0),
 ], ids=repr)
 def test_friendship_pre_tests_skip_the_rank(monkeypatch, rep, calls):
     import braidrep.friendship as friendship

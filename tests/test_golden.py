@@ -35,6 +35,8 @@ GOLDEN = {
     "conj_tensor": "conj(tensor(burau:n=5,t=2,y=-1),seed=2)",
     "tym2": "tym:n=2,u=4",
     "trivial": "dsum(char:n=5,y=1,char:n=5,y=1)",
+    # corank 1 in r = 2, every image the same line: distance set [1, 2] from meeting lines
+    "line_sum": "conj(dsum(char:n=5,y=2,char:n=5,y=1),seed=3)",
     # corank 2 on n = r = 6 without a chain: the chain step's first failing check
     "failed_chain": "dsum(burau:n=6,t=2,char:n=6,y=3)",
     # a family that breaks the relations, read from a file

@@ -50,6 +50,19 @@ def test_rational_parsing_and_formatting():
         rational(0.5)
 
 
+@pytest.mark.parametrize("rows, shape", [
+    ([], (0, 0)),
+    ([[], [], []], (0, 3)),
+    ([[1, F(1, 2), 3]], (3, 1)),
+    ([[1, 2], [3, 4], [5, 6]], (2, 3)),
+])
+def test_transpose_swaps_the_shape(rows, shape):
+    t = Matrix(rows).transpose()
+    assert t.shape == shape
+    assert t.transpose() == Matrix(rows)
+    assert [list(row) for row in t.rows] == [list(col) for col in zip(*rows)]
+
+
 def test_matrix_refuses_floats():
     with pytest.raises(ValueError):
         Matrix([[0.1, 1]])
