@@ -6,8 +6,9 @@ an invariant subspace that is verified before it is reported
 (``_is_invariant``).  ``decide_irreducibility`` is the one decision
 procedure, used by ``analyze`` and the command line; its docstring lists the
 certificates in the order it tries them.  The proofs are given once each:
-the Norton step in ``_norton_step`` and ``_norton_candidates``, the orbits in
-``_orbit`` and the chain step in ``_chain_certificate``.
+the character divided out first in ``_character``, the Norton step in
+``_norton_step`` and ``_norton_candidates``, the orbits in ``_orbit`` and the
+chain step in ``_chain_certificate``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,19 @@ from .linalg import (
     Subspace,
     _identity_rows,
     _lowest_terms,
+    _minus,
     clear_denominators,
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
     kernel_basis,
+    minimal_polynomial,
+    monic_roots,
     mul_rows,
     rank,
     rational,
     rational_eigenvalues,
 )
-from .zoo import corank, tym_standard
+from .zoo import corank, tensor_character, tym_standard
 
 _PROJECTORS_DETAIL = "coordinate projectors certify the full matrix algebra"
 
@@ -732,22 +736,85 @@ def invariant_subspace_search(rep) -> IrreducibilityVerdict:
     )
 
 
+def _character(rep) -> Fraction:
+    """The scalar y by which ``decide_irreducibility`` divides the input,
+    picked without depending on the basis: for n >= 3 and 2k > r, k = rank
+    A_1, y = 1 + mu for the nonzero rational eigenvalue mu of P = M_11 / s_1
+    that gives the least rank(g_1 - 1 - mu), where that rank is below k,
+    the smaller y on a tie; otherwise y = 1.
+
+    A_1 acts on its image as P (``_image_eigenspaces``), which holds its
+    eigenvectors at mu != 0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 -
+    lam) for lam = s_1 mu, below k exactly where rank(M_11 - lam) < d = 2k
+    - r.  Where d <= 0 nothing is formed: for lambda != 1 the
+    lambda-eigenspace of g_1 misses ker A_1, so rank(g_1 - lambda) >= r - k
+    >= k.  Otherwise no characteristic polynomial is formed either.  Let N
+    = M_11 - lam have rank w < d.  Every M_11^j v lies in span(v) + Im N, so
+    the Krylov space of every v has dimension at most w + 1 <= d, and where
+    that of some e_i exceeds d, y = 1.  If v is not in Im N, lam is a root
+    of the minimal polynomial f of v: f(M_11) v = f(lam) v + N q(M_11) v = 0
+    puts f(lam) v in Im N.  One of any w + 1 coordinate vectors lies outside
+    Im N, so once e_1 ... e_j are read, every lam of rank below j is among
+    the integer roots of their minimal polynomials, and the reading stops
+    when j exceeds the least rank found.
+    """
+    img, _, s = rep.factor(1)
+    k, r = img.dim, rep.r
+    d = 2 * k - r
+    if rep.n < 3 or d <= 0:
+        return Fraction(1)
+    m, widths = rep.middle(1, 1), {}  # {lam: rank(M_11 - lam)}
+    for j, unit in enumerate(_identity_rows(k)[:d]):
+        if widths and j > min(widths.values()):
+            break
+        f = minimal_polynomial(m, unit, d)
+        if f is None:
+            return Fraction(1)
+        for lam in monic_roots(f) - widths.keys() - {0}:
+            widths[lam] = rank(_int_rows([_minus(tuple(row), p, lam) for p, row in enumerate(m)], k))
+    width, lam = min(((w, lam) for lam, w in widths.items()), default=(d, 0))
+    return 1 + Fraction(lam, s) if width < d else Fraction(1)
+
+
+def _untwist(rep):
+    """``(y, core)``: y of ``_character`` and core = rep / y, rep itself at y = 1."""
+    y = _character(rep)
+    return y, (rep if y == 1 else tensor_character(rep, 1 / y))
+
+
 def decide_irreducibility(rep):
     """The irreducibility decision procedure, cheapest certificate first.
 
     Returns ``(verdict, standard_form, standard_form_error)``, the last two
-    from the chain step when it ran.  Stops at the first step that decides:
-    (1) corank 0, the trivial action; (2) corank 2 on n = r >= 6 strands,
-    by a certified standard form alone (the theorem in
-    ``_standard_fullness_certificate``), where a failed chain step records
-    its error and goes on; (3) common fixed vectors; (4) the Norton step,
-    whose witnesses and fullness proof do not depend on the basis; (5) where
-    no element of the Norton step decides, ``burnside_dimension``: the
-    closure modulo a large prime, then the exact rational closure.  An
-    algebra of dimension below r leaves every orbit proper, so the orbit of
-    a coordinate vector is a witness; otherwise thin is Inconclusive.  Every
-    Reducible verdict is the verified witness of step 1, 3, 4 or 5.
+    from the chain step when it ran.  The steps run on the core rep / y for
+    y of ``_character``, which generates the same unital algebra: it has the
+    verdict, algebra dimension and invariant subspaces of rep.  Where y != 1
+    the detail names y, and a standard form is that of the core.  Stops at
+    the first step that decides: (1) corank 0, the trivial action; (2)
+    corank 2 on n = r >= 6 strands, by a certified standard form alone (the
+    theorem in ``_standard_fullness_certificate``), where a failed chain
+    step records its error and goes on; (3) common fixed vectors; (4) the
+    Norton step, whose witnesses and fullness proof do not depend on the
+    basis; (5) where no element of the Norton step decides,
+    ``burnside_dimension``: the closure modulo a large prime, then the exact
+    rational closure.  An algebra of dimension below r leaves every orbit
+    proper, so the orbit of a coordinate vector is a witness; otherwise thin
+    is Inconclusive.  Every Reducible verdict is the verified witness of step
+    1, 3, 4 or 5.
     """
+    return _decide(*_untwist(rep))
+
+
+def _decide(y, rep):
+    """``decide_irreducibility`` on rep = the input divided by y."""
+    verdict, standard_form, standard_form_err = _ladder(rep)
+    if y != 1:
+        verdict = replace(verdict, detail=f"divided by the character y={y}: {verdict.detail}")
+    return verdict, standard_form, standard_form_err
+
+
+def _ladder(rep):
+    """The steps of ``decide_irreducibility``, in its order, on rep itself."""
     ranks = {rep.image(i).dim for i in range(1, rep.n)}  # {corank}, where it exists
     if ranks == {0}:
         return _trivial_action_verdict(rep), None, None
@@ -797,6 +864,7 @@ class AnalysisReport:
     standard_form_error: str | None
     seed: int
     notes: list = field(default_factory=list)
+    character: Fraction = Fraction(1)
 
     def to_json_dict(self) -> dict:
         out = {"relations": dict(self.relations)}
@@ -809,6 +877,8 @@ class AnalysisReport:
                 "class": self.graph_class.tag.value,
                 "detail": self.graph_class.detail,
             }
+        if self.character != 1:
+            out["character"] = str(self.character)
         out["irreducibility"] = verdict_to_json_dict(self.verdict)
         if self.standard_form is not None:
             out["standard_form"] = {
@@ -840,6 +910,8 @@ class AnalysisReport:
                 lines.append(f"    {self.graph_class.detail}")
         else:
             lines.append(f"  graph: error ({self.graph_error})")
+        if self.character != 1:
+            lines.append(f"  character: y = {self.character}")
         v = self.verdict
         extra = f", algebra dim {v.algebra_dim}" if v.algebra_dim is not None else ""
         lines.append(f"  irreducibility: {v.tag.value}{extra}")
@@ -862,26 +934,30 @@ class AnalysisReport:
 def analyze(rep, seed=None) -> AnalysisReport:
     """Run the whole pipeline and collect findings instead of aborting.
 
-    With a certified standard form, the corank, the graph and the relations
-    are those of T(u) (``_chain_certificate``).  Otherwise they are computed,
-    the relations first.  Where they hold, D A_i D^-1 = A_(i+1) for every i
-    mod n, so each pair of images is a D-translate of some (1, 1 + d), or of
-    (0, 1) on 2 strands: the distance set {d : ``are_friends(rep, 1, 1 + d)``}
-    is classified with no graph built and, for n >= 3, no Im A_0.  Otherwise
-    the graph of every pair is classified.
+    The decision and the relation check run on the core rep / y of
+    ``decide_irreducibility``, whose relations hold and fail where those of
+    rep do, as each is homogeneous; the corank and the graph are those of
+    rep.  With a certified standard form at y = 1, they and the relations
+    are those of T(u) (``_chain_certificate``).  Otherwise they are
+    computed, the relations first.  Where they hold, D A_i D^-1 = A_(i+1)
+    for every i mod n, so each pair of images is a D-translate of some
+    (1, 1 + d), or of (0, 1) on 2 strands: the distance set
+    {d : ``are_friends(rep, 1, 1 + d)``} is classified with no graph built
+    and, for n >= 3, no Im A_0.  Otherwise the graph of every pair is
+    classified.
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
-    verdict, standard_form, standard_form_err = decide_irreducibility(rep)
-    if standard_form is not None:
-        corank_val, report = 2, RelationReport(True, True)
-        graph_class = classify_distances(rep.n, {1})
+    y, core = _untwist(rep)
+    verdict, standard_form, standard_form_err = _decide(y, core)
+    report = RelationReport(True, True) if standard_form is not None else verify_braid_relations(core)
+    if standard_form is not None and y == 1:
+        corank_val, graph_class = 2, classify_distances(rep.n, {1})
     else:
         try:
             corank_val = corank(rep)
         except NotARepresentationError as exc:
             corank_err = str(exc)
-        report = verify_braid_relations(rep)
         try:
             if report.ok:
                 start = 1 if rep.n > 2 else 0
@@ -900,7 +976,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
     # only a broken family runs it, and once.
     cyclic = report.cyclic_conjugation_ok
     if cyclic is None:
-        cyclic = report.ok or verify_cyclic_conjugation(rep)
+        cyclic = report.ok or verify_cyclic_conjugation(core)
     relations = {
         "braid_relations_ok": report.braid_relations_ok,
         "far_commutation_ok": report.far_commutation_ok,
@@ -928,4 +1004,5 @@ def analyze(rep, seed=None) -> AnalysisReport:
         standard_form_error=standard_form_err,
         seed=seed,
         notes=notes,
+        character=y,
     )

@@ -18,8 +18,6 @@ from operator import mul
 
 from .errors import ShapeError, SingularMatrixError
 
-_F0 = Fraction(0)
-
 
 def rational(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
@@ -97,12 +95,27 @@ def mul_rows(a, b, ncols):
 def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
-    Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
-    pairs = [e.as_integer_ratio() if type(e) in _EXACT_TYPES else _ratio(e) for e in vec]
-    den = math.lcm(*(d for _, d in pairs))
-    if den == 1:
-        return [p for p, _ in pairs], 1
-    return [p * (den // d) for p, d in pairs], den
+    Entries are ints, Fractions or 'p/q' strings; floats and booleans are
+    refused.  The entry types are read once per vector, and the lcm and the
+    scale factors are taken over the distinct denominators, which a dense
+    image has few of."""
+    if type(vec) not in (list, tuple):
+        vec = list(vec)
+    kinds = set(map(type, vec))
+    if kinds <= {int}:
+        return list(vec), 1
+    pairs = [e.as_integer_ratio() for e in vec] if kinds <= _EXACT_TYPES else list(map(_ratio, vec))
+    dens = {d for _, d in pairs}
+    den = math.lcm(*dens)
+    if len(dens) == 1:
+        return [p for p, _ in pairs], den
+    scale = {d: den // d for d in dens}
+    return [p * scale[d] for p, d in pairs], den
+
+
+def _minus(row, j, c):
+    """The integer tuple row with c subtracted at position j."""
+    return row[:j] + (row[j] - c,) + row[j + 1 :]
 
 
 @cache
@@ -111,14 +124,15 @@ def _identity_rows(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _lowest_terms(num, den) -> "Matrix":
-    """The matrix num / den (integer rows, den > 0) with common factors divided out."""
+def _lowest_terms(num, den, ncols=None) -> "Matrix":
+    """The matrix num / den (integer rows, den > 0) with common factors
+    divided out; ``ncols`` is its column count where num has no rows."""
     if den != 1:
         g = math.gcd(den, *itertools.chain.from_iterable(num))
         if g != 1:
             den //= g
             num = [[e // g for e in row] for row in num]
-    return Matrix._new(tuple(map(tuple, num)), den)
+    return Matrix._new(tuple(map(tuple, num)), den, ncols)
 
 
 class Matrix:
@@ -153,13 +167,15 @@ class Matrix:
         self.num = tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(n))
 
     @classmethod
-    def _new(cls, num, den):
-        """Trusted constructor: a tuple of int tuples and den > 0, in lowest terms."""
+    def _new(cls, num, den, ncols=None):
+        """Trusted constructor: a tuple of int tuples and den > 0, in lowest
+        terms.  The column count is read off the first row; a matrix with no
+        rows has ``ncols`` columns (0 where it is not given)."""
         self = object.__new__(cls)
         self.num = num
         self.den = den
         self.nrows = len(num)
-        self.ncols = len(num[0]) if num else 0
+        self.ncols = len(num[0]) if num else ncols or 0
         return self
 
     @classmethod
@@ -168,7 +184,7 @@ class Matrix:
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls._new(tuple((0,) * ncols for _ in range(nrows)), 1)
+        return cls._new(tuple((0,) * ncols for _ in range(nrows)), 1, ncols)
 
     @property
     def rows(self):
@@ -192,9 +208,7 @@ class Matrix:
         return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def transpose(self):
-        out = Matrix._new(tuple(zip(*self.num)) or ((),) * self.ncols, self.den)
-        out.nrows, out.ncols = self.ncols, self.nrows
-        return out
+        return Matrix._new(tuple(zip(*self.num)) or ((),) * self.ncols, self.den, self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -214,7 +228,7 @@ class Matrix:
         num = [
             [a * fa + b * fb for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)
         ]
-        return _lowest_terms(num, self.den * fa)
+        return _lowest_terms(num, self.den * fa, self.ncols)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -227,13 +241,13 @@ class Matrix:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix._new(tuple(tuple(-e for e in row) for row in self.num), self.den)
+        return Matrix._new(tuple(tuple(-e for e in row) for row in self.num), self.den, self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-            return _lowest_terms(mul_rows(self.num, other.num, other.ncols), self.den * other.den)
+            return _lowest_terms(mul_rows(self.num, other.num, other.ncols), self.den * other.den, other.ncols)
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ShapeError(f"cannot apply {self.shape} to a vector of length {len(other)}")
@@ -242,7 +256,7 @@ class Matrix:
             return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.num)
         if isinstance(other, (int, Fraction)):
             c, d = other.numerator, other.denominator
-            return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d)
+            return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d, self.ncols)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -606,21 +620,50 @@ def rational_eigenvalues(m: Matrix):
     The eigenvalues of m are those of its integer numerator matrix divided
     by its denominator.  The numerator's characteristic polynomial is monic
     with integer coefficients, so its rational roots are integers
-    (``_integer_roots``), and each is checked against the characteristic
-    polynomial itself.  Non-rational eigenvalues are silently omitted.
+    (``monic_roots``).  Non-rational eigenvalues are silently omitted.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues of a non-square matrix")
     if m.nrows == 0:
         return []
-    ints = [c.numerator for c in charpoly(Matrix._new(m.num, 1))]
-    roots = set()
+    return sorted(Fraction(x, m.den) for x in monic_roots([c.numerator for c in charpoly(Matrix._new(m.num, 1))]))
+
+
+def monic_roots(ints):
+    """The set of integer roots, 0 among them, of the monic integer
+    polynomial ``ints`` (leading coefficient first): x^j is divided out, a
+    linear or quadratic rest is solved in closed form (x^2 + b x + c has the
+    integer roots (-b +- t) / 2 where t^2 = b^2 - 4c, and b = t mod 2 then),
+    and a longer one goes to ``_integer_roots``."""
+    ints, roots = list(ints), set()
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
-        roots.add(_F0)
-    if len(ints) > 1:
-        roots.update(Fraction(x, m.den) for x in _integer_roots(ints))
-    return sorted(roots)
+        roots.add(0)
+    if len(ints) == 2:
+        roots.add(-ints[1])
+    elif len(ints) == 3:
+        disc = ints[1] ** 2 - 4 * ints[2]
+        if disc >= 0 and (t := math.isqrt(disc)) ** 2 == disc:
+            roots.update(((t - ints[1]) // 2, (-t - ints[1]) // 2))
+    elif len(ints) > 3:
+        roots.update(_integer_roots(ints))
+    return roots
+
+
+def minimal_polynomial(rows, v, limit):
+    """The monic minimal polynomial of the integer vector v under the square
+    integer rows, leading coefficient first, or None where v, rows v, ...,
+    rows^limit v are independent.  It divides the characteristic
+    polynomial, monic over Z, so its coefficients are integers (Gauss's
+    lemma); they are read off the one kernel vector of the Krylov vectors."""
+    span, seq, w = EchelonSpan(len(v)), [], list(v)
+    while span.add(w) is not None:
+        seq.append(w)
+        if len(seq) > limit:
+            return None
+        w = [sum(map(mul, row, w)) for row in rows]
+    c = kernel_basis(Matrix._new(tuple(zip(*seq, w)), 1)).rows[0]
+    return [e // c[-1] for e in reversed(c)]
 
 
 def _primitive(v):

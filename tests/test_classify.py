@@ -11,6 +11,7 @@ import pytest
 from braidrep.braid import verify_braid_relations
 from braidrep.classify import (
     Verdict,
+    _character,
     _is_invariant,
     _modp_algebra_is_full,
     _norton_candidates,
@@ -60,6 +61,7 @@ from test_braid import (
     only_a_braid_pair_broken,
     only_far_pairs_broken,
 )
+from test_factored_build import PLAIN
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -1112,6 +1114,11 @@ def _graph_families():
     for seed in (1, 2):
         yield parse_rep_spec(f"conj({line_sum},seed={seed})")[0]
     yield _mixed_deformations()
+    # twists whose untwisted core is a certified chain, or reducible: the
+    # corank and the graph are the input's, not the core's
+    for spec in ("tensor(tym:n=8,u=5/3,y=3)", "conj(tensor(tym:n=8,u=5/3,y=-2),seed=7)",
+                 "conj(tensor(tym:n=7,u=1,y=-1),seed=1)"):
+        yield parse_rep_spec(spec)[0]
 
 
 @pytest.mark.parametrize("rep", list(_graph_families()), ids=lambda rep: rep.label or "broken")
@@ -1674,3 +1681,136 @@ def test_failed_chain_step_takes_no_meet_no_image0_and_no_rank(monkeypatch, rep)
     with pytest.raises((PreconditionError, NotARepresentationError)):
         extract_standard_form(rep)
     assert calls == []
+
+
+# -- dividing by a character first ----------------------------------------
+
+def _narrow_or_two_strands():
+    """The members of the zoo and the plain specs with 2k <= r or n = 2."""
+    for rep in build_zoo() + [parse_rep_spec(spec)[0] for spec in PLAIN]:
+        if rep.n == 2 or 2 * rep.image(1).dim <= rep.r:
+            yield rep
+
+
+@pytest.mark.parametrize("rep", list(_narrow_or_two_strands()), ids=repr)
+def test_the_pick_needs_no_eigenvalue_where_2k_is_at_most_r(monkeypatch, rep):
+    # For lambda != 1 the lambda-eigenspace of g_1 misses ker A_1, so
+    # rank(g_1 - lambda) >= r - k >= k: y = 1 with no polynomial, no rank
+    # and no dense image.
+    import braidrep.classify as classify
+
+    calls = []
+    for name in ("rational_eigenvalues", "minimal_polynomial", "rank"):
+        monkeypatch.setattr(classify, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(Representation, "deformation", lambda self, i: calls.append(i))
+    monkeypatch.setattr(classify, "tensor_character", lambda *args: calls.append(args))
+    dense = "generators" in vars(rep)
+    assert _character(rep) == 1
+    assert calls == []
+    assert ("generators" in vars(rep)) == dense
+
+
+def _twists():
+    for n in range(6, 11):
+        for family, key, x, y in (("tym", "u", "5/3", -2), ("tym", "u", "2", 3),
+                                  ("burau", "t", "2", 3), ("burau", "t", "-1", F(1, 2))):
+            yield n, f"{family}:n={n},{key}={x}", y
+
+
+@pytest.mark.parametrize("n, inner, y", list(_twists()), ids=lambda v: str(v))
+def test_change_of_basis_keeps_the_character_and_the_verdict_of_twists(n, inner, y):
+    # The pick reads only eigenvalues and nullities, so it is the same in
+    # every basis; the core has the untwisted verdict and recovers its u.
+    untwisted = analyze(parse_rep_spec(inner)[0])
+    spec = f"tensor({inner},y={y})"
+    for source in (spec, f"conj({spec},seed=1)", f"conj({spec},seed=7)"):
+        rep = parse_rep_spec(source)[0]
+        with time_limit(3):
+            report = analyze(rep)
+        assert report.character == y, source
+        assert report.verdict.tag is untwisted.verdict.tag, source
+        assert report.verdict.algebra_dim == untwisted.verdict.algebra_dim, source
+        expected_u = untwisted.standard_form.u if untwisted.standard_form else None
+        assert (report.standard_form.u if report.standard_form else None) == expected_u, source
+        assert report.corank == corank(rep)
+        assert report.to_json_dict()["character"] == str(F(y))
+        if report.verdict.witness is not None:
+            assert_invariant(rep, report.verdict.witness)
+
+
+def test_a_twisted_chain_forms_no_d(monkeypatch):
+    # Every image of the twist is full, so its own relation check would
+    # take the shortcut through D; its core has rank-2 images and is
+    # certified by the chain step, and the graph of the twist is read off
+    # dimension counts.
+    calls, original = [], Representation.__dict__["tau"].func
+    monkeypatch.setattr(Representation, "tau", property(lambda self: calls.append(self.label) or original(self)))
+    rep = parse_rep_spec("conj(tensor(tym:n=8,u=5/3,y=3),seed=7)")[0]
+    report = analyze(rep)
+    assert calls == []
+    assert (report.character, report.standard_form.u, report.corank) == (3, F(5, 3), 8)
+    assert report.to_json_dict()["relations"]["cyclic_conjugation_ok"] is True
+
+
+def _charpoly_character(rep):
+    """Reference for ``_character``: the rule read off every rational
+    eigenvalue of P = M_11 / s_1 and the rank of P - mu, by the
+    characteristic polynomial."""
+    img, _, s = rep.factor(1)
+    k, r = img.dim, rep.r
+    y, least = F(1), k
+    if rep.n < 3 or 2 * k <= r:
+        return y
+    p = Matrix([[F(e, s) for e in row] for row in rep.middle(1, 1)])
+    for mu in rational_eigenvalues(p):
+        if mu and (width := r - k + rank(p - Matrix.identity(k) * mu)) < least:
+            y, least = 1 + mu, width
+    return y
+
+
+def _pick_cases():
+    for rep in build_zoo():
+        yield rep
+        yield scrambled(rep, 3)
+    yield from random_families()
+    yield broken_family()
+    yield _mixed_deformations()
+    for spec in ("tensor(tym:n=7,u=4,y=-3)", "tensor(burau:n=9,t=-1,y=5/2)", "tensor(char:n=4,y=7,y=2)",
+                 "dsum(tensor(burau:n=4,t=-1,y=2),tensor(burau:n=4,t=-1,y=-3))",
+                 "dsum(tensor(tym:n=5,u=1,y=2),char:n=5,y=2)", "dsum(tensor(tym:n=5,u=4,y=3),char:n=5,y=-1)",
+                 "dsum(char:n=3,y=2,dsum(char:n=3,y=2,char:n=3,y=5))", "tym:n=3,u=4", "burau:n=3,t=-1"):
+        yield parse_rep_spec(spec)[0]
+        yield parse_rep_spec(f"conj({spec},seed=5)")[0]
+
+
+@pytest.mark.parametrize("rep", list(_pick_cases()), ids=repr)
+def test_the_pick_equals_the_rule_on_every_eigenvalue(rep):
+    # The Krylov polynomials of e_1 ... e_d hold every eigenvalue whose rank
+    # drop could pick y, so the pick is the rule read off the full
+    # characteristic polynomial.
+    assert _character(rep) == _charpoly_character(rep)
+
+
+@pytest.mark.parametrize("spec, y", [
+    # g_1 = 2: rank(g_1 - 2) = 0 against k = 2, so y = 1 + mu for mu = 1
+    ("dsum(char:n=4,y=2,char:n=4,y=2)", 2),
+    # tym on 2 strands: lambda = 2 and -2 give rank one each, below k = 2,
+    # but a single generator is left as it is
+    ("tym:n=2,u=4", 1),
+    # lambda = 2 and -2 each have rank 2 = k on 3 strands: no drop
+    ("tym:n=3,u=4", 1),
+    # k = 6, and rank(g_1 - 2) = rank(g_1 + 3) = 1 + 3: on a tie, the smaller y
+    ("dsum(tensor(burau:n=4,t=-1,y=2),tensor(burau:n=4,t=-1,y=-3))", -3),
+    ("conj(tensor(burau:n=5,t=2,y=-1),seed=2)", -1),
+])
+def test_the_pick_takes_the_least_rank_below_k(spec, y):
+    assert _character(parse_rep_spec(spec)[0]) == y
+
+
+def test_irreducible_names_the_character_in_its_detail(capsys):
+    assert run(["irreducible", "conj(tensor(tym:n=8,u=5/3,y=-2),seed=7)", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: AbsolutelyIrreducible", "algebra dimension: 64",
+        "divided by the character y=-2: equivalent to the standard family at u=5/3; "
+        "coordinate projectors certify the full matrix algebra",
+    ]

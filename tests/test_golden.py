@@ -33,6 +33,8 @@ GOLDEN = {
     "dsum_tym_char": "conj(dsum(tym:n=5,u=2,char:n=5,y=1),seed=3)",
     "tensor": "tensor(tym:n=5,u=2,y=3)",
     "conj_tensor": "conj(tensor(burau:n=5,t=2,y=-1),seed=2)",
+    # a twist divided by its character -2 first: the core's standard form u = 5/3
+    "twisted_chain": "conj(tensor(tym:n=8,u=5/3,y=-2),seed=7)",
     "tym2": "tym:n=2,u=4",
     "trivial": "dsum(char:n=5,y=1,char:n=5,y=1)",
     # corank 1 in r = 2, every image the same line: distance set [1, 2] from meeting lines
