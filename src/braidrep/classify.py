@@ -36,7 +36,6 @@ from .linalg import (
     Subspace,
     _identity_rows,
     _lowest_terms,
-    _minus,
     clear_denominators,
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
@@ -48,7 +47,7 @@ from .linalg import (
     rational,
     rational_eigenvalues,
 )
-from .zoo import corank, tensor_character, tym_standard
+from .zoo import _plus_scalar, corank, tensor_character, tym_standard
 
 _PROJECTORS_DETAIL = "coordinate projectors certify the full matrix algebra"
 
@@ -756,30 +755,26 @@ def _character(rep) -> Fraction:
     puts f(lam) v in Im N.  One of any w + 1 coordinate vectors lies outside
     Im N, so once e_1 ... e_j are read, every lam of rank below j is among
     the integer roots of their minimal polynomials, and the reading stops
-    when j exceeds the least rank found.
+    when j exceeds the least rank found.  It stops as well once the Krylov
+    spaces read span Q^k: the lcm of their minimal polynomials is then that
+    of M_11, so every eigenvalue is among their roots.
     """
     img, _, s = rep.factor(1)
     k, r = img.dim, rep.r
     d = 2 * k - r
     if rep.n < 3 or d <= 0:
         return Fraction(1)
-    m, widths = rep.middle(1, 1), {}  # {lam: rank(M_11 - lam)}
+    m, widths, seen = rep.middle(1, 1), {}, EchelonSpan(k)  # widths: {lam: rank(M_11 - lam)}
     for j, unit in enumerate(_identity_rows(k)[:d]):
-        if widths and j > min(widths.values()):
+        if widths and j > min(widths.values()) or seen.dim == k:
             break
-        f = minimal_polynomial(m, unit, d)
+        f = minimal_polynomial(m, unit, d, seen)
         if f is None:
             return Fraction(1)
         for lam in monic_roots(f) - widths.keys() - {0}:
-            widths[lam] = rank(_int_rows([_minus(tuple(row), p, lam) for p, row in enumerate(m)], k))
+            widths[lam] = rank(_plus_scalar(_int_rows(m, k), -lam))
     width, lam = min(((w, lam) for lam, w in widths.items()), default=(d, 0))
     return 1 + Fraction(lam, s) if width < d else Fraction(1)
-
-
-def _untwist(rep):
-    """``(y, core)``: y of ``_character`` and core = rep / y, rep itself at y = 1."""
-    y = _character(rep)
-    return y, (rep if y == 1 else tensor_character(rep, 1 / y))
 
 
 def decide_irreducibility(rep):
@@ -802,15 +797,20 @@ def decide_irreducibility(rep):
     is Inconclusive.  Every Reducible verdict is the verified witness of step
     1, 3, 4 or 5.
     """
-    return _decide(*_untwist(rep))
+    return _decide(rep)[2:]
 
 
-def _decide(y, rep):
-    """``decide_irreducibility`` on rep = the input divided by y."""
-    verdict, standard_form, standard_form_err = _ladder(rep)
-    if y != 1:
-        verdict = replace(verdict, detail=f"divided by the character y={y}: {verdict.detail}")
-    return verdict, standard_form, standard_form_err
+def _decide(rep):
+    """``(y, core, verdict, standard_form, standard_form_error)``: y of
+    ``_character``, the core rep / y (rep itself at y = 1) and the last
+    three of ``decide_irreducibility``, found on the core."""
+    y = _character(rep)
+    if y == 1:
+        return (y, rep, *_ladder(rep))
+    core = tensor_character(rep, 1 / y)
+    verdict, standard_form, standard_form_err = _ladder(core)
+    verdict = replace(verdict, detail=f"divided by the character y={y}: {verdict.detail}")
+    return y, core, verdict, standard_form, standard_form_err
 
 
 def _ladder(rep):
@@ -948,8 +948,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
     """
     seed = DEFAULT_SEED if seed is None else int(seed)
     corank_val = corank_err = graph_class = graph_err = None
-    y, core = _untwist(rep)
-    verdict, standard_form, standard_form_err = _decide(y, core)
+    y, core, verdict, standard_form, standard_form_err = _decide(rep)
     report = RelationReport(True, True) if standard_form is not None else verify_braid_relations(core)
     if standard_form is not None and y == 1:
         corank_val, graph_class = 2, classify_distances(rep.n, {1})

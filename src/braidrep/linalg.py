@@ -95,27 +95,12 @@ def mul_rows(a, b, ncols):
 def clear_denominators(vec):
     """``(ints, d)`` with ``vec == ints / d`` entry-wise, where the list
     ``ints`` holds integers and d is the lcm of the entries' denominators.
-    Entries are ints, Fractions or 'p/q' strings; floats and booleans are
-    refused.  The entry types are read once per vector, and the lcm and the
-    scale factors are taken over the distinct denominators, which a dense
-    image has few of."""
-    if type(vec) not in (list, tuple):
-        vec = list(vec)
-    kinds = set(map(type, vec))
-    if kinds <= {int}:
-        return list(vec), 1
-    pairs = [e.as_integer_ratio() for e in vec] if kinds <= _EXACT_TYPES else list(map(_ratio, vec))
-    dens = {d for _, d in pairs}
-    den = math.lcm(*dens)
-    if len(dens) == 1:
-        return [p for p, _ in pairs], den
-    scale = {d: den // d for d in dens}
-    return [p * scale[d] for p, d in pairs], den
-
-
-def _minus(row, j, c):
-    """The integer tuple row with c subtracted at position j."""
-    return row[:j] + (row[j] - c,) + row[j + 1 :]
+    Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
+    pairs = [e.as_integer_ratio() if type(e) in _EXACT_TYPES else _ratio(e) for e in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    if den == 1:
+        return [p for p, _ in pairs], 1
+    return [p * (den // d) for p, d in pairs], den
 
 
 @cache
@@ -631,34 +616,29 @@ def rational_eigenvalues(m: Matrix):
 
 def monic_roots(ints):
     """The set of integer roots, 0 among them, of the monic integer
-    polynomial ``ints`` (leading coefficient first): x^j is divided out, a
-    linear or quadratic rest is solved in closed form (x^2 + b x + c has the
-    integer roots (-b +- t) / 2 where t^2 = b^2 - 4c, and b = t mod 2 then),
-    and a longer one goes to ``_integer_roots``."""
+    polynomial ``ints`` (leading coefficient first): x^j is divided out and
+    the rest goes to ``_integer_roots``."""
     ints, roots = list(ints), set()
     while len(ints) > 1 and ints[-1] == 0:
         ints.pop()
         roots.add(0)
-    if len(ints) == 2:
-        roots.add(-ints[1])
-    elif len(ints) == 3:
-        disc = ints[1] ** 2 - 4 * ints[2]
-        if disc >= 0 and (t := math.isqrt(disc)) ** 2 == disc:
-            roots.update(((t - ints[1]) // 2, (-t - ints[1]) // 2))
-    elif len(ints) > 3:
+    if len(ints) > 1:
         roots.update(_integer_roots(ints))
     return roots
 
 
-def minimal_polynomial(rows, v, limit):
+def minimal_polynomial(rows, v, limit, seen=None):
     """The monic minimal polynomial of the integer vector v under the square
     integer rows, leading coefficient first, or None where v, rows v, ...,
     rows^limit v are independent.  It divides the characteristic
     polynomial, monic over Z, so its coefficients are integers (Gauss's
-    lemma); they are read off the one kernel vector of the Krylov vectors."""
+    lemma); they are read off the one kernel vector of the Krylov vectors,
+    which are also added to the EchelonSpan ``seen`` where one is given."""
     span, seq, w = EchelonSpan(len(v)), [], list(v)
     while span.add(w) is not None:
         seq.append(w)
+        if seen is not None:
+            seen.add(w)
         if len(seq) > limit:
             return None
         w = [sum(map(mul, row, w)) for row in rows]

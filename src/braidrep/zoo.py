@@ -21,8 +21,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _lowest_terms,
-    _minus,
     combine,
+    image_basis,
     inverse,
     mul_rows,
     rational,
@@ -32,7 +32,9 @@ from .linalg import (
 def _plus_scalar(m, c) -> Matrix:
     """m + c for a square matrix m and an integer c.  num + c den on the
     diagonal: gcd(den, x + c den) = gcd(den, x), so the sum stays in lowest terms."""
-    return Matrix._new(tuple(_minus(row, k, -c * m.den) for k, row in enumerate(m.num)), m.den)
+    step = c * m.den
+    num = tuple(row[:k] + (row[k] + step,) + row[k + 1 :] for k, row in enumerate(m.num))
+    return Matrix._new(num, m.den)
 
 
 class Representation:
@@ -262,15 +264,8 @@ def _invertible_factor(g) -> tuple[Subspace, tuple, int]:
     rationals, after proving g invertible; raises ``SingularMatrixError``
     where it is not.  Sylvester's identity det(1 + UV) = det(1 + VU) makes
     g = 1 + R^T Y / s invertible exactly when the k x k integer rows s + Y R^T
-    have rank k (k = 0 passes); at k = r, R = 1 and they are s + Y.  The
-    columns of num(g - 1) and its rows at the k pivots are read off num(g),
-    den(g) subtracted on the diagonal, as ``_factor`` of
-    ``_plus_scalar(g, -1)`` would read them, with no matrix formed."""
-    num, den = g.num, g.den
-    img = Subspace._span(g.nrows, [c for j, col in enumerate(zip(*num)) if any(c := _minus(col, j, den))])
-    leads, m = img._leads
-    y = tuple(tuple(map((m // lead).__mul__, _minus(num[p], p, den))) for p, lead in zip(img.pivots, leads))
-    s = m * den
+    have rank k (k = 0 passes); at k = r, R = 1 and they are s + Y."""
+    img, y, s = _factor(_plus_scalar(g, -1))
     span = EchelonSpan(img.dim)
     for p, row in enumerate(_y_rt(y, img)):
         if span.add([s * (p == q) + e for q, e in enumerate(row)]) is None:
@@ -278,10 +273,11 @@ def _invertible_factor(g) -> tuple[Subspace, tuple, int]:
     return img, y, s
 
 
-def _factor(a, img) -> tuple[Subspace, tuple, int]:
+def _factor(a, img=None) -> tuple[Subspace, tuple, int]:
     """The factor ``(image, y, s)`` of a deformation matrix a, as
-    ``Representation.factor`` gives it, from its image img: s = m den(a),
-    with m the lcm of the pivot entries of the image."""
+    ``Representation.factor`` gives it, from its image where the caller
+    knows it: s = m den(a), with m the lcm of the pivot entries of the image."""
+    img = image_basis(a) if img is None else img
     y, m = img.coordinate_rows(a.num)
     return img, y, m * a.den
 

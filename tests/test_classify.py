@@ -44,6 +44,7 @@ from braidrep.zoo import (
     corank,
     direct_sum,
     load_representation,
+    random_invertible_matrix,
     reduced_burau,
     scrambled,
     tensor_character,
@@ -1768,7 +1769,40 @@ def _charpoly_character(rep):
     return y
 
 
+def _modular_family(r, seed):
+    """A dense 3-strand family of even dimension r that is not a twist:
+    sigma_1 = z^-1 x and sigma_2 = x^-1 z^2 for conjugates x of a diagonal
+    sign matrix and z of r / 2 rotations of order 3, by the presentation
+    B_3 = <x, z | x^2 = z^3> with x = s1 s2 s1 and z = s1 s2."""
+    rng = Random(seed)
+    p, q = random_invertible_matrix(r, rng), random_invertible_matrix(r, rng)
+    x = p * Matrix([[rng.choice((1, -1)) * (i == j) for j in range(r)] for i in range(r)]) * inverse(p)
+    c = [[0] * r for _ in range(r)]
+    for b in range(0, r, 2):
+        c[b][b + 1], c[b + 1][b], c[b + 1][b + 1] = -1, 1, -1
+    z = q * Matrix(c) * inverse(q)
+    return Representation(3, r, [inverse(z) * x, inverse(x) * z * z], label=f"modular r={r} seed={seed}")
+
+
+@pytest.mark.parametrize("seed, degrees", [(2, [8]), (1, [6, 6])])
+def test_the_pick_stops_once_the_krylov_spaces_span(monkeypatch, seed, degrees):
+    # Every image is full and A_1 has no rational eigenvalue, so no root
+    # stops the reading: it stops once the Krylov spaces read span Q^8, at
+    # e_1 where its polynomial is that of M_11, at e_2 where M_11 has a
+    # minimal polynomial of degree 6.
+    import braidrep.classify as classify
+
+    rep = _modular_family(8, seed)
+    assert verify_braid_relations(rep).ok and rep.image(1).dim == rep.image(2).dim == 8
+    calls, original = [], classify.minimal_polynomial
+    monkeypatch.setattr(classify, "minimal_polynomial", lambda *args: calls.append(f := original(*args)) or f)
+    assert _character(rep) == 1
+    assert [len(f) - 1 for f in calls] == degrees
+    assert rational_eigenvalues(Matrix(rep.middle(1, 1))) == []
+
+
 def _pick_cases():
+    yield _modular_family(6, 2)
     for rep in build_zoo():
         yield rep
         yield scrambled(rep, 3)

@@ -21,7 +21,7 @@ import braidrep.cli as cli
 import braidrep.zoo as zoo
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import SingularMatrixError
-from braidrep.linalg import Matrix, _lowest_terms, image_basis, inverse, rank
+from braidrep.linalg import Matrix, _lowest_terms, inverse, rank
 from braidrep.zoo import Representation, random_invertible_matrix, scrambled
 
 F = Fraction
@@ -121,16 +121,14 @@ def test_factored_build_equals_the_dense_build(spec):
 
 
 @pytest.fixture
-def factored_shapes(monkeypatch):
-    """The shape of every image or block that ``zoo._invertible_factor``,
-    the one routine that factors a dense matrix, is given."""
-    calls, original = [], zoo._invertible_factor
+def image_basis_calls(monkeypatch):
+    calls, original = [], zoo.image_basis
 
     def spy(m):
         calls.append(m.shape)
         return original(m)
 
-    monkeypatch.setattr(zoo, "_invertible_factor", spy)
+    monkeypatch.setattr(zoo, "image_basis", spy)
     return calls
 
 
@@ -142,15 +140,15 @@ def _atom_count(spec):
 
 
 @pytest.mark.parametrize("spec", GRID, ids=_text)
-def test_building_a_spec_factors_no_dense_image(factored_shapes, spec):
+def test_building_a_spec_factors_no_dense_image(image_basis_calls, spec):
     """Only the blocks, at most 3 x 3, are factored, each distinct block of
     an atom once (Burau has three): no r x r image is factored again.  Below
     r = 4 a block can be as wide as the whole space."""
     rep, _ = parse_rep_spec(_text(spec))
-    assert 0 < len(factored_shapes) <= 3 * _atom_count(spec)
-    assert all(shape[1] <= 3 for shape in factored_shapes), factored_shapes
+    assert all(shape[1] <= 3 for shape in image_basis_calls), image_basis_calls
+    assert len(image_basis_calls) <= 3 * _atom_count(spec)
     if rep.r > 3:
-        assert all(shape[1] < rep.r for shape in factored_shapes)
+        assert all(shape[1] < rep.r for shape in image_basis_calls)
 
 
 PLAIN = ["tym:n=3,u=2", "tym:n=6,u=5/3", "tym:n=8,u=1", "tym:n=14,u=2/3", "burau:n=3,t=2",
@@ -171,24 +169,6 @@ def test_the_verbs_never_form_the_dense_images_of_a_plain_spec(monkeypatch, spec
     with contextlib.redirect_stdout(io.StringIO()):
         assert run([verb[0], spec, *verb[1:]]) == 0
     assert "generators" not in vars(built[0])
-
-
-def _dense_images():
-    for spec in ("conj(tym:n=8,u=5/3,seed=7)", "conj(burau:n=7,t=2,seed=3)", "tensor(tym:n=6,u=1,y=2)",
-                 "conj(tensor(burau:n=6,t=2,y=-1),seed=5)", "conj(dsum(tym:n=4,u=2,char:n=4,y=1),seed=5)"):
-        yield from parse_rep_spec(spec)[0].generators
-    rng = Random(3)
-    yield from (random_invertible_matrix(size, rng) * F(1, size) for size in range(1, 6))
-
-
-@pytest.mark.parametrize("g", list(_dense_images()))
-def test_the_factor_of_a_dense_image_is_read_off_its_numerator(g):
-    # The columns and pivot rows of g - 1 are read off num(g); the factor is
-    # that of the matrix g - 1 itself.
-    img, y, s = zoo._invertible_factor(g)
-    a = zoo._plus_scalar(g, -1)
-    img2, y2, s2 = zoo._factor(a, image_basis(a))
-    assert (img.rows, img.pivots, tuple(map(tuple, y)), s) == (img2.rows, img2.pivots, tuple(map(tuple, y2)), s2)
 
 
 @pytest.mark.parametrize("block", [((1, 2), (2, 4)), ((0,),), ((1, 0, 0), (0, 1, 1), (0, 2, 2))])
