@@ -550,9 +550,30 @@ def _poly_rem(a, b):
     return quo, a
 
 
+def _coprime_mod(a, b, p):
+    """Whether the integer polynomials a and b, leading coefficient first
+    and a monic, are coprime modulo the prime p, by Euclid over F_p."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    while True:
+        while b and b[0] == 0:
+            b.pop(0)
+        if len(b) <= 1:
+            return bool(b)
+        inv = pow(b[0], -1, p)
+        while len(a) >= len(b):
+            q = a[0] * inv % p
+            a = [(x - q * y) % p for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        a, b = b, a
+
+
 def _squarefree_part(ints):
     """The monic integer polynomial with the roots of the monic ``ints``,
-    each once: ints / gcd(ints, ints'), divided exactly."""
+    each once: ints / gcd(ints, ints'), divided exactly.  Where ints and
+    ints' are coprime modulo the prime 2^61 - 1, ints is returned with no
+    division over Q: a common factor over Q may be taken monic with integer
+    coefficients (Gauss's lemma), so it would divide both modulo every prime."""
+    if _coprime_mod(ints, _derivative(ints), 2**61 - 1):
+        return ints
     a, b = ints, _derivative(ints)
     while b:
         a, b = b, _poly_rem(a, b)[1]

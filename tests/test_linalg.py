@@ -12,6 +12,7 @@ from braidrep.linalg import (
     EchelonSpan,
     Matrix,
     Subspace,
+    _squarefree_part,
     _ratio,
     charpoly,
     clear_denominators,
@@ -627,3 +628,21 @@ def test_minimal_polynomial_is_the_least_monic_relation_of_the_krylov_vectors(ca
 @pytest.mark.parametrize("a, b", [(3, 3), (-5, 7), (0, 4), (10**20, -(10**20) - 1), (2**60 + 1, 2**60 + 1)])
 def test_monic_roots_of_a_product_of_linear_factors(a, b):
     assert monic_roots([1, -(a + b), a * b]) == {a, b}
+
+
+def _expand(roots, tail):
+    """The coefficients, leading first, of tail times the product of (x - a)."""
+    poly = list(tail)
+    for a in roots:
+        poly = [c - a * prev for c, prev in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-50, 50), st.integers(1, 3), max_size=4), st.integers(1, 10**12),
+       st.booleans())
+def test_squarefree_part_keeps_each_root_once(multiplicity, c, quadratic):
+    # x^2 + c has no real root, so it shares no factor with the linear ones.
+    tail = [1, 0, c] if quadratic else [1]
+    repeated = [a for a, m in multiplicity.items() for _ in range(m)]
+    assert _squarefree_part(_expand(repeated, tail)) == _expand(list(multiplicity), tail)
