@@ -648,18 +648,17 @@ def monic_roots(ints):
     return roots
 
 
-def minimal_polynomial(rows, v, limit, seen=None):
+def minimal_polynomial(rows, v, limit, seen):
     """The monic minimal polynomial of the integer vector v under the square
     integer rows, leading coefficient first, or None where v, rows v, ...,
     rows^limit v are independent.  It divides the characteristic
     polynomial, monic over Z, so its coefficients are integers (Gauss's
     lemma); they are read off the one kernel vector of the Krylov vectors,
-    which are also added to the EchelonSpan ``seen`` where one is given."""
+    which are also added to the EchelonSpan ``seen``."""
     span, seq, w = EchelonSpan(len(v)), [], list(v)
     while span.add(w) is not None:
         seq.append(w)
-        if seen is not None:
-            seen.add(w)
+        seen.add(w)
         if len(seq) > limit:
             return None
         w = [sum(map(mul, row, w)) for row in rows]

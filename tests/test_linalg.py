@@ -617,12 +617,14 @@ def test_minimal_polynomial_is_the_least_monic_relation_of_the_krylov_vectors(ca
     while not Subspace(len(v), krylov[:-1]).contains(krylov[-1]) or len(krylov) == 1:
         krylov.append(m * krylov[-1])
     degree = len(krylov) - 1
-    f = minimal_polynomial(rows, v, degree)
+    seen = EchelonSpan(len(v))
+    f = minimal_polynomial(rows, v, degree, seen)
     assert len(f) == degree + 1 and f[0] == 1
     assert all(type(c) is int for c in f)
     # f(m) v = 0, term by term from the highest power down
     assert not any(sum(c * w[i] for c, w in zip(f, reversed(krylov))) for i in range(len(v)))
-    assert minimal_polynomial(rows, v, degree - 1) is None
+    assert seen.dim == degree
+    assert minimal_polynomial(rows, v, degree - 1, EchelonSpan(len(v))) is None
 
 
 @pytest.mark.parametrize("a, b", [(3, 3), (-5, 7), (0, 4), (10**20, -(10**20) - 1), (2**60 + 1, 2**60 + 1)])
