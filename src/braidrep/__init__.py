@@ -7,10 +7,8 @@ representations.
 """
 
 from .braid import (
-    BraidWord,
     RelationReport,
     circular_distance,
-    evaluate_word,
     verify_braid_relations,
     verify_cyclic_conjugation,
     verify_deformed_relations,
@@ -24,7 +22,6 @@ from .classify import (
     burnside_dimension,
     decide_irreducibility,
     dimension_bound_check,
-    disconnected_invariant_subspace,
     extract_standard_form,
     invariant_subspace_search,
     lemma_bb_check,
@@ -33,7 +30,6 @@ from .classify import (
 )
 from .errors import (
     BraidRepError,
-    NeedsFieldExtensionError,
     NotARepresentationError,
     OutOfScaleError,
     PreconditionError,
@@ -64,7 +60,6 @@ from .linalg import (
     Matrix,
     Subspace,
     charpoly,
-    conjugate,
     format_rational,
     image_basis,
     intersect_stacked_kernel,

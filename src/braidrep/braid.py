@@ -1,4 +1,4 @@
-"""Braid group words and relation checking for matrix families.
+"""Relation checking for braid group matrix families.
 
 The braid group on n strands is generated by s1..s(n-1) subject to
 s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and far commutation s_i s_j = s_j s_i
@@ -9,52 +9,19 @@ index arithmetic here is modulo n with that convention.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .errors import ShapeError
-from .linalg import Matrix, combine, mul_rows
+from .linalg import combine, mul_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .zoo import Representation
-
-_LETTER = re.compile(r"^s(\d+)(\^-1)?$")
 
 
 def circular_distance(i: int, j: int, n: int) -> int:
     """Distance between indices i and j around the cycle Z_n."""
     d = (i - j) % n
     return min(d, n - d)
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the generators, stored as (index, exponent) letters."""
-
-    n: int
-    letters: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for idx, exp in self.letters:
-            if not 1 <= idx <= self.n - 1:
-                raise ValueError(f"generator index {idx} out of range for {self.n} strands")
-            if exp not in (1, -1):
-                raise ValueError("exponents must be +1 or -1")
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "BraidWord":
-        """Parse the whitespace syntax 's1 s2 s1^-1'."""
-        letters = []
-        for tok in text.split():
-            m = _LETTER.match(tok)
-            if m is None:
-                raise ValueError(f"bad braid letter {tok!r}")
-            letters.append((int(m.group(1)), -1 if m.group(2) else 1))
-        return cls(n, tuple(letters))
-
-    def __str__(self):
-        return " ".join(f"s{i}" if e == 1 else f"s{i}^-1" for i, e in self.letters)
 
 
 @dataclass
@@ -192,8 +159,8 @@ def _pairwise_relation_report(rep: "Representation") -> RelationReport:
 
 def verify_cyclic_conjugation(rep: "Representation") -> bool:
     """True iff D = ``rep.tau`` shifts each A_i to A_(i+1), indices mod n.  As A_0 =
-    D A_(n-1) D^-1, the shifts for 1 <= i <= n-2 (``_shift_holds``) decide: they make
-    D^n = (g_1 D)^(n-1) commute with g_1 (``verify_braid_relations``), the shift at 0."""
+    D A_(n-1) D^-1, the shifts for 1 <= i <= n-2 (``_shift_holds``) decide: they
+    make D^n central (``verify_braid_relations``), which is the shift at 0."""
     return all(_shift_holds(rep, i) for i in range(1, rep.n - 1))
 
 
@@ -201,21 +168,12 @@ def verify_deformed_relations(rep: "Representation") -> bool:
     """Whether the A_i = g_i - 1, indices mod n, satisfy the paper's relations:
     non-neighbors (circular distance >= 2) commute, and neighbors share
     A + A^2 + ABA = B + B^2 + BAB.  These are the braid relations rewritten, so
-    ``verify_braid_relations`` decides, with no sigma0.  For
-    n >= 4 a pair at distance d >= 2 inside 1 ... n-1 has circular distance
-    min(d, n - d) >= 2, so the relations of g_1 ... g_(n-1) are among them.
-    Conversely, those make delta^n central, and delta-conjugation cycles
-    sigma_0 ... sigma_(n-1), so each pair mod n is a delta-translate of one
-    inside 1 ... n-1 at the same circular distance.  On 2 strands sigma0 = s1,
-    and the one neighbor pair (A_1, A_1) passes."""
+    ``verify_braid_relations`` decides, with no sigma0.  For n >= 4 a pair
+    at distance d >= 2 inside 1 ... n-1 has circular distance min(d, n - d)
+    >= 2, so the relations of g_1 ... g_(n-1) are among them.  Conversely,
+    those make delta^n central (``verify_braid_relations``), and
+    delta-conjugation cycles sigma_0 ... sigma_(n-1), so each pair mod n is a
+    delta-translate of one inside 1 ... n-1 at the same circular distance.
+    On 2 strands sigma0 = s1, and the one neighbor pair (A_1, A_1) passes."""
     return verify_braid_relations(rep).ok
 
-
-def evaluate_word(rep: "Representation", word: BraidWord) -> Matrix:
-    """Ordered product of generator images and inverses."""
-    if word.n != rep.n:
-        raise ShapeError(f"word on {word.n} strands applied to a {rep.n}-strand family")
-    out = Matrix.identity(rep.r)
-    for idx, exp in word.letters:
-        out = out * (rep.gen(idx) if exp == 1 else rep.gen_inverse(idx))
-    return out

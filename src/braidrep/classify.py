@@ -8,7 +8,7 @@ procedure, used by ``analyze`` and the command line; its docstring lists the
 certificates in the order it tries them.  The proofs are given once each:
 the character divided out first in ``_character``, the Norton step in
 ``_norton_step`` and ``_norton_candidates``, the orbits in ``_orbit`` and the
-chain step in ``_chain_certificate``.
+chain step in ``extract_standard_form``.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from functools import partial
 from operator import mul
 
 from .braid import RelationReport, circular_distance, verify_braid_relations, verify_cyclic_conjugation
-from .errors import NeedsFieldExtensionError, NotARepresentationError, PreconditionError
+from .errors import NotARepresentationError, PreconditionError
 from .friendship import (
     GraphClass,
     are_friends,
     classify_distances,
     classify_graph,
-    friendship_graph,
     full_friendship_graph,
 )
 from .linalg import (
@@ -214,9 +213,8 @@ def _factor_action(out, inn, seen, w):
 
 def spin(rep, v) -> Subspace:
     """Smallest subspace containing v that is closed under all generator
-    images and their inverses.  It is grown under the images alone: in finite
-    dimension, a subspace an invertible map sends into itself is closed under
-    the inverse map too."""
+    images and their inverses.  It is grown under the images alone, as in
+    ``_is_invariant``."""
     return _orbit(rep, clear_denominators(v)[0])
 
 
@@ -316,9 +314,10 @@ def _norton_candidates(rep):
     polynomial of theta is x^(r-k) times that of the k x k matrix
     P = Z X / d = p / d, so its eigenvalues are those of P, with 0 where
     k < r.  For lambda != 0, ker(theta - lambda) = X ker(P - lambda), on
-    which X is injective, and ker(theta - lambda)^T = Z^T ker(P - lambda)^T;
-    so the nullity is read on k x k.  ker theta = ker(left Z) and
-    ker theta^T = ker(left^T R_1).  Only where k >= r - 1 is theta formed:
+    which X is injective: an eigenvector is theta of itself over lambda, so
+    it is X w for some w, and theta X = X P.  Likewise ker(theta - lambda)^T
+    = Z^T ker(P - lambda)^T; so the nullity is read on k x k.  ker theta =
+    ker(left Z) and ker theta^T = ker(left^T R_1).  Only where k >= r - 1 is theta formed:
     P is then about as large, the kernels of theta - lambda come out
     canonical with no elimination of the X w, and theta - lambda may have
     rank one (it has rank at least r - k for lambda != 0)."""
@@ -489,13 +488,10 @@ def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
 
 
 def _image_eigenspaces(rep, i):
-    """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its image.
-
-    A_i R_i^T = R_i^T (Y_i R_i^T) / s_i: A_i acts on its image, in the basis
-    R_i^T, as P = M_ii / s_i, and R_i^T is injective, so the eigenspace is
-    R_i^T ker(P - lambda).  At lambda != 0 that is the whole eigenspace of
-    A_i, as an eigenvector is A_i of itself over lambda; at 0 it is Im A_i
-    cap ker A_i."""
+    """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its
+    image: R_i^T ker(P - lambda) for P = M_ii / s_i, by ``_norton_candidates``
+    at theta = A_i, X = R_i^T and Z = Y_i.  At lambda != 0 that is the whole
+    eigenspace of A_i; at 0 it is Im A_i cap ker A_i."""
     img, _, s = rep.factor(i)
     if img.is_zero():
         return []
@@ -503,36 +499,6 @@ def _image_eigenspaces(rep, i):
     ident = Matrix.identity(img.dim)
     return [(lam, Subspace._span(rep.r, map(img.combination, kernel_basis(on_image - ident * lam).rows)))
             for lam in rational_eigenvalues(on_image)]
-
-
-def disconnected_invariant_subspace(rep) -> IrreducibilityVerdict:
-    """Invariant-subspace construction for a totally disconnected graph.
-
-    Picks a rational eigenvalue of A_1 on its own image and reports the
-    orbit of its eigenvector x as the witness.  On a representation that
-    orbit is the span of the chain x, A_2 x, A_3 A_2 x, ..., by the
-    neighbor identities of ``lemma_bb_check``; it is verified against every
-    generator before it is reported, so no chain formula is checked.
-    """
-    if corank(rep) == 0:
-        return _trivial_action_verdict(rep)
-    if friendship_graph(rep).edge_count():
-        raise PreconditionError("friendship graph has edges; construction needs total disconnection")
-    eigenspaces = _image_eigenspaces(rep, 1)
-    if not eigenspaces:
-        raise NeedsFieldExtensionError(
-            "no rational eigenvalue on the image of the first deformation; "
-            "the construction needs a field extension"
-        )
-    for lam, w in eigenspaces:
-        orbit = _orbit(rep, w.rows[0])
-        verdict = _verified_reducible(rep, orbit, f"eigenvector chain at eigenvalue {lam}")
-        if verdict is not None:
-            return verdict
-    return IrreducibilityVerdict(
-        Verdict.INCONCLUSIVE, None, None,
-        detail="every eigenvector chain spans the full space",
-    )
 
 
 def lemma_bb_check(rep, i, j) -> bool:
@@ -563,12 +529,15 @@ def lemma_bb_check(rep, i, j) -> bool:
     return True
 
 
-def _chain_certificate(rep):
-    """``(u, basis)`` once the chain from the start vector proves g_i B =
-    B T_i(u) for every generator i with u != 1; otherwise raises
+def extract_standard_form(rep) -> StandardFormResult:
+    """Conjugate a representation into the standard family T(u), u != 1.
+
+    Returns u and the change of basis B once the chain from the start
+    vector proves g_i B = B T_i(u) for every generator i; otherwise raises
     ``PreconditionError`` or ``NotARepresentationError`` naming the first
     check that fails, in this order: 4 <= n, r = n, a line as the start,
-    n - 1 twists, equal twists, u != 1 and Y_i a_j = 0.
+    n - 1 twists, equal twists, u != 1 and Y_i a_j = 0.  Such an input is
+    decided by the witness steps of ``decide_irreducibility``.
 
     The start a_0 is the canonical row of Im A_1 cap ker A_2 (``_chain_start``),
     and the walk a_i = g_i a_(i-1) is nonzero, as g_i is invertible.  Column
@@ -615,7 +584,7 @@ def _chain_certificate(rep):
         y = rep.factor(i)[1]
         if any(sum(map(mul, row, v)) for j, (v, _) in enumerate(chain) if j not in (i - 1, i) for row in y):
             raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
-    return u, _chain_matrix(chain)
+    return StandardFormResult(u=u, basis=_chain_matrix(chain))
 
 
 def _chain_start(rep):
@@ -642,17 +611,6 @@ def _chain_matrix(chain):
     return Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
 
 
-def extract_standard_form(rep) -> StandardFormResult:
-    """Conjugate a representation into the standard family T(u), u != 1.
-
-    Returns u and the change of basis B that ``_chain_certificate`` proves,
-    or raises the error of its first failing check; such an input is decided
-    by the witness steps of ``decide_irreducibility``.
-    """
-    u, basis = _chain_certificate(rep)
-    return StandardFormResult(u=u, basis=basis)
-
-
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
     """Decide irreducibility of the standard family at parameter u.
 
@@ -677,7 +635,7 @@ def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
     (a e_1)(e_1^T b) with a, b in it.  T_i and T_i^T swap the lines through
     e_(i-1) and e_i, so the orbits of e_1 under the T_i and under their
     transposes are all of Q^n, and A(T(u)) is full.  Where
-    ``_chain_certificate`` proves g_i B = B T_i(u), the input's algebra
+    ``extract_standard_form`` proves g_i B = B T_i(u), the input's algebra
     B A(T(u)) B^-1 is full too.
     """
     verdict = _norton_step(rep)
@@ -742,13 +700,13 @@ def _character(rep) -> Fraction:
     that gives the least rank(g_1 - 1 - mu), where that rank is below k,
     the smaller y on a tie; otherwise y = 1.
 
-    A_1 acts on its image as P (``_image_eigenspaces``), which holds its
-    eigenvectors at mu != 0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 -
-    lam) for lam = s_1 mu, below k exactly where rank(M_11 - lam) < d = 2k
-    - r.  Where d <= 0 nothing is formed: for lambda != 1 the
-    lambda-eigenspace of g_1 misses ker A_1, so rank(g_1 - lambda) >= r - k
-    >= k.  Otherwise no characteristic polynomial is formed either.  Let N
-    = M_11 - lam have rank w < d.  Every M_11^j v lies in span(v) + Im N, so
+    By ``_image_eigenspaces``, ker(A_1 - mu) = R_1^T ker(P - mu) for mu !=
+    0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 - lam) for lam = s_1 mu,
+    below k exactly where rank(M_11 - lam) < d = 2k - r.  Where d <= 0
+    nothing is formed: for lambda != 1 the lambda-eigenspace of g_1 misses
+    ker A_1, so rank(g_1 - lambda) >= r - k >= k.  Otherwise no
+    characteristic polynomial is formed either.  Let N = M_11 - lam have
+    rank w < d.  Every M_11^j v lies in span(v) + Im N, so
     the Krylov space of every v has dimension at most w + 1 <= d, and where
     that of some e_i exceeds d, y = 1.  If v is not in Im N, lam is a root
     of the minimal polynomial f of v: f(M_11) v = f(lam) v + N q(M_11) v = 0
@@ -938,7 +896,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
     ``decide_irreducibility``, whose relations hold and fail where those of
     rep do, as each is homogeneous; the corank and the graph are those of
     rep.  With a certified standard form at y = 1, they and the relations
-    are those of T(u) (``_chain_certificate``).  Otherwise they are
+    are those of T(u) (``extract_standard_form``).  Otherwise they are
     computed, the relations first.  Where they hold, D A_i D^-1 = A_(i+1)
     for every i mod n, so each pair of images is a D-translate of some
     (1, 1 + d), or of (0, 1) on 2 strands: the distance set

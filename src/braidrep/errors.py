@@ -26,10 +26,6 @@ class PreconditionError(BraidRepError, ValueError):
     """An operation was called outside its stated domain."""
 
 
-class NeedsFieldExtensionError(BraidRepError):
-    """The construction requires an eigenvalue that is not rational."""
-
-
 class TrichotomyViolationError(BraidRepError):
     """A full friendship graph fits none of the three admissible shapes."""
 

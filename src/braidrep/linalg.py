@@ -390,12 +390,6 @@ class Subspace:
             raise ShapeError("vector length does not match ambient dimension")
         return self.contains_ints(clear_denominators(v)[0])
 
-    def coordinates(self, v):
-        """Coefficients of v in the canonical basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
-        return tuple(rational(v[p]) for p in self.pivots)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, computed by the block echelon (Zassenhaus) construction."""
         if self.ambient_dim != other.ambient_dim:
@@ -500,13 +494,6 @@ def inverse(m: Matrix) -> Matrix:
     den = math.lcm(*(row[i] for i, row in enumerate(rows)))
     num = [[e * (den // row[i]) for e in row[n:]] for i, row in enumerate(rows)]
     return _lowest_terms(num, den)
-
-
-def conjugate(m: Matrix, c: Matrix) -> Matrix:
-    """Return c^-1 * m * c."""
-    if not (m.is_square and c.is_square and m.nrows == c.nrows):
-        raise ShapeError("conjugation needs square matrices of equal size")
-    return inverse(c) * m * c
 
 
 def charpoly(m: Matrix):

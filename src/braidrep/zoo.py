@@ -467,5 +467,10 @@ def save_representation(rep, path):
 
 
 def load_representation(path) -> Representation:
+    """Read a representation file; JSON nested past the recursion limit is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return rep_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ShapeError("malformed representation data: JSON is nested too deeply") from None
+    return rep_from_dict(data)

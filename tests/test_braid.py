@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidrep.braid import (
-    BraidWord,
     RelationReport,
     _far_shortcut_holds,
     circular_distance,
-    evaluate_word,
     verify_braid_relations,
     verify_cyclic_conjugation,
     verify_deformed_relations,
 )
-from braidrep.errors import ShapeError, SingularMatrixError
+from braidrep.errors import ShapeError
 from braidrep.linalg import Matrix, charpoly, inverse, rank
 from braidrep.zoo import (
     Representation,
@@ -48,17 +46,13 @@ def test_circular_distance_wraps():
     assert circular_distance(0, 2, 3) == 1
 
 
-def test_word_parse_and_print_round_trip():
-    w = BraidWord.parse("s1 s2 s1^-1", 4)
-    assert w.letters == ((1, 1), (2, 1), (1, -1))
-    assert str(w) == "s1 s2 s1^-1"
-
-
 def test_word_rejects_out_of_range_letters():
-    with pytest.raises(ValueError):
-        BraidWord.parse("s4", 4)
-    with pytest.raises(ValueError):
-        BraidWord.parse("sx", 4)
+    rep = tym_standard(4, 2)
+    for i in (4, -1):
+        with pytest.raises(IndexError):
+            rep.gen(i)
+        with pytest.raises(IndexError):
+            rep.gen_inverse(i)
 
 
 def test_standard_family_satisfies_relations():
@@ -155,27 +149,23 @@ def test_deformed_relations_reject_a_broken_three_strand_family():
     assert not verify_deformed_relations(rep)
 
 
-def test_empty_word_evaluates_to_identity():
-    rep = tym_standard(4, 2)
-    assert evaluate_word(rep, BraidWord(4, ())) == Matrix.identity(4)
-
-
 def test_generator_times_inverse_is_identity():
-    rep = tym_standard(4, 2)
-    w = BraidWord.parse("s1 s1^-1", 4)
-    assert evaluate_word(rep, w) == Matrix.identity(4)
+    for rep in (tym_standard(4, 2), reduced_burau(5, F(5, 3)), scrambled(tym_standard(5, 3), 2)):
+        for i in range(1, rep.n):
+            assert rep.gen(i) * rep.gen_inverse(i) == Matrix.identity(rep.r), (rep.label, i)
 
 
 def test_braid_relation_as_word_identity():
     rep = tym_standard(4, 2)
-    left = evaluate_word(rep, BraidWord.parse("s1 s2 s1", 4))
-    right = evaluate_word(rep, BraidWord.parse("s2 s1 s2", 4))
-    assert left == right
+    g1, g2 = rep.gen(1), rep.gen(2)
+    assert g1 * g2 * g1 == g2 * g1 * g2
 
 
 def test_word_strand_mismatch_raises():
     with pytest.raises(ShapeError):
-        evaluate_word(tym_standard(4, 2), BraidWord(5, ((1, 1),)))
+        direct_sum(tym_standard(4, 2), tym_standard(5, 2))
+    with pytest.raises(ShapeError):
+        tym_standard(4, 2).gen(1) * Matrix.identity(5)
 
 
 def test_zoo_families_satisfy_all_relation_checks(zoo):
@@ -193,6 +183,14 @@ def test_conjugating_last_deformation_gives_the_derived_one(zoo):
         assert shifted == rep.deformation(0), rep.label
 
 
+def _word_image(rep, letters):
+    """Image of the word s_i1^e1 s_i2^e2 ... for letters (i, e), e = +-1."""
+    m = Matrix.identity(rep.r)
+    for i, e in letters:
+        m = m * (rep.gen(i) if e == 1 else rep.gen_inverse(i))
+    return m
+
+
 letters = st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from((1, -1)))
 
 
@@ -205,9 +203,8 @@ letters = st.tuples(st.integers(min_value=1, max_value=3), st.sampled_from((1, -
 def test_free_reduction_does_not_change_the_product(body, idx, cut):
     rep = tym_standard(4, F(1, 2))
     cut = min(cut, len(body))
-    word = BraidWord(4, tuple(body))
-    padded = BraidWord(4, tuple(body[:cut]) + ((idx, 1), (idx, -1)) + tuple(body[cut:]))
-    assert evaluate_word(rep, word) == evaluate_word(rep, padded)
+    padded = body[:cut] + [(idx, 1), (idx, -1)] + body[cut:]
+    assert _word_image(rep, body) == _word_image(rep, padded)
 
 
 def _pairwise_report(rep):

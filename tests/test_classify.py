@@ -25,7 +25,6 @@ from braidrep.classify import (
     burnside_dimension,
     decide_irreducibility,
     dimension_bound_check,
-    disconnected_invariant_subspace,
     extract_standard_form,
     invariant_subspace_search,
     lemma_bb_check,
@@ -36,7 +35,7 @@ from braidrep.classify import (
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
 from braidrep.friendship import classify_graph, full_friendship_graph, neighbor_form
-from braidrep.linalg import Matrix, Subspace, inverse, kernel_basis, rank, rational, rational_eigenvalues
+from braidrep.linalg import Matrix, Subspace, inverse, kernel_basis, rank, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -158,21 +157,10 @@ def test_burnside_of_permutation_family_is_thin():
     assert followup.tag is Verdict.REDUCIBLE
 
 
-def _eigenvector_chain(rep, lam):
-    """x, A_2 x, A_3 A_2 x, ... for the first canonical eigenvector x of A_1
-    at lam on its image."""
-    a = rep.deformation(1)
-    eigenspace = rep.image(1).intersect(kernel_basis(a - Matrix.identity(rep.r) * lam))
-    chain = [eigenspace.basis_vectors()[0]]
-    for i in range(2, rep.n):
-        chain.append(rep.deformation(i) * chain[-1])
-    return chain
-
-
 def test_disconnected_construction_on_trivial_blocks():
     # Corank 0: the witness is the first coordinate line, not a chain.
     rep = direct_sum(character_rep(5, 1), character_rep(5, 1))
-    verdict = disconnected_invariant_subspace(rep)
+    verdict, _, _ = decide_irreducibility(rep)
     assert verdict.tag is Verdict.REDUCIBLE
     assert verdict.witness == Subspace(2, [unit(0, 2)])
     assert_invariant(rep, verdict.witness)
@@ -181,26 +169,26 @@ def test_disconnected_construction_on_trivial_blocks():
 def test_disconnected_construction_on_padded_burau(disconnected_fixture):
     rep = disconnected_fixture
     assert rep.n == 5 and rep.r == 6
-    verdict = disconnected_invariant_subspace(rep)
+    verdict, _, _ = decide_irreducibility(rep)
     assert verdict.tag is Verdict.REDUCIBLE
     assert verdict.witness.dim <= 4
-    lam = rational(verdict.detail.removeprefix("eigenvector chain at eigenvalue "))
-    assert verdict.witness == Subspace(rep.r, _eigenvector_chain(rep, lam))
     assert_invariant(rep, verdict.witness)
 
 
 def test_disconnected_construction_rejects_chain_input():
-    with pytest.raises(PreconditionError):
-        disconnected_invariant_subspace(tym_standard(6, 2))
+    # A chain graph is decided by the chain step, not by an eigenvector chain.
+    verdict, standard_form, _ = decide_irreducibility(tym_standard(6, 2))
+    assert standard_form is not None and standard_form.u == 2
+    assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE and verdict.witness is None
 
 
 def test_disconnected_construction_finds_permutation_witness():
+    # At u = 1 the images are permutation matrices, fixing the all-ones line.
     rep = tym_standard(6, 1)
-    verdict = disconnected_invariant_subspace(rep)
+    verdict, _, _ = decide_irreducibility(rep)
     assert verdict.tag is Verdict.REDUCIBLE
-    assert verdict.witness.dim == 5
-    assert verdict.detail == "eigenvector chain at eigenvalue -2"
-    assert verdict.witness == Subspace(6, _eigenvector_chain(rep, -2))
+    assert verdict.witness == Subspace(6, [(1,) * 6])
+    assert_invariant(rep, verdict.witness)
 
 
 def test_neighbor_identities_on_trivial_family():
@@ -1161,12 +1149,9 @@ def test_analyze_reads_proved_relations_off_the_pairs_at_s1_with_no_graph(monkey
 def test_chain_step_acts_once_in_its_walk_and_once_per_twist(monkeypatch):
     # The walk forms a_i = g_i a_(i-1) and the twist check g_i a_i; the check
     # Y_i a_j = 0 forms only the other products, so no generator acts again.
-    import braidrep.classify as classify
-
     rep, acts, act = parse_rep_spec("conj(tym:n=8,u=2,seed=3)")[0], [], Representation.act
     monkeypatch.setattr(Representation, "act", lambda self, i, v: acts.append(i) or act(self, i, v))
-    u, _ = classify._chain_certificate(rep)
-    assert u == 2
+    assert extract_standard_form(rep).u == 2
     assert acts == [*range(1, rep.n), *range(1, rep.n)]
 
 

@@ -494,6 +494,14 @@ def test_singular_family_file_exits_2_with_the_message(capsys):
     assert capture(capsys, ["verify", str(path)]) == (2, "", "error: generator image is singular\n")
 
 
+@pytest.mark.parametrize("verb", ["verify", "analyze"])
+def test_json_file_nested_past_the_recursion_limit_exits_two(tmp_path, capsys, verb):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert capture(capsys, [verb, str(path)]) == (
+        2, "", "error: malformed representation data: JSON is nested too deeply\n")
+
+
 def test_conj_without_seed_takes_the_seed_option(capsys):
     _, from_option, _ = capture(capsys, ["make", "conj(tym:n=6,u=2)", "--seed", "3"])
     _, from_spec, _ = capture(capsys, ["make", "conj(tym:n=6,u=2,seed=3)"])

@@ -17,7 +17,6 @@ from braidrep.linalg import (
     charpoly,
     clear_denominators,
     combine,
-    conjugate,
     format_rational,
     image_basis,
     intersect_stacked_kernel,
@@ -29,6 +28,7 @@ from braidrep.linalg import (
     rational,
     rational_eigenvalues,
 )
+from braidrep.zoo import character_rep, conjugate_rep, direct_sum
 from conftest import build_zoo
 
 F = Fraction
@@ -180,24 +180,33 @@ def test_inverse_of_singular_matrix_raises():
         inverse(Matrix([[1, 1], [1, 1]]))
 
 
+def _diagonal_family(*ys):
+    """4-strand family whose every generator image is diag(ys)."""
+    rep = character_rep(4, ys[0])
+    for y in ys[1:]:
+        rep = direct_sum(rep, character_rep(4, y))
+    return rep
+
+
 def test_conjugate_of_identity_is_identity():
     c = Matrix([[1, 2], [0, 1]])
-    assert conjugate(Matrix.identity(2), c) == Matrix.identity(2)
+    assert conjugate_rep(_diagonal_family(1, 1), c).generators == (Matrix.identity(2),) * 3
 
 
 def test_conjugate_by_identity_is_unchanged():
-    m = Matrix([[1, 2], [3, 4]])
-    assert conjugate(m, Matrix.identity(2)) == m
+    rep = _diagonal_family(2, 3)
+    assert conjugate_rep(rep, Matrix.identity(2)).generators == rep.generators
 
 
 def test_conjugate_diagonal_by_swap():
     swap = Matrix([[0, 1], [1, 0]])
-    assert conjugate(Matrix([[1, 0], [0, 2]]), swap) == Matrix([[2, 0], [0, 1]])
+    conjugated = conjugate_rep(_diagonal_family(1, 2), swap)
+    assert conjugated.generators == (Matrix([[2, 0], [0, 1]]),) * 3
 
 
 def test_conjugate_by_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
-        conjugate(Matrix.identity(2), Matrix([[1, 1], [1, 1]]))
+        conjugate_rep(_diagonal_family(1, 1), Matrix([[1, 1], [1, 1]]))
 
 
 def test_rational_eigenvalues_of_diagonal():
@@ -275,16 +284,17 @@ def test_canonical_form_is_spanning_set_independent():
 
 
 def test_contains_and_coordinates():
+    # The canonical basis is pivot-normalized, so the coordinates of a member
+    # are its entries at the pivot columns.
     u = subspace((1, 0, 2), (0, 1, 3))
     v = (F(2), F(1), F(7))
     assert u.contains(v)
-    coords = u.coordinates(v)
+    coords = [v[p] for p in u.pivots]
     mixed = tuple(
         sum((c * b[k] for c, b in zip(coords, u.basis_vectors())), F(0)) for k in range(3)
     )
     assert mixed == v
     assert not u.contains((1, 1, 1))
-    assert u.coordinates((1, 1, 1)) is None
 
 
 def test_matrix_vector_and_scalar_products():
