@@ -73,10 +73,6 @@ class StandardFormResult:
     basis: Matrix
 
 
-def _scale_vec(c, v):
-    return tuple(c * e for e in v)
-
-
 _CLOSURE_PRIME = (1 << 61) - 1
 
 
@@ -154,19 +150,17 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
     in the span of the c applied before, as A_i x = R_i^T c / s_i is in U
     then), and the other V_j hold Y_j U too.  The argument above shows that
     span{v} + U + sum_j R_j^T V_j is the orbit.  So span{v} + U, which the
-    closure grows, lies in O, and where one of these A_i is invertible, U
-    holds A_i O, of the dimension of O: span{v} + U = O, and once full it
-    ends the closure early.
+    closure grows, lies in O, and once full it ends the closure early;
+    otherwise the R_j^T V_j are added to it at the end.
     """
     r, n = rep.r, rep.n
     if not any(vec):
         return Subspace.zero(r)
-    wide, invertible, outs, inns, spaces = [], False, {}, {}, {}
+    wide, outs, inns, spaces = [], {}, {}, {}
     for i in range(1, n):
         img, y, _ = rep.factor(i)
         out, inn = (y, img.rows) if transposed else (img.rows, y)
         if (n - 1) * img.dim ** 2 > r * r:
-            invertible |= img.is_full()
             wide.append(partial(_left_mul, tuple(zip(*y)) if transposed else y, 1) if img.is_full()
                         else partial(_factor_action, out, inn, EchelonSpan(img.dim)))
         elif img.dim:
@@ -192,8 +186,6 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
                     if ambient.dim == r:
                         return Subspace.full(r)
                     work.append((0, added))
-    if invertible:
-        return ambient.to_subspace()
     if images_span and not growing and not wide:
         return Subspace.full(r)
     for i, space in spaces.items():
@@ -269,12 +261,6 @@ def _rank_one_factors(rows):
     return x, list(y)
 
 
-def _int_rows(rows, ncols) -> Matrix:
-    """The integer rows as a Matrix with ncols columns (one zero row where
-    there are none), for ``kernel_basis``."""
-    return Matrix._new(tuple(map(tuple, rows)) or ((0,) * ncols,), 1)
-
-
 def _norton_elements(rep):
     """``(name, left, z, d, p)`` for A_1, the neighbor cubic A_1 + A_1^2 +
     A_1 A_2 A_1 and A_1 A_2, each formed when the caller asks for it, as
@@ -317,10 +303,12 @@ def _norton_candidates(rep):
     which X is injective: an eigenvector is theta of itself over lambda, so
     it is X w for some w, and theta X = X P.  Likewise ker(theta - lambda)^T
     = Z^T ker(P - lambda)^T; so the nullity is read on k x k.  ker theta =
-    ker(left Z) and ker theta^T = ker(left^T R_1).  Only where k >= r - 1 is theta formed:
-    P is then about as large, the kernels of theta - lambda come out
-    canonical with no elimination of the X w, and theta - lambda may have
-    rank one (it has rank at least r - k for lambda != 0)."""
+    ker(left Z) and ker theta^T = ker(left^T R_1), as X is injective and
+    Z^T too.  Each kernel is a canonical ``Subspace``, so x and y are the
+    first rows of the dense kernels.  theta - lambda is formed, r x r, only
+    to factor it where it has rank one: its nullity is then r - 1, which
+    needs lambda != 0, as theta has the rank of left, not one here, and
+    r - 1 <= k, as the nullity is at most k for lambda != 0."""
     r, img = rep.r, rep.image(1)
     others = []
     for name, left, z, d, p in _norton_elements(rep):
@@ -337,27 +325,18 @@ def _norton_candidates(rep):
         lams = set(rational_eigenvalues(small))
         if k < r:
             lams.add(Fraction(0))
-        theta = _theta(img, left, z, d) if k >= r - 1 else None
         for lam in sorted(lams):
-            rank_one = None
-            if theta is not None:
-                shifted = theta - Matrix.identity(r) * lam
-                right = kernel_basis(shifted)
-                make_y = partial(_first_kernel_row, shifted.num, r)
-                # Rank one only here: elsewhere nullity <= k <= r - 2, or rank(left) = 1 already.
-                if right.dim == r - 1:
-                    rank_one = _rank_one_factors(shifted.num)
-            elif lam:
+            if lam:
                 shifted = small - Matrix.identity(k) * lam
                 ws = kernel_basis(shifted).rows
                 right = Subspace._span(r, (img.combination([sum(map(mul, row, w)) for row in left]) for w in ws))
                 make_y = partial(_first_left_row, shifted, z, r)
             else:
-                right = kernel_basis(_int_rows(mul_rows(left, z, r), r))
+                right = kernel_basis(_lowest_terms(mul_rows(left, z, r), 1, r))
                 make_y = partial(_first_kernel_row, left, r, img.rows)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
-            if rank_one is not None:
-                x, y = rank_one
+            if lam and right.dim == r - 1:
+                x, y = _rank_one_factors((_theta(img, left, z, d) - Matrix.identity(r) * lam).num)
                 yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
 
 
@@ -367,20 +346,19 @@ def _first_left_row(shifted, z, r):
     return Subspace._span(r, [combine(u, z, r) for u in kernel_basis(shifted.transpose()).rows]).rows[0]
 
 
-def _first_kernel_row(a, r, b=None):
-    """The first canonical row of ker a^T, or of ker(a^T b), for integer rows
-    a and b, with r columns in either: ker(theta - lambda)^T from the
-    numerator a of theta - lambda, and ker theta^T = ker(left^T R_1) at 0."""
-    rows = list(zip(*a)) if b is None else mul_rows(tuple(zip(*a)), b, r)
-    return kernel_basis(_int_rows(rows, r)).rows[0]
+def _first_kernel_row(a, r, b):
+    """The first canonical row of ker(a^T b), for integer rows a and b, b
+    with r columns: ker theta^T = ker(left^T R_1) at lambda = 0 of
+    ``_norton_candidates``, formed on k rows."""
+    return kernel_basis(_lowest_terms(mul_rows(tuple(zip(*a)), b, r), 1, r)).rows[0]
 
 
 def _theta(img, left, z, d) -> Matrix:
-    """theta = R_1^T left Z / d, r x r, for the canonical rows R_1 of img:
+    """theta = R_1^T left Z / d, r x r, for the canonical rows R_1 of img != 0:
     row q of R_1^T (left Z) combines the rows of left Z by column q of R_1."""
     r = img.ambient_dim
     lz = mul_rows(left, z, r)
-    return _lowest_terms([combine(col, lz, r) for col in zip(*img.rows)] if img.rows else [[0] * r] * r, d)
+    return _lowest_terms([combine(col, lz, r) for col in zip(*img.rows)], d)
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:
@@ -522,9 +500,9 @@ def lemma_bb_check(rep, i, j) -> bool:
         for lam, w in _image_eigenspaces(rep, x):
             for vec in w.basis_vectors():
                 bx = y_mat * vec
-                if y_mat * bx != _scale_vec(lam, bx):
+                if y_mat * bx != tuple(lam * e for e in bx):
                     return False
-                if x_mat * bx != _scale_vec(-(1 + lam), vec):
+                if x_mat * bx != tuple(-(1 + lam) * e for e in vec):
                     return False
     return True
 
@@ -592,8 +570,8 @@ def _chain_start(rep):
     raises ``PreconditionError`` where that intersection is not a line.  R_1^T
     c lies in ker A_2 = ker Y_2 exactly when Y_2 R_1^T c = 0, and R_1^T is
     injective, so the intersection is R_1^T times the kernel of
-    ``rep.middle(2, 1)``, k x k (a zero row where A_2 = 0)."""
-    kernel = kernel_basis(_int_rows(rep.middle(2, 1), rep.image(1).dim))
+    ``rep.middle(2, 1)``, k x k (no rows where A_2 = 0)."""
+    kernel = kernel_basis(_lowest_terms(rep.middle(2, 1), 1, rep.image(1).dim))
     if kernel.dim != 1:
         raise PreconditionError(f"chain start Im A_1 cap ker A_2 has dimension {kernel.dim}, not 1")
     # The rows R_1 vanish at each other's pivots, so R_1^T c starts at the
@@ -670,10 +648,10 @@ def _witness_steps(rep) -> IrreducibilityVerdict | None:
     Norton step's orbits then take as known."""
     r = rep.r
     square = sum(rep.image(i).dim for i in range(1, rep.n)) == r and not rep.has_full_image
-    if square and rank(_int_rows(rep.middle_product, r)) == r:
+    if square and rank(_lowest_terms(rep.middle_product, 1, r)) == r:
         return _norton_step(rep, fixed_free=True, images_span=True)
     stacked = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
-    fixed = kernel_basis(_int_rows(stacked, r))
+    fixed = kernel_basis(_lowest_terms(stacked, 1, r))
     return _verified_reducible(rep, fixed, "common fixed vectors") or _norton_step(rep, fixed.is_zero())
 
 
@@ -730,7 +708,7 @@ def _character(rep) -> Fraction:
         if f is None:
             return Fraction(1)
         for lam in monic_roots(f) - widths.keys() - {0}:
-            widths[lam] = rank(_plus_scalar(_int_rows(m, k), -lam))
+            widths[lam] = rank(_plus_scalar(_lowest_terms(m, 1, k), -lam))
     width, lam = min(((w, lam) for lam, w in widths.items()), default=(d, 0))
     return 1 + Fraction(lam, s) if width < d else Fraction(1)
 

@@ -871,26 +871,39 @@ def test_analyze_forms_the_stacked_middle_product_once(monkeypatch):
     assert calls == [rep]
 
 
-@pytest.mark.parametrize("rep", [
-    scrambled(reduced_burau(8, 2), 3),
-    parse_rep_spec("conj(dsum(tym:n=8,u=2,tym:n=8,u=3),seed=7)")[0],
-], ids=lambda rep: rep.label)
-def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep):
+_NARROW_NORTON_CASES = [
+    (scrambled(reduced_burau(8, 2), 3), "matrix algebra is full"),
+    (parse_rep_spec("conj(dsum(tym:n=8,u=2,tym:n=8,u=3),seed=7)")[0],
+     "orbit of a right eigenvector of the neighbor cubic at eigenvalue 1"),
+    # k = 3 = r - 1: the kernel of A_1 at 0 is read on its 3 x 4 factor.
+    (parse_rep_spec("conj(dsum(tym:n=3,u=2,char:n=3,y=3),seed=1)")[0],
+     "orbit of a right eigenvector of A_1 at eigenvalue 0"),
+]
+
+
+@pytest.mark.parametrize("rep, detail", _NARROW_NORTON_CASES, ids=[rep.label for rep, _ in _NARROW_NORTON_CASES])
+def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
+    import braidrep.classify as classify
     import braidrep.linalg as linalg
 
-    sizes, charpoly = [], linalg.charpoly
+    sizes, charpoly, kernel = [], linalg.charpoly, classify.kernel_basis
 
     def counted(m):
         sizes.append(m.nrows)
         return charpoly(m)
 
+    def narrow_kernel(m):
+        assert m.nrows < rep.r, f"kernel of {m.nrows} rows formed"
+        return kernel(m)
+
     def refused(self, i):
         raise AssertionError(f"deformation {i} formed")
 
     monkeypatch.setattr(linalg, "charpoly", counted)
+    monkeypatch.setattr(classify, "kernel_basis", narrow_kernel)
     monkeypatch.setattr(Representation, "deformation", refused)
     verdict = _norton_step(rep)
-    assert verdict is not None
+    assert verdict.detail == detail
     assert all(size < rep.r for size in sizes)
 
 

@@ -51,6 +51,8 @@ GOLDEN = {
     "burau_minus1": "conj(burau:n=6,t=-1,seed=7)",
     "dsum_tym3": "conj(dsum(tym:n=3,u=2,tym:n=3,u=3),seed=7)",
     "transposed": str(DATA / "transposed_family.json"),
+    # A_1 of rank k = r - 1 = 3, its kernel at eigenvalue 0 read on its factors
+    "tym3_char": "conj(dsum(tym:n=3,u=2,char:n=3,y=3),seed=1)",
     # a sum of equal blocks whose Norton words have repeated eigenvalues past 2^53
     "equal_sum": "conj(dsum(tym:n=8,u=5/3,tym:n=8,u=5/3),seed=2)",
 }

@@ -58,8 +58,8 @@ def _is_sum(spec):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(specs, st.integers(0, 9))
-def test_spec_trees_keep_the_answers_of_the_grammar(spec, seed):
+@given(specs, st.integers(0, 9), st.sampled_from(SCALARS))
+def test_spec_trees_keep_the_answers_of_the_grammar(spec, seed, y):
     (n, r), _, _ = _parse(spec, 0)
     assume(r <= MAX_R)
     rep = parse_rep_spec(spec)[0]
@@ -68,6 +68,9 @@ def test_spec_trees_keep_the_answers_of_the_grammar(spec, seed):
 
     conjugated = analyze(parse_rep_spec(f"conj({spec},seed={seed})")[0])
     assert _summary(conjugated) == _summary(report), spec
+    # A twist by a character generates the same unital algebra as the tree.
+    twisted = analyze(parse_rep_spec(f"tensor({spec},y={y})")[0])
+    assert twisted.verdict.tag is tag, (spec, y)
 
     if _is_sum(spec):
         expected = {Verdict.REDUCIBLE, Verdict.INCONCLUSIVE} if n == 2 else {Verdict.REDUCIBLE}
