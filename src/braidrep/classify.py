@@ -305,10 +305,9 @@ def _norton_candidates(rep):
     = Z^T ker(P - lambda)^T; so the nullity is read on k x k.  ker theta =
     ker(left Z) and ker theta^T = ker(left^T R_1), as X is injective and
     Z^T too.  Each kernel is a canonical ``Subspace``, so x and y are the
-    first rows of the dense kernels.  theta - lambda is formed, r x r, only
-    to factor it where it has rank one: its nullity is then r - 1, which
-    needs lambda != 0, as theta has the rank of left, not one here, and
-    r - 1 <= k, as the nullity is at most k for lambda != 0."""
+    first rows of the dense kernels.  theta - lambda has rank one where its
+    nullity is r - 1: then lambda != 0, as theta has the rank of left, not one
+    here, and r - 1 <= k; ``_shifted_factors`` reads its factors off X and Z."""
     r, img = rep.r, rep.image(1)
     others = []
     for name, left, z, d, p in _norton_elements(rep):
@@ -336,7 +335,7 @@ def _norton_candidates(rep):
                 make_y = partial(_first_kernel_row, left, r, img.rows)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
             if lam and right.dim == r - 1:
-                x, y = _rank_one_factors((_theta(img, left, z, d) - Matrix.identity(r) * lam).num)
+                x, y = _shifted_factors(img, left, z, d * lam)
                 yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
 
 
@@ -353,12 +352,19 @@ def _first_kernel_row(a, r, b):
     return kernel_basis(_lowest_terms(mul_rows(tuple(zip(*a)), b, r), 1, r)).rows[0]
 
 
-def _theta(img, left, z, d) -> Matrix:
-    """theta = R_1^T left Z / d, r x r, for the canonical rows R_1 of img != 0:
-    row q of R_1^T (left Z) combines the rows of left Z by column q of R_1."""
-    r = img.ambient_dim
-    lz = mul_rows(left, z, r)
-    return _lowest_terms([combine(col, lz, r) for col in zip(*img.rows)], d)
+def _shifted_factors(img, left, z, mu):
+    """``_rank_one_factors`` of N = b X Z - a, a positive multiple of the
+    rank-one theta - lambda = (X Z - mu) / d, X = R_1^T left, mu = d lambda =
+    a / b, with each row or column of X Z formed in O(k r)."""
+    r, k = img.ambient_dim, len(z)
+    a, b = mu.as_integer_ratio()
+    rows = ([b * e - a * (p == q) for p, e in enumerate(combine(combine(col, left, k), z, r))]
+            for q, col in enumerate(zip(*img.rows)))
+    y = next(filter(any, rows))
+    c = next(p for p, e in enumerate(y) if e)
+    x = img.combination([b * sum(row[p] * zrow[c] for p, zrow in enumerate(z)) for row in left])
+    x[c] -= a
+    return x, y
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:
@@ -465,44 +471,37 @@ def _trivial_action_verdict(rep) -> IrreducibilityVerdict:
     return verdict
 
 
-def _image_eigenspaces(rep, i):
-    """``(lambda, eigenspace)`` for each rational eigenvalue of A_i on its
-    image: R_i^T ker(P - lambda) for P = M_ii / s_i, by ``_norton_candidates``
-    at theta = A_i, X = R_i^T and Z = Y_i.  At lambda != 0 that is the whole
-    eigenspace of A_i; at 0 it is Im A_i cap ker A_i."""
-    img, _, s = rep.factor(i)
-    if img.is_zero():
-        return []
-    on_image = _lowest_terms(rep.middle(i, i), s)
-    ident = Matrix.identity(img.dim)
-    return [(lam, Subspace._span(rep.r, map(img.combination, kernel_basis(on_image - ident * lam).rows)))
-            for lam in rational_eigenvalues(on_image)]
-
-
 def lemma_bb_check(rep, i, j) -> bool:
     """Identities satisfied by neighboring deformations that are not friends.
 
     (a) the cubic cancellations A^2 B = A B^2 and B A^2 = B^2 A;
     (b) for each rational eigenvalue and eigenvector x of A on Im(A),
         B maps x to a new eigenvector and A B x = -(1 + eigenvalue) x.
+
+    Read on the middles M_ab = Y_a R_b^T of A = A_i = R_i^T Y_i / s_i and B =
+    A_j, R_i^T injective and the rows of Y_j independent: A^2 B = A B^2 is s_j
+    M_ii M_ij = s_i M_ij M_jj, and B x = R_j^T M_ji c / s_j for x = R_i^T c, c
+    in ker(M_ii / s_i - lambda) (``_norton_candidates``), so (b) is M_jj M_ji c
+    = lambda s_j M_ji c and M_ij M_ji c = -(1 + lambda) s_i s_j c; then swap i, j.
     """
-    n = rep.n
-    if circular_distance(i, j, n) != 1:
+    if circular_distance(i, j, rep.n) != 1:
         raise PreconditionError("indices are not neighbors")
     if are_friends(rep, i, j):
         raise PreconditionError("neighbors are friends; the identities do not apply")
-    a = rep.deformation(i)
-    b = rep.deformation(j)
-    if a * a * b != a * b * b or b * a * a != b * b * a:
-        return False
-    for x, y in ((i, j), (j, i)):
-        x_mat, y_mat = rep.deformation(x), rep.deformation(y)
-        for lam, w in _image_eigenspaces(rep, x):
-            for vec in w.basis_vectors():
-                bx = y_mat * vec
-                if y_mat * bx != tuple(lam * e for e in bx):
-                    return False
-                if x_mat * bx != tuple(-(1 + lam) * e for e in vec):
+    m = {(a, b): rep.middle(a, b) for a in (i, j) for b in (i, j)}
+    for a, b in ((i, j), (j, i)):
+        ka, kb, sa, sb = len(m[a, a]), len(m[b, b]), rep.factor(a)[2], rep.factor(b)[2]
+        cubes = zip(mul_rows(m[a, a], m[a, b], kb), mul_rows(m[a, b], m[b, b], kb))
+        if any(sb * e != sa * f for left, right in cubes for e, f in zip(left, right)):
+            return False
+        on_image = _lowest_terms(m[a, a], sa, ka)
+        for lam in rational_eigenvalues(on_image):
+            p, q = lam.as_integer_ratio()
+            for c in kernel_basis(on_image - Matrix.identity(ka) * lam).rows:
+                bc = [sum(map(mul, row, c)) for row in m[b, a]]  # B R_a^T c = R_b^T bc / s_b
+                bbc, abc = ([sum(map(mul, row, bc)) for row in m[x, b]] for x in (b, a))
+                if (any(q * e != p * sb * f for e, f in zip(bbc, bc))
+                        or any(q * e != -(p + q) * sa * sb * f for e, f in zip(abc, c))):
                     return False
     return True
 
@@ -678,7 +677,7 @@ def _character(rep) -> Fraction:
     that gives the least rank(g_1 - 1 - mu), where that rank is below k,
     the smaller y on a tie; otherwise y = 1.
 
-    By ``_image_eigenspaces``, ker(A_1 - mu) = R_1^T ker(P - mu) for mu !=
+    By ``_norton_candidates``, ker(A_1 - mu) = R_1^T ker(P - mu) for mu !=
     0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 - lam) for lam = s_1 mu,
     below k exactly where rank(M_11 - lam) < d = 2k - r.  Where d <= 0
     nothing is formed: for lambda != 1 the lambda-eigenspace of g_1 misses

@@ -31,8 +31,8 @@ def rational(value) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Serialize as 'p/q', or plain 'p' when the denominator is 1."""
-    return str(Fraction(value))
+    """Serialize as 'p/q', or plain 'p' when the denominator is 1; refuses floats and booleans."""
+    return str(rational(value))
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -240,7 +240,7 @@ class Matrix:
             den = self.den * vden
             return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.num)
         if isinstance(other, (int, Fraction)):
-            c, d = other.numerator, other.denominator
+            c, d = _ratio(other)  # a boolean is refused, as by the constructor
             return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d, self.ncols)
         return NotImplemented
 

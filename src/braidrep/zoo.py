@@ -155,8 +155,8 @@ class Representation:
 
     def middle(self, i, j) -> list:
         """M_ij = Y_i R_j^T as k_i x k_j integer rows, formed alone in
-        O(k_i k_j r), for a caller that needs one or two; ``block`` reads the
-        same from the cached ``middles``."""
+        O(k_i k_j r), for a caller that needs a few or index 0; ``block``
+        reads the same from the cached ``middles``."""
         return _y_rt(self.factor(i)[1], self.image(j))
 
     def middles(self) -> dict:

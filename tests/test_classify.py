@@ -34,8 +34,8 @@ from braidrep.classify import (
 )
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
-from braidrep.friendship import classify_graph, full_friendship_graph, neighbor_form
-from braidrep.linalg import Matrix, Subspace, inverse, kernel_basis, rank, rational_eigenvalues
+from braidrep.friendship import are_friends, classify_graph, full_friendship_graph, neighbor_form
+from braidrep.linalg import Matrix, Subspace, image_basis, inverse, kernel_basis, rank, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -201,6 +201,53 @@ def test_neighbor_identities_on_disconnected_fixture(disconnected_fixture):
     n = disconnected_fixture.n
     for i in range(n):
         assert lemma_bb_check(disconnected_fixture, i, (i + 1) % n)
+
+
+def _dense_lemma_bb(rep, i, j):
+    """Reference for ``lemma_bb_check`` past its preconditions, on the dense
+    deformations A = A_i and B = A_j: the cubic cancellations, then B x and
+    A B x for a basis x of ker(A - lambda) cap Im A at each rational
+    eigenvalue lambda of A, and the same with A and B swapped."""
+    a, b = rep.deformation(i), rep.deformation(j)
+    if a * a * b != a * b * b or b * a * a != b * b * a:
+        return False
+    ident = Matrix.identity(rep.r)
+    for x_mat, y_mat in ((a, b), (b, a)):
+        for lam in rational_eigenvalues(x_mat):
+            for vec in kernel_basis(x_mat - ident * lam).intersect(image_basis(x_mat)).basis_vectors():
+                bx = y_mat * vec
+                if y_mat * bx != tuple(lam * e for e in bx) or x_mat * bx != tuple(-(1 + lam) * e for e in vec):
+                    return False
+    return True
+
+
+def _neighbor_identity_families():
+    """The families of the relation tests, each with its neighbor pairs (i,
+    i + 1 mod n), s0 among them, whose images do not meet."""
+    zoo = build_zoo()
+    for rep in [*zoo, *(scrambled(rep, 1) for rep in zoo), *random_families(), broken_family(), *delta_families()]:
+        pairs = [(i, (i + 1) % rep.n) for i in range(rep.n)]
+        yield rep, [(i, j) for i, j in pairs if not are_friends(rep, i, j)]
+
+
+_NEIGHBOR_IDENTITY_FAMILIES = list(_neighbor_identity_families())
+
+
+@pytest.mark.parametrize("rep, pairs", _NEIGHBOR_IDENTITY_FAMILIES, ids=[repr(rep) for rep, _ in _NEIGHBOR_IDENTITY_FAMILIES])
+def test_neighbor_identities_match_the_dense_reference(rep, pairs):
+    for i, j in pairs:
+        assert lemma_bb_check(rep, i, j) is _dense_lemma_bb(rep, i, j), (i, j)
+
+
+def test_neighbor_identity_families_reach_both_clauses():
+    # Each clause alone rejects some pair: the cubic cancellations, and the
+    # eigenvectors where those hold.
+    seen = set()
+    for rep, pairs in _NEIGHBOR_IDENTITY_FAMILIES:
+        for i, j in pairs:
+            a, b = rep.deformation(i), rep.deformation(j)
+            seen.add((a * a * b == a * b * b and b * a * a == b * b * a, lemma_bb_check(rep, i, j)))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_neighbor_identities_reject_friendly_neighbors():
@@ -905,6 +952,34 @@ def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
     verdict = _norton_step(rep)
     assert verdict.detail == detail
     assert all(size < rep.r for size in sizes)
+
+
+def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatch, disconnected_fixture):
+    # Characters 3, 3 and 1, scrambled: A_1 = A_2 have rank k = r - 1 = 2, and
+    # A_1 - 2, the neighbor cubic - 14 and A_1 A_2 - 4 have rank one.  The
+    # neighbor pairs below have k = 1 of r = 6 and k = 2 of r = 5, and those
+    # of the delta family fail the identities.
+    chars = scrambled(direct_sum(direct_sum(character_rep(4, 3), character_rep(4, 3)), character_rep(4, 1)), 3)
+    delta = next(rep for rep in delta_families() if rep.label.startswith("delta family n=6 a=(0, 2, 1, 4, 3)"))
+
+    def lines(found):
+        return [(kind, where, Subspace(3, [x]), Subspace(3, [y])) for kind, where, x, y, _ in found]
+
+    dense = lines(_dense_norton_vectors(chars))
+    shapes, product = [], Matrix.__mul__
+
+    def refused(self, i):
+        raise AssertionError(f"deformation {i} formed")
+
+    monkeypatch.setattr(Matrix, "__mul__", lambda self, other: shapes.append(self.shape) or product(self, other))
+    monkeypatch.setattr(Representation, "deformation", refused)
+    found = lines(_norton_vectors(chars))
+    assert found == dense and sum(kind == "factor" for kind, *_ in found) == 3
+    assert (3, 3) not in shapes
+    shapes.clear()
+    answers = [lemma_bb_check(rep, i, i + 1) for rep in (disconnected_fixture, delta) for i in range(1, rep.n - 1)]
+    assert answers == [True] * 3 + [False] * 4
+    assert (6, 6) not in shapes and (5, 5) not in shapes
 
 
 def test_norton_step_forms_no_left_kernel_after_a_proper_right_orbit(monkeypatch):

@@ -1,9 +1,10 @@
-"""Default ``analyze``, ``graph`` and ``make`` output, pinned byte for byte.
+"""Default ``analyze``, ``graph``, ``make`` and ``sweep`` output, pinned byte
+for byte.
 
 The files under ``tests/data/`` hold what ``braidrep analyze SPEC``,
-``braidrep graph SPEC`` and ``braidrep make SPEC`` printed for each spec
-below; a change that speeds up a layer must leave every one of them
-unchanged (the determinism contract of the CLI).
+``braidrep graph SPEC``, ``braidrep make SPEC`` and ``braidrep sweep`` printed
+for each spec or grid below; a change that speeds up a layer must leave
+every one of them unchanged (the determinism contract of the CLI).
 """
 
 from fractions import Fraction
@@ -111,6 +112,19 @@ MAKE_GOLDEN = {
 def test_make_output_is_unchanged(capsys, name):
     assert run(["make", MAKE_GOLDEN[name]]) == 0
     expected = (DATA / f"make_{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+SWEEP_GOLDEN = {
+    # the standard family at u != 1 (chain step) and u = 1 (fixed vectors)
+    "tym": ["--n", "6,7", "--u", "5/3,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_output_is_unchanged(capsys, name):
+    assert run(["sweep", *SWEEP_GOLDEN[name]]) == 0
+    expected = (DATA / f"sweep_{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 

@@ -84,6 +84,24 @@ def test_matrix_refuses_floats():
     assert Matrix([["1/10", 1]]) == Matrix([[F(1, 10), F(1)]])
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_format_rational_refuses_floats_and_booleans(bad):
+    with pytest.raises(ValueError, match="refusing to coerce"):
+        format_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_matrix_scalar_product_refuses_booleans_as_the_constructor_does(bad):
+    m = Matrix([[1, 2], [3, 4]])
+    with pytest.raises(ValueError) as built:
+        Matrix([[bad]])
+    for product in (lambda: m * bad, lambda: bad * m):
+        with pytest.raises(ValueError) as refused:
+            product()
+        assert str(refused.value) == str(built.value)
+    assert m * 1 == 1 * m == m and m * F(1, 2) == Matrix([[F(1, 2), 1], [F(3, 2), 2]])
+
+
 def test_rational_round_trip_is_exact():
     values = [F(3, 7), F(-22, 6), F(0), F(10**40, 3)]
     for v in values:
