@@ -59,7 +59,6 @@ from .friendship import (
 from .linalg import (
     Matrix,
     Subspace,
-    charpoly,
     format_rational,
     image_basis,
     intersect_stacked_kernel,

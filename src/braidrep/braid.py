@@ -9,7 +9,7 @@ index arithmetic here is modulo n with that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .linalg import combine, mul_rows
@@ -31,9 +31,6 @@ class RelationReport:
     braid_relations_ok: bool
     far_commutation_ok: bool
     failures: list[tuple[str, tuple[int, int]]] = field(default_factory=list)
-    # The verdict of ``verify_cyclic_conjugation`` where the check ran it
-    # (the shortcut for a full image), else None; not part of equality.
-    cyclic_conjugation_ok: bool | None = field(default=None, compare=False)
 
     @property
     def ok(self):
@@ -67,15 +64,10 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
       it to (i, i+1).
 
     So the shortcut passes exactly when every relation holds, and only a
-    failing family pays for the pairwise scan that lists its failures.  The
-    report keeps the shortcut's cyclic verdict, so a caller need not run
-    the shifts again.
+    failing family pays for the pairwise scan that lists its failures.
     """
-    if rep.n > 2 and rep.has_full_image:
-        cyclic = verify_cyclic_conjugation(rep)
-        if cyclic and _far_shortcut_holds(rep):
-            return RelationReport(True, True, cyclic_conjugation_ok=True)
-        return replace(_pairwise_relation_report(rep), cyclic_conjugation_ok=cyclic)
+    if rep.n > 2 and rep.has_full_image and verify_cyclic_conjugation(rep) and _far_shortcut_holds(rep):
+        return RelationReport(True, True)
     return _pairwise_relation_report(rep)
 
 

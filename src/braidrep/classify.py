@@ -681,8 +681,7 @@ def _character(rep) -> Fraction:
     0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 - lam) for lam = s_1 mu,
     below k exactly where rank(M_11 - lam) < d = 2k - r.  Where d <= 0
     nothing is formed: for lambda != 1 the lambda-eigenspace of g_1 misses
-    ker A_1, so rank(g_1 - lambda) >= r - k >= k.  Otherwise no
-    characteristic polynomial is formed either.  Let N = M_11 - lam have
+    ker A_1, so rank(g_1 - lambda) >= r - k >= k.  Let N = M_11 - lam have
     rank w < d.  Every M_11^j v lies in span(v) + Im N, so
     the Krylov space of every v has dimension at most w + 1 <= d, and where
     that of some e_i exceeds d, y = 1.  If v is not in Im N, lam is a root
@@ -691,8 +690,8 @@ def _character(rep) -> Fraction:
     Im N, so once e_1 ... e_j are read, every lam of rank below j is among
     the integer roots of their minimal polynomials, and the reading stops
     when j exceeds the least rank found.  It stops as well once the Krylov
-    spaces read span Q^k: the lcm of their minimal polynomials is then that
-    of M_11, so every eigenvalue is among their roots.
+    spaces read span Q^k: every eigenvalue is then among their roots
+    (``rational_eigenvalues``).
     """
     img, _, s = rep.factor(1)
     k, r = img.dim, rep.r
@@ -906,11 +905,9 @@ def analyze(rep, seed=None) -> AnalysisReport:
             "certified irreducible with corank 2 and r > n: "
             "violates the dimension bound, so the certification is suspect"
         )
-    # An image of B_n passes the cyclic check (``verify_braid_relations``):
-    # only a broken family runs it, and once.
-    cyclic = report.cyclic_conjugation_ok
-    if cyclic is None:
-        cyclic = report.ok or verify_cyclic_conjugation(core)
+    # An image of B_n passes the cyclic check (``verify_braid_relations``),
+    # and a failed shift fails a relation: only a broken family runs it.
+    cyclic = report.ok or verify_cyclic_conjugation(core)
     relations = {
         "braid_relations_ok": report.braid_relations_ok,
         "far_commutation_ok": report.far_commutation_ok,

@@ -42,6 +42,8 @@ _ATOM_KEYS = {
     "burau": ("n", "t"),
     "char": ("n", "y"),
 }
+# The least strand count each family's builder accepts.
+_ATOM_LEAST_N = {"tym": 2, "burau": 3, "char": 2}
 
 
 def _split_top(text):
@@ -129,6 +131,10 @@ def _parse_atom(text):
         scalar = rational(values[keys[1]])
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad value in {text!r}: {exc}") from exc
+    if n < _ATOM_LEAST_N[family]:
+        # Refused before any size is summed: a negative dimension would let
+        # a ``dsum`` pass ``_check_scale`` with a large summand.
+        raise ValueError(f"need at least {_ATOM_LEAST_N[family]} strands")
     builder = {"tym": tym_standard, "burau": reduced_burau, "char": character_rep}[family]
     r = {"tym": n, "burau": n - 1, "char": 1}[family]
     return (n, r), functools.partial(builder, n, scalar), {"family": family, "n": n, keys[1]: scalar}

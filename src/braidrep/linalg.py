@@ -496,21 +496,6 @@ def inverse(m: Matrix) -> Matrix:
     return _lowest_terms(num, den)
 
 
-def charpoly(m: Matrix):
-    """Coefficients [1, c1, ..., cn] of det(xI - m): c_k / den^k for the integer
-    coefficients c_k of det(xI - N), N = num, from the trace recursion M_1 = N,
-    c_k = -tr(M_k) / k, M_(k+1) = N (M_k + c_k), each of whose divisions is exact."""
-    if not m.is_square:
-        raise ShapeError("characteristic polynomial of a non-square matrix")
-    num, n, coeffs, mk = m.num, m.nrows, [1], m.num
-    for k in range(1, n + 1):
-        c = -sum(row[i] for i, row in enumerate(mk)) // k
-        coeffs.append(c)
-        if k < n:
-            mk = mul_rows(num, [[e + c * (i == j) for j, e in enumerate(row)] for i, row in enumerate(mk)], n)
-    return [Fraction(c, m.den**k) for k, c in enumerate(coeffs)]
-
-
 def _poly_eval(coeffs, x):
     """Horner evaluation; coefficients run from the leading one down."""
     acc = 0
@@ -608,18 +593,27 @@ def _integer_roots(ints):
 
 
 def rational_eigenvalues(m: Matrix):
-    """All rational roots of the characteristic polynomial, sorted, distinct.
+    """All rational eigenvalues of the square m, sorted and distinct; the
+    others are silently omitted.
 
-    The eigenvalues of m are those of its integer numerator matrix divided
-    by its denominator.  The numerator's characteristic polynomial is monic
-    with integer coefficients, so its rational roots are integers
-    (``monic_roots``).  Non-rational eigenvalues are silently omitted.
+    They are those of the integer numerator N divided by the denominator.
+    Let the Krylov spaces of v_1 ... v_t span Q^k.  As f(N) commutes with
+    N, it is 0 exactly when f(N) v_j = 0 for every j, that is, when the
+    minimal polynomial of every v_j divides f.  So the minimal polynomial
+    of N is the lcm of theirs, and the eigenvalues of N are their roots:
+    they are monic over Z (``minimal_polynomial``), so a rational root is an
+    integer (``monic_roots``).  Each v_j is the coordinate vector at the
+    first column that is no pivot of the Krylov vectors read so far, so it
+    lies outside their span, where every vector starts at a pivot; at most
+    k vectors are read.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues of a non-square matrix")
-    if m.nrows == 0:
-        return []
-    return sorted(Fraction(x, m.den) for x in monic_roots([c.numerator for c in charpoly(Matrix._new(m.num, 1))]))
+    k, seen, roots = m.nrows, EchelonSpan(m.nrows), set()
+    while seen.dim < k:
+        j = next((i for i, p in enumerate(seen.pivots) if p != i), seen.dim)
+        roots |= monic_roots(minimal_polynomial(m.num, _identity_rows(k)[j], k, seen))
+    return sorted(Fraction(x, m.den) for x in roots)
 
 
 def monic_roots(ints):

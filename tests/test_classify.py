@@ -719,11 +719,12 @@ def test_analyze_relation_booleans_match_the_checks(rep):
     assert relations["deformed_relations_ok"] == _deformed_reference(rep)
 
 
-@pytest.mark.parametrize("name", ["broken_family.json", "random_seed5.json"])
-def test_analyze_runs_each_shift_once(monkeypatch, name):
+@pytest.mark.parametrize("name, runs", [("broken_family.json", 2), ("random_seed5.json", 2), ("modular", 1)])
+def test_analyze_reruns_the_shifts_only_on_a_broken_family(monkeypatch, name, runs):
     import braidrep.braid as braid
 
-    rep = load_representation(DATA / name)
+    rep = _modular_family(6, 2) if name == "modular" else load_representation(DATA / name)
+    assert rep.has_full_image
     calls, shift_holds = Counter(), braid._shift_holds
 
     def counted(rep, i):
@@ -733,8 +734,10 @@ def test_analyze_runs_each_shift_once(monkeypatch, name):
     monkeypatch.setattr(braid, "_shift_holds", counted)
     relations = analyze(rep).relations
     monkeypatch.undo()
-    # The relation shortcut runs the shifts; the cyclic verdict reuses them.
-    assert calls and set(calls.values()) == {1}, calls
+    # The relation shortcut runs the shifts on a full image.  Every image of
+    # B_n passes them, so the cyclic verdict runs them again only where a
+    # relation fails.
+    assert calls and set(calls.values()) == {runs}, calls
     assert relations["cyclic_conjugation_ok"] == _cyclic_reference(rep)
 
 
@@ -933,11 +936,11 @@ def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
     import braidrep.classify as classify
     import braidrep.linalg as linalg
 
-    sizes, charpoly, kernel = [], linalg.charpoly, classify.kernel_basis
+    sizes, minimal, kernel = [], linalg.minimal_polynomial, classify.kernel_basis
 
-    def counted(m):
-        sizes.append(m.nrows)
-        return charpoly(m)
+    def counted(rows, v, limit, seen):
+        sizes.append(len(v))
+        return minimal(rows, v, limit, seen)
 
     def narrow_kernel(m):
         assert m.nrows < rep.r, f"kernel of {m.nrows} rows formed"
@@ -946,7 +949,7 @@ def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
     def refused(self, i):
         raise AssertionError(f"deformation {i} formed")
 
-    monkeypatch.setattr(linalg, "charpoly", counted)
+    monkeypatch.setattr(linalg, "minimal_polynomial", counted)
     monkeypatch.setattr(classify, "kernel_basis", narrow_kernel)
     monkeypatch.setattr(Representation, "deformation", refused)
     verdict = _norton_step(rep)
@@ -1826,10 +1829,10 @@ def test_a_twisted_chain_forms_no_d(monkeypatch):
     assert report.to_json_dict()["relations"]["cyclic_conjugation_ok"] is True
 
 
-def _charpoly_character(rep):
+def _every_eigenvalue_character(rep):
     """Reference for ``_character``: the rule read off every rational
-    eigenvalue of P = M_11 / s_1 and the rank of P - mu, by the
-    characteristic polynomial."""
+    eigenvalue of P = M_11 / s_1 (``rational_eigenvalues``, checked against
+    determinants in ``tests/test_linalg.py``) and the rank of P - mu."""
     img, _, s = rep.factor(1)
     k, r = img.dim, rep.r
     y, least = F(1), k
@@ -1893,9 +1896,8 @@ def _pick_cases():
 @pytest.mark.parametrize("rep", list(_pick_cases()), ids=repr)
 def test_the_pick_equals_the_rule_on_every_eigenvalue(rep):
     # The Krylov polynomials of e_1 ... e_d hold every eigenvalue whose rank
-    # drop could pick y, so the pick is the rule read off the full
-    # characteristic polynomial.
-    assert _character(rep) == _charpoly_character(rep)
+    # drop could pick y, so the pick is the rule read off every eigenvalue.
+    assert _character(rep) == _every_eigenvalue_character(rep)
 
 
 @pytest.mark.parametrize("spec, y", [

@@ -566,3 +566,25 @@ def test_out_of_scale_spec_exits_two_before_any_matrix_is_built(monkeypatch, cap
     code, out, err = capture(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: out of scale: n=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec, least", [
+    ("dsum(tym:n=2000,u=2,burau:n=-1998,t=2)", 3),
+    ("dsum(tym:n=-1998,u=2,tym:n=2000,u=3)", 2),
+    ("burau:n=2,t=2", 3),
+    ("conj(char:n=1,y=2,seed=3)", 2),
+])
+def test_too_few_strands_exit_two_before_anything_is_built(monkeypatch, capsys, spec, least):
+    """A negative strand count has a negative dimension, which would shrink
+    the dimension of a ``dsum`` below the size bound: the atom is refused
+    as it is parsed."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise ValueError("a family was built")
+
+    for name in ("tym_standard", "reduced_burau", "character_rep"):
+        monkeypatch.setattr(cli, name, spy)
+    assert capture(capsys, ["make", spec]) == (2, "", f"error: need at least {least} strands\n")
+    assert calls == []

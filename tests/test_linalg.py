@@ -14,7 +14,6 @@ from braidrep.linalg import (
     Subspace,
     _squarefree_part,
     _ratio,
-    charpoly,
     clear_denominators,
     combine,
     format_rational,
@@ -289,11 +288,6 @@ def test_rational_eigenvalues_of_triangular_matrices(roots, rng):
     assert rational_eigenvalues(m) == sorted({F(lam) for lam in diagonal})
 
 
-def test_charpoly_of_companion_like_block():
-    coeffs = charpoly(Matrix([[-1, 1], [1, -1]]))
-    assert coeffs == [F(1), F(2), F(0)]
-
-
 def test_canonical_form_is_spanning_set_independent():
     a = subspace((1, 0, 1), (0, 1, 1))
     b = subspace((1, 1, 2), (1, -1, 0))
@@ -484,17 +478,66 @@ def test_integer_kernel_matches_fraction_reference(operands):
         _check_kernel_form(inverse(msq), ref_inv)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
-                                                   min_size=n, max_size=n)))
-def test_charpoly_matches_determinants_over_fractions(a):
-    # Two polynomials of degree n that agree at n + 1 points are equal.
-    n, coeffs = len(a), charpoly(Matrix(a))
-    assert len(coeffs) == n + 1 and coeffs[0] == 1
-    assert all(type(c) is Fraction for c in coeffs)
-    for x in range(n + 1):
-        shifted = [[x * (i == j) - e for j, e in enumerate(row)] for i, row in enumerate(a)]
-        assert sum(c * x ** (n - k) for k, c in enumerate(coeffs)) == _ref_det(shifted)
+def _ref_rational_roots(a):
+    """The rational roots of det(x - a), each once and sorted.  With L the
+    lcm of the denominators of a, they are y / L for the integer roots y of
+    the monic integer polynomial q(y) = det(y - L a), which lie within the
+    largest absolute row sum of L a.  q is read off its values at 0 ... n
+    (``_ref_det``) in Newton's form, whose divided differences are integers."""
+    n = len(a)
+    scale = math.lcm(1, *(F(e).denominator for row in a for e in row))
+    la = [[e * scale for e in row] for row in a]
+    diffs = [_ref_det([[y * (i == j) - e for j, e in enumerate(row)] for i, row in enumerate(la)])
+             for y in range(n + 1)]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    assert all(d.denominator == 1 for d in diffs) and diffs[n] == 1
+    diffs = [int(d) for d in diffs]
+
+    def q(y):
+        acc = diffs[n]
+        for k in range(n - 1, -1, -1):
+            acc = acc * (y - k) + diffs[k]
+        return acc
+
+    bound = int(max(sum(abs(e) for e in row) for row in la))
+    return [F(y, scale) for y in range(-bound, bound + 1) if q(y) == 0]
+
+
+@st.composite
+def _jordan_forms(draw):
+    """E (J / den) E^-1: J has Jordan blocks at eigenvalues drawn from a few
+    integers, so they repeat, and may end in the companion block of x^2 + c,
+    which has no rational root; E is a product of elementary matrices."""
+    blocks = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3))
+    c = draw(st.sampled_from([0, 1, 2, 3]))
+    size = sum(width for _, width in blocks) + 2 * (c > 0)
+    j, at = [[0] * size for _ in range(size)], 0
+    for lam, width in blocks:
+        for i in range(at, at + width):
+            j[i][i] = lam
+            if i + 1 < at + width:
+                j[i][i + 1] = 1
+        at += width
+    if c:
+        j[at][at + 1], j[at + 1][at] = -c, 1
+    for _ in range(draw(st.integers(0, 4))):
+        i, k, t = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1)), draw(st.integers(-2, 2))
+        if i != k:
+            # E = 1 + t e_ik: row i gains t row k, then column k loses t column i.
+            j[i] = [x + t * y for x, y in zip(j[i], j[k])]
+            for row in j:
+                row[k] -= t * row[i]
+    den = draw(st.integers(1, 6))
+    return [[F(e, den) for e in row] for row in j]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n),
+                                                   min_size=n, max_size=n)) | _jordan_forms())
+def test_rational_eigenvalues_are_the_rational_roots_of_the_determinant(a):
+    assert rational_eigenvalues(Matrix(a)) == _ref_rational_roots(a)
 
 
 @st.composite

@@ -63,6 +63,7 @@ def test_spec_trees_keep_the_answers_of_the_grammar(spec, seed, y):
     (n, r), _, _ = _parse(spec, 0)
     assume(r <= MAX_R)
     rep = parse_rep_spec(spec)[0]
+    assert (rep.n, rep.r) == (n, r), spec
     report = analyze(rep)
     tag = report.verdict.tag
 
