@@ -262,36 +262,31 @@ def _rank_one_factors(rows):
 
 
 def _norton_elements(rep):
-    """``(name, left, z, d, p)`` for A_1, the neighbor cubic A_1 + A_1^2 +
-    A_1 A_2 A_1 and A_1 A_2, each formed when the caller asks for it, as
-    theta = X Z / d with X = R_1^T left, and p = Z X, k x k for the k rows
-    of Z, from the middles M_ij of ``Representation.block``: A_1 is
-    R_1^T Y_1 / s_1, p = M_11; the cubic is R_1^T C Y_1 / (s_1 s_2)^2 for
-    C = ``rep.cubic(1, 2)``, p = M_11 C; A_1 A_2 is R_1^T M_12 Y_2 /
-    (s_1 s_2), p = M_21 M_12.  They are words in the generators, so they lie
-    in the generated algebra in every basis."""
+    """``(name, left, z, d, p)`` for A_1 and the neighbor cubic A_1 + A_1^2 +
+    A_1 A_2 A_1, each formed when the caller asks for it, as theta = X Z / d
+    with X = R_1^T left, and p = Z X, k x k for the k rows of Z, from the
+    middles M_ij of ``Representation.block``: A_1 is R_1^T Y_1 / s_1,
+    p = M_11; the cubic is R_1^T C Y_1 / (s_1 s_2)^2 for
+    C = ``rep.cubic(1, 2)``, p = M_11 C.  They are words in the generators,
+    so they lie in the generated algebra in every basis."""
     img, y1, s1 = rep.factor(1)
     m11 = rep.block(1, 1)
     yield "A_1", _identity_rows(img.dim), y1, s1, m11
     if rep.n > 2:
-        y2, s2 = rep.factor(2)[1:]
-        cubic, m12 = rep.cubic(1, 2), rep.block(1, 2)
+        cubic, s2 = rep.cubic(1, 2), rep.factor(2)[2]
         yield "the neighbor cubic", cubic, y1, (s1 * s2) ** 2, mul_rows(m11, cubic, img.dim)
-        yield "A_1 A_2", m12, y2, s1 * s2, mul_rows(rep.block(2, 1), m12, len(y2))
 
 
 def _norton_candidates(rep):
     """``(kind, where, x, make_y, decisive)`` for the Norton step, in the
     order it tries them: first x y^T for every theta of rank one, then, for
     each other theta and each rational eigenvalue lambda in ascending order,
-    the first canonical row x of ker(theta - lambda), followed by the factors
-    x y^T of theta - lambda where that has rank one.  ``make_y()`` returns
+    the first canonical row x of ker(theta - lambda).  ``make_y()`` returns
     y: the second factor, or the first canonical row of ker(theta - lambda)^T,
     a left kernel that is formed only on that call.  ``decisive`` says that
     two full orbits of x and y prove the algebra full (``_norton_step``):
     always for rank one, and for a kernel exactly when it is a line; theta -
-    lambda lies in the unital algebra with theta.  A rank-one theta - lambda
-    decides in every basis, where a wider kernel's first row depends on it.
+    lambda lies in the unital algebra with theta.
 
     Everything is read off the factors theta = X Z / d of
     ``_norton_elements``, X = R_1^T left: R_1^T is injective and the rows of
@@ -305,9 +300,7 @@ def _norton_candidates(rep):
     = Z^T ker(P - lambda)^T; so the nullity is read on k x k.  ker theta =
     ker(left Z) and ker theta^T = ker(left^T R_1), as X is injective and
     Z^T too.  Each kernel is a canonical ``Subspace``, so x and y are the
-    first rows of the dense kernels.  theta - lambda has rank one where its
-    nullity is r - 1: then lambda != 0, as theta has the rank of left, not one
-    here, and r - 1 <= k; ``_shifted_factors`` reads its factors off X and Z."""
+    first rows of the dense kernels."""
     r, img = rep.r, rep.image(1)
     others = []
     for name, left, z, d, p in _norton_elements(rep):
@@ -334,9 +327,6 @@ def _norton_candidates(rep):
                 right = kernel_basis(_lowest_terms(mul_rows(left, z, r), 1, r))
                 make_y = partial(_first_kernel_row, left, r, img.rows)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
-            if lam and right.dim == r - 1:
-                x, y = _shifted_factors(img, left, z, d * lam)
-                yield "factor", f"{name} minus {lam}, which has rank one", x, lambda y=y: y, True
 
 
 def _first_left_row(shifted, z, r):
@@ -350,21 +340,6 @@ def _first_kernel_row(a, r, b):
     with r columns: ker theta^T = ker(left^T R_1) at lambda = 0 of
     ``_norton_candidates``, formed on k rows."""
     return kernel_basis(_lowest_terms(mul_rows(tuple(zip(*a)), b, r), 1, r)).rows[0]
-
-
-def _shifted_factors(img, left, z, mu):
-    """``_rank_one_factors`` of N = b X Z - a, a positive multiple of the
-    rank-one theta - lambda = (X Z - mu) / d, X = R_1^T left, mu = d lambda =
-    a / b, with each row or column of X Z formed in O(k r)."""
-    r, k = img.ambient_dim, len(z)
-    a, b = mu.as_integer_ratio()
-    rows = ([b * e - a * (p == q) for p, e in enumerate(combine(combine(col, left, k), z, r))]
-            for q, col in enumerate(zip(*img.rows)))
-    y = next(filter(any, rows))
-    c = next(p for p, e in enumerate(y) if e)
-    x = img.combination([b * sum(row[p] * zrow[c] for p, zrow in enumerate(z)) for row in left])
-    x[c] -= a
-    return x, y
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:

@@ -18,7 +18,7 @@ import sys
 from .braid import verify_braid_relations
 from .classify import analyze, decide_irreducibility
 from .classify import verdict_to_json_dict as _verdict_dict
-from .errors import BraidRepError, OutOfScaleError, SpecParseError
+from .errors import BraidRepError, OutOfScaleError, ShapeError, SpecParseError
 from .friendship import (
     classify_graph,
     full_friendship_graph,
@@ -168,7 +168,9 @@ def _parse_range(text, lo, hi, table, default_seed):
                 left, right = _group_specs(text, parts, 2)
                 (n, r), build_a, _ = _parse_range(text, *left, table, default_seed)
                 (m, q), build_b, _ = _parse_range(text, *right, table, default_seed)
-                return (max(n, m), r + q), lambda: direct_sum(build_a(), build_b()), {"family": "dsum"}
+                if n != m:
+                    raise ShapeError("strand counts differ")
+                return (n, r + q), lambda: direct_sum(build_a(), build_b()), {"family": "dsum"}
             seed = default_seed
             if text.startswith("seed=", a, b):
                 try:

@@ -147,6 +147,15 @@ def test_burnside_of_character_is_one():
     assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
 
 
+def test_burnside_reads_a_denominator_of_the_closure_prime_exactly():
+    # u = 1/p puts p = 2^61 - 1 in a denominator: the modular certificate
+    # gives up, and the exact closure still finds the full algebra.
+    rep = tym_standard(3, Fraction(1, 2 ** 61 - 1))
+    assert any(rep.gen(i).den % (2 ** 61 - 1) == 0 for i in range(1, rep.n))
+    assert not _modp_algebra_is_full(rep)
+    assert burnside_dimension(rep)[0] == 9
+
+
 def test_burnside_of_permutation_family_is_thin():
     # Natural permutation action splits off the all-ones line, so the
     # algebra is 1 + 25 dimensional.
@@ -817,28 +826,23 @@ def _is_multiple(m, of):
 ], ids=lambda v: v.label if isinstance(v, Representation) else v)
 def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
     a, b = rep.deformation(1), rep.deformation(2)
-    thetas = {"A_1": a, "the neighbor cubic": neighbor_form(a, b), "A_1 A_2": a * b}
+    thetas = {"A_1": a, "the neighbor cubic": neighbor_form(a, b)}
     found = list(_norton_vectors(rep))
     assert found[0][1] == first
     # Every rank-one element first, then each other element's rational
-    # eigenvalues in ascending order, the elements in the order of thetas;
-    # an eigenvalue lambda where theta - lambda has rank one is followed by
-    # the factors of theta - lambda.
+    # eigenvalues in ascending order, the elements in the order of thetas.
     ident = Matrix.identity(rep.r)
     factors = [f"{name}, which has rank one" for name, m in thetas.items() if rank(m) == 1]
     eigen = []
     for name, m in thetas.items():
         for lam in rational_eigenvalues(m) if rank(m) != 1 else []:
             eigen.append(f"{name} at eigenvalue {lam}")
-            if rank(m - ident * lam) == 1:
-                eigen.append(f"{name} minus {lam}, which has rank one")
     assert [where for _, where, *_ in found] == factors + eigen
     for kind, where, x, y, decisive in found:
         name, _, lam = where.partition(" at eigenvalue ")
         if kind == "factor":
             assert decisive
-            name, _, lam = where.removesuffix(", which has rank one").partition(" minus ")
-            assert _is_multiple(_outer(x, y), thetas[name] - ident * F(lam or 0))
+            assert _is_multiple(_outer(x, y), thetas[where.removesuffix(", which has rank one")])
         else:
             # x and y span the first lines of the right and left kernels.
             shifted = thetas[name] - ident * F(lam)
@@ -861,7 +865,7 @@ def _dense_norton_vectors(rep):
     thetas = [("A_1", a)]
     if rep.n > 2:
         b = rep.deformation(2)
-        thetas += [("the neighbor cubic", neighbor_form(a, b)), ("A_1 A_2", a * b)]
+        thetas.append(("the neighbor cubic", neighbor_form(a, b)))
     others = []
     for name, theta in thetas:
         found = _rank_one_factors(theta.num)
@@ -876,9 +880,6 @@ def _dense_norton_vectors(rep):
             right = kernel_basis(shifted)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
                    kernel_basis(shifted.transpose()).rows[0], right.dim == 1)
-            if right.dim == rep.r - 1:
-                x, y = _rank_one_factors(shifted.num)
-                yield "factor", f"{name} minus {lam}, which has rank one", x, y, True
 
 
 def _candidate_cases():
@@ -958,8 +959,8 @@ def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
 
 
 def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatch, disconnected_fixture):
-    # Characters 3, 3 and 1, scrambled: A_1 = A_2 have rank k = r - 1 = 2, and
-    # A_1 - 2, the neighbor cubic - 14 and A_1 A_2 - 4 have rank one.  The
+    # Characters 3, 3 and 1, scrambled: A_1 = A_2 have rank k = r - 1 = 2,
+    # so every candidate is an eigenvector read on the 2 x 2 middles.  The
     # neighbor pairs below have k = 1 of r = 6 and k = 2 of r = 5, and those
     # of the delta family fail the identities.
     chars = scrambled(direct_sum(direct_sum(character_rep(4, 3), character_rep(4, 3)), character_rep(4, 1)), 3)
@@ -977,7 +978,7 @@ def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatc
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: shapes.append(self.shape) or product(self, other))
     monkeypatch.setattr(Representation, "deformation", refused)
     found = lines(_norton_vectors(chars))
-    assert found == dense and sum(kind == "factor" for kind, *_ in found) == 3
+    assert found == dense and {kind for kind, *_ in found} == {"eigenvector"}
     assert (3, 3) not in shapes
     shapes.clear()
     answers = [lemma_bb_check(rep, i, i + 1) for rep in (disconnected_fixture, delta) for i in range(1, rep.n - 1)]

@@ -291,6 +291,14 @@ def test_analyze_text_states_the_json_report(tmp_path, monkeypatch, capsys, sour
     assert lines[1:] == _expected_analysis_text(json.loads(out))
 
 
+def test_analyze_text_states_the_character_of_a_twist(capsys):
+    # The JSON report of this spec is the golden analyze_twisted_chain.json.
+    code, text, _ = capture(capsys, ["analyze", "conj(tensor(tym:n=8,u=5/3,y=-2),seed=7)", "--format", "text"])
+    lines = text.splitlines()
+    assert code == 0 and lines[5:7] == ["  character: y = -2", "  irreducibility: AbsolutelyIrreducible, algebra dim 64"]
+    assert lines[7].startswith("    divided by the character y=-2: ")
+
+
 @pytest.mark.parametrize("spec", [
     "tym:n=6,u=1",
     "tym:n=7,u=5/3",
@@ -568,6 +576,20 @@ def test_out_of_scale_spec_exits_two_before_any_matrix_is_built(monkeypatch, cap
     assert err.startswith("error: out of scale: n=") and err.count("\n") == 1
 
 
+def _spy_builders(monkeypatch):
+    """The argument tuples of every family builder the CLI calls, each of
+    which fails."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise ValueError("a family was built")
+
+    for name in ("tym_standard", "reduced_burau", "character_rep"):
+        monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("spec, least", [
     ("dsum(tym:n=2000,u=2,burau:n=-1998,t=2)", 3),
     ("dsum(tym:n=-1998,u=2,tym:n=2000,u=3)", 2),
@@ -578,13 +600,17 @@ def test_too_few_strands_exit_two_before_anything_is_built(monkeypatch, capsys, 
     """A negative strand count has a negative dimension, which would shrink
     the dimension of a ``dsum`` below the size bound: the atom is refused
     as it is parsed."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        raise ValueError("a family was built")
-
-    for name in ("tym_standard", "reduced_burau", "character_rep"):
-        monkeypatch.setattr(cli, name, spy)
+    calls = _spy_builders(monkeypatch)
     assert capture(capsys, ["make", spec]) == (2, "", f"error: need at least {least} strands\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [
+    "dsum(tym:n=6,u=2,char:n=5,y=2)",
+    "conj(dsum(tym:n=63,u=2,char:n=2,y=2),seed=1)",
+    "tensor(dsum(burau:n=7,t=2,dsum(char:n=7,y=2,char:n=8,y=3)),y=2)",
+])
+def test_sum_of_unequal_strand_counts_exits_two_before_anything_is_built(monkeypatch, capsys, spec):
+    calls = _spy_builders(monkeypatch)
+    assert capture(capsys, ["make", spec]) == (2, "", "error: strand counts differ\n")
     assert calls == []

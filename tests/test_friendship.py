@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from braidrep.braid import circular_distance
-from braidrep.errors import PreconditionError, TrichotomyViolationError
+from braidrep.errors import PreconditionError, ShapeError, TrichotomyViolationError
 from braidrep.friendship import (
     FriendshipGraph,
     GraphClassTag,
@@ -22,10 +22,11 @@ from braidrep.friendship import (
     is_connected,
 )
 from braidrep.cli import parse_rep_spec
-from braidrep.linalg import Matrix, Subspace
+from braidrep.linalg import Matrix, Subspace, intersect_stacked_kernel, inverse, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
+    conjugate_rep,
     direct_sum,
     reduced_burau,
     scrambled,
@@ -422,3 +423,47 @@ def test_images_past_half_the_dimension_meet_with_no_rank_taken(monkeypatch, rep
     assert graph.edge_count() == rep.n * (rep.n - 1) // 2
     assert calls == []
     assert "_image0" not in vars(rep)
+
+
+_WIDE = Matrix([[1, 2, 3], [4, 5, 6]])
+_REDUCED = FriendshipGraph(3, False, ((False,) * 3,) * 3)
+
+
+_REFUSALS = {
+    "ragged Matrix": (lambda: Matrix([[1, 2], [3]]), ShapeError, "ragged rows"),
+    "inverse of a non-square matrix": (lambda: inverse(_WIDE), ShapeError, "only square matrices can be inverted"),
+    "eigenvalues of a non-square matrix": (lambda: rational_eigenvalues(_WIDE), ShapeError,
+                                           "eigenvalues of a non-square matrix"),
+    "Matrix times a short vector": (lambda: _WIDE * (1, 2), ShapeError, "cannot apply (2, 3) to a vector of length 2"),
+    "Subspace of a long vector": (lambda: Subspace(2, [(1, 2, 3)]), ShapeError, "spanning vector has wrong length"),
+    "Subspace.contains of a long vector": (lambda: Subspace(2, [(1, 0)]).contains((1, 0, 0)), ShapeError,
+                                           "vector length does not match"),
+    "intersect_stacked_kernel across dimensions": (
+        lambda: intersect_stacked_kernel(Subspace(2, [(1, 0)]), Subspace(3, [(1, 0, 0)])), ShapeError,
+        "different ambient spaces"),
+    "Representation on 1 strand": (lambda: Representation(1, 1, []), ValueError, "need at least 2 strands"),
+    "tym_standard on 1 strand": (lambda: tym_standard(1, 2), ValueError, "need at least 2 strands"),
+    "character_rep on 1 strand": (lambda: character_rep(1, 2), ValueError, "need at least 2 strands"),
+    "reduced_burau on 2 strands": (lambda: reduced_burau(2, 2), ValueError, "need at least 3 strands"),
+    "tensor_character by 0": (lambda: tensor_character(tym_standard(3, 2), 0), ValueError,
+                              "character parameter must be nonzero"),
+    "conjugate_rep by a wrong-size P": (lambda: conjugate_rep(tym_standard(3, 2), Matrix.identity(2)), ShapeError,
+                                        "change of basis has the wrong size"),
+    "FriendshipGraph of a wrong-shape adjacency": (lambda: FriendshipGraph(2, True, ((False, False),)), ValueError,
+                                                   "adjacency matrix has the wrong shape"),
+    "are_true_friends of one generator": (lambda: are_true_friends(tym_standard(4, 2), 1, 1), ValueError,
+                                          "between distinct generators"),
+    "distance_set of a reduced graph": (lambda: distance_set(_REDUCED), PreconditionError,
+                                        "distance sets are defined for full graphs"),
+    "classify_graph of a reduced graph": (lambda: classify_graph(_REDUCED), PreconditionError,
+                                          "classification is defined for full graphs"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_outside_input_is_refused_with_its_own_error(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert message in str(caught.value)
