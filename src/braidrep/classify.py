@@ -109,7 +109,7 @@ class _ModpSpan:
 
 def _left_mul(g, ncols, w):
     """g times the matrix with ``ncols`` columns flattened row by row into w,
-    flattened the same way; with one column this is g times the vector w."""
+    flattened the same way."""
     cols = [w[j::ncols] for j in range(ncols)]
     return [sum(map(mul, grow, col)) for grow in g for col in cols]
 
@@ -140,36 +140,21 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
     nonzero vector (their common kernel is the annihilator of those rows).
     Otherwise v and the bases of the R_i^T V_i, at most 1 + sum_i k_i
     vectors, are eliminated once.
-
-    Coordinates pay where the images are narrow: the V_i hold up to (n-1)k
-    vectors, each probing n-1 targets at k^2, against at most r vectors in
-    Q^r, each probing n-1 generators at k r.  A generator with (n-1) k_i^2 >
-    r^2, such as a twist whose image is all or nearly all of Q^r, acts in Q^r
-    instead, and those generators share one space U: U holds A_i x for each
-    of them and each x of v, U and the R_j^T V_j (none where c = Y_i x lies
-    in the span of the c applied before, as A_i x = R_i^T c / s_i is in U
-    then), and the other V_j hold Y_j U too.  The argument above shows that
-    span{v} + U + sum_j R_j^T V_j is the orbit.  So span{v} + U, which the
-    closure grows, lies in O, and once full it ends the closure early;
-    otherwise the R_j^T V_j are added to it at the end.
     """
     r, n = rep.r, rep.n
     if not any(vec):
         return Subspace.zero(r)
-    wide, outs, inns, spaces = [], {}, {}, {}
+    outs, inns, spaces = {}, {}, {}
     for i in range(1, n):
         img, y, _ = rep.factor(i)
-        out, inn = (y, img.rows) if transposed else (img.rows, y)
-        if (n - 1) * img.dim ** 2 > r * r:
-            wide.append(partial(_left_mul, tuple(zip(*y)) if transposed else y, 1) if img.is_full()
-                        else partial(_factor_action, out, inn, EchelonSpan(img.dim)))
-        elif img.dim:
-            outs[i], inns[i], spaces[i] = out, inn, EchelonSpan(img.dim)
+        if img.dim:
+            outs[i], inns[i] = (y, img.rows) if transposed else (img.rows, y)
+            spaces[i] = EchelonSpan(img.dim)
     mids, ambient = rep.middles() if spaces else {}, EchelonSpan(r)
     growing = dict(spaces)  # the V_i that are not Q^(k_i) yet
-    # (0, x): a vector x of span{v} + U; (j, w): a new basis vector w of V_j.
+    # (0, v), then (j, w): a new basis vector w of V_j.
     work = [(0, ambient.add(vec))]
-    while work and (growing or wide):
+    while work and growing:
         j, w = work.pop()
         for i, space in list(growing.items()):
             rows = inns[i] if j == 0 else mids.get((j, i) if transposed else (i, j))
@@ -178,15 +163,7 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
                 work.append((i, added))
                 if space.dim == space.length:
                     del growing[i]
-        if wide:
-            x = w if j == 0 else combine(w, outs[j], r)
-            for act in wide:
-                image = act(x)
-                if image is not None and (added := ambient.add(image)) is not None:
-                    if ambient.dim == r:
-                        return Subspace.full(r)
-                    work.append((0, added))
-    if images_span and not growing and not wide:
+    if images_span and not growing:
         return Subspace.full(r)
     for i, space in spaces.items():
         for w in space.rows:
@@ -194,13 +171,6 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
                 return Subspace.full(r)
             ambient.add(combine(w, outs[i], r))
     return ambient.to_subspace()
-
-
-def _factor_action(out, inn, seen, w):
-    """out^T c for c = inn w, or None where c lies in ``seen``, the span of the
-    c returned before: out^T c is linear in c, so it is in the orbit already."""
-    c = seen.add([sum(map(mul, row, w)) for row in inn])
-    return None if c is None else combine(c, out, len(w))
 
 
 def spin(rep, v) -> Subspace:
@@ -619,9 +589,11 @@ def _witness_steps(rep) -> IrreducibilityVerdict | None:
     image is full, ``rep.middle_product`` is the r x r matrix Y R^T of the
     stacked rows Y_i and R_i, of rank r exactly when both are invertible:
     when no nonzero vector is fixed and the images span Q^r, which the
-    Norton step's orbits then take as known."""
+    Norton step's orbits then take as known.  Where one image is full the
+    others are 0, and the product, which leaves the rows of a full image
+    out, has no column and rank 0."""
     r = rep.r
-    square = sum(rep.image(i).dim for i in range(1, rep.n)) == r and not rep.has_full_image
+    square = sum(rep.image(i).dim for i in range(1, rep.n)) == r
     if square and rank(_lowest_terms(rep.middle_product, 1, r)) == r:
         return _norton_step(rep, fixed_free=True, images_span=True)
     stacked = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]

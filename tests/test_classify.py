@@ -1443,6 +1443,9 @@ def _orbit_cases():
         broken_family(),
         _mixed_deformations(),
     ]
+    # near-full images that are not full: (n-1) k^2 > r^2 with k < r
+    twists = direct_sum(tym_standard(4, 2), tensor_character(tym_standard(4, Fraction(5, 3)), -2))
+    yield from [direct_sum(tym_standard(4, 2), character_rep(4, 3)), twists, scrambled(twists, 1)]
     yield from random_families()
 
 

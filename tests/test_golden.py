@@ -56,6 +56,8 @@ GOLDEN = {
     "tym3_char": "conj(dsum(tym:n=3,u=2,char:n=3,y=3),seed=1)",
     # a sum of equal blocks whose Norton words have repeated eigenvalues past 2^53
     "equal_sum": "conj(dsum(tym:n=8,u=5/3,tym:n=8,u=5/3),seed=2)",
+    # a sum of two twists divided by y = -1: its core's images are near-full, not full
+    "sum_of_twists": "conj(dsum(tensor(tym:n=4,u=2,y=2),tensor(tym:n=4,u=5/3,y=-1)),seed=7)",
 }
 
 
