@@ -107,13 +107,6 @@ class _ModpSpan:
         return v
 
 
-def _left_mul(g, ncols, w):
-    """g times the matrix with ``ncols`` columns flattened row by row into w,
-    flattened the same way."""
-    cols = [w[j::ncols] for j in range(ncols)]
-    return [sum(map(mul, grow, col)) for grow in g for col in cols]
-
-
 def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
     """Span of the orbit of the integer vector ``vec`` under the generator
     images, or under their transposes, closed in the coordinates of the
@@ -180,41 +173,44 @@ def spin(rep, v) -> Subspace:
     return _orbit(rep, clear_denominators(v)[0])
 
 
-def _algebra_dim(gens, r, span) -> int:
-    """Dimension of the unital algebra generated by the r x r integer
-    matrices ``gens`` over the field of ``span`` (an empty ``EchelonSpan`` or
-    ``_ModpSpan``): the closure of the identity under left multiplication by
-    the generators, stopped once it reaches r^2."""
+def _algebra_dim(rep, span) -> int:
+    """Dimension of the unital algebra generated by the images over the field
+    of ``span`` (an empty ``EchelonSpan`` or ``_ModpSpan``): the closure of the
+    identity under left multiplication by the numerators N_i = den(g_i) g_i,
+    which generate the same algebra over Q, stopped once it reaches r^2.
+
+    For A_i = R_i^T Y_i / s_i (``Representation.factor``), den(g_i) = s_i / m_i
+    and R_i^T Y_i = m_i num(A_i), m_i the lcm of the pivot entries of Im A_i,
+    so N_i W = (s_i W + R_i^T (Y_i W)) / m_i exactly for an integer matrix W;
+    R_i = 1 where the image is full, and a zero A_i is skipped, as N_i W = W.
+    Over F_p the closure spans the reduction of the Z-span of the words in
+    the N_i, so its dimension never exceeds the rational one, whatever p divides.
+    """
+    r = rep.r
+    acts = [(None if img.is_full() else tuple(zip(*img.rows)), y, s, img._leads[1])
+            for img, y, s in map(rep.factor, range(1, rep.n)) if img.dim]
     work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
     while work and span.dim < r * r:
         w = work.pop()
-        for g in gens:
-            if (added := span.add(_left_mul(g, r, w))) is not None:
+        rows = [w[k : k + r] for k in range(0, r * r, r)]
+        for rt, y, s, m in acts:
+            yw = mul_rows(y, rows, r)
+            ryw = yw if rt is None else mul_rows(rt, yw, r)
+            if (added := span.add([(s * a + b) // m for row, out in zip(rows, ryw) for a, b in zip(row, out)])):
                 work.append(added)
     return span.dim
 
 
 def _modp_algebra_is_full(rep) -> bool:
-    """Sound fullness certificate for the generated matrix algebra.
-
-    The closure dimension modulo the prime p = 2^61 - 1 never exceeds the
-    rational one, so a full modular closure proves that the rational algebra
-    is all of r x r.  A thin modular closure proves nothing and returns
-    False.  Generators act through their integer numerators, since scaling a
-    generator does not change the algebra it generates; a denominator
-    divisible by p aborts the certificate.
-    """
-    p, gens = _CLOSURE_PRIME, [rep.gen(i) for i in range(1, rep.n)]
-    if any(m.den % p == 0 for m in gens):
-        return False
-    gens = [[[e % p for e in row] for row in m.num] for m in gens]
-    return _algebra_dim(gens, rep.r, _ModpSpan(p)) == rep.r ** 2
+    """Sound fullness certificate for the generated matrix algebra: a full
+    closure modulo the prime p = 2^61 - 1 (``_algebra_dim``) proves the
+    rational algebra all of r x r; a thin one proves nothing."""
+    return _algebra_dim(rep, _ModpSpan(_CLOSURE_PRIME)) == rep.r ** 2
 
 
 def _rational_algebra_dim(rep) -> int:
     """Exact dimension of the generated algebra over Q."""
-    gens = [rep.gen(i).num for i in range(1, rep.n)]
-    return _algebra_dim(gens, rep.r, EchelonSpan(rep.r ** 2))
+    return _algebra_dim(rep, EchelonSpan(rep.r ** 2))
 
 
 def _rank_one_factors(rows):

@@ -2,8 +2,8 @@
 
 A ``Representation`` holds its generators by the factors of their
 deformations, laid out in its docstring.  The zoo builders make those
-factors without forming an r x r matrix; the public constructor factors
-dense images.
+factors without forming an r x r matrix, except ``tensor_character``,
+which scales the dense images; the public constructor factors dense images.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ class Representation:
     The public constructor is the entry for dense images (JSON files,
     library callers): it factors each image and proves it invertible
     (``_invertible_factor``).  The zoo builders pass factors they read off a
-    small block, a sum or a change of basis to ``_from_factors``: a block is
-    factored by the same routine, and a sum or a change of basis of
-    invertible images is invertible.  Both hand the same triples to ``_init``.
+    small block, a sum, a change of basis or a scaled image to
+    ``_from_factors``: a block is factored by the same routine, and a sum, a
+    change of basis or a nonzero multiple of invertible images is
+    invertible.  Both hand the same triples to ``_init``.
 
     The constructor enforces shape and invertibility only; properties that
     hold for genuine representations (equal deformation ranks, the defining
@@ -362,13 +363,14 @@ def reduced_burau(n, t) -> Representation:
 
 def tensor_character(rep, y) -> Representation:
     """Scale every generator image entry-wise by the nonzero scalar y.  The
-    images are formed and factored again by the public constructor: the
-    deformation y g - 1 has no factor that those of g - 1 give directly."""
+    images are formed and factored again: the deformation y g - 1 has no
+    factor that those of g - 1 give directly.  y g is invertible exactly
+    when g is, so no proof is run again."""
     y = rational(y)
     if y == 0:
         raise ValueError("character parameter must be nonzero")
-    gens = [g * y for g in rep.generators]
-    return Representation(rep.n, rep.r, gens, label=f"tensor({rep.label},y={y})")
+    factors = [_factor(_plus_scalar(g * y, -1)) for g in rep.generators]
+    return Representation._from_factors(rep.n, rep.r, factors, f"tensor({rep.label},y={y})")
 
 
 def direct_sum(a, b) -> Representation:

@@ -3,6 +3,7 @@ import signal
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -11,6 +12,8 @@ import pytest
 from braidrep.braid import verify_braid_relations
 from braidrep.classify import (
     Verdict,
+    _ModpSpan,
+    _algebra_dim,
     _character,
     _is_invariant,
     _modp_algebra_is_full,
@@ -35,7 +38,7 @@ from braidrep.classify import (
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
 from braidrep.friendship import are_friends, classify_graph, full_friendship_graph, neighbor_form
-from braidrep.linalg import Matrix, Subspace, image_basis, inverse, kernel_basis, rank, rational_eigenvalues
+from braidrep.linalg import EchelonSpan, Matrix, Subspace, image_basis, inverse, kernel_basis, rank, rational_eigenvalues
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -148,12 +151,14 @@ def test_burnside_of_character_is_one():
 
 
 def test_burnside_reads_a_denominator_of_the_closure_prime_exactly():
-    # u = 1/p puts p = 2^61 - 1 in a denominator: the modular certificate
-    # gives up, and the exact closure still finds the full algebra.
+    # u = 1/p puts p = 2^61 - 1 in a denominator: mod p the numerators reduce
+    # to E_01 and E_12, whose closure spans 4 of 9 dimensions and proves
+    # nothing, and the exact closure still finds the full algebra.
     rep = tym_standard(3, Fraction(1, 2 ** 61 - 1))
     assert any(rep.gen(i).den % (2 ** 61 - 1) == 0 for i in range(1, rep.n))
     assert not _modp_algebra_is_full(rep)
     assert burnside_dimension(rep)[0] == 9
+    assert _algebra_dim(rep, _ModpSpan(2 ** 61 - 1)) == 4
 
 
 def test_burnside_of_permutation_family_is_thin():
@@ -1862,6 +1867,90 @@ def _modular_family(r, seed):
         c[b][b + 1], c[b + 1][b], c[b + 1][b + 1] = -1, 1, -1
     z = q * Matrix(c) * inverse(q)
     return Representation(3, r, [inverse(z) * x, inverse(x) * z * z], label=f"modular r={r} seed={seed}")
+
+
+def _left_mul(g, ncols, w):
+    """g times the matrix with ``ncols`` columns flattened row by row into w,
+    flattened the same way."""
+    cols = [w[j::ncols] for j in range(ncols)]
+    return [sum(map(mul, grow, col)) for grow in g for col in cols]
+
+
+def _dense_algebra_dim(rep, span):
+    """The reference closure: the identity under left multiplication by the
+    dense integer numerators of the images, zero deformations included."""
+    r, gens = rep.r, [rep.gen(i).num for i in range(1, rep.n)]
+    work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
+    while work and span.dim < r * r:
+        w = work.pop()
+        for g in gens:
+            if (added := span.add(_left_mul(g, r, w))) is not None:
+                work.append(added)
+    return span.dim
+
+
+class _Enough(Exception):
+    pass
+
+
+class _Recorded:
+    """A span that records the vectors it takes in, in order, and stops the
+    closure once it holds ``limit`` of them."""
+
+    def __init__(self, span, limit):
+        self.span, self.limit, self.taken = span, limit, []
+
+    @property
+    def dim(self):
+        return self.span.dim
+
+    def add(self, vec):
+        if len(self.taken) == self.limit:
+            raise _Enough
+        added = self.span.add(vec)
+        if added is not None:
+            self.taken.append(list(vec))
+        return added
+
+
+def _recorded_closure(closure, rep, span, limit):
+    """``(dim, taken)`` of a closure, dim None where it is stopped."""
+    recorded = _Recorded(span, limit)
+    try:
+        return closure(rep, recorded), recorded.taken
+    except _Enough:
+        return None, recorded.taken
+
+
+def _closure_cases():
+    yield from build_zoo()
+    yield from _zero_beside_nonzero()
+    yield _modular_family(8, 2)
+    yield tym_standard(3, Fraction(1, 2 ** 61 - 1))
+
+
+@pytest.mark.parametrize("rep", list(_closure_cases()), ids=repr)
+@pytest.mark.parametrize("field", ["modp", "rational"])
+def test_the_closure_through_the_factors_adds_the_vectors_of_the_dense_product(rep, field):
+    # N_i W = (s_i W + R_i^T (Y_i W)) / m_i is the dense numerator times W,
+    # so both closures take in the same vectors in the same order and end at
+    # the same dimension.  The exact closure of the conjugated tym member
+    # runs for minutes, its integers doubling every few vectors: its first
+    # 24 vectors are compared.
+    slow = field == "rational" and rep.label == "tym(n=6,u=3) conjugated by P#seed=7"
+    make = (lambda: _ModpSpan(2 ** 61 - 1)) if field == "modp" else (lambda: EchelonSpan(rep.r ** 2))
+    ours = _recorded_closure(_algebra_dim, rep, make(), 24 if slow else None)
+    assert ours == _recorded_closure(_dense_algebra_dim, rep, make(), 24 if slow else None)
+    assert (ours[0] is None) == slow
+
+
+@pytest.mark.parametrize("spec", ["dsum(tym:n=2,u=2,tym:n=2,u=3)", "conj(dsum(tym:n=2,u=2,tym:n=2,u=3),seed=7)",
+                                  "tym:n=2,u=2"])
+def test_the_closure_forms_no_dense_image(spec):
+    # On 2 strands the Norton step does not decide these, so the closure runs.
+    rep = parse_rep_spec(spec)[0]
+    assert decide_irreducibility(rep)[0].detail.startswith("matrix algebra")
+    assert "generators" not in vars(rep)
 
 
 @pytest.mark.parametrize("seed, degrees", [(2, [8]), (1, [6, 6])])

@@ -153,7 +153,7 @@ def test_building_a_spec_factors_no_dense_image(image_basis_calls, spec):
 
 PLAIN = ["tym:n=3,u=2", "tym:n=6,u=5/3", "tym:n=8,u=1", "tym:n=14,u=2/3", "burau:n=3,t=2",
          "burau:n=7,t=5/3", "burau:n=6,t=-1", "dsum(tym:n=6,u=2,char:n=6,y=3)",
-         "dsum(tym:n=5,u=1,char:n=5,y=1)", "dsum(tym:n=2,u=3,char:n=2,y=-1/2)"]
+         "dsum(tym:n=5,u=1,char:n=5,y=1)", "dsum(tym:n=2,u=3,char:n=2,y=-1/2)", "tym:n=2,u=2"]
 
 
 VERBS = [["analyze"], ["analyze", "--format", "text"], ["verify"], ["irreducible"]]
@@ -162,8 +162,6 @@ VERBS = [["analyze"], ["analyze", "--format", "text"], ["verify"], ["irreducible
 @pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("spec", PLAIN)
 def test_the_verbs_never_form_the_dense_images_of_a_plain_spec(monkeypatch, spec, verb):
-    """tym on 2 strands is left out: there the Norton step cannot decide, and
-    the closure modulo a prime multiplies the dense images."""
     built, load = [], cli._load_source
     monkeypatch.setattr(cli, "_load_source", lambda *args: built.append(load(*args)) or built[-1])
     with contextlib.redirect_stdout(io.StringIO()):
@@ -205,6 +203,15 @@ def test_one_routine_proves_every_image_invertible(monkeypatch, spec, calls):
     proved.clear()
     zoo.direct_sum(*summands), zoo.scrambled(rep, 3)
     assert proved == []
+
+
+def test_a_twist_proves_nothing(monkeypatch):
+    # y g is invertible exactly when g is, as p^-1 g p is for a change of basis.
+    rep, proved, prove = zoo.tym_standard(8, 2), [], zoo._invertible_factor
+    monkeypatch.setattr(zoo, "_invertible_factor", lambda g: proved.append(g) or prove(g))
+    twist = zoo.tensor_character(rep, 3)
+    assert proved == []
+    assert twist.generators == tuple(g * 3 for g in rep.generators)
 
 
 def _reference_invertible_matrix(size, rng):

@@ -58,6 +58,8 @@ GOLDEN = {
     "equal_sum": "conj(dsum(tym:n=8,u=5/3,tym:n=8,u=5/3),seed=2)",
     # a sum of two twists divided by y = -1: its core's images are near-full, not full
     "sum_of_twists": "conj(dsum(tensor(tym:n=4,u=2,y=2),tensor(tym:n=4,u=5/3,y=-1)),seed=7)",
+    # 2 strands, where the Norton step does not decide: the algebra closure, thin
+    "n2_sum": "conj(dsum(tym:n=2,u=2,tym:n=2,u=3),seed=7)",
 }
 
 
@@ -107,6 +109,8 @@ MAKE_GOLDEN = {
     "burau": "burau:n=7,t=5/3",
     # a conjugate of a sum: the image passed on through the change of basis
     "conj_dsum": "conj(dsum(tym:n=6,u=2,char:n=6,y=1/2),seed=3)",
+    # a twist: the scaled dense images, factored again
+    "tensor": "tensor(burau:n=6,t=2,y=3/2)",
 }
 
 
