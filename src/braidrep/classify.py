@@ -7,7 +7,7 @@ an invariant subspace that is verified before it is reported
 procedure, used by ``analyze`` and the command line; its docstring lists the
 certificates in the order it tries them.  The proofs are given once each:
 the character divided out first in ``_character``, the Norton step in
-``_norton_step`` and ``_norton_candidates``, the orbits in ``_orbit`` and the
+``_norton_step`` and ``_eigenspace``, the orbits in ``_orbit`` and the
 chain step in ``extract_standard_form``.
 """
 
@@ -91,13 +91,15 @@ class _ModpSpan:
         return len(self.rows)
 
     def add(self, vec):
-        """Insert an integer vector; returns its reduced form if new, else None."""
-        p = self.p
-        v = [e % p for e in vec]
+        """Insert an integer vector; returns its reduced form if new, else None.
+        Only the multipliers are reduced mod p in the loop, and v once after
+        it: each step is congruent to the reduced one."""
+        p, v = self.p, vec
         for piv, row in self.rows:
-            c = v[piv]
+            c = v[piv] % p
             if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
+                v = [a - c * b for a, b in zip(v, row)]
+        v = [e % p for e in v]
         piv = next((k for k, e in enumerate(v) if e), None)
         if piv is None:
             return None
@@ -227,85 +229,68 @@ def _rank_one_factors(rows):
     return x, list(y)
 
 
-def _norton_elements(rep):
-    """``(name, left, z, d, p)`` for A_1 and the neighbor cubic A_1 + A_1^2 +
-    A_1 A_2 A_1, each formed when the caller asks for it, as theta = X Z / d
-    with X = R_1^T left, and p = Z X, k x k for the k rows of Z, from the
-    middles M_ij of ``Representation.block``: A_1 is R_1^T Y_1 / s_1,
-    p = M_11; the cubic is R_1^T C Y_1 / (s_1 s_2)^2 for
-    C = ``rep.cubic(1, 2)``, p = M_11 C.  They are words in the generators,
-    so they lie in the generated algebra in every basis."""
-    img, y1, s1 = rep.factor(1)
-    m11 = rep.block(1, 1)
-    yield "A_1", _identity_rows(img.dim), y1, s1, m11
-    if rep.n > 2:
-        cubic, s2 = rep.cubic(1, 2), rep.factor(2)[2]
-        yield "the neighbor cubic", cubic, y1, (s1 * s2) ** 2, mul_rows(m11, cubic, img.dim)
+def _eigenspace(u, v, lam, r, vu=None) -> Subspace:
+    """ker(u^T v - lam) in Q^r, for k x r integer rows u, which are
+    independent, and v, and an integer lam; ``vu`` is the k x k product
+    v u^T where the caller has formed it, and then v is read only at lam = 0.
+
+    At lam = 0 it is ker v, as u^T is injective.  Otherwise it is
+    u^T ker(v u^T - lam), read on k x k: an eigenvector w equals
+    u^T (v w) / lam, so it is u^T c for some c, and as (u^T v) u^T =
+    u^T (v u^T) with u^T injective, u^T c is an eigenvector of u^T v for
+    lam exactly when c is one of v u^T.
+    """
+    if not lam:
+        return kernel_basis(_lowest_terms(v, 1, r))
+    k = len(u)
+    if vu is None:
+        vu = mul_rows(v, tuple(zip(*u)), k)
+    shifted = [[e - lam * (i == j) for j, e in enumerate(row)] for i, row in enumerate(vu)]
+    return Subspace._span(r, (combine(c, u, r) for c in kernel_basis(_lowest_terms(shifted, 1, k)).rows))
 
 
 def _norton_candidates(rep):
     """``(kind, where, x, make_y, decisive)`` for the Norton step, in the
-    order it tries them: first x y^T for every theta of rank one, then, for
-    each other theta and each rational eigenvalue lambda in ascending order,
-    the first canonical row x of ker(theta - lambda).  ``make_y()`` returns
-    y: the second factor, or the first canonical row of ker(theta - lambda)^T,
-    a left kernel that is formed only on that call.  ``decisive`` says that
-    two full orbits of x and y prove the algebra full (``_norton_step``):
-    always for rank one, and for a kernel exactly when it is a line; theta -
-    lambda lies in the unital algebra with theta.
-
-    Everything is read off the factors theta = X Z / d of
-    ``_norton_elements``, X = R_1^T left: R_1^T is injective and the rows of
-    Z are independent, so theta has the rank of left, and at rank one
-    left = a b^T gives x = R_1^T a and y = Z^T b.  The characteristic
-    polynomial of theta is x^(r-k) times that of the k x k matrix
-    P = Z X / d = p / d, so its eigenvalues are those of P, with 0 where
-    k < r.  For lambda != 0, ker(theta - lambda) = X ker(P - lambda), on
-    which X is injective: an eigenvector is theta of itself over lambda, so
-    it is X w for some w, and theta X = X P.  Likewise ker(theta - lambda)^T
-    = Z^T ker(P - lambda)^T; so the nullity is read on k x k.  ker theta =
-    ker(left Z) and ker theta^T = ker(left^T R_1), as X is injective and
-    Z^T too.  Each kernel is a canonical ``Subspace``, so x and y are the
-    first rows of the dense kernels."""
-    r, img = rep.r, rep.image(1)
+    order it tries them.  The words are A_1 = R_1^T Y_1 / s_1 and the
+    neighbor cubic A_1 + A_1^2 + A_1 A_2 A_1 = R_1^T C Y_1 / (s_1 s_2)^2, C =
+    ``rep.cubic(1, 2)``: each is theta = R_1^T (left Y_1) / d with left = 1
+    or C, a word in the generators in every basis.  First comes x y^T for
+    every theta of rank one (theta has the rank of left, and left = a b^T
+    gives x = R_1^T a and y = Y_1^T b).  Then, for each other theta and each
+    of its rational eigenvalues lambda in ascending order (those of
+    M_11 left / d, with 0 where k < r), x is the first canonical row of
+    ker(theta - lambda) and y that of ker(theta - lambda)^T, both read by
+    ``_eigenspace``; y is formed only when ``make_y()`` is called.
+    ``decisive`` says that two full orbits of x and y prove the algebra full
+    (``_norton_step``): always at rank one, and for a kernel exactly when it
+    is a line."""
+    r, (img, y1, s1) = rep.r, rep.factor(1)
+    k, m11 = img.dim, rep.block(1, 1)
+    words = [("A_1", _identity_rows(k), s1, m11)]  # (name, left, d, M_11 left)
+    if rep.n > 2:
+        cubic = rep.cubic(1, 2)
+        words.append(("the neighbor cubic", cubic, (s1 * rep.factor(2)[2]) ** 2, mul_rows(m11, cubic, k)))
     others = []
-    for name, left, z, d, p in _norton_elements(rep):
+    for name, left, d, p in words:
         found = _rank_one_factors(left)
         if found is None:
-            others.append((name, left, z, d, p))
+            others.append((name, left, d, p))
         else:
             a, b = found
             yield ("factor", f"{name}, which has rank one", img.combination(a),
-                   partial(combine, b, z, r), True)
-    for name, left, z, d, p in others:
-        k = len(z)
-        small = _lowest_terms(p, d)
-        lams = set(rational_eigenvalues(small))
+                   partial(combine, b, y1, r), True)
+    for name, left, d, p in others:
+        lams = set(rational_eigenvalues(_lowest_terms(p, d, k)))
         if k < r:
             lams.add(Fraction(0))
+        # d theta = R_1^T (left Y_1) and d theta^T = Y_1^T (left^T R_1): their k x k
+        # products are left M_11 and (M_11 left)^T, and their second factors are read at 0 only.
+        vu, left_t, p_t = mul_rows(left, m11, k), tuple(zip(*left)), tuple(zip(*p))
         for lam in sorted(lams):
-            if lam:
-                shifted = small - Matrix.identity(k) * lam
-                ws = kernel_basis(shifted).rows
-                right = Subspace._span(r, (img.combination([sum(map(mul, row, w)) for row in left]) for w in ws))
-                make_y = partial(_first_left_row, shifted, z, r)
-            else:
-                right = kernel_basis(_lowest_terms(mul_rows(left, z, r), 1, r))
-                make_y = partial(_first_kernel_row, left, r, img.rows)
+            mu = int(lam * d)
+            right = _eigenspace(img.rows, None if mu else mul_rows(left, y1, r), mu, r, vu)
+            make_y = lambda mu=mu: _eigenspace(y1, None if mu else mul_rows(left_t, img.rows, r), mu, r, p_t).rows[0]
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
-
-
-def _first_left_row(shifted, z, r):
-    """The first canonical row of Z^T ker(shifted^T), for the k x k shifted
-    = P - lambda of ``_norton_candidates``: ker(theta - lambda)^T."""
-    return Subspace._span(r, [combine(u, z, r) for u in kernel_basis(shifted.transpose()).rows]).rows[0]
-
-
-def _first_kernel_row(a, r, b):
-    """The first canonical row of ker(a^T b), for integer rows a and b, b
-    with r columns: ker theta^T = ker(left^T R_1) at lambda = 0 of
-    ``_norton_candidates``, formed on k rows."""
-    return kernel_basis(_lowest_terms(mul_rows(tuple(zip(*a)), b, r), 1, r)).rows[0]
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:
@@ -422,7 +407,7 @@ def lemma_bb_check(rep, i, j) -> bool:
     Read on the middles M_ab = Y_a R_b^T of A = A_i = R_i^T Y_i / s_i and B =
     A_j, R_i^T injective and the rows of Y_j independent: A^2 B = A B^2 is s_j
     M_ii M_ij = s_i M_ij M_jj, and B x = R_j^T M_ji c / s_j for x = R_i^T c, c
-    in ker(M_ii / s_i - lambda) (``_norton_candidates``), so (b) is M_jj M_ji c
+    in ker(M_ii / s_i - lambda) (``_eigenspace``), so (b) is M_jj M_ji c
     = lambda s_j M_ji c and M_ij M_ji c = -(1 + lambda) s_i s_j c; then swap i, j.
     """
     if circular_distance(i, j, rep.n) != 1:
@@ -620,7 +605,7 @@ def _character(rep) -> Fraction:
     that gives the least rank(g_1 - 1 - mu), where that rank is below k,
     the smaller y on a tie; otherwise y = 1.
 
-    By ``_norton_candidates``, ker(A_1 - mu) = R_1^T ker(P - mu) for mu !=
+    By ``_eigenspace``, ker(A_1 - mu) = R_1^T ker(P - mu) for mu !=
     0, so rank(g_1 - 1 - mu) = r - k + rank(M_11 - lam) for lam = s_1 mu,
     below k exactly where rank(M_11 - lam) < d = 2k - r.  Where d <= 0
     nothing is formed: for lambda != 1 the lambda-eigenspace of g_1 misses

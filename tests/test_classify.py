@@ -15,6 +15,7 @@ from braidrep.classify import (
     _ModpSpan,
     _algebra_dim,
     _character,
+    _eigenspace,
     _is_invariant,
     _modp_algebra_is_full,
     _norton_candidates,
@@ -38,7 +39,18 @@ from braidrep.classify import (
 from braidrep.cli import parse_rep_spec, run
 from braidrep.errors import NotARepresentationError, PreconditionError
 from braidrep.friendship import are_friends, classify_graph, full_friendship_graph, neighbor_form
-from braidrep.linalg import EchelonSpan, Matrix, Subspace, image_basis, inverse, kernel_basis, rank, rational_eigenvalues
+from braidrep.linalg import (
+    EchelonSpan,
+    Matrix,
+    Subspace,
+    combine,
+    image_basis,
+    inverse,
+    kernel_basis,
+    mul_rows,
+    rank,
+    rational_eigenvalues,
+)
 from braidrep.zoo import (
     Representation,
     character_rep,
@@ -910,6 +922,61 @@ def test_factored_candidates_match_the_dense_ones(rep):
                 for kind, where, x, y, decisive in found]
 
     assert lines(_norton_vectors(rep)) == lines(_dense_norton_vectors(rep))
+
+
+def _dense_eigenspace(u, v, lam, r):
+    """Reference for ``_eigenspace``: the kernel of the dense r x r matrix u^T v - lam."""
+    theta = Matrix([[sum(map(mul, ucol, vcol)) for vcol in zip(*v)] for ucol in zip(*u)])
+    return kernel_basis(theta - Matrix.identity(r) * lam)
+
+
+def _triangular_pair(rng, k, r, diagonal):
+    """``(u, v, d)``: k independent integer rows u, the first of a random
+    invertible w, and integer rows v with v u^T = d S, for d the denominator
+    of w^-1 and S upper triangular with the given diagonal.  The columns c_j
+    of d w^-1 satisfy u c_j = d e_j for j < k and u c_j = 0 past k, so v
+    combines them with the rows of S and random coefficients."""
+    w = random_invertible_matrix(r, rng)
+    winv = inverse(w)
+    cols = list(zip(*winv.num))
+    rows = [[diagonal[i] if i == j else rng.randint(-2, 2) * (i < j) for j in range(k)]
+            + [rng.randint(-2, 2) for _ in range(r - k)] for i in range(k)]
+    return [list(row) for row in w.num[:k]], [combine(row, cols, r) for row in rows], winv.den
+
+
+def _eigenspace_cases():
+    rng = Random(5)
+    for k, r, diagonal in [(1, 3, [2]), (2, 4, [2, 2]), (3, 5, [3, -1, 3]), (2, 6, [-3, 0]),
+                           (3, 3, [1, -2, 1]), (4, 4, [2, 2, 2, -1])]:
+        u, v, d = _triangular_pair(rng, k, r, diagonal)
+        # 7 d is no eigenvalue: the kernel there is zero.
+        yield f"k={k} r={r}", u, v, {0, 7 * d, *(d * e for e in diagonal)}
+    # The Norton data of a cubic of rank one, singular: ker(C Y_1) is wider than ker Y_1.
+    rep = scrambled(tym_standard(8, 2), 3)
+    img, y1, _ = rep.factor(1)
+    v = mul_rows(rep.cubic(1, 2), y1, rep.r)
+    assert kernel_basis(Matrix(v)).dim > kernel_basis(Matrix(y1)).dim
+    lams = rational_eigenvalues(Matrix(mul_rows(v, tuple(zip(*img.rows)), img.dim)))
+    yield "singular left", img.rows, v, {0, *map(int, lams)}
+
+
+_EIGENSPACE_CASES = {name: case for name, *case in _eigenspace_cases()}
+
+
+@pytest.mark.parametrize("name", list(_EIGENSPACE_CASES))
+def test_eigenspace_is_the_kernel_of_the_dense_word(name):
+    # ker(u^T v - lam) read on k x k, with v u^T formed by _eigenspace or
+    # passed in, is the kernel of the dense r x r matrix, at every lam.
+    u, v, lams = _EIGENSPACE_CASES[name]
+    r = len(v[0])
+    vu = [[sum(map(mul, vrow, urow)) for urow in u] for vrow in v]
+    dims = {}
+    for lam in sorted(lams):
+        dense = _dense_eigenspace(u, v, lam, r)
+        assert _eigenspace(u, v, lam, r) == dense == _eigenspace(u, v, lam, r, vu), lam
+        dims[lam] = dense.dim
+    # Every case reads a nonzero eigenvalue on a nonzero kernel.
+    assert any(dim for lam, dim in dims.items() if lam)
 
 
 def _spy_rep_middles(monkeypatch):
@@ -1942,6 +2009,47 @@ def test_the_closure_through_the_factors_adds_the_vectors_of_the_dense_product(r
     ours = _recorded_closure(_algebra_dim, rep, make(), 24 if slow else None)
     assert ours == _recorded_closure(_dense_algebra_dim, rep, make(), 24 if slow else None)
     assert (ours[0] is None) == slow
+
+
+class _PerStepModpSpan(_ModpSpan):
+    """Reference ``_ModpSpan``: every entry reduced mod p at every elimination step."""
+
+    def add(self, vec):
+        p = self.p
+        v = [e % p for e in vec]
+        for piv, row in self.rows:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        piv = next((k for k, e in enumerate(v) if e), None)
+        if piv is None:
+            return None
+        inv = pow(v[piv], p - 2, p)
+        v = [(e * inv) % p for e in v]
+        self.rows.append((piv, v))
+        return v
+
+
+@pytest.mark.parametrize("spec", ["conj(burau:n=6,t=2,seed=3)", "conj(tym:n=5,u=5/3,seed=7)",
+                                  "conj(dsum(tym:n=4,u=2,tym:n=4,u=3),seed=1)", "tym:n=6,u=1"])
+def test_modp_span_reduces_once_per_vector_to_the_per_step_rows(spec):
+    # Each step of the elimination is congruent to the reduced one, so the
+    # closure takes in and returns the same vectors in the same order.
+    rep = parse_rep_spec(spec)[0]
+    ours, per_step = _ModpSpan(2 ** 61 - 1), _PerStepModpSpan(2 ** 61 - 1)
+    assert _recorded_closure(_algebra_dim, rep, ours, None) == _recorded_closure(_algebra_dim, rep, per_step, None)
+    assert ours.rows == per_step.rows
+
+
+@pytest.mark.parametrize("p", [7, 2 ** 61 - 1])
+def test_modp_span_matches_the_per_step_add_on_wide_and_negative_entries(p):
+    rng = Random(p)
+    ours, per_step = _ModpSpan(p), _PerStepModpSpan(p)
+    for _ in range(40):
+        # Entries at or past p and negative ones; a multiple of p reduces to 0.
+        vec = [rng.choice((0, p, -p, rng.randint(-3 * p, 3 * p))) for _ in range(6)]
+        assert ours.add(vec) == per_step.add(vec)
+    assert ours.rows == per_step.rows and ours.dim == 6
 
 
 @pytest.mark.parametrize("spec", ["dsum(tym:n=2,u=2,tym:n=2,u=3)", "conj(dsum(tym:n=2,u=2,tym:n=2,u=3),seed=7)",
