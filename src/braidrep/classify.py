@@ -35,6 +35,7 @@ from .linalg import (
     Subspace,
     _identity_rows,
     _lowest_terms,
+    _primitive,
     clear_denominators,
     combine,
     inverse,  # noqa: F401  bench/test_bench.py expects this binding
@@ -502,9 +503,7 @@ def _chain_start(rep):
     # The rows R_1 vanish at each other's pivots, so R_1^T c starts at the
     # pivot of the row of the first nonzero c_j, where it is c_j > 0 times
     # that row's positive lead.
-    v = rep.image(1).combination(kernel.rows[0])
-    g = math.gcd(*v)
-    return [e // g for e in v]
+    return _primitive(rep.image(1).combination(kernel.rows[0]))
 
 
 def _chain_matrix(chain):

@@ -37,13 +37,13 @@ from .zoo import (
     tym_standard,
 )
 
-_ATOM_KEYS = {
-    "tym": ("n", "u"),
-    "burau": ("n", "t"),
-    "char": ("n", "y"),
+# family: (parameter keys, least strand count its builder accepts, builder,
+# dimension at n strands); a builder calls this module's binding, so a patch holds.
+_FAMILIES = {
+    "tym": (("n", "u"), 2, lambda n, u: tym_standard(n, u), lambda n: n),
+    "burau": (("n", "t"), 3, lambda n, t: reduced_burau(n, t), lambda n: n - 1),
+    "char": (("n", "y"), 2, lambda n, y: character_rep(n, y), lambda n: 1),
 }
-# The least strand count each family's builder accepts.
-_ATOM_LEAST_N = {"tym": 2, "burau": 3, "char": 2}
 
 
 def _split_top(text):
@@ -114,9 +114,9 @@ MAX_DENSE_ENTRIES = 1 << 18
 def _parse_atom(text):
     family, _, params = text.partition(":")
     family = family.strip()
-    if family not in _ATOM_KEYS:
+    if family not in _FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
-    keys = _ATOM_KEYS[family]
+    keys, least_n, builder, dim = _FAMILIES[family]
     values = {}
     for pair in _split_top(params):
         key, eq, value = pair.partition("=")
@@ -131,13 +131,11 @@ def _parse_atom(text):
         scalar = rational(values[keys[1]])
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecParseError(f"bad value in {text!r}: {exc}") from exc
-    if n < _ATOM_LEAST_N[family]:
+    if n < least_n:
         # Refused before any size is summed: a negative dimension would let
         # a ``dsum`` pass ``_check_scale`` with a large summand.
-        raise ValueError(f"need at least {_ATOM_LEAST_N[family]} strands")
-    builder = {"tym": tym_standard, "burau": reduced_burau, "char": character_rep}[family]
-    r = {"tym": n, "burau": n - 1, "char": 1}[family]
-    return (n, r), functools.partial(builder, n, scalar), {"family": family, "n": n, keys[1]: scalar}
+        raise ValueError(f"need at least {least_n} strands")
+    return (n, dim(n)), functools.partial(builder, n, scalar), {"family": family, "n": n, keys[1]: scalar}
 
 
 def _parse(text, default_seed):
@@ -229,8 +227,7 @@ def _json_text(obj):
 
 def _cmd_make(args):
     rep, _ = parse_rep_spec(args.source, args.seed)
-    _emit(_json_text(rep_to_dict(rep)), args.out)
-    return 0
+    return _json_text(rep_to_dict(rep))
 
 
 def _cmd_verify(args):
@@ -242,14 +239,12 @@ def _cmd_verify(args):
             f"far commutation: {'ok' if report.far_commutation_ok else 'FAIL'}",
         ]
         lines += [f"  {desc} fails at {pair}" for desc, pair in report.failures]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text({
-            "braid_relations_ok": report.braid_relations_ok,
-            "far_commutation_ok": report.far_commutation_ok,
-            "failures": [[desc, list(pair)] for desc, pair in report.failures],
-        }), args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+    return _json_text({
+        "braid_relations_ok": report.braid_relations_ok,
+        "far_commutation_ok": report.far_commutation_ok,
+        "failures": [[desc, list(pair)] for desc, pair in report.failures],
+    })
 
 
 def _cmd_graph(args):
@@ -261,25 +256,21 @@ def _cmd_graph(args):
         tag = f"unclassified: {exc}"
     graph = full if args.full else full.reduced()
     if args.format == "dot":
-        _emit(graph_to_dot(graph, label=tag), args.out)
-    elif args.format == "text":
+        return graph_to_dot(graph, label=tag)
+    if args.format == "text":
         edges = " ".join(f"s{graph.label_of(i)}-s{graph.label_of(j)}" for i, j in graph.edges())
-        _emit(f"class: {tag}\nedges: {edges or '(none)'}\n", args.out)
-    else:
-        data = graph_to_json_dict(graph)
-        data["class"] = tag
-        _emit(_json_text(data), args.out)
-    return 0
+        return f"class: {tag}\nedges: {edges or '(none)'}\n"
+    data = graph_to_json_dict(graph)
+    data["class"] = tag
+    return _json_text(data)
 
 
 def _cmd_analyze(args):
     rep = _load_source(args.source, args.seed)
     report = analyze(rep, seed=args.seed)
     if args.format == "text":
-        _emit(report.to_text(), args.out)
-    else:
-        _emit(_json_text(report.to_json_dict()), args.out)
-    return 0
+        return report.to_text()
+    return _json_text(report.to_json_dict())
 
 
 def _cmd_irreducible(args):
@@ -293,10 +284,8 @@ def _cmd_irreducible(args):
             lines.append(f"witness dimension: {verdict.witness.dim}")
         if verdict.detail:
             lines.append(verdict.detail)
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(_verdict_dict(verdict)), args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+    return _json_text(_verdict_dict(verdict))
 
 
 def _parse_ranges(text):
@@ -343,10 +332,8 @@ def _cmd_sweep(args):
                 f"{row['graph_class'] or '-':>20} {row['irreducibility']:>22} "
                 f"{row['standard_form_u'] or '-':>12}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_text(rows), args.out)
-    return 0
+        return "\n".join(lines) + "\n"
+    return _json_text(rows)
 
 
 def _build_parser():
@@ -409,10 +396,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
     except (BraidRepError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main():

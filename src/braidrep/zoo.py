@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _lowest_terms,
+    _primitive,
     combine,
     image_basis,
     inverse,
@@ -228,9 +229,7 @@ class Representation:
         rows = []
         for v in last.rows:
             for i in range(self.n - 1, 0, -1):
-                v = self.act(i, v)[0]
-                g = math.gcd(*v)
-                v = [e // g for e in v]
+                v = _primitive(self.act(i, v)[0])
             rows.append(v)
         return Subspace._span(self.r, rows)
 

@@ -133,6 +133,41 @@ def test_make_writes_wire_format(tmp_path, capsys):
     assert data["label"] == "char(n=4,y=5/3)"
 
 
+_EVERY_VERB_AND_FORMAT = [
+    ["make", "tym:n=6,u=2"],
+    ["verify", "tym:n=6,u=2"],
+    ["verify", "tym:n=6,u=2", "--format", "text"],
+    ["graph", "conj(tym:n=8,u=2,seed=3)"],
+    ["graph", "conj(tym:n=8,u=2,seed=3)", "--format", "dot"],
+    ["graph", "conj(tym:n=8,u=2,seed=3)", "--format", "text"],
+    ["graph", "conj(tym:n=8,u=2,seed=3)", "--full"],
+    ["analyze", "conj(tym:n=6,u=2,seed=3)"],
+    ["analyze", "conj(tym:n=6,u=2,seed=3)", "--format", "text"],
+    ["irreducible", "tym:n=6,u=1"],
+    ["irreducible", "tym:n=6,u=1", "--format", "text"],
+    ["sweep", "--n", "6", "--u", "2,1"],
+    ["sweep", "--n", "6", "--u", "2,1", "--format", "text"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_VERB_AND_FORMAT, ids="-".join)
+def test_out_file_holds_what_the_verb_prints(tmp_path, capsys, argv):
+    code, printed, _ = capture(capsys, argv)
+    path = tmp_path / "out.txt"
+    assert code == 0
+    assert capture(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", _EVERY_VERB_AND_FORMAT, ids="-".join)
+def test_out_path_under_a_missing_directory_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = capture(capsys, [*argv, "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
 def test_bad_rational_exits_two(capsys):
     code, _, err = capture(capsys, ["make", "tym:n=6,u=2/0"])
     assert code == 2
