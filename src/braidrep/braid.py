@@ -44,14 +44,14 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
     R_i^T Y_i / s_i of rank k (``Representation.factor``), through the k x k
     middles M_ij = Y_i R_j^T of ``Representation.middles``: a far pair by
     ``_commutes``, a braid pair by ``_braid_holds``, so no product of
-    generators is formed.  Where some A_i has full rank r
-    (``Representation.has_full_image``), the middles are r x r and the check
-    first tries a shortcut in O(n) relations through D = ``rep.tau``, the
-    image of delta = s1 s2 ... s(n-1): B_n is presented on sigma_1 and delta
-    (Kassel and Turaev, *Braid Groups*, GTM 247, Ch. 1).  It tests the shifts
-    D g_i = g_(i+1) D for i <= n-2 and the commutation of g_1 with g_j for
-    3 <= j <= n//2 + 1.  These hold in every representation, since delta s_i delta^-1
-    = s_(i+1) in B_n, and they imply every other relation:
+    generators is formed.  Where some A_i has full rank r, the middles are
+    r x r and the check first tries a shortcut in O(n) relations through D =
+    ``rep.tau``, the image of delta = s1 s2 ... s(n-1): B_n is presented on
+    sigma_1 and delta (Kassel and Turaev, *Braid Groups*, GTM 247, Ch. 1).
+    It tests the shifts D g_i = g_(i+1) D for i <= n-2 and the commutation of
+    g_1 with g_j for 3 <= j <= n//2 + 1.  These hold in every representation,
+    since delta s_i delta^-1 = s_(i+1) in B_n, and they imply every other
+    relation:
 
     - Commutations.  The shifts give g_i = D^(i-1) g_1 D^(1-i), so D =
       (g_1 D)^(n-1) D^(1-n).  Then D^n = (g_1 D)^(n-1) commutes with g_1 D
@@ -66,7 +66,8 @@ def verify_braid_relations(rep: "Representation") -> RelationReport:
     So the shortcut passes exactly when every relation holds, and only a
     failing family pays for the pairwise scan that lists its failures.
     """
-    if rep.n > 2 and rep.has_full_image and verify_cyclic_conjugation(rep) and _far_shortcut_holds(rep):
+    if (rep.n > 2 and any(rep.image(i).is_full() for i in range(1, rep.n)) and verify_cyclic_conjugation(rep)
+            and all(_commutes(rep, 1, j) for j in range(3, rep.n // 2 + 2))):
         return RelationReport(True, True)
     return _pairwise_relation_report(rep)
 
@@ -115,7 +116,7 @@ def _commutes(rep, i, j) -> bool:
     """Whether A_i A_j = A_j A_i, on the factors: the two products are
     R_i^T M_ij Y_j and R_j^T M_ji Y_i over s_i s_j (``Representation.block``),
     and both are 0 where their middles are."""
-    mids = rep.middles()
+    mids = rep.middles
     if (i, j) not in mids and (j, i) not in mids:
         return True
     (img, y, _), (img2, y2, _) = rep.factor(i), rep.factor(j)
@@ -130,12 +131,6 @@ def _braid_holds(rep, a, b) -> bool:
     s_a^2 s_b^2 the relation reads s_b R_a^T C_ab Y_a = s_a R_b^T C_ba Y_b."""
     (img, y, _), (img2, y2, _) = rep.factor(a), rep.factor(b)
     return _lifts_agree(img, rep.cubic(a, b), y, img2, rep.cubic(b, a), y2)
-
-
-def _far_shortcut_holds(rep) -> bool:
-    """The commutations of g_1 with g_j, 3 <= j <= n//2 + 1, that the shortcut
-    of ``verify_braid_relations`` tests after the shifts."""
-    return all(_commutes(rep, 1, j) for j in range(3, rep.n // 2 + 2))
 
 
 def _pairwise_relation_report(rep: "Representation") -> RelationReport:

@@ -146,7 +146,7 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
         if img.dim:
             outs[i], inns[i] = (y, img.rows) if transposed else (img.rows, y)
             spaces[i] = EchelonSpan(img.dim)
-    mids, ambient = rep.middles() if spaces else {}, EchelonSpan(r)
+    mids, ambient = rep.middles if spaces else {}, EchelonSpan(r)
     growing = dict(spaces)  # the V_i that are not Q^(k_i) yet
     # (0, v), then (j, w): a new basis vector w of V_j.
     work = [(0, ambient.add(vec))]
@@ -211,11 +211,6 @@ def _modp_algebra_is_full(rep) -> bool:
     return _algebra_dim(rep, _ModpSpan(_CLOSURE_PRIME)) == rep.r ** 2
 
 
-def _rational_algebra_dim(rep) -> int:
-    """Exact dimension of the generated algebra over Q."""
-    return _algebra_dim(rep, EchelonSpan(rep.r ** 2))
-
-
 def _rank_one_factors(rows):
     """Integer vectors ``(x, y)`` with the integer rows ``rows`` a nonzero
     multiple of x y^T, or None when their rank is not one."""
@@ -230,10 +225,10 @@ def _rank_one_factors(rows):
     return x, list(y)
 
 
-def _eigenspace(u, v, lam, r, vu=None) -> Subspace:
+def _eigenspace(u, v, lam, r, vu) -> Subspace:
     """ker(u^T v - lam) in Q^r, for k x r integer rows u, which are
     independent, and v, and an integer lam; ``vu`` is the k x k product
-    v u^T where the caller has formed it, and then v is read only at lam = 0.
+    v u^T, and v is read only at lam = 0.
 
     At lam = 0 it is ker v, as u^T is injective.  Otherwise it is
     u^T ker(v u^T - lam), read on k x k: an eigenvector w equals
@@ -243,11 +238,8 @@ def _eigenspace(u, v, lam, r, vu=None) -> Subspace:
     """
     if not lam:
         return kernel_basis(_lowest_terms(v, 1, r))
-    k = len(u)
-    if vu is None:
-        vu = mul_rows(v, tuple(zip(*u)), k)
     shifted = [[e - lam * (i == j) for j, e in enumerate(row)] for i, row in enumerate(vu)]
-    return Subspace._span(r, (combine(c, u, r) for c in kernel_basis(_lowest_terms(shifted, 1, k)).rows))
+    return Subspace._span(r, (combine(c, u, r) for c in kernel_basis(_lowest_terms(shifted, 1, len(u))).rows))
 
 
 def _norton_candidates(rep):
@@ -341,7 +333,7 @@ def burnside_dimension(rep) -> tuple[int, IrreducibilityVerdict]:
     closure runs only where that comes up thin.
     """
     cap = rep.r ** 2
-    dim = cap if _modp_algebra_is_full(rep) else _rational_algebra_dim(rep)
+    dim = cap if _modp_algebra_is_full(rep) else _algebra_dim(rep, EchelonSpan(cap))
     return dim, _closure_verdict(rep, dim, f"matrix algebra spans {dim} of {cap} dimensions")
 
 

@@ -46,11 +46,6 @@ _FAMILIES = {
 }
 
 
-def _split_top(text):
-    """Split on commas that are not nested inside parentheses."""
-    return [text[lo:hi] for lo, hi in _split(text, 0, len(text), _paren_table(text))]
-
-
 def _paren_table(text):
     """``{p: q}`` for each '(' at p closed by the ')' at q, in one pass."""
     table, stack = {}, []
@@ -118,7 +113,7 @@ def _parse_atom(text):
         raise SpecParseError(f"unknown family {family!r}")
     keys, least_n, builder, dim = _FAMILIES[family]
     values = {}
-    for pair in _split_top(params):
+    for pair in (params[lo:hi] for lo, hi in _split(params, 0, len(params), _paren_table(params))):
         key, eq, value = pair.partition("=")
         key = key.strip()
         if not eq or key not in keys or key in values:

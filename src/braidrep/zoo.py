@@ -45,11 +45,12 @@ class Representation:
     deformations, i = 1 ... n-1 (``factor``), which every check reads: the
     k canonical rows R_i of Im A_i, k x r integer rows Y_i and a positive
     integer s_i.  The k x k middles M_ij = Y_i R_j^T, so that A_i A_j =
-    R_i^T M_ij Y_j / (s_i s_j), come from one product, formed on first use
-    and cached (``middles``, ``block``, ``cubic``); ``middle`` forms one
-    alone.  The dense images ``generators``, D = ``tau`` and ``sigma0`` are
-    formed on first use and cached, a dense A_i (``deformation``) on each
-    request, and Im A_0 from the factors, without D.
+    R_i^T M_ij Y_j / (s_i s_j), are cut from one product, formed on first
+    use and cached (``middle_product``), and read by ``middles``, ``block``
+    and ``cubic``; ``middle`` forms one alone.  The dense images
+    ``generators``, D = ``tau`` and ``sigma0`` are formed on first use and
+    cached, a dense A_i (``deformation``) on each request, and Im A_0 from
+    the factors, without D.
 
     The public constructor is the entry for dense images (JSON files,
     library callers): it factors each image and proves it invertible
@@ -93,12 +94,6 @@ class Representation:
         self = cls.__new__(cls)
         self._init(n, r, factors, label)
         return self
-
-    @cached_property
-    def has_full_image(self) -> bool:
-        """Whether some A_i, 1 <= i <= n-1, has full rank r: there the k x k
-        middles are as large as g_i, and the relation check tries D first."""
-        return any(self.image(i).is_full() for i in range(1, self.n))
 
     @cached_property
     def tau(self) -> Matrix:
@@ -161,17 +156,10 @@ class Representation:
         reads the same from the cached ``middles``."""
         return _y_rt(self.factor(i)[1], self.image(j))
 
-    def middles(self) -> dict:
-        """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1 as integer
-        rows, keyed by (i, j), a zero one left out.  They are read from
-        ``middle_product`` and cached: the dict and its rows are shared, so
-        callers only read them."""
-        return self._middles
-
     def block(self, i, j) -> list:
         """M_ij as k_i x k_j integer rows, read from ``middles`` and zero-filled
         where that leaves a zero block out."""
-        return self._middles.get((i, j)) or [[0] * self.image(j).dim for _ in range(self.image(i).dim)]
+        return self.middles.get((i, j)) or [[0] * self.image(j).dim for _ in range(self.image(i).dim)]
 
     def cubic(self, a, b) -> list:
         """s_b C_ab as k x k integer rows, for C_ab = s_a s_b + s_b M_aa +
@@ -187,12 +175,19 @@ class Representation:
     def middle_product(self) -> list:
         """The integer rows of Y R^T for the stacked rows Y_1 ... Y_(n-1) and
         the stacked canonical rows R of the images that are not full: the
-        blocks M_ij side by side (``_middle_product``), shared, so read only."""
-        return _middle_product(self)
+        blocks M_ij side by side, in one ``mul_rows`` (none where every image
+        is full), shared, so read only."""
+        rows = [row for i in range(1, self.n) if not self.image(i).is_full() for row in self.image(i).rows]
+        ys = [row for i in range(1, self.n) for row in self.factor(i)[1]]
+        return mul_rows(ys, tuple(zip(*rows)), len(rows)) if rows else [[] for _ in ys]
 
     @cached_property
-    def _middles(self) -> dict:
-        # Cut from ``middle_product``; M_ij = Y_i where Im A_j is full, as R_j = 1 there.
+    def middles(self) -> dict:
+        """The nonzero ``middle(i, j)`` for 1 <= i, j <= n-1 as integer
+        rows, keyed by (i, j), a zero one left out.  They are read from
+        ``middle_product`` and cached: the dict and its rows are shared, so
+        callers only read them."""
+        # M_ij = Y_i where Im A_j is full, as R_j = 1 there.
         imgs, prod = [self.image(i) for i in range(1, self.n)], self.middle_product
         narrow = [j for j, img in enumerate(imgs, 1) if not img.is_full()]
         at = [0, *accumulate(imgs[j - 1].dim for j in narrow)]  # narrow[c] owns columns at[c] .. at[c+1]
@@ -243,14 +238,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation(n={self.n}, r={self.r}, label={self.label!r})"
-
-
-def _middle_product(rep) -> list:
-    """``Representation.middle_product``, in one ``mul_rows`` (none where
-    every image is full)."""
-    rows = [row for i in range(1, rep.n) if not rep.image(i).is_full() for row in rep.image(i).rows]
-    ys = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
-    return mul_rows(ys, tuple(zip(*rows)), len(rows)) if rows else [[] for _ in ys]
 
 
 def _y_rt(y, img) -> list:
@@ -381,11 +368,11 @@ def direct_sum(a, b) -> Representation:
     return Representation._from_factors(a.n, a.r + b.r, factors, f"dsum({a.label},{b.label})")
 
 
-def conjugate_rep(rep, p, label=None) -> Representation:
+def conjugate_rep(rep, p) -> Representation:
     """Replace every generator image g by p^-1 g p (``_conjugate``)."""
     if p.shape != (rep.r, rep.r):
         raise ShapeError("change of basis has the wrong size")
-    return _conjugate(rep, p, inverse(p), label)
+    return _conjugate(rep, p, inverse(p), f"conj({rep.label})")
 
 
 def _conjugate(rep, p, pinv, label) -> Representation:
@@ -400,7 +387,7 @@ def _conjugate(rep, p, pinv, label) -> Representation:
         left = pinv.num if img.is_full() else mul_rows(pinv.num, tuple(zip(*img.rows)), img.dim)
         a = _lowest_terms(mul_rows(left, mul_rows(y, p.num, r), r), s * pinv.den * p.den)
         factors.append(_factor(a, Subspace.full(r) if img.is_full() else Subspace._span(r, zip(*left))))
-    return Representation._from_factors(rep.n, r, factors, label or f"conj({rep.label})")
+    return Representation._from_factors(rep.n, r, factors, label)
 
 
 def _random_invertible_pair(size, rng: Random) -> tuple[Matrix, Matrix]:

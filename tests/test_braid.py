@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from braidrep.braid import (
     RelationReport,
-    _far_shortcut_holds,
+    _commutes,
     circular_distance,
     verify_braid_relations,
     verify_cyclic_conjugation,
     verify_deformed_relations,
 )
+from braidrep.cli import parse_rep_spec
 from braidrep.errors import ShapeError
 from braidrep.linalg import Matrix, inverse, rank
 from braidrep.zoo import (
@@ -447,7 +448,30 @@ def test_relation_shortcut_matches_the_pairwise_scan(rep):
     expected = _pairwise_report(rep)
     assert verify_braid_relations(rep) == expected
     # The shortcut alone decides too: a genuine family must not need the scan.
-    assert rep.n == 2 or (verify_cyclic_conjugation(rep) and _far_shortcut_holds(rep)) == expected.ok
+    far = all(_commutes(rep, 1, j) for j in range(3, rep.n // 2 + 2))
+    assert rep.n == 2 or (verify_cyclic_conjugation(rep) and far) == expected.ok
+
+
+_PATH_SPECS = [
+    "tym:n=6,u=2", "burau:n=7,t=2", "char:n=5,y=3",
+    "tensor(tym:n=6,u=2,y=3)", "conj(tensor(burau:n=6,t=2,y=3/2),seed=4)",
+    "dsum(tensor(tym:n=6,u=2,y=2),tensor(tym:n=6,u=5/3,y=-1))",
+    "tym:n=2,u=2", "tensor(tym:n=2,u=2,y=3)",
+    "dsum(tym:n=6,u=2,char:n=6,y=3)", "conj(tym:n=8,u=1,seed=7)",
+]
+
+
+def test_relation_check_forms_d_exactly_where_it_tries_the_shortcut():
+    # The shortcut through D is tried past 2 strands where some image is all
+    # of Q^r, and D is formed by nothing else the check runs.
+    reps = [*build_zoo(), *(parse_rep_spec(spec)[0] for spec in _PATH_SPECS)]
+    formed = 0
+    for rep in reps:
+        assert verify_braid_relations(rep).ok, rep.label
+        full = any(rep.image(i).is_full() for i in range(1, rep.n))
+        assert ("tau" in vars(rep)) == (rep.n > 2 and full), rep.label
+        formed += "tau" in vars(rep)
+    assert 0 < formed < len(reps)
 
 
 def _zero_beside_nonzero():
@@ -482,7 +506,7 @@ def _factor_scan_cases():
     yield Representation(3, 2, [Matrix([[2, 0], [0, 1]]), Matrix([[-1, 0], [1, 1]])], label="zero cubic")
     for rep in (reduced_burau(6, 2), tym_standard(6, F(5, 3))):
         twist = tensor_character(rep, F(3, 2))
-        assert twist.has_full_image
+        assert any(twist.image(i).is_full() for i in range(1, twist.n))
         yield twist
         yield scrambled(twist, 4)
         yield _entry_plus_one(scrambled(twist, 4), 4)
@@ -499,7 +523,7 @@ def test_middles_are_the_nonzero_blocks_of_each_middle():
                 broken_family(), Representation(4, 2, [Matrix.identity(2)] * 3)):
         pairs = [(i, j) for i in range(1, rep.n) for j in range(1, rep.n)]
         nonzero = [(i, j) for i, j in pairs if any(map(any, rep.middle(i, j)))]
-        mids = rep.middles()
+        mids = rep.middles
         assert sorted(mids) == nonzero, rep.label
         assert all(list(map(list, rep.middle(i, j))) == list(map(list, mid)) for (i, j), mid in mids.items()), rep.label
 

@@ -528,7 +528,7 @@ def test_graph_verb_forms_no_product_of_the_images(monkeypatch, capsys, full, sp
     monkeypatch.setattr(cli, "full_friendship_graph", spy)
     assert capture(capsys, ["graph", spec, *full])[0] == 0
     (rep,) = reps
-    assert not rep.has_full_image
+    assert not any(rep.image(i).is_full() for i in range(1, rep.n))
     assert not {"tau", "sigma0"} & set(vars(rep))
 
 
@@ -560,6 +560,9 @@ def test_conj_without_seed_takes_the_seed_option(capsys):
     ("conj(tym:n=3,u=(2)", "unbalanced parentheses in 'tym:n=3,u=(2'"),
     ("tym:n=3,u=2,u=5", "bad parameter 'u=5' for family 'tym'"),
     ("tensor(char:n=3,y=2,y=3,y=4)", "bad parameter 'y=3' for family 'char'"),
+    ("tym:n=6,u=2)", "unbalanced parentheses in 'n=6,u=2)'"),
+    ("tym:n=6,u=(2)", "bad value in 'tym:n=6,u=(2)': Invalid literal for Fraction: '(2)'"),
+    ("tym:n=6,(u=2)", "bad parameter '(u=2)' for family 'tym'"),
 ])
 def test_spec_parser_errors_exit_two_with_their_message(capsys, spec, message):
     code, out, err = capture(capsys, ["make", spec])
