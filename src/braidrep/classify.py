@@ -658,11 +658,10 @@ def _decide(rep):
     ``_character``, the core rep / y (rep itself at y = 1) and the last
     three of ``decide_irreducibility``, found on the core."""
     y = _character(rep)
-    if y == 1:
-        return (y, rep, *_ladder(rep))
-    core = tensor_character(rep, 1 / y)
+    core = rep if y == 1 else tensor_character(rep, 1 / y)
     verdict, standard_form, standard_form_err = _ladder(core)
-    verdict = replace(verdict, detail=f"divided by the character y={y}: {verdict.detail}")
+    if y != 1:
+        verdict = replace(verdict, detail=f"divided by the character y={y}: {verdict.detail}")
     return y, core, verdict, standard_form, standard_form_err
 
 

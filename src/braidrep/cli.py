@@ -107,13 +107,15 @@ MAX_DENSE_ENTRIES = 1 << 18
 
 
 def _parse_atom(text):
-    family, _, params = text.partition(":")
-    family = family.strip()
+    head, _, _ = text.partition(":")
+    family = head.strip()
     if family not in _FAMILIES:
         raise SpecParseError(f"unknown family {family!r}")
     keys, least_n, builder, dim = _FAMILIES[family]
     values = {}
-    for pair in (params[lo:hi] for lo, hi in _split(params, 0, len(params), _paren_table(params))):
+    # Split the whole atom, so a message quotes all of it; its first part opens with 'family:'.
+    (_, hi), *rest = _split(text, 0, len(text), _paren_table(text))
+    for pair in (text[lo:hi] for lo, hi in [_strip(text, len(head) + 1, hi), *rest]):
         key, eq, value = pair.partition("=")
         key = key.strip()
         if not eq or key not in keys or key in values:

@@ -164,13 +164,9 @@ def check_zn_equivariance(graph: FriendshipGraph) -> bool:
     """
     if not graph.full:
         raise PreconditionError("equivariance is defined for full graphs")
-    n = graph.vertex_count
     adj = graph.adjacency
-    for i in range(n):
-        for j in range(n):
-            if adj[i][j] != adj[(i + 1) % n][(j + 1) % n]:
-                return False
-    return True
+    # Invariance under the shift: each row i is row 0 turned right by i.
+    return all(row == adj[0][-i:] + adj[0][:-i] for i, row in enumerate(adj))
 
 
 def distance_set(graph: FriendshipGraph) -> frozenset[int]:

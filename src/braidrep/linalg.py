@@ -467,13 +467,7 @@ def intersect_stacked_kernel(u: Subspace, v: Subspace) -> Subspace:
             for i in range(u.ambient_dim)
         )
     )
-    vectors = []
-    for coeffs in kernel_basis(stacked).rows:
-        vec = [0] * u.ambient_dim
-        for c, col in zip(coeffs[: u.dim], u.rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, col)]
-        vectors.append(vec)
+    vectors = [combine(coeffs[: u.dim], u.rows, u.ambient_dim) for coeffs in kernel_basis(stacked).rows]
     return Subspace._span(u.ambient_dim, vectors)
 
 

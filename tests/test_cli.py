@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -114,6 +116,16 @@ def test_output_is_deterministic(capsys):
     _, first, _ = capture(capsys, argv)
     _, second, _ = capture(capsys, argv)
     assert first == second
+
+
+def test_console_script_names_the_main_function():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S).group(1)
+    target = re.search(r'^braidrep\s*=\s*"([^"]*)"', scripts, re.M).group(1)
+    assert target == "braidrep.cli:main"
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_make_then_analyze_file_matches_builtin(tmp_path, capsys):
@@ -560,7 +572,8 @@ def test_conj_without_seed_takes_the_seed_option(capsys):
     ("conj(tym:n=3,u=(2)", "unbalanced parentheses in 'tym:n=3,u=(2'"),
     ("tym:n=3,u=2,u=5", "bad parameter 'u=5' for family 'tym'"),
     ("tensor(char:n=3,y=2,y=3,y=4)", "bad parameter 'y=3' for family 'char'"),
-    ("tym:n=6,u=2)", "unbalanced parentheses in 'n=6,u=2)'"),
+    ("tym:n=6,u=2)", "unbalanced parentheses in 'tym:n=6,u=2)'"),
+    ("tym:n=6,u=(2", "unbalanced parentheses in 'tym:n=6,u=(2'"),
     ("tym:n=6,u=(2)", "bad value in 'tym:n=6,u=(2)': Invalid literal for Fraction: '(2)'"),
     ("tym:n=6,(u=2)", "bad parameter '(u=2)' for family 'tym'"),
 ])

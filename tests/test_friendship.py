@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from random import Random
 
 import pytest
 
@@ -213,6 +214,26 @@ def test_equivariance_requires_full_graph():
 def test_equivariance_holds_across_zoo(zoo):
     for rep in zoo:
         assert check_zn_equivariance(full_friendship_graph(rep)), rep.label
+
+
+def _shift_invariant(graph):
+    """The definition: adj[i][j] == adj[i+1][j+1] for all i, j, indices mod n."""
+    n, adj = graph.vertex_count, graph.adjacency
+    return all(adj[i][j] == adj[(i + 1) % n][(j + 1) % n] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_equivariance_matches_the_shift_definition(n):
+    rng = Random(n)
+    graphs = [FriendshipGraph.from_distance_set(n, dset)
+              for k in range(n // 2 + 1) for dset in combinations(range(1, n // 2 + 1), k)]
+    for _ in range(200):
+        adj = [[False] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            adj[i][j] = adj[j][i] = rng.random() < 0.5
+        graphs.append(FriendshipGraph(n, True, tuple(map(tuple, adj))))
+    for graph in graphs:
+        assert check_zn_equivariance(graph) == _shift_invariant(graph), graph.adjacency
 
 
 def test_classify_cycle_as_chain():

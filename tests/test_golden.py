@@ -1,10 +1,12 @@
-"""Default ``analyze``, ``graph``, ``make`` and ``sweep`` output, pinned byte
-for byte.
+"""Default ``analyze``, ``graph``, ``make`` and ``sweep`` output, and the text
+of ``verify``, ``graph``, ``irreducible`` and ``analyze``, pinned byte for byte.
 
 The files under ``tests/data/`` hold what ``braidrep analyze SPEC``,
-``braidrep graph SPEC``, ``braidrep make SPEC`` and ``braidrep sweep`` printed
-for each spec or grid below; a change that speeds up a layer must leave
-every one of them unchanged (the determinism contract of the CLI).
+``braidrep graph SPEC``, ``braidrep make SPEC``, ``braidrep sweep`` and the
+argvs of ``TEXT_GOLDEN`` printed; a change that speeds up a layer must leave
+every one of them unchanged (the determinism contract of the CLI).  CI runs
+this file against the installed package too, so a new check of the command
+line is a row here.
 """
 
 from fractions import Fraction
@@ -131,6 +133,31 @@ SWEEP_GOLDEN = {
 def test_sweep_output_is_unchanged(capsys, name):
     assert run(["sweep", *SWEEP_GOLDEN[name]]) == 0
     expected = (DATA / f"sweep_{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
+TEXT_GOLDEN = {
+    # the relations checked pair by pair on a dense conjugate
+    "verify_pairwise.txt": ["verify", "conj(burau:n=8,t=2,seed=3)"],
+    # the relations read through D, which a full image makes invertible
+    "verify_full_image.txt": ["verify", "conj(tensor(burau:n=6,t=2,y=3/2),seed=4)"],
+    # a family that breaks the relations, read from a file: one line per failing pair
+    "verify_broken.txt": ["verify", str(DATA / "broken_family.json")],
+    # a conjugated chain on 8 strands: its class and reduced edges
+    "graph_chain_n8.txt": ["graph", "conj(tym:n=8,u=2,seed=3)"],
+    # the verdict certified by the standard form, which recovers u
+    "irreducible_chain_u5_3.txt": ["irreducible", "conj(tym:n=7,u=5/3,seed=7)"],
+    # a twist whose core, Burau at t = -1 on 8 strands, has a rank-one A_1
+    "irreducible_twisted_burau.txt": ["irreducible", "conj(tensor(burau:n=8,t=-1,y=3),seed=5)"],
+    # corank 2 on n = r = 7 whose chain step fails: its error line
+    "analyze_failed_dense_chain.txt": ["analyze", "conj(dsum(burau:n=7,t=2,char:n=7,y=3),seed=2)"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_GOLDEN))
+def test_text_output_is_unchanged(capsys, name):
+    assert run([*TEXT_GOLDEN[name], "--format", "text"]) == 0
+    expected = (DATA / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
 
 
