@@ -59,7 +59,6 @@ from .friendship import (
 from .linalg import (
     Matrix,
     Subspace,
-    format_rational,
     image_basis,
     intersect_stacked_kernel,
     inverse,

@@ -21,7 +21,7 @@ from functools import partial
 from operator import mul
 
 from .braid import RelationReport, circular_distance, verify_braid_relations, verify_cyclic_conjugation
-from .errors import NotARepresentationError, PreconditionError
+from .errors import BraidRepError, NotARepresentationError, PreconditionError
 from .friendship import (
     GraphClass,
     are_friends,
@@ -35,6 +35,7 @@ from .linalg import (
     Subspace,
     _identity_rows,
     _lowest_terms,
+    _plus_scalar,
     _primitive,
     clear_denominators,
     combine,
@@ -47,7 +48,7 @@ from .linalg import (
     rational,
     rational_eigenvalues,
 )
-from .zoo import _plus_scalar, corank, tensor_character, tym_standard
+from .zoo import corank, tensor_character, tym_standard
 
 _PROJECTORS_DETAIL = "coordinate projectors certify the full matrix algebra"
 
@@ -238,8 +239,8 @@ def _eigenspace(u, v, lam, r, vu) -> Subspace:
     """
     if not lam:
         return kernel_basis(_lowest_terms(v, 1, r))
-    shifted = [[e - lam * (i == j) for j, e in enumerate(row)] for i, row in enumerate(vu)]
-    return Subspace._span(r, (combine(c, u, r) for c in kernel_basis(_lowest_terms(shifted, 1, len(u))).rows))
+    kernel = kernel_basis(_plus_scalar(_lowest_terms(vu, 1, len(u)), -lam))
+    return Subspace._span(r, (combine(c, u, r) for c in kernel.rows))
 
 
 def _norton_candidates(rep):
@@ -250,13 +251,13 @@ def _norton_candidates(rep):
     or C, a word in the generators in every basis.  First comes x y^T for
     every theta of rank one (theta has the rank of left, and left = a b^T
     gives x = R_1^T a and y = Y_1^T b).  Then, for each other theta and each
-    of its rational eigenvalues lambda in ascending order (those of
-    M_11 left / d, with 0 where k < r), x is the first canonical row of
-    ker(theta - lambda) and y that of ker(theta - lambda)^T, both read by
-    ``_eigenspace``; y is formed only when ``make_y()`` is called.
-    ``decisive`` says that two full orbits of x and y prove the algebra full
-    (``_norton_step``): always at rank one, and for a kernel exactly when it
-    is a line."""
+    of its rational eigenvalues lambda in ascending order (mu / d for the
+    integer eigenvalues mu of M_11 left, in their order as d > 0, and 0
+    where k < r), x is the first canonical row of ker(theta - lambda) and y
+    that of ker(theta - lambda)^T, both read by ``_eigenspace``; y is formed
+    only when ``make_y()`` is called.  ``decisive`` says that two full
+    orbits of x and y prove the algebra full (``_norton_step``): always at
+    rank one, and for a kernel exactly when it is a line."""
     r, (img, y1, s1) = rep.r, rep.factor(1)
     k, m11 = img.dim, rep.block(1, 1)
     words = [("A_1", _identity_rows(k), s1, m11)]  # (name, left, d, M_11 left)
@@ -273,17 +274,16 @@ def _norton_candidates(rep):
             yield ("factor", f"{name}, which has rank one", img.combination(a),
                    partial(combine, b, y1, r), True)
     for name, left, d, p in others:
-        lams = set(rational_eigenvalues(_lowest_terms(p, d, k)))
+        mus = set(map(int, rational_eigenvalues(_lowest_terms(p, 1, k))))
         if k < r:
-            lams.add(Fraction(0))
+            mus.add(0)
         # d theta = R_1^T (left Y_1) and d theta^T = Y_1^T (left^T R_1): their k x k
         # products are left M_11 and (M_11 left)^T, and their second factors are read at 0 only.
         vu, left_t, p_t = mul_rows(left, m11, k), tuple(zip(*left)), tuple(zip(*p))
-        for lam in sorted(lams):
-            mu = int(lam * d)
+        for mu in sorted(mus):
             right = _eigenspace(img.rows, None if mu else mul_rows(left, y1, r), mu, r, vu)
             make_y = lambda mu=mu: _eigenspace(y1, None if mu else mul_rows(left_t, img.rows, r), mu, r, p_t).rows[0]
-            yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0], make_y, right.dim == 1)
+            yield ("eigenvector", f"{name} at eigenvalue {Fraction(mu, d)}", right.rows[0], make_y, right.dim == 1)
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:
@@ -400,8 +400,9 @@ def lemma_bb_check(rep, i, j) -> bool:
     Read on the middles M_ab = Y_a R_b^T of A = A_i = R_i^T Y_i / s_i and B =
     A_j, R_i^T injective and the rows of Y_j independent: A^2 B = A B^2 is s_j
     M_ii M_ij = s_i M_ij M_jj, and B x = R_j^T M_ji c / s_j for x = R_i^T c, c
-    in ker(M_ii / s_i - lambda) (``_eigenspace``), so (b) is M_jj M_ji c
-    = lambda s_j M_ji c and M_ij M_ji c = -(1 + lambda) s_i s_j c; then swap i, j.
+    in ker(M_ii / s_i - lambda) = ker(M_ii - mu) for lambda = mu / s_i, mu
+    an integer eigenvalue of M_ii (``_eigenspace``), so (b) is s_i M_jj M_ji c
+    = mu s_j M_ji c and M_ij M_ji c = -(s_i + mu) s_j c; then swap i, j.
     """
     if circular_distance(i, j, rep.n) != 1:
         raise PreconditionError("indices are not neighbors")
@@ -413,14 +414,13 @@ def lemma_bb_check(rep, i, j) -> bool:
         cubes = zip(mul_rows(m[a, a], m[a, b], kb), mul_rows(m[a, b], m[b, b], kb))
         if any(sb * e != sa * f for left, right in cubes for e, f in zip(left, right)):
             return False
-        on_image = _lowest_terms(m[a, a], sa, ka)
-        for lam in rational_eigenvalues(on_image):
-            p, q = lam.as_integer_ratio()
-            for c in kernel_basis(on_image - Matrix.identity(ka) * lam).rows:
+        maa = _lowest_terms(m[a, a], 1, ka)
+        for mu in map(int, rational_eigenvalues(maa)):
+            for c in kernel_basis(_plus_scalar(maa, -mu)).rows:
                 bc = [sum(map(mul, row, c)) for row in m[b, a]]  # B R_a^T c = R_b^T bc / s_b
                 bbc, abc = ([sum(map(mul, row, bc)) for row in m[x, b]] for x in (b, a))
-                if (any(q * e != p * sb * f for e, f in zip(bbc, bc))
-                        or any(q * e != -(p + q) * sa * sb * f for e, f in zip(abc, c))):
+                if (any(sa * e != mu * sb * f for e, f in zip(bbc, bc))
+                        or any(e != -(sa + mu) * sb * f for e, f in zip(abc, c))):
                     return False
     return True
 
@@ -502,7 +502,7 @@ def _chain_matrix(chain):
     """The matrix whose columns are the chain vectors."""
     lcm = math.lcm(*(d for _, d in chain))
     cols = ([e * (lcm // d) for e in v] for v, d in chain)
-    return Matrix._new(tuple(zip(*cols)), 1) * Fraction(1, lcm)
+    return _lowest_terms(list(zip(*cols)), lcm)
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
@@ -816,7 +816,7 @@ def analyze(rep, seed=None) -> AnalysisReport:
                 graph_class = classify_distances(rep.n, dset)
             else:
                 graph_class = classify_graph(full_friendship_graph(rep))
-        except Exception as exc:  # recorded, not raised: the report must come back
+        except BraidRepError as exc:  # a refusal is recorded, not raised
             graph_err = str(exc)
     if corank_val == 2 and rep.r > rep.n >= 6 and verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE:
         standard_form_err = (

@@ -394,7 +394,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         _emit(args.func(args), args.out)
-    except (BraidRepError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (BraidRepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -30,11 +30,6 @@ def rational(value) -> Fraction:
     return Fraction(value)
 
 
-def format_rational(value) -> str:
-    """Serialize as 'p/q', or plain 'p' when the denominator is 1; refuses floats and booleans."""
-    return str(rational(value))
-
-
 _EXACT_TYPES = frozenset((int, Fraction))
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -62,7 +57,7 @@ def _ratio(value):
 
 
 def _format_entry(e, den) -> str:
-    """The entry e / den (den > 0) as ``format_rational`` writes it."""
+    """The entry e / den (den > 0) as ``str(Fraction(e, den))`` writes it."""
     g = math.gcd(e, den)
     return str(e // g) if g == den else f"{e // g}/{den // g}"
 
@@ -134,8 +129,8 @@ class Matrix:
     mostly-zero rows of the left factor, so products with the sparse
     generator images stay cheap.  Entries given to the constructor are ints,
     Fractions or 'p/q' strings; floats and booleans are refused.  The wire
-    format (``to_strings`` and ``from_strings``) goes between strings and
-    the integer rows directly and builds no ``Fraction``.
+    format (``to_strings``, and the constructor on 'p/q' strings) goes
+    between strings and the integer rows directly and builds no ``Fraction``.
     """
 
     __slots__ = ("num", "den", "nrows", "ncols")
@@ -185,13 +180,6 @@ class Matrix:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def __getitem__(self, key):
-        i, j = key
-        return Fraction(self.num[i][j], self.den)
-
-    def column(self, j):
-        return tuple(Fraction(row[j], self.den) for row in self.num)
-
     def transpose(self):
         return Matrix._new(tuple(zip(*self.num)) or ((),) * self.ncols, self.den, self.nrows)
 
@@ -225,9 +213,6 @@ class Matrix:
             return NotImplemented
         return self._combine(other, -1)
 
-    def __neg__(self):
-        return Matrix._new(tuple(tuple(-e for e in row) for row in self.num), self.den, self.ncols)
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -244,17 +229,6 @@ class Matrix:
             return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d, self.ncols)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    @property
-    def trace(self):
-        if not self.is_square:
-            raise ShapeError("trace of a non-square matrix")
-        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
-
     def is_zero(self):
         return not any(map(any, self.num))
 
@@ -265,13 +239,17 @@ class Matrix:
             return [[str(e) for e in row] for row in self.num]
         return [[_format_entry(e, den) for e in row] for row in self.num]
 
-    @classmethod
-    def from_strings(cls, rows):
-        return cls(rows)
-
     def __repr__(self):
         body = "; ".join(map(" ".join, self.to_strings()))
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
+
+
+def _plus_scalar(m, c) -> Matrix:
+    """m + c for a square matrix m and an integer c: num + c den on the
+    diagonal, where gcd(den, x + c den) = gcd(den, x) keeps lowest terms."""
+    step = c * m.den
+    num = tuple(row[:k] + (row[k] + step,) + row[k + 1 :] for k, row in enumerate(m.num))
+    return Matrix._new(num, m.den)
 
 
 def rank(m: Matrix) -> int:

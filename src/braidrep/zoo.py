@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _lowest_terms,
+    _plus_scalar,
     _primitive,
     combine,
     image_basis,
@@ -28,14 +29,6 @@ from .linalg import (
     mul_rows,
     rational,
 )
-
-
-def _plus_scalar(m, c) -> Matrix:
-    """m + c for a square matrix m and an integer c.  num + c den on the
-    diagonal: gcd(den, x + c den) = gcd(den, x), so the sum stays in lowest terms."""
-    step = c * m.den
-    num = tuple(row[:k] + (row[k] + step,) + row[k + 1 :] for k, row in enumerate(m.num))
-    return Matrix._new(num, m.den)
 
 
 class Representation:
@@ -441,7 +434,7 @@ def rep_from_dict(data) -> Representation:
     try:
         n = _whole_number(data["n"], "n")
         r = _whole_number(data["r"], "r")
-        gens = [Matrix.from_strings(g) for g in data["generators"]]
+        gens = [Matrix(g) for g in data["generators"]]
         label = str(data.get("label", ""))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed representation data: {exc}") from exc

@@ -80,7 +80,7 @@ def test_tau_of_permutation_family_is_a_cycle():
     t = tym_standard(3, 1).tau
     dim = 3
     for i in range(dim):
-        col = t.column(i)
+        col = t.transpose().rows[i]
         expect = tuple(F(int(j == (i + 1) % dim)) for j in range(dim))
         assert col == expect
 

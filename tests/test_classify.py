@@ -249,9 +249,11 @@ def _dense_lemma_bb(rep, i, j):
 
 def _neighbor_identity_families():
     """The families of the relation tests, each with its neighbor pairs (i,
-    i + 1 mod n), s0 among them, whose images do not meet."""
-    zoo = build_zoo()
-    for rep in [*zoo, *(scrambled(rep, 1) for rep in zoo), *random_families(), broken_family(), *delta_families()]:
+    i + 1 mod n), s0 among them, whose images do not meet.  The Burau family
+    at t = 5/3 has sides where s_a does not divide mu: lambda is no integer."""
+    zoo, burau = build_zoo(), reduced_burau(6, F(5, 3))
+    for rep in [*zoo, *(scrambled(rep, 1) for rep in zoo), *random_families(), broken_family(), *delta_families(),
+                burau, scrambled(burau, 1)]:
         pairs = [(i, (i + 1) % rep.n) for i in range(rep.n)]
         yield rep, [(i, j) for i, j in pairs if not are_friends(rep, i, j)]
 
@@ -830,7 +832,7 @@ def _outer(x, y):
 
 def _is_multiple(m, of):
     i, j = next((i, j) for i, row in enumerate(of.rows) for j, e in enumerate(row) if e)
-    return m[i, j] != 0 and of * (m[i, j] / of[i, j]) == m
+    return m.rows[i][j] != 0 and of * (m.rows[i][j] / of.rows[i][j]) == m
 
 
 @pytest.mark.parametrize("rep, first", [
@@ -1284,6 +1286,18 @@ def test_analyze_graph_class_equals_the_graph_of_the_input(rep):
     except Exception as exc:
         expected = None, str(exc)
     assert (report.graph_class, report.graph_error) == expected
+
+
+def test_analyze_raises_a_fault_of_the_graph_step(monkeypatch):
+    # Only a refusal, a BraidRepError, is recorded as the graph's error.
+    import braidrep.classify as classify
+
+    def broken(n, dset):
+        raise TypeError("a fault, not a refusal")
+
+    monkeypatch.setattr(classify, "classify_distances", broken)
+    with pytest.raises(TypeError, match="a fault, not a refusal"):
+        analyze(tym_standard(5, 2))
 
 
 @pytest.mark.parametrize("spec, start", [

@@ -16,7 +16,6 @@ from braidrep.linalg import (
     _ratio,
     clear_denominators,
     combine,
-    format_rational,
     image_basis,
     intersect_stacked_kernel,
     inverse,
@@ -45,9 +44,9 @@ def test_rational_parsing_and_formatting():
     assert rational("5/3") == F(5, 3)
     assert rational("-7/4") == F(-7, 4)
     assert rational(4) == F(4)
-    assert format_rational(F(5, 3)) == "5/3"
-    assert format_rational(F(5, 1)) == "5"
-    assert format_rational(F(-7, 4)) == "-7/4"
+    assert str(rational(F(5, 3))) == "5/3"
+    assert str(rational(F(5, 1))) == "5"
+    assert str(rational(F(-7, 4))) == "-7/4"
     with pytest.raises(ValueError):
         rational(0.5)
 
@@ -70,7 +69,7 @@ def test_an_empty_matrix_keeps_its_column_count(nrows, ncols):
     m = Matrix.zero(nrows, ncols)
     assert m.shape == (nrows, ncols)
     assert m.transpose().shape == (ncols, nrows)
-    assert (-m).shape == (m * 2).shape == (m + m).shape == (nrows, ncols)
+    assert (m * -1).shape == (m * 2).shape == (m + m).shape == (nrows, ncols)
     assert (m * Matrix.zero(ncols, 4)).shape == (nrows, 4)
     assert (m == Matrix.zero(nrows, ncols + 1)) is False
 
@@ -84,9 +83,9 @@ def test_matrix_refuses_floats():
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
-def test_format_rational_refuses_floats_and_booleans(bad):
+def test_rational_refuses_floats_and_booleans(bad):
     with pytest.raises(ValueError, match="refusing to coerce"):
-        format_rational(bad)
+        rational(bad)
 
 
 @pytest.mark.parametrize("bad", [True, False])
@@ -94,17 +93,16 @@ def test_matrix_scalar_product_refuses_booleans_as_the_constructor_does(bad):
     m = Matrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError) as built:
         Matrix([[bad]])
-    for product in (lambda: m * bad, lambda: bad * m):
-        with pytest.raises(ValueError) as refused:
-            product()
-        assert str(refused.value) == str(built.value)
-    assert m * 1 == 1 * m == m and m * F(1, 2) == Matrix([[F(1, 2), 1], [F(3, 2), 2]])
+    with pytest.raises(ValueError) as refused:
+        m * bad
+    assert str(refused.value) == str(built.value)
+    assert m * 1 == m and m * F(1, 2) == Matrix([[F(1, 2), 1], [F(3, 2), 2]])
 
 
 def test_rational_round_trip_is_exact():
     values = [F(3, 7), F(-22, 6), F(0), F(10**40, 3)]
     for v in values:
-        assert rational(format_rational(v)) == v
+        assert rational(str(rational(v))) == v
 
 
 def test_rank_of_opposite_rows_is_one():
@@ -313,12 +311,11 @@ def test_matrix_vector_and_scalar_products():
     m = Matrix([[1, 2], [3, 4]])
     assert m * (1, 1) == (F(3), F(7))
     assert (m * 2) == Matrix([[2, 4], [6, 8]])
-    assert (2 * m) == Matrix([[2, 4], [6, 8]])
 
 
 def test_matrix_serialization_round_trip():
     m = Matrix([[F(1, 3), F(-2)], [F(0), F(7, 5)]])
-    assert Matrix.from_strings(m.to_strings()) == m
+    assert Matrix(m.to_strings()) == m
 
 
 def _random_matrix(rng, nrows, ncols, span=4):
@@ -461,14 +458,12 @@ def test_integer_kernel_matches_fraction_reference(operands):
     _check_kernel_form(ma * mb, _ref_mul(a, b))
     _check_kernel_form(ma + ma2, [[x + y for x, y in zip(r, s)] for r, s in zip(a, a2)])
     _check_kernel_form(ma - ma2, [[x - y for x, y in zip(r, s)] for r, s in zip(a, a2)])
-    _check_kernel_form(-ma, [[-x for x in r] for r in a])
+    _check_kernel_form(ma * -1, [[-x for x in r] for r in a])
     _check_kernel_form(ma * c, [[x * c for x in r] for r in a])
-    _check_kernel_form(c * ma, [[c * x for x in r] for r in a])
     _check_kernel_form(ma.transpose(), [list(col) for col in zip(*a)])
     product = ma * v
     assert all(type(e) is Fraction for e in product)
     assert list(product) == [sum((x * y for x, y in zip(r, v)), F(0)) for r in a]
-    assert msq.trace == sum((sq[i][i] for i in range(len(sq))), F(0))
     assert msq.is_zero() == (not any(x for r in sq for x in r))
     ref_inv = _ref_inverse(sq)
     if ref_inv is None:
@@ -557,25 +552,25 @@ def _wire_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(_wire_matrices())
 def test_wire_format_matches_fraction_reference(m):
-    expected = [[format_rational(e) for e in row] for row in m.rows]
+    expected = [[str(rational(e)) for e in row] for row in m.rows]
     assert m.to_strings() == expected
-    assert Matrix.from_strings(expected) == m
+    assert Matrix(expected) == m
 
 
 @pytest.mark.parametrize("text", [
     "3", "-0", "007", "3/6", "-3/6", "0/5", " 3", "+3", "1.5", "1e2", "3_0", "1/-2",
     "1/0", "-3/0", "", "x", "٣",  # the last is an Arabic-Indic digit three
 ])
-def test_from_strings_reads_each_string_as_fraction_does(text):
+def test_matrix_reads_each_string_as_fraction_does(text):
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)) as raised:
-            Matrix.from_strings([[text]])
+            Matrix([[text]])
         assert str(raised.value) == str(exc)
     else:
         # Equal matrices have equal stored integers: the entry is in lowest terms.
-        assert Matrix.from_strings([[text]]) == Matrix([[expected]])
+        assert Matrix([[text]]) == Matrix([[expected]])
 
 
 def _primitive(v):

@@ -117,8 +117,8 @@ def test_direct_sum_block_structure():
     rep = direct_sum(tym_standard(6, 2), character_rep(6, 5))
     assert rep.r == 7
     g = rep.gen(1)
-    assert g[6, 6] == 5
-    assert all(g[6, j] == 0 and g[j, 6] == 0 for j in range(6))
+    assert g.rows[6][6] == 5
+    assert all(g.rows[6][j] == 0 and g.rows[j][6] == 0 for j in range(6))
 
 
 def test_direct_sum_corank_adds():
