@@ -243,19 +243,6 @@ def _eigenspace(u, v, lam, r, vu) -> Subspace:
     return Subspace._span(r, (combine(c, u, r) for c in kernel.rows))
 
 
-def _norton_words(rep):
-    """``(name, left, d, M_11 left)`` for the words theta = R_1^T (left Y_1)
-    / d of the Norton step (``_norton_candidates``): A_1, and the neighbor
-    cubic where n > 2."""
-    img, _, s1 = rep.factor(1)
-    k, m11 = img.dim, rep.block(1, 1)
-    words = [("A_1", _identity_rows(k), s1, m11)]
-    if rep.n > 2:
-        cubic = rep.cubic(1, 2)
-        words.append(("the neighbor cubic", cubic, (s1 * rep.factor(2)[2]) ** 2, mul_rows(m11, cubic, k)))
-    return words
-
-
 def _norton_candidates(rep):
     """``(kind, where, x, make_y, decisive)`` for the Norton step, in the
     order it tries them.  The words are A_1 = R_1^T Y_1 / s_1 and the
@@ -271,10 +258,14 @@ def _norton_candidates(rep):
     only when ``make_y()`` is called.  ``decisive`` says that two full
     orbits of x and y prove the algebra full (``_norton_step``): always at
     rank one, and for a kernel exactly when it is a line."""
-    r, (img, y1, _) = rep.r, rep.factor(1)
+    r, (img, y1, s1) = rep.r, rep.factor(1)
     k, m11 = img.dim, rep.block(1, 1)
+    words = [("A_1", _identity_rows(k), s1, m11)]  # (name, left, d, M_11 left)
+    if rep.n > 2:
+        cubic = rep.cubic(1, 2)
+        words.append(("the neighbor cubic", cubic, (s1 * rep.factor(2)[2]) ** 2, mul_rows(m11, cubic, k)))
     others = []
-    for name, left, d, p in _norton_words(rep):
+    for name, left, d, p in words:
         found = _rank_one_factors(left)
         if found is None:
             others.append((name, left, d, p))
@@ -329,33 +320,6 @@ def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerd
             )
         if verdict is not None:
             return verdict
-    return None
-
-
-def _image_witness(rep, images_span=False) -> IrreducibilityVerdict | None:
-    """The first proper orbit of a vector in the image of a word of the
-    Norton step, verified, or None; tried only where the image of A_1 is a
-    proper subspace, k < r, as otherwise the first vector is a coordinate
-    vector of the basis at hand.
-
-    Where the input is m >= 2 copies of one absolutely irreducible W, V = W
-    (x) Q^m, its algebra is thin, and a word acts as theta_W (x) 1, so its
-    eigenspaces are those of theta_W tensored with Q^m, and their first
-    canonical rows may have full orbits, as they do in most bases.  A word of
-    rank one on W has the image x (x) Q^m, and every vector x (x) l of it has
-    the orbit W (x) l, proper in every basis.  The vector is R_1^T c for the
-    first nonzero column c of left.
-    """
-    img = rep.image(1)
-    if img.dim == rep.r:
-        return None
-    for name, left, _, _ in _norton_words(rep):
-        column = next((c for c in zip(*left) if any(c)), None)
-        if column is not None:
-            orbit = _orbit(rep, img.combination(column), images_span=images_span)
-            verdict = _verified_reducible(rep, orbit, f"orbit of a vector in the image of {name}")
-            if verdict is not None:
-                return verdict
     return None
 
 
@@ -590,8 +554,7 @@ def dimension_bound_check(rep) -> bool:
 
 
 def _witness_steps(rep) -> IrreducibilityVerdict | None:
-    """Common fixed vectors, then the Norton step, then ``_image_witness``:
-    the first verdict, or None.
+    """Common fixed vectors, then the Norton step: the first verdict, or None.
 
     The fixed vectors are ker A_i = ker Y_i, as R_i^T is injective: the
     kernel of the (n-1)k stacked rows Y_i.  Where the k_i add up to r and no
@@ -604,20 +567,19 @@ def _witness_steps(rep) -> IrreducibilityVerdict | None:
     r = rep.r
     square = sum(rep.image(i).dim for i in range(1, rep.n)) == r
     if square and rank(_lowest_terms(rep.middle_product, 1, r)) == r:
-        return _norton_step(rep, fixed_free=True, images_span=True) or _image_witness(rep, images_span=True)
+        return _norton_step(rep, fixed_free=True, images_span=True)
     stacked = [row for i in range(1, rep.n) for row in rep.factor(i)[1]]
     fixed = kernel_basis(_lowest_terms(stacked, 1, r))
-    return (_verified_reducible(rep, fixed, "common fixed vectors") or _norton_step(rep, fixed.is_zero())
-            or _image_witness(rep))
+    return _verified_reducible(rep, fixed, "common fixed vectors") or _norton_step(rep, fixed.is_zero())
 
 
 def invariant_subspace_search(rep) -> IrreducibilityVerdict:
     """Witness search: common fixed vectors, then the witnesses of the Norton
-    step and of ``_image_witness``.  Returns a verified Reducible verdict, or
-    Inconclusive when none finds an invariant subspace, also where the
-    Norton step proves the algebra full.  ``decide_irreducibility`` runs the
-    same steps itself; this entry point stays because the benchmark's
-    ``classify.witness_search`` span is bound to it by name.
+    step.  Returns a verified Reducible verdict, or Inconclusive when neither
+    finds an invariant subspace, also where the Norton step proves the
+    algebra full.  ``decide_irreducibility`` runs the same two steps itself;
+    this entry point stays because the benchmark's ``classify.witness_search``
+    span is bound to it by name.
     """
     verdict = _witness_steps(rep)
     if verdict is not None and verdict.tag is Verdict.REDUCIBLE:
@@ -681,8 +643,8 @@ def decide_irreducibility(rep):
     theorem in ``_standard_fullness_certificate``), where a failed chain
     step records its error and goes on; (3) common fixed vectors; (4) the
     Norton step, whose witnesses and fullness proof do not depend on the
-    basis, then the image vectors of ``_image_witness``; (5) where none of
-    these decides, ``burnside_dimension``: the closure modulo a large prime, then the exact
+    basis; (5) where no element of the Norton step decides,
+    ``burnside_dimension``: the closure modulo a large prime, then the exact
     rational closure.  An algebra of dimension below r leaves every orbit
     proper, so the orbit of a coordinate vector is a witness; otherwise thin
     is Inconclusive.  Every Reducible verdict is the verified witness of step

@@ -1142,26 +1142,6 @@ def test_algebra_below_dimension_r_makes_every_orbit_a_witness(seed):
     assert_invariant(rep, verdict.witness)
 
 
-@pytest.mark.parametrize("n", [5, 7])
-@pytest.mark.parametrize("seed", [None, 0, 3])
-def test_two_copies_of_one_representation_are_reducible_in_every_basis(n, seed):
-    # Burau at t = -1 and odd n is irreducible with a nilpotent A_1 of rank
-    # one.  On two copies every eigenspace of the Norton step is two copies of
-    # one of dimension n - 2, whose first canonical row has the full orbit in
-    # a mixed basis, but every vector in the image of A_1 spans one copy.  At
-    # n = 7 the exact closure took minutes before that step.
-    rep = direct_sum(reduced_burau(n, -1), reduced_burau(n, -1))
-    if seed is not None:
-        rep = scrambled(rep, seed)
-    with time_limit(3):
-        verdict = analyze(rep).verdict
-    assert verdict.tag is Verdict.REDUCIBLE
-    assert verdict.witness.dim == n - 1
-    assert_invariant(rep, verdict.witness)
-    if seed is not None:
-        assert verdict.detail == "orbit of a vector in the image of A_1"
-
-
 def test_witness_search_ends_inconclusive_on_irreducible_input():
     # Reduced Burau at t = 2 is irreducible: the orbits of the Norton step
     # are full, so the search finds no witness and says so.
