@@ -3,16 +3,17 @@ from random import Random
 
 import pytest
 
-from braidrep import (
+from braidrep.linalg import Matrix
+from braidrep.zoo import (
+    Representation,
     character_rep,
     direct_sum,
+    random_invertible_matrix,
     reduced_burau,
     scrambled,
     tensor_character,
     tym_standard,
 )
-from braidrep.linalg import Matrix
-from braidrep.zoo import Representation, random_invertible_matrix
 
 
 def build_zoo():

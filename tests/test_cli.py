@@ -402,6 +402,18 @@ def test_oversized_sweep_range_exits_two_before_it_is_expanded():
     assert done.stderr.startswith("error: out of scale: n=1000000000000,") and done.stderr.count("\n") == 1
 
 
+def test_the_package_binds_no_names_and_loads_no_module():
+    """Each name has one import path, its module: a fresh ``import braidrep``
+    binds only dunder names and imports no ``braidrep.*`` submodule."""
+    src = str(Path(braidrep.__file__).resolve().parent.parent)
+    code = ("import sys, braidrep; "
+            "print(sorted(k for k in vars(braidrep) if not k.startswith('__'))); "
+            "print(sorted(m for m in sys.modules if m.startswith('braidrep.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n[]\n", "")
+
+
 def test_spec_nested_past_the_recursion_limit_exits_two(capsys):
     spec = "tensor(" * 2000 + "tym:n=6,u=2" + ",y=2)" * 2000
     assert capture(capsys, ["make", spec]) == (2, "", "error: spec is nested too deeply\n")
