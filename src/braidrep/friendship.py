@@ -57,20 +57,12 @@ class FriendshipGraph:
                 if self.adjacency[i][j] != self.adjacency[j][i]:
                     raise ValueError("adjacency must be symmetric")
 
-    @property
-    def n(self):
-        """Strand count of the underlying group."""
-        return self.vertex_count if self.full else self.vertex_count + 1
-
     def label_of(self, v):
         return v if self.full else v + 1
 
     def edges(self):
         m = self.vertex_count
         return [(i, j) for i in range(m) for j in range(i + 1, m) if self.adjacency[i][j]]
-
-    def edge_count(self):
-        return len(self.edges())
 
     def reduced(self) -> "FriendshipGraph":
         """The induced subgraph of a full graph on s1..s(n-1)."""
@@ -229,8 +221,7 @@ def is_chain(graph: FriendshipGraph) -> bool:
     """
     m = graph.vertex_count
     if graph.full:
-        n = graph.n
-        want = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+        want = {tuple(sorted((i, (i + 1) % m))) for i in range(m)}
     else:
         want = {(k, k + 1) for k in range(m - 1)}
     return set(graph.edges()) == want

@@ -383,13 +383,6 @@ class Subspace:
             span.add(row + zeros)
         return Subspace._span(d, [row[d:] for row, p in zip(span.rows, span.pivots) if p >= d])
 
-    def __add__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("subspaces live in different ambient spaces")
-        return Subspace._span(self.ambient_dim, self.rows + other.rows)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented

@@ -77,7 +77,6 @@ class Representation:
         self.n = n
         self.r = r
         self.label = label
-        self._inverses = {}
         self._factors = dict(enumerate(factors, 1))
 
     @classmethod
@@ -92,19 +91,6 @@ class Representation:
     def tau(self) -> Matrix:
         """D = g_1 ... g_(n-1), the image of delta."""
         return reduce(mul, self.generators)
-
-    def gen(self, i) -> Matrix:
-        """Image of generator i, with i = 0 giving the derived s0 image."""
-        if i == 0:
-            return self.sigma0
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"generator index {i} out of range")
-        return self.generators[i - 1]
-
-    def gen_inverse(self, i) -> Matrix:
-        if i not in self._inverses:
-            self._inverses[i] = inverse(self.gen(i))
-        return self._inverses[i]
 
     @cached_property
     def sigma0(self) -> Matrix:

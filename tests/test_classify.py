@@ -89,8 +89,8 @@ def unit(i, dim):
 def _invariant_by_inverses(rep, w):
     """Reference witness check: every generator image and its explicit
     inverse map every basis vector of w into w."""
-    return all(w.contains(g * v) for v in w.basis_vectors() for i in range(1, rep.n)
-               for g in (rep.gen(i), rep.gen_inverse(i)))
+    images = [*rep.generators, *map(inverse, rep.generators)]
+    return all(w.contains(g * v) for v in w.basis_vectors() for g in images)
 
 
 def assert_invariant(rep, w):
@@ -128,10 +128,10 @@ def _spin_by_products(rep, v):
     span, work = Subspace(rep.r, [v]), [v]
     while work:
         w = work.pop()
-        for i in range(1, rep.n):
-            gw = rep.gen(i) * w
+        for g in rep.generators:
+            gw = g * w
             if not span.contains(gw):
-                span, work = span + Subspace(rep.r, [gw]), work + [gw]
+                span, work = Subspace(rep.r, [*span.basis_vectors(), gw]), work + [gw]
     return span
 
 
@@ -167,7 +167,7 @@ def test_burnside_reads_a_denominator_of_the_closure_prime_exactly():
     # to E_01 and E_12, whose closure spans 4 of 9 dimensions and proves
     # nothing, and the exact closure still finds the full algebra.
     rep = tym_standard(3, Fraction(1, 2 ** 61 - 1))
-    assert any(rep.gen(i).den % (2 ** 61 - 1) == 0 for i in range(1, rep.n))
+    assert any(g.den % (2 ** 61 - 1) == 0 for g in rep.generators)
     assert not _modp_algebra_is_full(rep)
     assert burnside_dimension(rep)[0] == 9
     assert _algebra_dim(rep, _ModpSpan(2 ** 61 - 1)) == 4
@@ -325,7 +325,7 @@ def test_chain_basis_rejects_dimension_mismatch():
 def test_chain_start_is_all_of_im_a1_where_a2_is_zero():
     # A_2 = 0 has no factor rows, so ker A_2 is everything and the start
     # space is the whole plane Im A_1.
-    gens = [tym_standard(6, 2).gen(1)] + [Matrix.identity(6)] * 4
+    gens = [tym_standard(6, 2).generators[0]] + [Matrix.identity(6)] * 4
     with pytest.raises(PreconditionError, match="^chain start Im A_1 cap ker A_2 has dimension 2, not 1$"):
         extract_standard_form(Representation(6, 6, gens))
 
@@ -366,8 +366,8 @@ def test_standard_family_reducible_at_one():
     assert verdict.witness.contains(ones)
     assert verdict.witness.dim == 1
     rep = tym_standard(6, 1)
-    for i in range(1, 6):
-        assert rep.gen(i) * ones == ones
+    for g in rep.generators:
+        assert g * ones == ones
 
 
 def test_standard_family_irreducible_otherwise():
@@ -1063,21 +1063,23 @@ def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatc
 def test_norton_step_forms_no_left_kernel_after_a_proper_right_orbit(monkeypatch):
     # A_1 of the sum has the eigenvalue -4 of the first summand only; its
     # right eigenvector spans a proper orbit, a witness, and no left kernel
-    # (the kernel of a transpose) is needed for it.
+    # (the kernel read on the rows of Y_1) is needed for it: the one
+    # eigenspace formed is the right one, on the canonical rows of Im A_1.
+    import braidrep.classify as classify
+
     rep = direct_sum(reduced_burau(6, 2), reduced_burau(6, 3))
     assert next(_norton_candidates(rep))[1] == "A_1 at eigenvalue -4"
     calls = []
-    original = Matrix.transpose
 
-    def spy(self):
-        calls.append(self)
-        return original(self)
+    def spy(u, *args):
+        calls.append(u)
+        return _eigenspace(u, *args)
 
-    monkeypatch.setattr(Matrix, "transpose", spy)
+    monkeypatch.setattr(classify, "_eigenspace", spy)
     verdict = _norton_step(rep)
     assert verdict.tag is Verdict.REDUCIBLE
     assert verdict.detail == "orbit of a right eigenvector of A_1 at eigenvalue -4"
-    assert calls == []
+    assert calls == [rep.image(1).rows]
 
 
 def test_transposed_orbit_is_needed_for_fullness():
@@ -1500,7 +1502,7 @@ def test_factors_rebuild_every_deformation(rep):
 def _orbit_by_products(rep, v, transposed):
     """Reference orbit of v under the integer numerators of the generator
     images, or under their transposes, grown by Fraction products."""
-    mats = [Matrix(rep.gen(i).num) for i in range(1, rep.n)]
+    mats = [Matrix(g.num) for g in rep.generators]
     if transposed:
         mats = [m.transpose() for m in mats]
     span, work = Subspace(rep.r, [v]), [v]
@@ -1509,7 +1511,7 @@ def _orbit_by_products(rep, v, transposed):
         for m in mats:
             mw = m * w
             if not span.contains(mw):
-                span, work = span + Subspace(rep.r, [mw]), work + [mw]
+                span, work = Subspace(rep.r, [*span.basis_vectors(), mw]), work + [mw]
     return span
 
 
@@ -1758,11 +1760,11 @@ def _ordered_reference(rep):
         raise PreconditionError("friendship graph is not a chain: images 0 and 1 meet trivially")
     lead = next(e for e in line.rows[0] if e)
     chain = [tuple(F(e, lead) for e in line.rows[0])]
-    for i in range(1, n):
-        chain.append(rep.gen(i) * chain[-1])
+    for g in rep.generators:
+        chain.append(g * chain[-1])
     twists = []
-    for i in range(1, n):
-        back, prev = rep.gen(i) * chain[i], chain[i - 1]
+    for i, g in enumerate(rep.generators, 1):
+        back, prev = g * chain[i], chain[i - 1]
         t = next(b / p for b, p in zip(back, prev) if p)
         if not t or back != tuple(t * e for e in prev):
             raise NotARepresentationError(f"generator {i} does not map its chain vector into the previous line")
@@ -1776,8 +1778,8 @@ def _ordered_reference(rep):
     if u == 1:
         raise PreconditionError("twist factor 1: the sum of the chain vectors is a fixed vector")
     binv, target = inverse(basis), tym_standard(n, u)
-    for i in range(1, n):
-        if binv * rep.gen(i) * basis != target.gen(i):
+    for i, (g, want) in enumerate(zip(rep.generators, target.generators), 1):
+        if binv * g * basis != want:
             raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
     return u, basis
 
@@ -1961,7 +1963,7 @@ def _left_mul(g, ncols, w):
 def _dense_algebra_dim(rep, span):
     """The reference closure: the identity under left multiplication by the
     dense integer numerators of the images, zero deformations included."""
-    r, gens = rep.r, [rep.gen(i).num for i in range(1, rep.n)]
+    r, gens = rep.r, [g.num for g in rep.generators]
     work = [span.add([int(i == j) for i in range(r) for j in range(r)])]
     while work and span.dim < r * r:
         w = work.pop()

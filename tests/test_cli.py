@@ -42,6 +42,18 @@ def test_spec_parser_combinators():
     assert rep.r == 5 and rep != tym_standard(5, 2)
 
 
+@pytest.mark.parametrize("spaced, plain", [
+    (" tym:n=6, u=2 ", "tym:n=6,u=2"),
+    ("dsum( tym:n=6,u=2 , char:n=6,y=2 )", "dsum(tym:n=6,u=2,char:n=6,y=2)"),
+    ("conj( tym:n=5,u=2 , seed=3 )", "conj(tym:n=5,u=2,seed=3)"),
+    ("tensor(tym:n=5,u=2, y=3)", "tensor(tym:n=5,u=2,y=3)"),
+])
+def test_spec_parser_ignores_spaces_around_parts(spaced, plain):
+    rep, expected = parse_rep_spec(spaced)[0], parse_rep_spec(plain)[0]
+    assert rep == expected
+    assert rep.label == expected.label
+
+
 def test_spec_parser_rejections():
     for bad in ("nope:n=3", "tym:n=6", "tym:n=6,u=2,extra=1", "dsum(char:n=5,y=2)",
                 "tym:n=6,u=0/1", "conj(tym:n=5,u=2,seed=x)"):

@@ -161,26 +161,6 @@ def test_intersect_requires_matching_ambient():
         subspace((1, 0)).intersect(subspace((1, 0, 0)))
 
 
-def test_sum_requires_matching_ambient():
-    with pytest.raises(ShapeError):
-        subspace((1, 0)) + subspace((1, 0, 0))
-
-
-def test_sum_of_coordinate_lines():
-    assert subspace(e(0, 3)) + subspace(e(1, 3)) == subspace(e(0, 3), e(1, 3))
-
-
-def test_sum_with_zero_is_identity():
-    u = subspace((1, 2, 3))
-    assert u + Subspace.zero(3) == u
-
-
-def test_sum_of_overlapping_planes_has_dimension_three():
-    u = subspace(e(0, 4), e(1, 4))
-    v = subspace(e(1, 4), e(2, 4))
-    assert (u + v).dim == 3
-
-
 def test_inverse_of_antidiagonal():
     inv = inverse(Matrix([[0, 2], [1, 0]]))
     assert inv == Matrix([[0, 1], [F(1, 2), 0]])
@@ -343,7 +323,7 @@ def test_dimension_formula_on_random_subspaces():
     for _ in range(60):
         u = image_basis(_random_matrix(rng, 5, rng.randint(1, 4)))
         v = image_basis(_random_matrix(rng, 5, rng.randint(1, 4)))
-        assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
+        assert rank(Matrix(u.rows + v.rows)) + u.intersect(v).dim == u.dim + v.dim
 
 
 small_entries = st.integers(min_value=-6, max_value=6)

@@ -44,14 +44,13 @@ def test_character_rejects_zero():
 
 def test_standard_family_first_generator_matrix():
     rep = tym_standard(3, F(7, 2))
-    assert rep.gen(1) == Matrix([[0, F(7, 2), 0], [1, 0, 0], [0, 0, 1]])
-    assert rep.gen(2) == Matrix([[1, 0, 0], [0, 0, F(7, 2)], [0, 1, 0]])
+    assert rep.generators == (Matrix([[0, F(7, 2), 0], [1, 0, 0], [0, 0, 1]]),
+                              Matrix([[1, 0, 0], [0, 0, F(7, 2)], [0, 1, 0]]))
 
 
 def test_standard_family_at_one_is_permutations():
     rep = tym_standard(5, 1)
-    for i in range(1, 5):
-        g = rep.gen(i)
+    for g in rep.generators:
         assert g * g == Matrix.identity(5)
         assert all(entry in (0, 1) for row in g.rows for entry in row)
 
@@ -97,8 +96,8 @@ def test_tensor_of_characters_multiplies_parameters():
 def test_tensor_scales_generator_entries():
     rep = tym_standard(5, 2)
     scaled = tensor_character(rep, 3)
-    for i in range(1, 5):
-        assert scaled.gen(i) == rep.gen(i) * 3
+    for g, h in zip(scaled.generators, rep.generators, strict=True):
+        assert g == h * 3
 
 
 def test_tensor_composition_law():
@@ -110,13 +109,13 @@ def test_tensor_composition_law():
 def test_direct_sum_of_trivial_characters():
     rep = direct_sum(character_rep(6, 1), character_rep(6, 1))
     assert rep.r == 2
-    assert all(rep.gen(i) == Matrix.identity(2) for i in range(1, 6))
+    assert rep.generators == (Matrix.identity(2),) * 5
 
 
 def test_direct_sum_block_structure():
     rep = direct_sum(tym_standard(6, 2), character_rep(6, 5))
     assert rep.r == 7
-    g = rep.gen(1)
+    g = rep.generators[0]
     assert g.rows[6][6] == 5
     assert all(g.rows[6][j] == 0 and g.rows[j][6] == 0 for j in range(6))
 
