@@ -47,6 +47,13 @@ def test_circular_distance_wraps():
     assert circular_distance(0, 2, 3) == 1
 
 
+def test_word_rejects_out_of_range_letters():
+    rep = tym_standard(4, 2)
+    for i in (4, -1):
+        with pytest.raises(IndexError):
+            rep.deformation(i)
+
+
 def test_standard_family_satisfies_relations():
     report = verify_braid_relations(tym_standard(6, 2))
     assert report.ok and not report.failures

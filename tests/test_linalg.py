@@ -161,6 +161,31 @@ def test_intersect_requires_matching_ambient():
         subspace((1, 0)).intersect(subspace((1, 0, 0)))
 
 
+def _sum(u, v):
+    """U + V as the span of the joined bases, the one spelling of a sum."""
+    return Subspace(u.ambient_dim, [*u.basis_vectors(), *v.basis_vectors()])
+
+
+def test_sum_requires_matching_ambient():
+    with pytest.raises(ShapeError):
+        _sum(subspace((1, 0)), subspace((1, 0, 0)))
+
+
+def test_sum_of_coordinate_lines():
+    assert _sum(subspace(e(0, 3)), subspace(e(1, 3))) == subspace(e(0, 3), e(1, 3))
+
+
+def test_sum_with_zero_is_identity():
+    u = subspace((1, 2, 3))
+    assert _sum(u, Subspace.zero(3)) == u
+
+
+def test_sum_of_overlapping_planes_has_dimension_three():
+    u = subspace(e(0, 4), e(1, 4))
+    v = subspace(e(1, 4), e(2, 4))
+    assert _sum(u, v).dim == 3
+
+
 def test_inverse_of_antidiagonal():
     inv = inverse(Matrix([[0, 2], [1, 0]]))
     assert inv == Matrix([[0, 1], [F(1, 2), 0]])
