@@ -326,7 +326,7 @@ class Subspace:
     def basis(self) -> Matrix:
         """Basis as a matrix whose columns are the canonical basis vectors."""
         if not self.rows:
-            return Matrix(((),) * self.ambient_dim) if self.ambient_dim else Matrix(((),))
+            return Matrix._new(((),) * self.ambient_dim, 1, 0)
         leads, den = self._leads
         cols = [[e * (den // lead) for e in row] for lead, row in zip(leads, self.rows)]
         return _lowest_terms(list(zip(*cols)), den)
@@ -633,10 +633,10 @@ class EchelonSpan:
     happens once, in ``reduced_rows``.
 
     ``add`` reduces an incoming vector v <- lead * v - c * row at each pivot
-    where v is nonzero and takes one gcd, once v stands as a new row.  Each
-    step scales v by a positive lead, so v ends as a positive multiple of
-    what a gcd after every step leaves, and the primitive row it stores is
-    the same.  A dependent vector, most of a low-rank image, takes no gcd.
+    where v is nonzero, tests v for zero once, after the loop, and takes one
+    gcd, once v stands as a new row.  Each step scales v by a positive lead,
+    so the primitive row it stores is the one a gcd after every step leaves.
+    A dependent vector, most of a low-rank image, takes no gcd.
     """
 
     __slots__ = ("length", "rows", "pivots")
@@ -658,11 +658,9 @@ class EchelonSpan:
             if c:
                 rp = row[p]
                 v = [a * rp - c * b for a, b in zip(v, row)]
-                if not any(v):
-                    return None
-        p = next(filter(v.__getitem__, range(len(v))), None)
-        if p is None:
+        if not any(v):
             return None
+        p = next(filter(v.__getitem__, range(len(v))))
         g = math.gcd(*v)
         if v[p] < 0:
             v = [-e // g for e in v]

@@ -1,3 +1,5 @@
+import importlib.util
+import warnings
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +16,15 @@ from braidrep.zoo import (
     tensor_character,
     tym_standard,
 )
+
+# Hypothesis's patch writer imports libcst on the first failing example, and
+# libcst.metadata warns on import (mypy_extensions.TypedDict).  Under -W error
+# that warning ends the session with an INTERNALERROR in place of the failure
+# report, so the module is imported once here with that warning ignored.
+if importlib.util.find_spec("libcst") is not None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import libcst.metadata  # noqa: F401
 
 
 def build_zoo():

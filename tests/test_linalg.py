@@ -1,5 +1,6 @@
 import bisect
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -159,6 +160,27 @@ def test_intersect_of_skew_lines_is_zero():
 def test_intersect_requires_matching_ambient():
     with pytest.raises(ShapeError):
         subspace((1, 0)).intersect(subspace((1, 0, 0)))
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_stacked_kernel_with_a_zero_subspace_is_zero(zero_first):
+    u, v = Subspace.zero(3), subspace((1, 2, 3), (0, 1, 1))
+    if not zero_first:
+        u, v = v, u
+    assert intersect_stacked_kernel(u, v) == Subspace.zero(3)
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_basis_of_a_zero_subspace_has_no_columns(d):
+    basis = Subspace.zero(d).basis
+    assert basis.shape == (d, 0)
+    assert basis == Matrix.zero(d, 0)
+
+
+@pytest.mark.parametrize("op, word", [(operator.add, "add"), (operator.sub, "subtract")])
+def test_matrix_sum_and_difference_refuse_unequal_shapes(op, word):
+    with pytest.raises(ShapeError, match=rf"^cannot {word} \(2, 2\) and \(2, 3\)$"):
+        op(Matrix.identity(2), Matrix.zero(2, 3))
 
 
 def _sum(u, v):
@@ -640,6 +662,19 @@ def test_echelon_insert_matches_the_stepwise_reference_on_the_zoo():
             m = rep.deformation(i)
             _assert_inserts_match(m.nrows, list(zip(*m.num)))
             _assert_inserts_match(m.ncols, m.num)
+
+
+@pytest.mark.parametrize("vec", [[-6, 0, 0, 0], (0, 4, -2, 0), [0, 0, 3, 4]])
+def test_a_vector_zero_after_its_first_step_leaves_the_span_as_it_was(vec):
+    """The vector vanishes at its first reduction step, with rows left to pass."""
+    rows = [(2, 0, 0, 0), (1, 2, -1, 0), (0, 1, 1, 2), (0, 0, 1, 5)]
+    span = EchelonSpan(4)
+    for row in rows:
+        span.add(row)
+    before = ([list(r) for r in span.rows], list(span.pivots))
+    assert span.add(vec) is None
+    assert ([list(r) for r in span.rows], list(span.pivots)) == before
+    _assert_inserts_match(4, rows + [vec])
 
 
 def _reference_clear(vec):
