@@ -35,14 +35,9 @@ _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio(value):
-    """``(p, q)`` in lowest terms with q > 0 and value == p / q.  Ints and
-    Fractions are read at once, strings of the form -?[0-9]+(/[0-9]+)? with
-    ``int`` and one gcd; everything else goes through ``rational``, whose
-    errors it raises."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is Fraction:
-        return value.as_integer_ratio()
+    """``(p, q)`` in lowest terms with q > 0 and value == p / q.  Strings
+    of the form -?[0-9]+(/[0-9]+)? are read with ``int`` and one gcd;
+    everything else goes through ``rational``, whose errors it raises."""
     if type(value) is str:
         m = _PLAIN_RATIONAL.fullmatch(value)
         if m is not None:
@@ -359,9 +354,8 @@ class Subspace:
         return tuple(tuple(map((m // lead).__mul__, num[p])) for p, lead in zip(self.pivots, leads)), m
 
     def combination(self, coeffs):
-        """The integer vector R^T coeffs for the canonical rows R (R = 1 when full)."""
-        full = len(self.rows) == self.ambient_dim
-        return list(coeffs) if full else combine(coeffs, self.rows, self.ambient_dim)
+        """The integer vector R^T coeffs for the canonical rows R."""
+        return combine(coeffs, self.rows, self.ambient_dim)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:

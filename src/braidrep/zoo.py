@@ -115,7 +115,7 @@ class Representation:
         # R^T Y = m num(A_i) and s = m den(A_i), m the lcm of the pivot
         # entries (``Subspace.coordinate_rows``): dividing by m leaves lowest terms.
         m = img._leads[1]
-        rows = y if img.is_full() else [combine(col, y, self.r) for col in zip(*img.rows)]
+        rows = [combine(col, y, self.r) for col in zip(*img.rows)]
         if m > 1:
             rows = ([e // m for e in row] for row in rows)
         return Matrix._new(tuple(map(tuple, rows)), s // m)
@@ -197,11 +197,8 @@ class Representation:
         """Im A_0 = D Im A_(n-1), as A_0 = D A_(n-1) D^-1 by the definition of
         sigma0: D acts on each canonical row through g_(n-1), ..., g_1, each
         step kept primitive, in O(n k r) per row and without forming D."""
-        last = self.image(self.n - 1)
-        if last.is_full():
-            return last
         rows = []
-        for v in last.rows:
+        for v in self.image(self.n - 1).rows:
             for i in range(self.n - 1, 0, -1):
                 v = _primitive(self.act(i, v)[0])
             rows.append(v)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidrep.errors import ShapeError, SingularMatrixError
@@ -100,6 +100,20 @@ def test_matrix_scalar_product_refuses_booleans_as_the_constructor_does(bad):
     assert m * 1 == m and m * F(1, 2) == Matrix([[F(1, 2), 1], [F(3, 2), 2]])
 
 
+@pytest.mark.parametrize("c", [3, -2, 0, F(-2, 3)])
+def test_matrix_scalar_product_is_the_per_entry_product_in_lowest_terms(c):
+    rows = [[F(1, 2), 3, F(-5, 6)], [0, F(4, 9), -7]]
+    m = Matrix(rows) * c
+    want = [[F(e) * c for e in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in want for x in row))
+    assert m.den == den and m.num == tuple(tuple(int(x * den) for x in row) for row in want)
+
+
+def test_matrix_scalar_product_takes_no_float():
+    with pytest.raises(TypeError):
+        Matrix([[1, 2]]) * 1.5
+
+
 def test_rational_round_trip_is_exact():
     values = [F(3, 7), F(-22, 6), F(0), F(10**40, 3)]
     for v in values:
@@ -118,6 +132,27 @@ def test_rank_of_identity_and_zero():
 def test_image_of_invertible_matrix_is_full():
     img = image_basis(Matrix([[-1, 2], [1, -1]]))
     assert img == Subspace.full(2)
+
+
+def _assert_identity_rows(space, coeffs):
+    d = space.ambient_dim
+    assert space.rows == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    assert space.pivots == tuple(range(d))
+    assert space.combination(coeffs) == list(coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_the_full_subspace_is_held_as_the_identity_rows(d):
+    _assert_identity_rows(Subspace.full(d), range(-2, d - 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d + 2)))
+def test_a_full_rank_integer_span_is_held_as_the_identity_rows(vectors):
+    d = len(vectors[0])
+    assume(rank(Matrix(vectors)) == d)
+    _assert_identity_rows(Subspace._span(d, vectors), vectors[0])
 
 
 def test_image_of_equal_columns_is_a_line():

@@ -248,6 +248,25 @@ def test_full_images_are_proved_invertible_without_d():
     assert "tau" not in vars(rep)
 
 
+_FULL_IMAGE_FAMILIES = [
+    character_rep(5, 3),
+    tensor_character(tym_standard(5, 2), 3),
+    direct_sum(tensor_character(tym_standard(4, 2), -1), tensor_character(reduced_burau(4, 3), F(2, 3))),
+    scrambled(tensor_character(reduced_burau(5, 2), F(1, 2)), 3),
+]
+
+
+@pytest.mark.parametrize("rep", _FULL_IMAGE_FAMILIES, ids=repr)
+def test_full_images_are_held_as_the_identity_rows(rep):
+    """Each image of a family with full images, Im A_0 among them, has the
+    identity rows as its canonical rows, so R^T y is y and A_i = y / s."""
+    identity = tuple(tuple(int(p == q) for q in range(rep.r)) for p in range(rep.r))
+    for i in range(rep.n):
+        img, y, s = rep.factor(i)
+        assert (img.rows, img.pivots) == (identity, tuple(range(rep.r))), i
+        assert rep.deformation(i) == Matrix([[F(e, s) for e in row] for row in y]), i
+
+
 def test_shape_errors_come_before_singularity():
     zero = Matrix.zero(2, 2)
     with pytest.raises(ShapeError):
@@ -327,6 +346,7 @@ def _shifted_image_inputs():
     yield direct_sum(scrambled(tym_standard(4, 5), 2), character_rep(4, -1))
     yield tensor_character(tym_standard(4, F(5, 3)), -2)
     yield tensor_character(scrambled(reduced_burau(4, 3), 6), F(1, 3))
+    yield scrambled(tensor_character(reduced_burau(5, 2), F(1, 2)), 3)
     yield tym_standard(2, 3)
     yield scrambled(tym_standard(2, -1), 4)
     yield character_rep(2, 5)
