@@ -255,9 +255,12 @@ def _norton_candidates(rep):
     integer eigenvalues mu of M_11 left, in their order as d > 0, and 0
     where k < r), x is the first canonical row of ker(theta - lambda) and y
     that of ker(theta - lambda)^T, both read by ``_eigenspace``; y is formed
-    only when ``make_y()`` is called.  ``decisive`` says that two full
-    orbits of x and y prove the algebra full (``_norton_step``): always at
-    rank one, and for a kernel exactly when it is a line."""
+    only when ``make_y()`` is called.  Last, where k < r, x = R_1^T c and y
+    = Y_1^T c' for the first nonzero columns c of left Y_1 and c' of left^T
+    R_1, in Im theta and Im theta^T: on m copies of a W where theta has rank
+    one, Im theta is x (x) Q^m, and each of its vectors spans one copy.
+    ``decisive`` says that two full orbits of x and y prove the algebra full
+    (``_norton_step``): at rank one, and for a kernel exactly when it is a line."""
     r, (img, y1, s1) = rep.r, rep.factor(1)
     k, m11 = img.dim, rep.block(1, 1)
     words = [("A_1", _identity_rows(k), s1, m11)]  # (name, left, d, M_11 left)
@@ -284,6 +287,11 @@ def _norton_candidates(rep):
             right = _eigenspace(img.rows, None if mu else mul_rows(left, y1, r), mu, r, vu)
             make_y = lambda mu=mu: _eigenspace(y1, None if mu else mul_rows(left_t, img.rows, r), mu, r, p_t).rows[0]
             yield ("eigenvector", f"{name} at eigenvalue {Fraction(mu, d)}", right.rows[0], make_y, right.dim == 1)
+    for name, left, _, _ in others if k < r else ():
+        c, c_t = (next((col for col in zip(*mul_rows(a, b, r)) if any(col)), None)
+                  for a, b in ((left, y1), (tuple(zip(*left)), img.rows)))
+        if c is not None:
+            yield ("image vector", name, img.combination(c), partial(combine, c_t, y1, r), False)
 
 
 def _norton_step(rep, fixed_free=False, images_span=False) -> IrreducibilityVerdict | None:

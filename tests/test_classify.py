@@ -679,6 +679,25 @@ def test_change_of_basis_keeps_the_verdict_of_direct_sums(spec, seed):
             assert _is_invariant(rep, found.witness)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 3])
+@pytest.mark.parametrize("n", [5, 7])
+def test_a_sum_of_copies_of_burau_at_minus_one_is_reducible_in_every_basis(n, seed):
+    # Reduced Burau at t = -1 and odd n is irreducible with A_1 nilpotent of
+    # rank one.  On two copies no kernel of a Norton word is a line, and in a
+    # mixed basis the first row of each spins to the whole space; Im A_1 is
+    # x (x) Q^2, and its first column spans one copy.
+    rep = direct_sum(reduced_burau(n, -1), reduced_burau(n, -1))
+    if seed is not None:
+        rep = scrambled(rep, seed)
+    with time_limit(3):
+        verdict = analyze(rep).verdict
+    assert verdict.tag is Verdict.REDUCIBLE
+    assert verdict.witness.dim == n - 1
+    assert_invariant(rep, verdict.witness)
+    if seed is not None:
+        assert verdict.detail == "orbit of a right image vector of A_1"
+
+
 @pytest.mark.parametrize("seed", [1, 5])
 @pytest.mark.parametrize("y", [3, -2])
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 16])
@@ -849,19 +868,26 @@ def test_norton_step_tries_elements_in_a_fixed_order(rep, first):
     found = list(_norton_vectors(rep))
     assert found[0][1] == first
     # Every rank-one element first, then each other element's rational
-    # eigenvalues in ascending order, the elements in the order of thetas.
+    # eigenvalues in ascending order, the elements in the order of thetas,
+    # then, where A_1 is singular, each other nonzero element's image.
     ident = Matrix.identity(rep.r)
     factors = [f"{name}, which has rank one" for name, m in thetas.items() if rank(m) == 1]
     eigen = []
     for name, m in thetas.items():
         for lam in rational_eigenvalues(m) if rank(m) != 1 else []:
             eigen.append(f"{name} at eigenvalue {lam}")
-    assert [where for _, where, *_ in found] == factors + eigen
+    images = [name for name, m in thetas.items() if rank(m) > 1 and rank(a) < rep.r]
+    assert [where for _, where, *_ in found] == factors + eigen + images
     for kind, where, x, y, decisive in found:
         name, _, lam = where.partition(" at eigenvalue ")
         if kind == "factor":
             assert decisive
             assert _is_multiple(_outer(x, y), thetas[where.removesuffix(", which has rank one")])
+        elif kind == "image vector":
+            # x and y span the first nonzero columns of theta and theta^T.
+            assert not decisive
+            for v, m in ((x, thetas[where]), (y, thetas[where].transpose())):
+                assert Subspace(rep.r, [v]) == Subspace(rep.r, [next(c for c in zip(*m.rows) if any(c))])
         else:
             # x and y span the first lines of the right and left kernels.
             shifted = thetas[name] - ident * F(lam)
@@ -899,6 +925,10 @@ def _dense_norton_vectors(rep):
             right = kernel_basis(shifted)
             yield ("eigenvector", f"{name} at eigenvalue {lam}", right.rows[0],
                    kernel_basis(shifted.transpose()).rows[0], right.dim == 1)
+    for name, theta in others if rank(a) < rep.r else []:
+        cols = [c for c in zip(*theta.rows) if any(c)]
+        if cols:
+            yield "image vector", name, cols[0], next(row for row in theta.rows if any(row)), False
 
 
 def _candidate_cases():
@@ -1034,7 +1064,8 @@ def test_norton_step_forms_no_r_by_r_element(monkeypatch, rep, detail):
 
 def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatch, disconnected_fixture):
     # Characters 3, 3 and 1, scrambled: A_1 = A_2 have rank k = r - 1 = 2,
-    # so every candidate is an eigenvector read on the 2 x 2 middles.  The
+    # so every candidate is an eigenvector read on the 2 x 2 middles or an
+    # image vector read on the 2 x 3 factors.  The
     # neighbor pairs below have k = 1 of r = 6 and k = 2 of r = 5, and those
     # of the delta family fail the identities.
     chars = scrambled(direct_sum(direct_sum(character_rep(4, 3), character_rep(4, 3)), character_rep(4, 1)), 3)
@@ -1052,7 +1083,7 @@ def test_neighbor_identities_and_norton_candidates_form_no_dense_word(monkeypatc
     monkeypatch.setattr(Matrix, "__mul__", lambda self, other: shapes.append(self.shape) or product(self, other))
     monkeypatch.setattr(Representation, "deformation", refused)
     found = lines(_norton_vectors(chars))
-    assert found == dense and {kind for kind, *_ in found} == {"eigenvector"}
+    assert found == dense and {kind for kind, *_ in found} == {"eigenvector", "image vector"}
     assert (3, 3) not in shapes
     shapes.clear()
     answers = [lemma_bb_check(rep, i, i + 1) for rep in (disconnected_fixture, delta) for i in range(1, rep.n - 1)]
