@@ -35,6 +35,7 @@ from .linalg import (
     Subspace,
     _identity_rows,
     _lowest_terms,
+    _over_lcm,
     _plus_scalar,
     _primitive,
     clear_denominators,
@@ -488,7 +489,8 @@ def extract_standard_form(rep) -> StandardFormResult:
         y = rep.factor(i)[1]
         if any(sum(map(mul, row, v)) for j, (v, _) in enumerate(chain) if j not in (i - 1, i) for row in y):
             raise NotARepresentationError(f"conjugated image of generator {i} does not match the standard family")
-    return StandardFormResult(u=u, basis=_chain_matrix(chain))
+    vectors, dens = zip(*chain)
+    return StandardFormResult(u=u, basis=_over_lcm(vectors, dens, r).transpose())
 
 
 def _chain_start(rep):
@@ -504,13 +506,6 @@ def _chain_start(rep):
     # pivot of the row of the first nonzero c_j, where it is c_j > 0 times
     # that row's positive lead.
     return _primitive(rep.image(1).combination(kernel.rows[0]))
-
-
-def _chain_matrix(chain):
-    """The matrix whose columns are the chain vectors."""
-    lcm = math.lcm(*(d for _, d in chain))
-    cols = ([e * (lcm // d) for e in v] for v, d in chain)
-    return _lowest_terms(list(zip(*cols)), lcm)
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:

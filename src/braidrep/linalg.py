@@ -110,6 +110,13 @@ def _lowest_terms(num, den, ncols=None) -> "Matrix":
     return Matrix._new(tuple(map(tuple, num)), den, ncols)
 
 
+def _over_lcm(vectors, dens, ncols) -> "Matrix":
+    """The matrix whose row j is vectors[j] / dens[j], for integer vectors
+    of length ncols and positive integers dens, put over their lcm."""
+    den = math.lcm(*dens)
+    return _lowest_terms([[e * (den // d) for e in v] for v, d in zip(vectors, dens)], den, ncols)
+
+
 class Matrix:
     """Immutable dense matrix over the rationals, stored as ``num / den``.
 
@@ -219,8 +226,8 @@ class Matrix:
             vec, vden = clear_denominators(other)
             den = self.den * vden
             return tuple(Fraction(sum(map(mul, row, vec)), den) for row in self.num)
-        if isinstance(other, (int, Fraction)):
-            c, d = _ratio(other)  # a boolean is refused, as by the constructor
+        if isinstance(other, (int, Fraction, float)):
+            c, d = _ratio(other)  # a float or boolean is refused, as by the constructor
             return _lowest_terms([[e * c for e in row] for row in self.num], self.den * d, self.ncols)
         return NotImplemented
 
@@ -320,11 +327,7 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         """Basis as a matrix whose columns are the canonical basis vectors."""
-        if not self.rows:
-            return Matrix._new(((),) * self.ambient_dim, 1, 0)
-        leads, den = self._leads
-        cols = [[e * (den // lead) for e in row] for lead, row in zip(leads, self.rows)]
-        return _lowest_terms(list(zip(*cols)), den)
+        return _over_lcm(self.rows, self._leads[0], self.ambient_dim).transpose()
 
     def basis_vectors(self):
         """The canonical basis vectors, as ``Fraction`` tuples with pivot entries 1."""
@@ -395,24 +398,18 @@ def image_basis(m: Matrix) -> Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the null space of m."""
-    span = EchelonSpan(m.ncols)
-    for row in m.num:
-        span.add(row)
-    rows, pivots = span.canonical_rows()
-    pivot_set = set(pivots)
+    """Canonical basis of the null space of m, read off its reduced echelon
+    form: where that is [1 | F] up to column order, the columns of [-F; 1]."""
+    span = Subspace._span(m.ncols, m.num)
+    reduced = _over_lcm(span.rows, span._leads[0], m.ncols)
     vectors = []
     for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        # Free column f: lead * e_f minus row[f] * lead / row[p] at each pivot p.
-        lead = math.lcm(1, *(row[p] for p, row in zip(pivots, rows) if row[f]))
-        v = [0] * m.ncols
-        v[f] = lead
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                v[p] = -row[f] * (lead // row[p])
-        vectors.append(v)
+        if f not in span.pivots:
+            v = [0] * m.ncols
+            v[f] = reduced.den
+            for p, row in zip(span.pivots, reduced.num):
+                v[p] = -row[f]
+            vectors.append(v)
     return Subspace._span(m.ncols, vectors)
 
 
@@ -450,9 +447,7 @@ def inverse(m: Matrix) -> Matrix:
         raise SingularMatrixError("matrix is singular")
     # Row i of the reduced rows is lead_i * [e_i | row i of m^-1].
     rows = span.reduced_rows()
-    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
-    num = [[e * (den // row[i]) for e in row[n:]] for i, row in enumerate(rows)]
-    return _lowest_terms(num, den)
+    return _over_lcm([row[n:] for row in rows], [row[i] for i, row in enumerate(rows)], n)
 
 
 def _poly_eval(coeffs, x):

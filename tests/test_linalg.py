@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidrep.errors import ShapeError, SingularMatrixError
@@ -13,8 +13,8 @@ from braidrep.linalg import (
     EchelonSpan,
     Matrix,
     Subspace,
+    _over_lcm,
     _squarefree_part,
-    _ratio,
     clear_denominators,
     combine,
     image_basis,
@@ -110,8 +110,11 @@ def test_matrix_scalar_product_is_the_per_entry_product_in_lowest_terms(c):
 
 
 def test_matrix_scalar_product_takes_no_float():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError) as built:
+        Matrix([[1.5]])
+    with pytest.raises(ValueError, match=r"^refusing to coerce a float; pass 'p/q' or an int$") as refused:
         Matrix([[1, 2]]) * 1.5
+    assert str(refused.value) == str(built.value)
 
 
 def test_rational_round_trip_is_exact():
@@ -210,6 +213,37 @@ def test_basis_of_a_zero_subspace_has_no_columns(d):
     basis = Subspace.zero(d).basis
     assert basis.shape == (d, 0)
     assert basis == Matrix.zero(d, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.tuples(
+    st.lists(st.integers(-20, 20), min_size=k, max_size=k), st.integers(1, 6), st.integers(1, 12)),
+    max_size=4))))
+@example((3, []))
+@example((2, [([2, -3], 2, 2), ([1, 3], 3, 6)]))  # [4 -6; 3 9] over (2, 6) is [4 -6; 1 3] / 2
+def test_over_lcm_is_the_per_entry_quotient_in_lowest_terms(case):
+    """Row j is vectors[j] / dens[j]; each vector is drawn times a factor g,
+    so rows and denominators share factors to divide out."""
+    k, drawn = case
+    vectors = [[g * e for e in v] for v, g, _ in drawn]
+    dens = [d for _, _, d in drawn]
+    m = _over_lcm(vectors, dens, k)
+    ref = [[F(e, d) for e in v] for v, d in zip(vectors, dens)]
+    if ref:
+        _check_kernel_form(m, ref)
+    else:
+        assert m == Matrix.zero(0, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(rationals, min_size=d, max_size=d), max_size=4))))
+def test_basis_columns_are_the_canonical_rows_over_their_leads(case):
+    d, vectors = case
+    u = Subspace(d, vectors)
+    assert u.basis.shape == (d, u.dim)
+    want = [[F(e, row[p]) for e in row] for row, p in zip(u.rows, u.pivots)]
+    assert [list(col) for col in zip(*u.basis.rows)] == want
 
 
 @pytest.mark.parametrize("op, word", [(operator.add, "add"), (operator.sub, "subtract")])
@@ -469,6 +503,67 @@ def _ref_inverse(a):
     return [row[n:] for row in aug]
 
 
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan over Fractions: the nonzero rows of the reduced row
+    echelon form, each with pivot entry 1, and their pivot columns."""
+    rows, pivots = [list(map(F, row)) for row in rows], []
+    for c in range(ncols):
+        at = len(pivots)
+        p = next((i for i in range(at, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[at], rows[p] = rows[p], rows[at]
+        lead = rows[at][c]
+        rows[at] = [x / lead for x in rows[at]]
+        for i in range(len(rows)):
+            if i != at and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[at])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _ref_null_space(rows, ncols):
+    """A basis of the null space, one vector per free column f: e_f minus
+    the entry at f of each reduced row, at that row's pivot."""
+    reduced, pivots = _ref_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [F(0)] * ncols
+            v[f] = F(1)
+            for p, row in zip(pivots, reduced):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """Rows (nrows x ncols, either may be 0) of any rank; half are a
+    product through at most two inner columns, so most of those drop rank."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 2))
+        return _ref_mul(_block(draw, nrows, inner), _block(draw, inner, ncols)), ncols
+    return _block(draw, nrows, ncols), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_inputs())
+@example(([], 3))
+@example(([[], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[2, 1, 0], [0, 1, 0], [1, 0, 5]], 3))
+@example(([[F(1, 2), 1, F(-3, 4)], [1, 2, F(-3, 2)]], 3))
+def test_kernel_basis_is_the_span_of_the_fraction_null_space(case):
+    rows, ncols = case
+    m = Matrix(rows) if rows else Matrix.zero(0, ncols)
+    assert m.shape == (len(rows), ncols)
+    want, _ = _ref_rref(_ref_null_space(rows, ncols), ncols)
+    assert [list(v) for v in kernel_basis(m).basis_vectors()] == want
+
+
 def _check_kernel_form(m, ref):
     """m holds exactly the entries of ref, in lowest terms, and rows are Fractions."""
     assert m.den > 0
@@ -713,13 +808,17 @@ def test_a_vector_zero_after_its_first_step_leaves_the_span_as_it_was(vec):
 
 
 def _reference_clear(vec):
-    pairs = [_ratio(e) for e in vec]
+    """Each entry read by ``Fraction``, which shares no code with ``_ratio``."""
+    pairs = [Fraction(e).as_integer_ratio() for e in vec]
     den = math.lcm(*(d for _, d in pairs))
     return [p * (den // d) for p, d in pairs], den
 
 
+# The 'p/q' strings include ones not in lowest terms, such as "4/6" and "0/7".
 _ENTRIES = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50),
-                     st.integers(-99, 99).map(str), st.fractions(max_denominator=50).map(str))
+                     st.integers(-99, 99).map(str), st.fractions(max_denominator=50).map(str),
+                     st.sampled_from(["4/6", "-10/4", "0/7"]),
+                     st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 12)))
 
 
 @settings(max_examples=150, deadline=None)
