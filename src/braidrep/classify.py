@@ -148,7 +148,7 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
         if img.dim:
             outs[i], inns[i] = (y, img.rows) if transposed else (img.rows, y)
             spaces[i] = EchelonSpan(img.dim)
-    mids, ambient = rep.middles if spaces else {}, EchelonSpan(r)
+    mids, ambient = rep.middles, EchelonSpan(r)
     growing = dict(spaces)  # the V_i that are not Q^(k_i) yet
     # (0, v), then (j, w): a new basis vector w of V_j.
     work = [(0, ambient.add(vec))]
@@ -168,7 +168,7 @@ def _orbit(rep, vec, transposed=False, images_span=False) -> Subspace:
             if ambient.dim == r:
                 return Subspace.full(r)
             ambient.add(combine(w, outs[i], r))
-    return ambient.to_subspace()
+    return Subspace._from_canonical(r, *ambient.canonical_rows())
 
 
 def spin(rep, v) -> Subspace:

@@ -304,7 +304,7 @@ class Subspace:
         span = EchelonSpan(ambient_dim)
         for v in int_vectors:
             span.add(v)
-        return span.to_subspace()
+        return cls._from_canonical(ambient_dim, *span.canonical_rows())
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -370,8 +370,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("subspaces live in different ambient spaces")
         d = self.ambient_dim
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(d)
         zeros = (0,) * d
         span = EchelonSpan(2 * d)
         for row in self.rows:
@@ -421,8 +419,6 @@ def intersect_stacked_kernel(u: Subspace, v: Subspace) -> Subspace:
     """
     if u.ambient_dim != v.ambient_dim:
         raise ShapeError("subspaces live in different ambient spaces")
-    if u.is_zero() or v.is_zero():
-        return Subspace.zero(u.ambient_dim)
     stacked = Matrix(
         tuple(
             tuple(c[i] for c in u.rows) + tuple(-c[i] for c in v.rows)
@@ -681,6 +677,3 @@ class EchelonSpan:
         if len(self.rows) == self.length:
             return _identity_rows(self.length), tuple(range(self.length))
         return tuple(map(tuple, self.reduced_rows())), tuple(self.pivots)
-
-    def to_subspace(self):
-        return Subspace._from_canonical(self.length, *self.canonical_rows())

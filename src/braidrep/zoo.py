@@ -414,11 +414,13 @@ def _whole_number(value, key):
 
 
 def rep_from_dict(data) -> Representation:
+    if not isinstance(data, dict):
+        raise ShapeError("malformed representation data: expected a JSON object")
     try:
         n = _whole_number(data["n"], "n")
         r = _whole_number(data["r"], "r")
         gens = [Matrix(g) for g in data["generators"]]
-        label = str(data.get("label", ""))
+        label = "" if data.get("label") is None else str(data["label"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ShapeError(f"malformed representation data: {exc}") from exc
     return Representation(n, r, gens, label=label)

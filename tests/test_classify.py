@@ -108,6 +108,13 @@ def test_spin_of_zero_vector_is_zero():
     assert spin(rep, (F(0),) * 6).is_zero()
 
 
+@pytest.mark.parametrize("v", [(3, -2), (0, 5), (0, 0)])
+def test_spin_without_a_nonzero_image_is_the_line_of_v(v):
+    # Every image is 1, so every A_i is 0 and no middle is formed.
+    rep = parse_rep_spec("dsum(char:n=4,y=1,char:n=4,y=1)")[0]
+    assert spin(rep, [F(x) for x in v]) == Subspace(2, [v])
+
+
 def test_spin_of_coordinate_vector_under_permutations_is_full():
     rep = tym_standard(6, 1)
     assert spin(rep, unit(0, 6)).is_full()

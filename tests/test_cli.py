@@ -130,6 +130,15 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv, code", [(["make", "tym:n=3,u=2"], 0), (["make", "tym:n=3"], 2), ([], 2)])
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys, argv, code):
+    assert capture(capsys, argv)[0] == code
+    monkeypatch.setattr(sys, "argv", ["braidrep", *argv])
+    with pytest.raises(SystemExit) as info:
+        cli.main()
+    assert info.value.code == code
+
+
 def test_console_script_names_the_main_function():
     # A regex, not tomllib, which Python 3.10 lacks.
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")

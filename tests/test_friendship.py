@@ -45,6 +45,10 @@ def cycle_graph(n):
     return FriendshipGraph.from_distance_set(n, {1})
 
 
+def test_a_graph_without_vertices_is_connected():
+    assert is_connected(FriendshipGraph(0, False, ()))
+
+
 def test_neighbors_of_standard_family_are_friends():
     rep = tym_standard(6, 2)
     assert are_friends(rep, 1, 2)

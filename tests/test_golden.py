@@ -6,9 +6,12 @@ The files under ``tests/data/`` hold what ``braidrep analyze SPEC``,
 argvs of ``TEXT_GOLDEN`` printed; a change that speeds up a layer must leave
 every one of them unchanged (the determinism contract of the CLI).  CI runs
 this file against the installed package too, so a new check of the command
-line is a row here.
+line is a row here.  The wider grid of ``cli_grid.py`` pins one digest per
+argv in ``tests/data/cli_grid.json``; ``PYTHONPATH=src python3
+tests/cli_grid.py --write`` rewrites that file.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from braidrep.cli import run
 from braidrep.linalg import Subspace
+import cli_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +163,12 @@ def test_text_output_is_unchanged(capsys, name):
     assert run([*TEXT_GOLDEN[name], "--format", "text"]) == 0
     expected = (DATA / name).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_cli_grid_digests_are_unchanged():
+    expected = json.loads(cli_grid.GRID_FILE.read_text(encoding="utf-8"))
+    assert len(expected) >= 2000
+    assert cli_grid.changed(expected, cli_grid.digests()) == []
 
 
 def _reference_rref(dim, vectors):

@@ -208,6 +208,44 @@ def test_stacked_kernel_with_a_zero_subspace_is_zero(zero_first):
     assert intersect_stacked_kernel(u, v) == Subspace.zero(3)
 
 
+def _subspaces(d):
+    """Subspaces of Q^d spanned by small integer vectors, with the zero and
+    the full subspace drawn on their own."""
+    vectors = st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), max_size=d + 1)
+    return st.one_of(st.just(Subspace.zero(d)), st.just(Subspace.full(d)), vectors.map(lambda vs: Subspace(d, vs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(_subspaces(d), _subspaces(d))))
+@example((Subspace.zero(0), Subspace.zero(0)))
+@example((Subspace.zero(3), Subspace.full(3)))
+@example((Subspace.full(3), Subspace.zero(3)))
+@example((Subspace.full(4), Subspace.full(4)))
+def test_both_intersections_meet_the_dimension_formula(pair):
+    u, v = pair
+    meet = u.intersect(v)
+    assert meet == intersect_stacked_kernel(u, v)
+    assert meet.dim == u.dim + v.dim - Subspace(u.ambient_dim, u.basis_vectors() + v.basis_vectors()).dim
+    assert all(u.contains(x) and v.contains(x) for x in meet.basis_vectors())
+
+
+def test_value_types_defer_equality_and_arithmetic_to_other_types():
+    m, w, other = Matrix([[1, 2]]), Subspace(2, [(1, 2)]), object()
+    for method in (m.__eq__, m.__add__, m.__sub__, m.__mul__, w.__eq__):
+        assert method(other) is NotImplemented
+    assert m != other and w != other
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(m, other)
+
+
+def test_equal_subspaces_hash_equal_and_repr_states_the_dimensions():
+    u, v = Subspace(3, [(2, 4, 0), (0, 0, 5)]), Subspace(3, [(1, 2, 5), (0, 0, -1)])
+    assert u == v and hash(u) == hash(v)
+    assert len({u, v, Subspace.zero(3)}) == 2
+    assert repr(u) == "Subspace(dim 2 of Q^3)"
+
+
 @pytest.mark.parametrize("d", [0, 1, 3])
 def test_basis_of_a_zero_subspace_has_no_columns(d):
     basis = Subspace.zero(d).basis

@@ -337,6 +337,26 @@ def test_malformed_json_data_raises():
         rep_from_dict({"n": 3, "generators": "nope"})
 
 
+@pytest.mark.parametrize("data", [[], [1, 2], "tym", 3, None])
+def test_json_data_that_is_not_an_object_is_malformed(data):
+    with pytest.raises(ShapeError) as info:
+        rep_from_dict(data)
+    assert str(info.value) == "malformed representation data: expected a JSON object"
+
+
+def test_null_label_reads_as_a_missing_one():
+    data = rep_to_dict(tym_standard(3, 2))
+    del data["label"]
+    assert rep_from_dict({**data, "label": None}).label == rep_from_dict(data).label == ""
+
+
+def test_representation_equality_defers_to_other_types_and_repr_names_the_family():
+    rep = tym_standard(3, 2)
+    assert rep.__eq__("tym") is NotImplemented
+    assert rep != "tym"
+    assert repr(rep) == f"Representation(n=3, r=3, label={rep.label!r})"
+
+
 def _shifted_image_inputs():
     yield from build_zoo()
     yield broken_family()
