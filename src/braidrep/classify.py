@@ -376,9 +376,9 @@ def _is_invariant(rep, w: Subspace) -> bool:
     return True
 
 
-def _verified_reducible(rep, w: Subspace | None, detail):
-    """Promote a candidate subspace, if any, to a Reducible verdict, or return None."""
-    if w is None or w.dim == 0 or w.dim >= rep.r:
+def _verified_reducible(rep, w: Subspace, detail):
+    """Promote a candidate subspace to a Reducible verdict, or return None."""
+    if w.dim == 0 or w.dim >= rep.r:
         return None
     if not _is_invariant(rep, w):
         return None
@@ -751,9 +751,8 @@ class AnalysisReport:
         ok = all(rel[k] for k in ("braid_relations_ok", "far_commutation_ok",
                                   "cyclic_conjugation_ok", "deformed_relations_ok"))
         lines.append(f"  relations: {'all hold' if ok else 'BROKEN'}")
-        if rel["failures"]:
-            for desc, pair in rel["failures"]:
-                lines.append(f"    failure: {desc} at {tuple(pair)}")
+        for desc, pair in rel["failures"]:
+            lines.append(f"    failure: {desc} at {tuple(pair)}")
         if self.corank_error is None:
             lines.append(f"  corank: {self.corank}")
         else:

@@ -21,8 +21,6 @@ from .errors import ShapeError, SingularMatrixError
 
 def rational(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, float):
         raise ValueError("refusing to coerce a float; pass 'p/q' or an int")
     if isinstance(value, bool):
@@ -88,8 +86,6 @@ def clear_denominators(vec):
     Entries are ints, Fractions or 'p/q' strings; floats and booleans are refused."""
     pairs = [e.as_integer_ratio() if type(e) in _EXACT_TYPES else _ratio(e) for e in vec]
     den = math.lcm(*(d for _, d in pairs))
-    if den == 1:
-        return [p for p, _ in pairs], 1
     return [p * (den // d) for p, d in pairs], den
 
 
@@ -177,10 +173,6 @@ class Matrix:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    @property
-    def is_square(self):
-        return self.nrows == self.ncols
 
     def transpose(self):
         return Matrix._new(tuple(zip(*self.num)) or ((),) * self.ncols, self.den, self.nrows)
@@ -431,7 +423,7 @@ def intersect_stacked_kernel(u: Subspace, v: Subspace) -> Subspace:
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrixError when none exists."""
-    if not m.is_square:
+    if m.nrows != m.ncols:
         raise ShapeError("only square matrices can be inverted")
     n = m.nrows
     span = EchelonSpan(2 * n)
@@ -499,8 +491,6 @@ def _squarefree_part(ints):
     a, b = ints, _derivative(ints)
     while b:
         a, b = b, _poly_rem(a, b)[1]
-    if len(a) == 1:
-        return ints
     # A monic factor of a monic integer polynomial has integer coefficients.
     quo, _ = _poly_rem(ints, [Fraction(c, a[0]) for c in a])
     return [int(c) for c in quo]
@@ -557,7 +547,7 @@ def rational_eigenvalues(m: Matrix):
     lies outside their span, where every vector starts at a pivot; at most
     k vectors are read.
     """
-    if not m.is_square:
+    if m.nrows != m.ncols:
         raise ShapeError("eigenvalues of a non-square matrix")
     k, seen, roots = m.nrows, EchelonSpan(m.nrows), set()
     while seen.dim < k:
@@ -598,7 +588,7 @@ def minimal_polynomial(rows, v, limit, seen):
 
 
 def _primitive(v):
-    """Divide out the gcd of an integer vector, in place semantics."""
+    """v over the gcd of its entries as a new list, or v itself at gcd 0 or 1; v is never mutated."""
     g = math.gcd(*v)
     if g > 1:
         return [e // g for e in v]

@@ -110,12 +110,10 @@ class Representation:
         if i == 0:
             return _plus_scalar(self.sigma0, -1)
         img, y, s = self._factors[i]
-        if img.is_zero():
-            return Matrix.zero(self.r, self.r)
         # R^T Y = m num(A_i) and s = m den(A_i), m the lcm of the pivot
         # entries (``Subspace.coordinate_rows``): dividing by m leaves lowest terms.
         m = img._leads[1]
-        rows = [combine(col, y, self.r) for col in zip(*img.rows)]
+        rows = [combine([row[p] for row in img.rows], y, self.r) for p in range(self.r)]
         if m > 1:
             rows = ([e // m for e in row] for row in rows)
         return Matrix._new(tuple(map(tuple, rows)), s // m)

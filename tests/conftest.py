@@ -1,12 +1,21 @@
 import importlib.util
+import os
+import sys
 import warnings
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from braidrep.linalg import Matrix
-from braidrep.zoo import (
+# The suite leaves no bytecode under src/: a checkout holding a cached
+# src/braidrep/__pycache__ starts faster, which would skew a benchmark run
+# made after the tests.  This holds for the modules imported below and, via
+# the environment the CLI tests copy, for the Python subprocesses they start.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from braidrep.linalg import Matrix  # noqa: E402
+from braidrep.zoo import (  # noqa: E402
     Representation,
     character_rep,
     direct_sum,

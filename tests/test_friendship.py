@@ -459,6 +459,10 @@ _REFUSALS = {
     "inverse of a non-square matrix": (lambda: inverse(_WIDE), ShapeError, "only square matrices can be inverted"),
     "eigenvalues of a non-square matrix": (lambda: rational_eigenvalues(_WIDE), ShapeError,
                                            "eigenvalues of a non-square matrix"),
+    "inverse of a tall matrix": (lambda: inverse(_WIDE.transpose()), ShapeError,
+                                 "only square matrices can be inverted"),
+    "eigenvalues of a tall matrix": (lambda: rational_eigenvalues(_WIDE.transpose()), ShapeError,
+                                     "eigenvalues of a non-square matrix"),
     "Matrix times a short vector": (lambda: _WIDE * (1, 2), ShapeError, "cannot apply (2, 3) to a vector of length 2"),
     "Subspace of a long vector": (lambda: Subspace(2, [(1, 2, 3)]), ShapeError, "spanning vector has wrong length"),
     "Subspace.contains of a long vector": (lambda: Subspace(2, [(1, 0)]).contains((1, 0, 0)), ShapeError,

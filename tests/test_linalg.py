@@ -905,9 +905,15 @@ def test_minimal_polynomial_is_the_least_monic_relation_of_the_krylov_vectors(ca
     assert minimal_polynomial(rows, v, degree - 1, EchelonSpan(len(v))) is None
 
 
-@pytest.mark.parametrize("a, b", [(3, 3), (-5, 7), (0, 4), (10**20, -(10**20) - 1), (2**60 + 1, 2**60 + 1)])
+@pytest.mark.parametrize("a, b", [(3, 3), (-5, 7), (0, 4), (10**20, -(10**20) - 1), (2**60 + 1, 2**60 + 1),
+                                  (1, 2**61)])
 def test_monic_roots_of_a_product_of_linear_factors(a, b):
-    assert monic_roots([1, -(a + b), a * b]) == {a, b}
+    poly = [1, -(a + b), a * b]
+    assert monic_roots(poly) == {a, b}
+    # At (1, 2^61) the roots differ by 2^61 - 1, so poly and poly' share a
+    # factor modulo that prime and the Euclid over Q finds a constant gcd.
+    if a != b:
+        assert _squarefree_part(poly) == poly
 
 
 def _expand(roots, tail):

@@ -161,6 +161,7 @@ def test_deformation_of_trivial_family_is_zero():
     rep = character_rep(5, 1)
     for i in range(5):
         assert rep.deformation(i).is_zero()
+        assert rep.deformation(i) == Matrix.zero(rep.r, rep.r)
 
 
 def test_deformation_block_of_standard_family():
