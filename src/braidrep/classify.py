@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -440,7 +440,7 @@ def extract_standard_form(rep) -> StandardFormResult:
     Returns u and the change of basis B once the chain from the start
     vector proves g_i B = B T_i(u) for every generator i; otherwise raises
     ``PreconditionError`` or ``NotARepresentationError`` naming the first
-    check that fails, in this order: 4 <= n, r = n, a line as the start,
+    check that fails, in this order: 3 <= n, r = n, a line as the start,
     n - 1 twists, equal twists, u != 1 and Y_i a_j = 0.  Such an input is
     decided by the witness steps of ``decide_irreducibility``.
 
@@ -461,8 +461,8 @@ def extract_standard_form(rep) -> StandardFormResult:
     so Im A_1 cap ker A_2 = B span(e_0), the line of a_0.
     """
     n, r = rep.n, rep.r
-    if n < 4:
-        raise PreconditionError("chain recovery needs at least 4 strands")
+    if n < 3:
+        raise PreconditionError("chain recovery needs at least 3 strands")
     if r != n:
         raise PreconditionError(f"dimension {r} differs from strand count {n}")
     start = _chain_start(rep)
@@ -642,9 +642,9 @@ def decide_irreducibility(rep):
     verdict, algebra dimension and invariant subspaces of rep.  Where y != 1
     the detail names y, and a standard form is that of the core.  Stops at
     the first step that decides: (1) corank 0, the trivial action; (2)
-    corank 2 on n = r >= 6 strands, by a certified standard form alone (the
-    theorem in ``_standard_fullness_certificate``), where a failed chain
-    step records its error and goes on; (3) common fixed vectors; (4) the
+    corank 2, by a certified standard form alone (the theorem in
+    ``_standard_fullness_certificate``), where a failed chain step records
+    its error and goes on; (3) common fixed vectors; (4) the
     Norton step, whose witnesses and fullness proof do not depend on the
     basis; (5) where no element of the Norton step decides,
     ``burnside_dimension``: the closure modulo a large prime, then the exact
@@ -674,7 +674,7 @@ def _ladder(rep):
     if ranks == {0}:
         return _trivial_action_verdict(rep), None, None
     standard_form_err = None
-    if ranks == {2} and rep.r == rep.n >= 6:
+    if ranks == {2}:
         try:
             standard_form = extract_standard_form(rep)
             detail = f"equivalent to the standard family at u={standard_form.u}; {_PROJECTORS_DETAIL}"
@@ -718,7 +718,6 @@ class AnalysisReport:
     standard_form: StandardFormResult | None
     standard_form_error: str | None
     seed: int
-    notes: list = field(default_factory=list)
     character: Fraction = Fraction(1)
 
     def to_json_dict(self) -> dict:
@@ -775,12 +774,9 @@ class AnalysisReport:
             lines.append(f"    {v.detail}")
         if self.standard_form is not None:
             lines.append(f"  standard form: u = {self.standard_form.u}")
-            lines.append("    certified for 6 or more strands at dimension >= n; "
-                         "corank alone suffices from 7 strands")
+            lines.append("    certified by the chain step; corank 2 alone forces it from 7 strands")
         elif self.standard_form_error is not None:
             lines.append(f"  standard form: error ({self.standard_form_error})")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
         lines.append(f"  seed: {self.seed}")
         return "\n".join(lines) + "\n"
 
@@ -835,12 +831,6 @@ def analyze(rep, seed=None) -> AnalysisReport:
         "deformed_relations_ok": report.ok,
         "failures": [[desc, list(pair)] for desc, pair in report.failures],
     }
-    notes = []
-    if rep.n in (4, 5) and corank_val == 2 and rep.r >= rep.n:
-        notes.append(
-            f"n={rep.n} sits outside the chain classification; "
-            "exceptional graph shapes are reported, not classified"
-        )
     return AnalysisReport(
         source_label=rep.label,
         n=rep.n,
@@ -854,6 +844,5 @@ def analyze(rep, seed=None) -> AnalysisReport:
         standard_form=standard_form,
         standard_form_error=standard_form_err,
         seed=seed,
-        notes=notes,
         character=y,
     )

@@ -49,6 +49,7 @@ def _specs():
             plain += [f"burau:n={n},t=3", f"burau:n={n},t=-1", f"dsum(burau:n={n},t=2,{chi3})"]
         plain += [
             f"dsum({tym2},{chi3})",
+            f"dsum({tym2},{chi1})",  # corank 2 at r = n + 1
             f"dsum({chi1},{chi1})",
             f"tensor({tym2},y=3)",
             f"dsum(tensor({tym2},y=2),tensor({chi3},y=-1))",

@@ -113,7 +113,7 @@ def test_criterion_3_chain_shape():
 
 def test_criterion_4_standard_form_round_trip():
     with criterion("4 standard form round trip"):
-        for n in range(6, 11):
+        for n in range(3, 11):
             targets = {u: tym_standard(n, u) for u in (F(2), F(5, 3), F(-7, 4))}
             for seed in range(20):
                 rng = Random(seed * 1009 + n)

@@ -312,10 +312,11 @@ def test_chain_basis_rejects_coinciding_images(coinciding_images_fixture):
         extract_standard_form(coinciding_images_fixture)
 
 
-def test_chain_recovery_rejects_fewer_than_four_strands():
+def test_chain_recovery_rejects_fewer_than_three_strands():
+    # On 2 strands there is no generator 2 to cut the chain start out of Im A_1.
     with pytest.raises(PreconditionError) as info:
-        extract_standard_form(tym_standard(3, 2))
-    assert str(info.value) == "chain recovery needs at least 4 strands"
+        extract_standard_form(tym_standard(2, 2))
+    assert str(info.value) == "chain recovery needs at least 3 strands"
 
 
 def test_chain_basis_rejects_low_corank():
@@ -1195,10 +1196,10 @@ def test_witness_search_ends_inconclusive_on_irreducible_input():
 @pytest.mark.parametrize("r", [6, 7])
 def test_analyze_reports_why_a_corank_two_input_has_no_standard_form(r):
     # Random rank-2 deformations on 6 strands: not a braid representation,
-    # corank 2 and no chain, certified irreducible by the ladder.  At r = n
-    # the chain step inside decide_irreducibility runs before the ladder and
-    # fails; analyze reports its error.  At r > n there is no chain step, and
-    # analyze reports that the verdict breaks the dimension bound.
+    # corank 2 and no chain, certified irreducible by the ladder.  The chain
+    # step inside decide_irreducibility runs first and fails; at r = n
+    # analyze reports its error, at r > n that the verdict breaks the
+    # dimension bound.
     rng = Random(r)
     gens = []
     while len(gens) < 5:
@@ -1220,14 +1221,15 @@ def test_analyze_reports_why_a_corank_two_input_has_no_standard_form(r):
     assert f"\n  standard form: error ({report.standard_form_error})\n" in report.to_text()
 
 
-def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypatch):
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_chain_analyze_checks_no_relation_on_a_certified_standard_form(monkeypatch, n):
     # The standard form proves the relations, the corank and the graph.
     import braidrep.classify as classify
 
     calls = []
     for name in ("verify_braid_relations", "full_friendship_graph", "corank"):
         monkeypatch.setattr(classify, name, calls.append)
-    report = analyze(scrambled(tym_standard(8, F(5, 3)), 3))
+    report = analyze(scrambled(tym_standard(n, F(5, 3)), 3))
     assert report.standard_form is not None
     assert calls == []
     assert report.relations["braid_relations_ok"] and report.relations["far_commutation_ok"]
@@ -1465,6 +1467,24 @@ def test_analyze_reports_a_failed_chain_step_whatever_the_verdict(capsys):
         "  standard form: error (chain start Im A_1 cap ker A_2 has dimension 0, not 1)\n"
         "  seed: 0\n"
     )
+
+
+_NO_CHAIN_START = "chain start Im A_1 cap ker A_2 has dimension 0, not 1"
+
+
+@pytest.mark.parametrize("spec, error", [
+    *((f"{pre}dsum(burau:n={n},t=2,char:n={n},y=3){post}", _NO_CHAIN_START)
+      for n in (3, 4, 5) for pre, post in (("", ""), ("conj(", ",seed=3)"))),
+    ("dsum(tym:n=5,u=2,char:n=5,y=1)", "dimension 6 differs from strand count 5"),
+])
+def test_corank_two_sums_outside_the_family_record_the_refused_chain_step(spec, error):
+    # Corank 2 from 3 strands on: the chain step runs, refuses, and the
+    # witness steps keep the Reducible verdict.
+    report = analyze(parse_rep_spec(spec)[0])
+    assert report.corank == 2
+    assert report.verdict.tag is Verdict.REDUCIBLE
+    assert report.standard_form is None
+    assert report.standard_form_error == error
 
 
 _CHAIN_GRID = [
@@ -1764,7 +1784,7 @@ def _chain_step_inputs():
         yield from (scrambled(rep, seed) for rep in build_zoo())
     yield broken_family()
     yield from random_families()
-    for n in range(6, 17):
+    for n in range(3, 17):
         for u in (F(2), F(-2, 3), F(1)):
             yield scrambled(tym_standard(n, u), n)
     for n in (6, 7):
@@ -1783,12 +1803,12 @@ def _ordered_reference(rep):
     """Reference: the ordered chain step on dense matrices, ``(u, basis)``, or
     the error of the first check the input fails.  Where g_i B = B T_i(u)
     with B invertible, images 0 and 1 meet in the line through a_0, and a_i
-    = g_i a_(i-1).  This checks, in order: 4 <= n = r; a line as that meet;
+    = g_i a_(i-1).  This checks, in order: 3 <= n = r; a line as that meet;
     that g_i a_i is a multiple of a_(i-1), whose factor is the twist; that
     the columns are independent; equal twists; u != 1; and B^-1 g_i B = T_i(u)."""
     n, r = rep.n, rep.r
-    if n < 4:
-        raise PreconditionError("chain recovery needs at least 4 strands")
+    if n < 3:
+        raise PreconditionError("chain recovery needs at least 3 strands")
     if r != n:
         raise PreconditionError(f"dimension {r} differs from strand count {n}")
     line = rep.image(0).intersect(rep.image(1))

@@ -332,8 +332,7 @@ def _expected_analysis_text(data):
     form = data.get("standard_form")
     if form is not None and "u" in form:
         lines.append(f"  standard form: u = {form['u']}")
-        lines.append("    certified for 6 or more strands at dimension >= n; "
-                     "corank alone suffices from 7 strands")
+        lines.append("    certified by the chain step; corank 2 alone forces it from 7 strands")
     elif form is not None:
         lines.append(f"  standard form: error ({form['error']})")
     return lines + [f"  seed: {data['seed']}"]
@@ -614,13 +613,6 @@ def test_spec_parser_errors_exit_two_with_their_message(capsys, spec, message):
     code, out, err = capture(capsys, ["make", spec])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
-
-
-def test_analyze_text_notes_a_strand_count_outside_the_classification(capsys):
-    code, out, _ = capture(capsys, ["analyze", "tym:n=5,u=2", "--format", "text"])
-    assert code == 0
-    assert out.endswith("  note: n=5 sits outside the chain classification; exceptional graph "
-                        "shapes are reported, not classified\n  seed: 0\n")
 
 
 @pytest.mark.parametrize("spec, shape", [
