@@ -248,10 +248,7 @@ def _plus_scalar(m, c) -> Matrix:
 
 def rank(m: Matrix) -> int:
     """Dimension of the column space, by exact fraction-free elimination."""
-    span = EchelonSpan(m.ncols)
-    for row in m.num:
-        span.add(row)
-    return span.dim
+    return EchelonSpan(m.ncols, m.num).dim
 
 
 class Subspace:
@@ -271,11 +268,10 @@ class Subspace:
 
     def __init__(self, ambient_dim, vectors):
         """Canonicalize an arbitrary spanning set (vectors of length ambient_dim)."""
-        span = EchelonSpan(ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ShapeError("spanning vector has wrong length")
-            span.add(clear_denominators(v)[0])
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ShapeError("spanning vector has wrong length")
+        span = EchelonSpan(ambient_dim, [clear_denominators(v)[0] for v in vectors])
         self._set(ambient_dim, *span.canonical_rows())
 
     @classmethod
@@ -293,10 +289,7 @@ class Subspace:
     @classmethod
     def _span(cls, ambient_dim, int_vectors) -> "Subspace":
         """The span of integer vectors of length ambient_dim, unchecked."""
-        span = EchelonSpan(ambient_dim)
-        for v in int_vectors:
-            span.add(v)
-        return cls._from_canonical(ambient_dim, *span.canonical_rows())
+        return cls._from_canonical(ambient_dim, *EchelonSpan(ambient_dim, int_vectors).canonical_rows())
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -363,11 +356,7 @@ class Subspace:
             raise ShapeError("subspaces live in different ambient spaces")
         d = self.ambient_dim
         zeros = (0,) * d
-        span = EchelonSpan(2 * d)
-        for row in self.rows:
-            span.add(row + row)
-        for row in other.rows:
-            span.add(row + zeros)
+        span = EchelonSpan(2 * d, [row + row for row in self.rows] + [row + zeros for row in other.rows])
         return Subspace._span(d, [row[d:] for row, p in zip(span.rows, span.pivots) if p >= d])
 
     def __eq__(self, other):
@@ -426,11 +415,9 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ShapeError("only square matrices can be inverted")
     n = m.nrows
-    span = EchelonSpan(2 * n)
     unit = (0,) * n
-    for i, row in enumerate(m.num):
-        # den times the row [m_i | e_i] of the augmented matrix [m | I].
-        span.add(row + unit[:i] + (m.den,) + unit[i + 1 :])
+    # den times the row [m_i | e_i] of the augmented matrix [m | I].
+    span = EchelonSpan(2 * n, [row + unit[:i] + (m.den,) + unit[i + 1 :] for i, row in enumerate(m.num)])
     if span.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     # Row i of the reduced rows is lead_i * [e_i | row i of m^-1].
@@ -598,8 +585,9 @@ def _primitive(v):
 class EchelonSpan:
     """Incrementally grown echelon basis of a subspace of Q^length.
 
-    Vectors are added as integer sequences (clear a rational vector's
-    denominators first, e.g. with ``clear_denominators``).  Rows are
+    ``EchelonSpan(length, vectors)`` spans the given vectors, which ``add``
+    inserts in order.  Vectors are integer sequences (clear a rational
+    vector's denominators first, e.g. with ``clear_denominators``).  Rows are
     primitive integer vectors kept in forward echelon form only: each row's
     first nonzero entry sits at its pivot and is positive, and rows are
     ordered by pivot, but entries above later pivots are not cleared.
@@ -616,10 +604,12 @@ class EchelonSpan:
 
     __slots__ = ("length", "rows", "pivots")
 
-    def __init__(self, length):
+    def __init__(self, length, vectors=()):
         self.length = length
         self.rows = []
         self.pivots = []
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self):

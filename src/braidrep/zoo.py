@@ -227,10 +227,9 @@ def _invertible_factor(g) -> tuple[Subspace, tuple, int]:
     g = 1 + R^T Y / s invertible exactly when the k x k integer rows s + Y R^T
     have rank k (k = 0 passes); at k = r, R = 1 and they are s + Y."""
     img, y, s = _factor(_plus_scalar(g, -1))
-    span = EchelonSpan(img.dim)
-    for p, row in enumerate(_y_rt(y, img)):
-        if span.add([s * (p == q) + e for q, e in enumerate(row)]) is None:
-            raise SingularMatrixError("generator image is singular")
+    rows = [[s * (p == q) + e for q, e in enumerate(row)] for p, row in enumerate(_y_rt(y, img))]
+    if EchelonSpan(img.dim, rows).dim < img.dim:
+        raise SingularMatrixError("generator image is singular")
     return img, y, s
 
 

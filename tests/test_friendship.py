@@ -465,6 +465,8 @@ _REFUSALS = {
                                      "eigenvalues of a non-square matrix"),
     "Matrix times a short vector": (lambda: _WIDE * (1, 2), ShapeError, "cannot apply (2, 3) to a vector of length 2"),
     "Subspace of a long vector": (lambda: Subspace(2, [(1, 2, 3)]), ShapeError, "spanning vector has wrong length"),
+    "Subspace of a one-shot iterator with a long vector": (lambda: Subspace(2, iter([(1, 2), (1, 2, 3)])), ShapeError,
+                                                           "spanning vector has wrong length"),
     "Subspace.contains of a long vector": (lambda: Subspace(2, [(1, 0)]).contains((1, 0, 0)), ShapeError,
                                            "vector length does not match"),
     "intersect_stacked_kernel across dimensions": (

@@ -803,6 +803,9 @@ def _assert_inserts_match(length, vectors):
         assert span.add(v) == ref.add(v), v
         # Equal rows of equal type: a list is stored where the reference stores one.
         assert span.rows == ref.rows and span.pivots == ref.pivots
+    # The constructor form inserts the same vectors in the same order.
+    for built in (EchelonSpan(length, vectors), _StepwiseSpan(length, vectors)):
+        assert built.rows == span.rows and built.pivots == span.pivots
 
 
 @st.composite
