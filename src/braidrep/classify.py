@@ -4,11 +4,11 @@ Irreducibility over the algebraic closure is certified by the generated
 matrix algebra being all of r x r (the Burnside criterion), reducibility by
 an invariant subspace that is verified before it is reported
 (``_is_invariant``).  ``decide_irreducibility`` is the one decision
-procedure, used by ``analyze`` and the command line; its docstring lists the
-certificates in the order it tries them.  The proofs are given once each:
-the character divided out first in ``_character``, the Norton step in
-``_norton_step`` and ``_eigenspace``, the orbits in ``_orbit`` and the
-chain step in ``extract_standard_form``.
+procedure, used by ``analyze``, ``tym_irreducibility`` and the command line;
+its docstring lists the certificates in the order it tries them.  The proofs
+are given once each: the character divided out first in ``_character``, the
+Norton step in ``_norton_step`` and ``_eigenspace``, the orbits in ``_orbit``
+and the chain step in ``extract_standard_form``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .linalg import (
     monic_roots,
     mul_rows,
     rank,
-    rational,
     rational_eigenvalues,
 )
 from .zoo import corank, tensor_character, tym_standard
@@ -509,25 +508,17 @@ def _chain_start(rep):
 
 
 def tym_irreducibility(n, u) -> IrreducibilityVerdict:
-    """Decide irreducibility of the standard family at parameter u.
-
-    For u != 1 from 3 strands on, by ``_standard_fullness_certificate``.
-    Otherwise the verdict is that of ``decide_irreducibility``, as on the
-    command line: at u = 1 the all-ones vector is fixed, and on 2 strands a
-    single generator generates a commutative algebra.
-    """
-    u = rational(u)
-    rep = tym_standard(n, u)
-    if u != 1 and n > 2:
-        return _standard_fullness_certificate(rep)
-    return decide_irreducibility(rep)[0]
+    """The verdict of ``decide_irreducibility`` on the standard family at
+    parameter u, as ``braidrep irreducible tym:n=N,u=U`` prints it."""
+    return decide_irreducibility(tym_standard(n, u))[0]
 
 
 def _standard_fullness_certificate(rep) -> IrreducibilityVerdict:
     """Certify by the Norton step that T(u), the standard family at u != 1 on
     n > 2 strands, spans the full algebra A(T(u)); raises if it does not.
 
-    It checks the theorem behind the chain step of ``decide_irreducibility``.
+    It checks the theorem behind the chain step of ``decide_irreducibility``,
+    which takes it as proved and does not call it.
     The neighbor cubic of T(u) is (u - 1) E_11, so A(T(u)) holds every
     (a e_1)(e_1^T b) with a, b in it.  T_i and T_i^T swap the lines through
     e_(i-1) and e_i, so the orbits of e_1 under the T_i and under their
@@ -634,7 +625,9 @@ def _character(rep) -> Fraction:
 
 
 def decide_irreducibility(rep):
-    """The irreducibility decision procedure, cheapest certificate first.
+    """The irreducibility decision procedure, cheapest certificate first;
+    ``analyze``, ``tym_irreducibility`` and the verbs ``analyze``,
+    ``irreducible`` and ``sweep`` all go through it.
 
     Returns ``(verdict, standard_form, standard_form_error)``, the last two
     from the chain step when it ran.  The steps run on the core rep / y for

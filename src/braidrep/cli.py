@@ -353,8 +353,8 @@ def _parser():
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--seed", type=int, default=0,
-                       help="default seed of a conj(SPEC) without seed=, recorded in the "
-                            "report (default 0)")
+                       help="seed of a conj(SPEC) in the source without seed= (default 0); "
+                            "analyze records it in its report")
 
     p = sub.add_parser("make", help="construct a builtin representation and emit its JSON")
     common(p, "builtin spec, e.g. tym:n=6,u=2", formats=("json",))

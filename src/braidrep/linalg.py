@@ -25,7 +25,10 @@ def rational(value) -> Fraction:
         raise ValueError("refusing to coerce a float; pass 'p/q' or an int")
     if isinstance(value, bool):
         raise ValueError("refusing to coerce a boolean; pass 'p/q' or an int")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {value!r}") from None
 
 
 _EXACT_TYPES = frozenset((int, Fraction))

@@ -30,7 +30,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from braidrep.cli import run
+# No bytecode under src/, as in tests/conftest.py: a cached
+# src/braidrep/__pycache__ would skew a benchmark run made after the grid.
+sys.dont_write_bytecode = True
+
+from braidrep.cli import run  # noqa: E402
 
 DATA = Path(__file__).resolve().parent / "data"
 GRID_FILE = DATA / "cli_grid.json"

@@ -23,6 +23,7 @@ from braidrep.classify import (
     _norton_step,
     _orbit,
     _rank_one_factors,
+    _standard_fullness_certificate,
     _verified_reducible,
     _witness_steps,
     analyze,
@@ -389,12 +390,36 @@ def test_standard_family_is_full_for_every_u_off_one(n):
     # The theorem that decides a certified chain step: the neighbor cubic of
     # A_1 and A_2 is (u - 1) E_11, and the Norton step on it proves T(u) full.
     for u in (F(2), F(-1), F(1, 2), F(5, 3), F(-2, 3)):
-        verdict = tym_irreducibility(n, u)
+        rep = tym_standard(n, u)
+        verdict = _standard_fullness_certificate(rep)
         assert verdict.tag is Verdict.ABSOLUTELY_IRREDUCIBLE
         assert verdict.algebra_dim == n * n
-        rep = tym_standard(n, u)
         cubic = Matrix([[u - 1 if i == j == 1 else 0 for j in range(n)] for i in range(n)])
         assert neighbor_form(rep.deformation(1), rep.deformation(2)) == cubic
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_standard_family_verdict_is_the_decision_procedures(monkeypatch, n):
+    import braidrep.classify as classify
+
+    calls = []
+
+    def spy(name, original):
+        def recorded(*args):
+            calls.append(name)
+            return original(*args)
+        return recorded
+
+    for name in ("_norton_step", "_standard_fullness_certificate"):
+        monkeypatch.setattr(classify, name, spy(name, getattr(classify, name)))
+    for u in (F(2), F(-1), F(1, 2), F(5, 3), F(-2, 3), F(1), F(3), F(-7, 4)):
+        calls.clear()
+        verdict = tym_irreducibility(n, u)
+        if n > 2 and u != 1:
+            # Off u = 1 from 3 strands on, the chain step decides alone.
+            assert calls == []
+            assert verdict.detail == _CHAIN_DETAIL.format(u)
+        assert verdict == decide_irreducibility(tym_standard(n, u))[0]
 
 
 def test_neighbor_cubic_projects_onto_coordinate():

@@ -207,6 +207,18 @@ def test_bad_rational_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "tym:n=3,u=2/0"], "bad value in 'tym:n=3,u=2/0': zero denominator in '2/0'"),
+    (["sweep", "--n=3", "--u=1/0"], "bad sweep grid: zero denominator in '1/0'"),
+    (["analyze", "tensor(tym:n=3,u=2,y=1/0)"], "bad tensor scalar: zero denominator in '1/0'"),
+    (["analyze", "bad.json"], "malformed representation data: zero denominator in '1/0'"),
+])
+def test_zero_denominator_is_named_in_words(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"n": 3, "r": 1, "generators": [[["1/0"]], [["2"]]]}))
+    assert capture(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = capture(capsys, ["analyze", "/nonexistent/rep.json"])
     assert code == 2
